@@ -32,12 +32,10 @@
 #include <functional>
 #include <memory>
 #include <new>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "harness/experiment.hpp"
-#include "harness/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "core/payloads.hpp"
 #include "util/pool.hpp"
@@ -314,61 +312,6 @@ SimThroughput measure_sim_throughput(bool quick) {
           static_cast<double>(res.stats.deliveries) / dt, horizon_s};
 }
 
-// Sharded-engine cost on a workload long enough to mean something: the
-// same experiment on the legacy serial engine vs the sharded engine with
-// one worker lane (pure windowing + cross-region fan-out overhead — THE
-// acceptance number on a 1-CPU container, where multi-lane speedup is
-// unmeasurable) and with as many lanes as the host offers. The horizon is
-// sized so the serial run takes >= 1 s of wall clock; the old 7 ms run
-// reported scheduler noise. The two engines order same-time events
-// differently, so their run metrics diverge slightly and only the two
-// lane counts of the sharded engine are asserted identical.
-struct ShardedPerf {
-  int lanes;
-  double serial_s;         // legacy serial engine
-  double lanes1_s;         // sharded engine, 1 worker lane
-  double lanesN_s;         // sharded engine, `lanes` worker lanes
-  double lanes1_overhead;  // lanes1_s / serial_s
-};
-
-ShardedPerf measure_sharded(bool quick) {
-  harness::ExperimentConfig cfg;
-  cfg.sys.algorithm = harness::Algorithm::kCaoSinghal;
-  cfg.sys.num_processes = 16;
-  cfg.sys.seed = 1000;
-  cfg.sys.transport = harness::TransportKind::kCellular;
-  cfg.workload = harness::WorkloadKind::kPointToPoint;
-  cfg.rate = 0.1;
-  cfg.ckpt_interval = sim::seconds(900);
-  // Sized so the serial run takes >= 1 s on an unloaded 1-CPU runner —
-  // the lanes1_overhead ratio is meaningless on a sub-second workload.
-  cfg.horizon = sim::seconds(quick ? 450'000 : 900'000);
-
-  unsigned hw = std::thread::hardware_concurrency();
-  int lanes = static_cast<int>(std::min(hw > 1 ? hw : 4u, 8u));
-
-  harness::run_sharded_experiment(cfg, 1);  // fault in code paths
-  Clock::time_point t0 = Clock::now();
-  harness::RunResult serial = harness::run_experiment(cfg);
-  double serial_s = secs_since(t0);
-  (void)serial;
-  t0 = Clock::now();
-  harness::RunResult l1 = harness::run_sharded_experiment(cfg, 1);
-  double lanes1_s = secs_since(t0);
-  t0 = Clock::now();
-  harness::RunResult lN = harness::run_sharded_experiment(cfg, lanes);
-  double lanesN_s = secs_since(t0);
-
-  if (l1.initiations != lN.initiations || l1.comp_msgs != lN.comp_msgs ||
-      l1.committed != lN.committed) {
-    std::fprintf(stderr,
-                 "perf_report: %d-lane run diverged from 1-lane run\n", lanes);
-    std::exit(1);
-  }
-  return {lanes, serial_s, lanes1_s, lanesN_s,
-          serial_s > 0 ? lanes1_s / serial_s : 0.0};
-}
-
 // ---------------------------------------------------------------------------
 // Scale path (the fig_scale workload, in-process). n = 1k is the
 // throughput point — small enough that scheduler noise swamps single
@@ -550,9 +493,6 @@ int main(int argc, char** argv) {
               "%.0f deliveries/s\n",
               st.sim_seconds_per_wall_second, st.events_per_sec);
 
-  // Scale path before the sharded stage: the multi-lane spin loads the
-  // machine for seconds, which would bias the noise-sensitive ~0.1 s
-  // n=1k timing that follows it.
   ScalePathPerf sc = measure_scale_path();
   std::printf("scale path: n=1k best-of-%d %.0f deliveries/s (%.2fs), "
               "n=1M %.2fs peak rss %llu KiB\n",
@@ -565,12 +505,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(sc.n1M_peak_queue_depth),
               static_cast<long long>(sc.n1M_peak_in_flight),
               static_cast<long long>(sc.n1M_peak_blocked));
-
-  ShardedPerf sp = measure_sharded(quick);
-  std::printf("sharded run: serial engine %.2fs, 1 lane %.2fs (%.2fx "
-              "overhead), %d lanes %.2fs (lane outputs identical)\n",
-              sp.serial_s, sp.lanes1_s, sp.lanes1_overhead, sp.lanes,
-              sp.lanesN_s);
 
   std::FILE* f = std::fopen(out_path, "w");
   if (!f) {
@@ -598,13 +532,6 @@ int main(int argc, char** argv) {
                "    \"sim_seconds_per_wall_second\": %.1f,\n"
                "    \"deliveries_per_sec\": %.1f\n"
                "  },\n"
-               "  \"sharded\": {\n"
-               "    \"lanes\": %d,\n"
-               "    \"serial_engine_wall_s\": %.3f,\n"
-               "    \"lanes1_wall_s\": %.3f,\n"
-               "    \"lanesN_wall_s\": %.3f,\n"
-               "    \"lanes1_overhead\": %.3f\n"
-               "  },\n"
                "  \"scale_path\": {\n"
                "    \"workload\": \"fig_scale points, in-process (n=1k "
                "best-of-%d, n=1M once)\",\n"
@@ -621,9 +548,7 @@ int main(int argc, char** argv) {
                quick ? "true" : "false", pending,
                static_cast<unsigned long long>(events), cur_eps, leg_eps,
                speedup, cur_ape, leg_ape, pooled_apm, fresh_apm, st.horizon_s,
-               st.sim_seconds_per_wall_second, st.events_per_sec, sp.lanes,
-               sp.serial_s, sp.lanes1_s, sp.lanesN_s, sp.lanes1_overhead,
-               kScaleTrials, sc.n1k_deliveries_per_sec, sc.n1k_wall_s,
+               st.sim_seconds_per_wall_second, st.events_per_sec, kScaleTrials, sc.n1k_deliveries_per_sec, sc.n1k_wall_s,
                sc.n1M_wall_s,
                static_cast<unsigned long long>(sc.n1M_peak_rss_kib),
                static_cast<unsigned long long>(sc.n1M_timeline_rows),
@@ -650,14 +575,12 @@ int main(int argc, char** argv) {
                  "\"allocs_per_event_current\":%.4f,"
                  "\"sim_seconds_per_wall_second\":%.1f,"
                  "\"deliveries_per_sec\":%.1f,"
-                 "\"lanes1_overhead\":%.3f,"
                  "\"n1k_deliveries_per_sec\":%.1f,"
                  "\"n1M_wall_s\":%.3f,"
                  "\"n1M_peak_rss_kib\":%llu}\n",
                  sha, stamp, quick ? "true" : "false", cur_eps, leg_eps,
                  speedup, cur_ape, st.sim_seconds_per_wall_second,
-                 st.events_per_sec, sp.lanes1_overhead,
-                 sc.n1k_deliveries_per_sec, sc.n1M_wall_s,
+                 st.events_per_sec, sc.n1k_deliveries_per_sec, sc.n1M_wall_s,
                  static_cast<unsigned long long>(sc.n1M_peak_rss_kib));
     std::fclose(h);
     std::printf("appended %s\n", history_path);
@@ -667,11 +590,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "WARNING: event-loop speedup %.2fx below the 1.5x bar\n",
                  speedup);
-  }
-  if (sp.lanes1_overhead > 1.3) {
-    std::fprintf(stderr,
-                 "WARNING: sharded 1-lane overhead %.2fx above the 1.3x bar\n",
-                 sp.lanes1_overhead);
   }
   return 0;
 }

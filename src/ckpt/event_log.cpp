@@ -1,7 +1,5 @@
 #include "ckpt/event_log.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace mck::ckpt {
@@ -22,63 +20,13 @@ MessageId EventLog::record_send(ProcessId src, ProcessId dst,
 }
 
 void EventLog::record_recv(MessageId id, ProcessId dst, sim::SimTime at) {
-  if (id >= index_by_id_.size() || index_by_id_[id] == 0) {
-    // Sharded mode only: the send record lives in the sending region's
-    // log. Advance this region's cursor now (the receive IS a dependency
-    // event of dst) and join the record at the end-of-run merge.
-    MCK_ASSERT_MSG(id_stride_ > 1, "record_recv: unknown message id");
-    PendingRecv p;
-    p.id = id;
-    p.dst = dst;
-    p.recv_event = cursors_[static_cast<std::size_t>(dst)]++;
-    p.at = at;
-    pending_recvs_.push_back(p);
-    return;
-  }
+  MCK_ASSERT_MSG(id < index_by_id_.size() && index_by_id_[id] != 0,
+                 "record_recv: unknown message id");
   MsgRecord& rec = msgs_[index_by_id_[id] - 1];
   MCK_ASSERT_MSG(rec.dst == dst, "message delivered to wrong process");
   MCK_ASSERT_MSG(rec.recv_event == kNoEvent, "message received twice");
   rec.recv_event = cursors_[static_cast<std::size_t>(dst)]++;
   rec.recv_at = at;
-}
-
-EventLog EventLog::merged(const std::vector<const EventLog*>& parts) {
-  MCK_ASSERT(!parts.empty());
-  EventLog out(parts[0]->num_processes());
-  std::size_t total = 0;
-  for (const EventLog* part : parts) {
-    MCK_ASSERT(part->num_processes() == out.num_processes());
-    total += part->msgs_.size();
-    for (std::size_t p = 0; p < out.cursors_.size(); ++p) {
-      out.cursors_[p] += part->cursors_[p];  // each pid lives in one region
-    }
-  }
-  out.msgs_.reserve(total);
-  for (const EventLog* part : parts) {
-    out.msgs_.insert(out.msgs_.end(), part->msgs_.begin(), part->msgs_.end());
-  }
-  // Canonical order + rebuilt id index (ids are dense across regions), so
-  // the merged log is identical however the regions were grouped.
-  std::sort(out.msgs_.begin(), out.msgs_.end(),
-            [](const MsgRecord& a, const MsgRecord& b) { return a.id < b.id; });
-  MessageId max_id = out.msgs_.empty() ? 0 : out.msgs_.back().id;
-  out.index_by_id_.assign(static_cast<std::size_t>(max_id) + 1, 0);
-  for (std::size_t i = 0; i < out.msgs_.size(); ++i) {
-    out.index_by_id_[out.msgs_[i].id] = i + 1;
-  }
-  for (const EventLog* part : parts) {
-    for (const PendingRecv& p : part->pending_recvs_) {
-      MCK_ASSERT_MSG(p.id < out.index_by_id_.size() &&
-                         out.index_by_id_[p.id] != 0,
-                     "pending receive without a send record");
-      MsgRecord& rec = out.msgs_[out.index_by_id_[p.id] - 1];
-      MCK_ASSERT_MSG(rec.dst == p.dst, "message delivered to wrong process");
-      MCK_ASSERT_MSG(rec.recv_event == kNoEvent, "message received twice");
-      rec.recv_event = p.recv_event;
-      rec.recv_at = p.at;
-    }
-  }
-  return out;
 }
 
 std::vector<Orphan> EventLog::find_orphans(const Line& line) const {

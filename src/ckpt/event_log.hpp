@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "sim/time.hpp"
-#include "util/assert.hpp"
 #include "util/types.hpp"
 
 namespace mck::ckpt {
@@ -60,52 +59,15 @@ class EventLog {
 
   int num_processes() const { return static_cast<int>(cursors_.size()); }
 
-  /// Sharded mode: this log serves region `region` of `num_regions`, and
-  /// hands out the interleaved id sequence region+1, region+1+R,
-  /// region+1+2R, ... — globally unique and dense across regions (so the
-  /// id -> slot index stays a flat vector), and independent of the shard
-  /// count. Also arms the pending-receive path for messages whose send
-  /// record lives in another region's log.
-  void set_region_namespace(int region, int num_regions) {
-    MCK_ASSERT(region >= 0 && region < num_regions);
-    next_id_ = static_cast<MessageId>(region) + 1;
-    id_stride_ = static_cast<MessageId>(num_regions);
-  }
-
   /// Allocates a MessageId (also for system messages, which are not
   /// logged as dependency events).
-  MessageId next_msg_id() {
-    MessageId id = next_id_;
-    next_id_ += id_stride_;
-    return id;
-  }
+  MessageId next_msg_id() { return next_id_++; }
 
   /// Records the send of a computation message; returns its id.
   MessageId record_send(ProcessId src, ProcessId dst, sim::SimTime at);
 
   /// Records the receive (processing) of computation message `id` at `dst`.
-  /// In sharded mode the send record of a cross-region message lives in
-  /// the sender's log; the receive still advances this region's cursor
-  /// and is parked in pending_recvs() for the end-of-run merge join.
   void record_recv(MessageId id, ProcessId dst, sim::SimTime at);
-
-  /// Receive of a message whose send record is in another region's log.
-  struct PendingRecv {
-    MessageId id = 0;
-    ProcessId dst = kInvalidProcess;
-    std::uint64_t recv_event = kNoEvent;
-    sim::SimTime at = 0;
-  };
-  const std::vector<PendingRecv>& pending_recvs() const {
-    return pending_recvs_;
-  }
-
-  /// Deterministic end-of-run merge of per-region logs: concatenates the
-  /// message records, joins each region's pending receives to the
-  /// matching send records by id, sums the per-process cursors (each
-  /// process lives in exactly one region), and canonicalizes the record
-  /// order by id. Independent of shard count and thread scheduling.
-  static EventLog merged(const std::vector<const EventLog*>& parts);
 
   /// Current event cursor of process p (== number of events logged at p).
   std::uint64_t cursor(ProcessId p) const {
@@ -127,9 +89,7 @@ class EventLog {
   std::vector<std::uint64_t> cursors_;
   std::vector<MsgRecord> msgs_;
   std::vector<std::size_t> index_by_id_;  // MessageId -> msgs_ slot (+1), 0 = none
-  std::vector<PendingRecv> pending_recvs_;
   MessageId next_id_ = 1;
-  MessageId id_stride_ = 1;
 };
 
 }  // namespace mck::ckpt

@@ -99,26 +99,6 @@ class CheckpointStore {
     }
   }
 
-  /// Sharded mode: this store serves one region and hands out refs from
-  /// the interleaved sequence ref_base, ref_base+stride, ... — globally
-  /// unique across regions and independent of the shard count. Only the
-  /// region's own processes get their implicit initial checkpoint here
-  /// (by_process_ is still sized for all processes so pid-indexed
-  /// accessors keep working on the merged views).
-  CheckpointStore(int num_processes, const std::vector<ProcessId>& owned,
-                  CkptRef ref_base, CkptRef ref_stride)
-      : by_process_(static_cast<std::size_t>(num_processes)),
-        ref_base_(ref_base),
-        ref_stride_(ref_stride) {
-    MCK_ASSERT(ref_stride_ >= 1 && ref_base_ < ref_stride_);
-    for (ProcessId p : owned) {
-      CheckpointRecord rec;
-      rec.pid = p;
-      rec.kind = CkptKind::kInitial;
-      intern(rec);
-    }
-  }
-
   int num_processes() const { return static_cast<int>(by_process_.size()); }
 
   /// Attaches a flight recorder (null = off): every take / promote /
@@ -290,11 +270,9 @@ class CheckpointStore {
   }
 
  private:
-  /// Slot of `ref` in all_. In the default (unsharded) namespace this is
-  /// the identity; a region store inverts its interleaved ref sequence.
+  /// Slot of `ref` in all_ (refs are dense from 0).
   std::size_t idx(CkptRef ref) const {
-    MCK_ASSERT(ref >= ref_base_ && (ref - ref_base_) % ref_stride_ == 0);
-    std::size_t i = (ref - ref_base_) / ref_stride_;
+    std::size_t i = static_cast<std::size_t>(ref);
     MCK_ASSERT(i < all_.size());
     return i;
   }
@@ -324,7 +302,7 @@ class CheckpointStore {
   }
 
   CkptRef intern(CheckpointRecord rec) {
-    rec.ref = ref_base_ + static_cast<CkptRef>(all_.size()) * ref_stride_;
+    rec.ref = static_cast<CkptRef>(all_.size());
     by_process_[static_cast<std::size_t>(rec.pid)].push_back(rec.ref);
     all_.push_back(rec);
     return rec.ref;
@@ -336,8 +314,6 @@ class CheckpointStore {
   bool auto_gc_ = false;
   obs::Tracer* tracer_ = nullptr;
   obs::TimelineCounters* timeline_ = nullptr;
-  CkptRef ref_base_ = 0;
-  CkptRef ref_stride_ = 1;
 };
 
 }  // namespace mck::ckpt

@@ -66,9 +66,8 @@ struct InitiationStats {
   std::vector<std::pair<ProcessId, std::uint64_t>> line_updates;
 
   // Timeline bookkeeping: whether this initiation is counted in the
-  // active-initiations gauge (set by open() on the initiator's tracker;
-  // lazy registration via at() never counts, so participant regions do
-  // not double-count an initiation in sharded mode).
+  // active-initiations gauge (set by open(); lazy registration via at()
+  // never counts, so the decision only decrements what open() added).
   bool timeline_counted = false;
 };
 

@@ -33,7 +33,7 @@ void CaoSinghalProtocol::start() {
   csn_.assign(static_cast<std::size_t>(n));
   dep_csn_.assign(static_cast<std::size_t>(n));
   if (ctx_.arena != nullptr) {
-    // Long-lived sparse state spills into the region arena. Payload
+    // Long-lived sparse state spills into the System arena. Payload
     // copies built from these (reply deps, request MRs) stay heap-backed:
     // SmallVec copies never inherit the source arena.
     R_.set_arena(ctx_.arena);

@@ -45,9 +45,9 @@ class SparseMr {
     bool operator==(const Slot&) const = default;
   };
 
-  /// Payloads cross region boundaries, so SparseMr storage is never
-  /// arena-backed: inline up to 4 slots, global heap beyond (see
-  /// util/arena.hpp ownership rules).
+  /// Payloads live in pooled shared_ptrs whose lifetime is not an
+  /// arena's, so SparseMr storage is never arena-backed: inline up to 4
+  /// slots, global heap beyond (see util/arena.hpp ownership rules).
   using Storage = util::SmallVec<Slot, 4>;
 
   SparseMr() = default;

@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "harness/sharded.hpp"
 #include "util/assert.hpp"
 #include "workload/traffic.hpp"
 
@@ -59,6 +58,35 @@ void run_with_progress(sim::Simulator& sim, sim::SimTime horizon) {
   sim.run_until(sim::kTimeNever);  // drain in-flight coordinations
   std::fprintf(stderr, "progress: drained  events=%llu\n",
                static_cast<unsigned long long>(sim.events_executed()));
+}
+
+/// Folds per-initiation statistics (in the tracker's start order) into
+/// the aggregate.
+void aggregate_initiations(
+    RunResult& result, const std::vector<const ckpt::InitiationStats*>& inits) {
+  for (const ckpt::InitiationStats* st : inits) {
+    ++result.initiations;
+    if (st->aborted()) {
+      ++result.aborted;
+      continue;
+    }
+    if (!st->committed()) continue;  // cut off by the horizon
+    ++result.committed;
+    result.tentative_per_init.add(static_cast<double>(st->tentative));
+    result.mutable_per_init.add(static_cast<double>(st->mutables_taken));
+    // Redundant = never turned into a tentative checkpoint (Section 5).
+    result.redundant_mutable_per_init.add(
+        static_cast<double>(st->mutables_taken - st->mutables_promoted));
+    result.sys_msgs_per_init.add(static_cast<double>(
+        st->requests + st->replies + st->commits + st->aborts));
+    result.commit_delay_s.add(
+        sim::to_seconds(st->committed_at - st->started_at));
+    result.t_msg_s.add(sim::to_seconds(st->t_msg()));
+    result.t_data_s.add(sim::to_seconds(st->t_data()));
+    result.blocked_s_per_init.add(sim::to_seconds(st->blocked_time));
+    result.duplicate_requests_per_init.add(
+        static_cast<double>(st->duplicate_requests));
+  }
 }
 
 }  // namespace
@@ -136,7 +164,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
     const int mss_count = config.sys.transport == TransportKind::kCellular
                               ? config.sys.cellular.num_mss
                               : 0;
-    sampler.configure(config.timeline_interval, mss_count, 0);
+    sampler.configure(config.timeline_interval, mss_count);
     if (config.timeline_interval > 0) {
       sampler.reserve_rows(static_cast<std::size_t>(
                                config.horizon / config.timeline_interval) +
@@ -223,33 +251,6 @@ RunResult run_experiment(const ExperimentConfig& config) {
   return result;
 }
 
-void aggregate_initiations(
-    RunResult& result, const std::vector<const ckpt::InitiationStats*>& inits) {
-  for (const ckpt::InitiationStats* st : inits) {
-    ++result.initiations;
-    if (st->aborted()) {
-      ++result.aborted;
-      continue;
-    }
-    if (!st->committed()) continue;  // cut off by the horizon
-    ++result.committed;
-    result.tentative_per_init.add(static_cast<double>(st->tentative));
-    result.mutable_per_init.add(static_cast<double>(st->mutables_taken));
-    // Redundant = never turned into a tentative checkpoint (Section 5).
-    result.redundant_mutable_per_init.add(
-        static_cast<double>(st->mutables_taken - st->mutables_promoted));
-    result.sys_msgs_per_init.add(static_cast<double>(
-        st->requests + st->replies + st->commits + st->aborts));
-    result.commit_delay_s.add(
-        sim::to_seconds(st->committed_at - st->started_at));
-    result.t_msg_s.add(sim::to_seconds(st->t_msg()));
-    result.t_data_s.add(sim::to_seconds(st->t_data()));
-    result.blocked_s_per_init.add(sim::to_seconds(st->blocked_time));
-    result.duplicate_requests_per_init.add(
-        static_cast<double>(st->duplicate_requests));
-  }
-}
-
 // SplitMix64 finalizer (Steele/Lea/Flood, JPDC 2014): a bijective 64-bit
 // mix whose outputs pass BigCrush even on consecutive inputs.
 std::uint64_t splitmix64(std::uint64_t x) {
@@ -278,20 +279,9 @@ int resolve_jobs(int jobs) {
   return 1;
 }
 
-int resolve_shards(int shards) {
-  if (shards >= 1) return shards;
-  if (const char* env = std::getenv("MCK_SHARDS")) {
-    int n = std::atoi(env);
-    if (n >= 1) return n;
-  }
-  return 0;  // legacy serial engine
-}
-
-RunResult run_replicated(ExperimentConfig config, int reps, int jobs,
-                         int shards) {
+RunResult run_replicated(ExperimentConfig config, int reps, int jobs) {
   MCK_ASSERT(reps >= 0);
   jobs = resolve_jobs(jobs);
-  shards = resolve_shards(shards);
 
   // Each replication is an independent simulation (its System owns the
   // event queue, RNG, stats, and transport), so they parallelize with no
@@ -305,8 +295,7 @@ RunResult run_replicated(ExperimentConfig config, int reps, int jobs,
       if (r >= reps) return;
       ExperimentConfig c = config;
       c.sys.seed = replication_seed(config.sys.seed, r);
-      results[static_cast<std::size_t>(r)] =
-          shards >= 1 ? run_sharded_experiment(c, shards) : run_experiment(c);
+      results[static_cast<std::size_t>(r)] = run_experiment(c);
     }
   };
 

@@ -42,14 +42,13 @@ struct ExperimentConfig {
 
   /// Run-health timeline (DESIGN.md 3f): each repetition samples the
   /// system gauges every timeline_interval of *simulated* time into
-  /// RunResult::timelines. Deterministic — identical bytes for any
-  /// (jobs, shards >= 1) combination.
+  /// RunResult::timelines. Deterministic — identical bytes for any job
+  /// count.
   bool capture_timeline = false;
   sim::SimTime timeline_interval = sim::seconds(1);
 
-  /// Periodic run-health line on stderr (wall-clock progress of the
-  /// serial engine; sharded runs report per-region drains instead).
-  /// Never touches stdout, so golden outputs are unaffected.
+  /// Periodic run-health line on stderr (wall-clock progress). Never
+  /// touches stdout, so golden outputs are unaffected.
   bool progress = false;
 };
 
@@ -84,8 +83,7 @@ struct RunResult {
   std::vector<obs::TraceRun> traces;
 
   /// One entry per repetition when ExperimentConfig::capture_timeline is
-  /// set (in rep-index order after run_replicated; sharded runs merge
-  /// their regions into the one entry), empty otherwise.
+  /// set (in rep-index order after run_replicated), empty otherwise.
   std::vector<obs::TimelineRun> timelines;
 
   /// Merges another repetition (different seed) into this aggregate.
@@ -94,16 +92,8 @@ struct RunResult {
 
 RunResult run_experiment(const ExperimentConfig& config);
 
-/// Folds per-initiation statistics into the aggregate (the loop shared by
-/// the serial runner and the sharded engine). `inits` must be in the
-/// canonical order (the tracker's in_order(), or the sharded merge's
-/// (started_at, id) order).
-void aggregate_initiations(RunResult& result,
-                           const std::vector<const ckpt::InitiationStats*>& inits);
-
-/// SplitMix64 finalizer — the repo's standard seed mixer. Exposed so the
-/// sharded engine derives per-region RNG streams the same way
-/// replication_seed derives per-rep streams.
+/// SplitMix64 finalizer — the repo's standard seed mixer (see
+/// replication_seed).
 std::uint64_t splitmix64(std::uint64_t x);
 
 /// Seed for replication `rep` of a run with base seed `base`. Rep 0 runs
@@ -117,22 +107,10 @@ std::uint64_t replication_seed(std::uint64_t base, int rep);
 /// reads the MCK_JOBS environment variable, falling back to 1 (serial).
 int resolve_jobs(int jobs);
 
-/// Resolves a within-run shard count: values >= 1 select the sharded
-/// conservative-PDES engine with that many worker lanes; 0 (the default)
-/// reads MCK_SHARDS, falling back to 0 = the legacy serial engine.
-/// Note shards >= 1 changes the canonical execution (region-local RNG and
-/// id streams), so sharded results differ from legacy results — but are
-/// byte-identical across ALL shard counts >= 1.
-int resolve_shards(int shards);
-
 /// Runs `reps` repetitions with seeds replication_seed(seed, 0..reps-1)
 /// and merges them in rep-index order. Replications are independent
 /// simulations, so with `jobs` > 1 they run on a worker pool; the merge
 /// order is fixed, so the aggregate is bit-identical for any job count.
-/// `shards` >= 1 runs each repetition on the sharded engine (see
-/// resolve_shards); aggregates and traces are bit-identical for any
-/// (jobs, shards) combination with the same resolved shards >= 1.
-RunResult run_replicated(ExperimentConfig config, int reps, int jobs = 0,
-                         int shards = 0);
+RunResult run_replicated(ExperimentConfig config, int reps, int jobs = 0);
 
 }  // namespace mck::harness

@@ -48,8 +48,9 @@ std::uint64_t pull_forwarded_total(const void* ctx) {
       ->messages_forwarded();
 }
 
-}  // namespace
-
+/// Registers the standard cumulative pull sources on a timeline sampler:
+/// RunStats totals, arena telemetry and (when `cell` is non-null) the
+/// cellular transport's buffered/forwarded counters.
 void register_timeline_pulls(obs::TimelineSampler& tl,
                              const rt::RunStats* stats,
                              const util::Arena* arena,
@@ -67,6 +68,8 @@ void register_timeline_pulls(obs::TimelineSampler& tl,
     tl.add_pull(obs::kColForwardedTotal, &pull_forwarded_total, cell);
   }
 }
+
+}  // namespace
 
 const char* to_string(Algorithm a) {
   switch (a) {
@@ -95,6 +98,9 @@ bool has_committed_lines(Algorithm a) {
   }
 }
 
+namespace {
+
+/// Constructs an unbound protocol instance for `a`.
 std::unique_ptr<rt::CheckpointProtocol> make_protocol(
     Algorithm a, const core::CaoSinghalOptions& cs) {
   switch (a) {
@@ -121,6 +127,7 @@ std::unique_ptr<rt::CheckpointProtocol> make_protocol(
   return nullptr;
 }
 
+/// Post-bind initialization: calls the algorithm-specific start().
 void start_protocol(Algorithm a, rt::CheckpointProtocol& proto) {
   switch (a) {
     case Algorithm::kCaoSinghal:
@@ -147,6 +154,8 @@ void start_protocol(Algorithm a, rt::CheckpointProtocol& proto) {
       break;
   }
 }
+
+}  // namespace
 
 System::System(SystemOptions opts)
     : opts_(opts),

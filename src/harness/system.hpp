@@ -46,23 +46,6 @@ const char* to_string(Algorithm a);
 /// and uncoordinated checkpointing have no committed global lines).
 bool has_committed_lines(Algorithm a);
 
-/// Constructs an unbound protocol instance for `a` (the per-pid factory
-/// behind System; the sharded harness builds regions from the same one).
-std::unique_ptr<rt::CheckpointProtocol> make_protocol(
-    Algorithm a, const core::CaoSinghalOptions& cs);
-
-/// Post-bind initialization: calls the algorithm-specific start().
-void start_protocol(Algorithm a, rt::CheckpointProtocol& proto);
-
-/// Registers the standard cumulative pull sources on a timeline sampler:
-/// RunStats totals, arena telemetry and (when `cell` is non-null) the
-/// cellular transport's buffered/forwarded counters. Shared by System and
-/// the sharded engine's per-region wiring so both emit identical columns.
-void register_timeline_pulls(obs::TimelineSampler& tl,
-                             const rt::RunStats* stats,
-                             const util::Arena* arena,
-                             const mobile::CellularTransport* cell);
-
 enum class TransportKind { kLan, kCellular };
 
 struct SystemOptions {

@@ -93,11 +93,6 @@ void CellularTransport::launch(rt::Message msg) {
   MssId src_mss = mss_of_[static_cast<std::size_t>(msg.src)];
   MssId dst_mss = mss_of_[static_cast<std::size_t>(msg.dst)];
   sim::SimTime at = sim_.now() + path_delay(src_mss, dst_mss, msg.size_bytes);
-  if (!owned_.empty() && !owned_[static_cast<std::size_t>(msg.dst)]) {
-    MCK_ASSERT(at >= sim_.now() + min_cross_delay());
-    emit_(at, std::move(msg), dst_mss);  // cross-region: the engine routes it
-    return;
-  }
   sim_.schedule_at(at, [this, m = std::move(msg), dst_mss]() mutable {
     arrive(std::move(m), dst_mss);
   });
@@ -142,17 +137,6 @@ void CellularTransport::broadcast(rt::Message msg) {
     if (p == msg.src) continue;
     if (timeline_ != nullptr) ++timeline_->in_flight;
     const MssId dst_mss = mss_of_[static_cast<std::size_t>(p)];
-    if (!owned_.empty() && !owned_[static_cast<std::size_t>(p)]) {
-      // Cross-region recipients keep the per-recipient emit path: the
-      // sharded engine routes each message to its owner region itself.
-      rt::Message copy = msg;
-      copy.dst = p;
-      copy.channel_seq = fifo.stamp_channel(msg.src, p);
-      sim::SimTime at = sim_.now() + (dst_mss == src_mss ? d_local : d_remote);
-      MCK_ASSERT(at >= sim_.now() + min_cross_delay());
-      emit_(at, std::move(copy), dst_mss);
-      continue;
-    }
     BroadcastBatch& b =
         (single_class || dst_mss == src_mss) ? *local : *remote;
     b.entries.push_back(
@@ -259,7 +243,7 @@ void CellularTransport::arrive(rt::Message msg, MssId routed_to) {
         --timeline_->in_flight;  // off the wire, parked at the MSS
         ++timeline_->buffered_now;
         ++timeline_->mss_depth[static_cast<std::size_t>(
-            mss_of_[static_cast<std::size_t>(m.dst)] - timeline_->mss_base)];
+            mss_of_[static_cast<std::size_t>(m.dst)])];
       }
       if (tracer_ != nullptr) {
         tracer_->record(obs::TraceKind::kMsgBuffered, sim_.now(), m.dst,
@@ -269,9 +253,21 @@ void CellularTransport::arrive(rt::Message msg, MssId routed_to) {
                         m.id, buffer_[m.dst].size() + 1);
       }
       buffer_[m.dst].push_back(std::move(m));
-    } else {
-      hand_to_process(std::move(m));
+      return;
     }
+    if (m.kind == rt::MsgKind::kComputation && !drain_until_.empty()) {
+      auto draining = drain_until_.find(m.dst);
+      if (draining != drain_until_.end()) {
+        // The reconnect flush is still handing this MH its buffered
+        // messages: queue behind them so no channel is overtaken.
+        sim_.schedule_at(draining->second,
+                         [this, msg = std::move(m)]() mutable {
+                           hand_to_process(std::move(msg));
+                         });
+        return;
+      }
+    }
+    hand_to_process(std::move(m));
   });
 }
 
@@ -304,7 +300,6 @@ sim::SimTime CellularTransport::transfer_bulk(ProcessId src,
 }
 
 void CellularTransport::handoff(ProcessId pid, MssId to) {
-  MCK_ASSERT_MSG(owned_.empty(), "mobility unsupported with --shards");
   MCK_ASSERT(to >= 0 && to < params_.num_mss);
   MCK_ASSERT_MSG(!is_disconnected(pid), "handoff while disconnected");
   if (mss_of_[static_cast<std::size_t>(pid)] == to) return;
@@ -322,7 +317,6 @@ void CellularTransport::handoff(ProcessId pid, MssId to) {
 }
 
 void CellularTransport::disconnect(ProcessId pid) {
-  MCK_ASSERT_MSG(owned_.empty(), "mobility unsupported with --shards");
   MCK_ASSERT(!is_disconnected(pid));
   disconnected_[static_cast<std::size_t>(pid)] = 1;
   if (timeline_ != nullptr) ++timeline_->disconnected;
@@ -335,7 +329,6 @@ void CellularTransport::disconnect(ProcessId pid) {
 }
 
 void CellularTransport::reconnect(ProcessId pid, MssId at) {
-  MCK_ASSERT_MSG(owned_.empty(), "mobility unsupported with --shards");
   MCK_ASSERT(is_disconnected(pid));
   MCK_ASSERT(at >= 0 && at < params_.num_mss);
   disconnected_[static_cast<std::size_t>(pid)] = 0;
@@ -358,20 +351,36 @@ void CellularTransport::reconnect(ProcessId pid, MssId at) {
     pending = std::move(buffered->second);
     buffer_.erase(buffered);
   }
+  if (pending.empty()) return;
+  // A flush still draining from an earlier reconnection goes first.
   sim::SimTime at_time = sim_.now() + params_.wired_latency;
+  auto drain = drain_until_.try_emplace(pid, at_time).first;
+  at_time = std::max(at_time, drain->second);
+  std::size_t left = pending.size();
   for (rt::Message& m : pending) {
     if (timeline_ != nullptr) {
       // Back on the wire for the final downlink; hand_to_process takes it
       // off in_flight again on delivery.
       --timeline_->buffered_now;
-      --timeline_->mss_depth[static_cast<std::size_t>(old_mss -
-                                                      timeline_->mss_base)];
+      --timeline_->mss_depth[static_cast<std::size_t>(old_mss)];
       ++timeline_->in_flight;
     }
     at_time += wireless_tx(m.size_bytes);
-    sim_.schedule_at(at_time, [this, msg = std::move(m)]() mutable {
+    const bool last = --left == 0;
+    sim_.schedule_at(at_time, [this, last, msg = std::move(m)]() mutable {
+      if (last) end_drain(msg.dst);
       hand_to_process(std::move(msg));
     });
+  }
+  drain->second = at_time;
+}
+
+void CellularTransport::end_drain(ProcessId pid) {
+  // A later reconnection may have extended the drain; its own last frame
+  // retires the entry then.
+  auto drain = drain_until_.find(pid);
+  if (drain != drain_until_.end() && drain->second == sim_.now()) {
+    drain_until_.erase(drain);
   }
 }
 

@@ -22,10 +22,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "net/fifo.hpp"
@@ -75,8 +73,7 @@ class CellularTransport final : public rt::Transport {
   /// Hierarchical topology: the wireless cell hosting `pid`. Cell c is
   /// served by MSS c % num_mss, so with the static round-robin placement
   /// cell_of(p) = p % num_cells and mss_of(p) = p % num_mss — the flat
-  /// topology's MSS assignment (and therefore PR 6's per-MSS shard
-  /// ownership) is unchanged for every cells_per_mss.
+  /// topology's MSS assignment is unchanged for every cells_per_mss.
   int cell_of(ProcessId pid) const {
     return cell_of_[static_cast<std::size_t>(pid)];
   }
@@ -110,38 +107,6 @@ class CellularTransport final : public rt::Transport {
   /// and the disconnected-MH gauge.
   void set_timeline(obs::TimelineCounters* t) { timeline_ = t; }
 
-  /// Sharded-mode hook (conservative PDES): this transport instance now
-  /// serves one cell's region. A message bound for a process outside
-  /// `owned` is handed to `emit` (stamped, with its final arrival time
-  /// and destination MSS) instead of being scheduled locally; the engine
-  /// routes it to the destination region, which calls inject(). Mobility
-  /// (handoff / disconnect / reconnect) is unsupported in sharded mode —
-  /// placement must stay static so ownership is well-defined.
-  using EmitFn =
-      std::function<void(sim::SimTime at, rt::Message msg, MssId routed_to)>;
-  void set_shard_region(std::vector<std::uint8_t> owned, EmitFn emit) {
-    MCK_ASSERT(owned.size() == sinks_.size());
-    owned_ = std::move(owned);
-    emit_ = std::move(emit);
-  }
-
-  /// Destination side of a cross-region message: finishes the delivery
-  /// this region's launch would have scheduled.
-  void inject(sim::SimTime at, rt::Message msg, MssId routed_to) {
-    MCK_ASSERT(at >= sim_.now());
-    sim_.schedule_at(at, [this, m = std::move(msg), routed_to]() mutable {
-      arrive(std::move(m), routed_to);
-    });
-  }
-
-  /// Lower bound on the latency of any cross-region (= cross-cell)
-  /// message: uplink + backbone hop + downlink of a one-byte frame. The
-  /// conservative lookahead.
-  sim::SimTime min_cross_delay() const {
-    return wireless_tx(1) + params_.wired_latency + wired_tx(1) +
-           wireless_tx(1);
-  }
-
  private:
   /// One recipient of a coalesced broadcast: everything that had to be
   /// captured at send time — the FIFO stamp and the routing snapshot (an
@@ -165,6 +130,7 @@ class CellularTransport final : public rt::Transport {
   void launch(rt::Message msg);
   void arrive(rt::Message msg, MssId routed_to);
   void hand_to_process(rt::Message msg);
+  void end_drain(ProcessId pid);
   void deliver_batch(const std::shared_ptr<BroadcastBatch>& batch);
 
   sim::Simulator& sim_;
@@ -172,8 +138,6 @@ class CellularTransport final : public rt::Transport {
   obs::Tracer* tracer_ = nullptr;
   obs::TimelineCounters* timeline_ = nullptr;
   std::vector<rt::DeliverFn> sinks_;
-  std::vector<std::uint8_t> owned_;  // sharded mode: pids this region runs
-  EmitFn emit_;                      // sharded mode: cross-region handoff
   std::vector<MssId> mss_of_;
   std::vector<int> cell_of_;
   std::vector<std::uint8_t> disconnected_;
@@ -182,6 +146,11 @@ class CellularTransport final : public rt::Transport {
   // fatal at 1M). Short disconnections (the common case) buffer a handful
   // of messages, so the queue is inline up to 4 before spilling.
   std::unordered_map<ProcessId, util::SmallVec<rt::Message, 4>> buffer_;
+  // Per reconnected MH whose buffer flush is still in progress: when the
+  // last buffered message is handed over. Computation messages reaching
+  // the MH before then wait until then (FIFO behind the flush). Erased by
+  // the flush's last frame.
+  std::unordered_map<ProcessId, sim::SimTime> drain_until_;
   // FIFO is enforced separately for computation and system messages: the
   // MSS proxies system messages for a disconnected MH (Section 2.2) while
   // its computation messages sit in the buffer, so the two classes may

@@ -83,11 +83,6 @@ void LanTransport::deliver_at(sim::SimTime at, rt::Message msg) {
   fifo_.stamp(msg);
   ++transmissions_;
   if (timeline_ != nullptr) ++timeline_->in_flight;
-  if (!owned_.empty() && !owned_[static_cast<std::size_t>(msg.dst)]) {
-    MCK_ASSERT(at >= sim_.now() + min_cross_delay());
-    emit_(at, std::move(msg));  // cross-region: the engine routes it
-    return;
-  }
   sim_.schedule_at(at, [this, m = std::move(msg)]() mutable {
     arrive(std::move(m));
   });

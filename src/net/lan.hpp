@@ -17,8 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "net/fifo.hpp"
@@ -82,40 +80,8 @@ class LanTransport final : public rt::Transport {
   /// Attaches the timeline gauge block (null = off). The transport owns
   /// the in_flight gauge: +1 when a message is stamped onto a channel,
   /// -1 when the FIFO sequencer releases it to the sink (or drops it for
-  /// a failed endpoint). Cross-region messages increment in the sending
-  /// region and decrement in the receiving one; the shard merge's signed
-  /// sum cancels the imbalance exactly.
+  /// a failed endpoint).
   void set_timeline(obs::TimelineCounters* t) { timeline_ = t; }
-
-  /// Sharded-mode hook (conservative PDES): this transport instance now
-  /// serves one region. A message whose destination is not in `owned` is
-  /// handed to `emit` (fully stamped, with its final arrival time)
-  /// instead of being scheduled locally; the engine routes it to the
-  /// destination region, which calls inject(). Requires kDedicated —
-  /// a shared medium couples regions through global contention state.
-  using EmitFn = std::function<void(sim::SimTime at, rt::Message msg)>;
-  void set_shard_region(std::vector<std::uint8_t> owned, EmitFn emit) {
-    MCK_ASSERT_MSG(params_.mode == MediumMode::kDedicated,
-                   "--shards requires a dedicated medium");
-    MCK_ASSERT(owned.size() == sinks_.size());
-    owned_ = std::move(owned);
-    emit_ = std::move(emit);
-  }
-
-  /// Destination side of a cross-region message: finishes the delivery
-  /// this region's deliver_at would have scheduled.
-  void inject(sim::SimTime at, rt::Message msg) {
-    MCK_ASSERT(at >= sim_.now());
-    sim_.schedule_at(at, [this, m = std::move(msg)]() mutable {
-      arrive(std::move(m));
-    });
-  }
-
-  /// Lower bound on the latency of any cross-region message: the
-  /// conservative lookahead. Every message is at least one byte.
-  sim::SimTime min_cross_delay() const {
-    return tx_time(1) + params_.propagation_delay;
-  }
 
  private:
   sim::SimTime reserve_medium(std::uint64_t bytes);
@@ -130,8 +96,6 @@ class LanTransport final : public rt::Transport {
   obs::Tracer* tracer_ = nullptr;
   obs::TimelineCounters* timeline_ = nullptr;
   std::vector<rt::DeliverFn> sinks_;
-  std::vector<std::uint8_t> owned_;  // sharded mode: pids this region runs
-  EmitFn emit_;                      // sharded mode: cross-region handoff
   std::vector<std::uint8_t> failed_;
   FifoSequencer fifo_;
   sim::SimTime medium_free_at_ = 0;

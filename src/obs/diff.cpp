@@ -617,9 +617,8 @@ std::optional<TimelineDivergence> diff_timeline_runs(
                 rows < rows_b);
   }
   // Rows agree; the post-quiescence final row is part of the contract too
-  // (the sharded merge pads early-quiescent regions with it) — but only
-  // when both sides carry one: MCKTL01 does not persist it, so a
-  // file-loaded run legitimately has none.
+  // — but only when both sides carry one: MCKTL01 does not persist it, so
+  // a file-loaded run legitimately has none.
   if (a.final_row.empty() || b.final_row.empty()) return std::nullopt;
   const std::size_t fin = std::min(a.final_row.size(), b.final_row.size());
   for (std::size_t c = 0; c < fin; ++c) {

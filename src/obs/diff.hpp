@@ -1,8 +1,8 @@
 // Structural trace diff: turns "two files differ" into "which record
 // diverged first, why, and what causal history led each side there".
 //
-// Every byte-identity assertion in the repo (CI shard/jobs/timeline
-// smokes, shard_test, timeline_test) fails through this engine instead of
+// Every byte-identity assertion in the repo (CI jobs/timeline smokes,
+// timeline_test) fails through this engine instead of
 // a bare cmp/memcmp: the digest footer (obs/digest.hpp) localizes the
 // first diverging chunk in O(chunks) 64-bit comparisons, a record scan
 // inside that one chunk pins the exact (rep, record index), a classifier
@@ -115,8 +115,8 @@ struct DiffOptions {
 TraceDiff diff_traces(const TraceFile& a, const TraceFile& b,
                       const DiffOptions& opt = {});
 
-/// First divergence of one record-stream pair (the shard_test /
-/// timeline_test failure path). std::nullopt when the streams are
+/// First divergence of one record-stream pair (the timeline_test
+/// failure path). std::nullopt when the streams are
 /// byte-identical. `rep` only labels the result.
 std::optional<RunDivergence> diff_records(const std::vector<TraceRecord>& a,
                                           const std::vector<TraceRecord>& b,

@@ -1,7 +1,7 @@
 // Chunked trace digests: the localization layer under every byte-identity
 // guarantee (DESIGN.md "Divergence forensics").
 //
-// Every determinism invariant in this repo — shard/job-count independence,
+// Every determinism invariant in this repo — job-count independence,
 // golden figure stability, Theorem-1 replay — is ultimately enforced as
 // "two trace files are byte-identical". A bare cmp/memcmp says only
 // *that* they differ; the digest layer says *where*, in O(chunks) 64-bit

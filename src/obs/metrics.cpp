@@ -28,20 +28,6 @@ double Histogram::quantile(double q) const {
   return max_;
 }
 
-void Histogram::merge(const Histogram& other) {
-  MCK_ASSERT_MSG(bounds_ == other.bounds_,
-                 "histogram merge requires identical bucket bounds");
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  if (other.count_ > 0) {
-    if (count_ == 0 || other.min_ < min_) min_ = other.min_;
-    if (count_ == 0 || other.max_ > max_) max_ = other.max_;
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 Registry::Entry* Registry::find(const std::string& name) {
   for (Entry& e : entries_) {
     if (e.name == name) return &e;
@@ -76,28 +62,6 @@ Histogram& Registry::histogram(const std::string& name,
   entries_.push_back(Entry{Entry::Kind::kHistogram, name, {}, {}, {}});
   entries_.back().histogram.emplace_back(std::move(bounds));
   return entries_.back().histogram.front();
-}
-
-void Registry::merge(const Registry& other) {
-  for (const Entry& oe : other.entries_) {
-    Entry* mine = find(oe.name);
-    if (mine == nullptr) {
-      entries_.push_back(oe);
-      continue;
-    }
-    MCK_ASSERT_MSG(mine->kind == oe.kind, "metric kind mismatch in merge");
-    switch (oe.kind) {
-      case Entry::Kind::kCounter:
-        mine->counter.merge(oe.counter);
-        break;
-      case Entry::Kind::kGauge:
-        mine->gauge.merge(oe.gauge);
-        break;
-      case Entry::Kind::kHistogram:
-        mine->histogram.front().merge(oe.histogram.front());
-        break;
-    }
-  }
 }
 
 std::string Registry::render() const {

@@ -18,10 +18,6 @@ class Counter {
   void inc(std::uint64_t d = 1) { value_ += d; }
   std::uint64_t value() const { return value_; }
 
-  /// Adds `other`'s count. Integer addition commutes, so merging regions
-  /// in any order yields identical bytes.
-  void merge(const Counter& other) { value_ += other.value_; }
-
  private:
   std::uint64_t value_ = 0;
 };
@@ -30,14 +26,6 @@ class Gauge {
  public:
   void set(double v) { value_ = v; }
   double value() const { return value_; }
-
-  /// Gauges are point-in-time levels; the deterministic, order-insensitive
-  /// combination across regions is the maximum (a sum of levels would
-  /// depend on how the system was partitioned, a "last write" on region
-  /// order).
-  void merge(const Gauge& other) {
-    if (other.value_ > value_) value_ = other.value_;
-  }
 
  private:
   double value_ = 0.0;
@@ -76,12 +64,6 @@ class Histogram {
   double p95() const { return quantile(0.95); }
   double p99() const { return quantile(0.99); }
 
-  /// Folds `other` into this histogram. Requires identical bucket bounds.
-  /// Bucket counts and count are exact integer sums; min/max commute; the
-  /// running sum uses IEEE addition, which is commutative (merge(a,b) ==
-  /// merge(b,a) bitwise), so merging a fixed set of regions in the
-  /// canonical region-index order is fully deterministic.
-  void merge(const Histogram& other);
   double min() const { return min_; }
   double max() const { return max_; }
   const std::vector<double>& bounds() const { return bounds_; }
@@ -108,12 +90,6 @@ class Registry {
   /// Renders every metric as an aligned table (one row per counter/gauge;
   /// histograms get a row per bucket plus a summary row).
   std::string render() const;
-
-  /// Folds `other` into this registry by metric name: counters and
-  /// histogram buckets sum, gauges keep the max. Metrics present only in
-  /// `other` are appended in `other`'s order, so merging per-region
-  /// registries in region-index order is deterministic.
-  void merge(const Registry& other);
 
  private:
   struct Entry {

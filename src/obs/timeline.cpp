@@ -60,11 +60,9 @@ std::vector<TimelineColumnMeta> builtin_timeline_schema() {
 // Sampler
 // ---------------------------------------------------------------------------
 
-void TimelineSampler::configure(sim::SimTime interval, int mss_count,
-                                int mss_base) {
+void TimelineSampler::configure(sim::SimTime interval, int mss_count) {
   interval_ = interval > 0 ? interval : 0;
   next_due_ = interval_ > 0 ? 0 : sim::kTimeNever;
-  counters_.mss_base = mss_base;
   counters_.mss_depth.assign(static_cast<std::size_t>(mss_count), 0);
 }
 
@@ -135,89 +133,13 @@ TimelineRun TimelineSampler::take_run(std::uint64_t seed) {
   run.final_row = std::move(final_row_);
   if (run.final_row.empty()) {
     // finalize() not called (e.g. disabled sampler): fall back to zeros
-    // so merge padding stays well-defined.
+    // so every run carries a full-width final row.
     run.final_row.assign(kTimelineNumColumns, 0);
   }
   data_.clear();
   final_row_.clear();
   next_due_ = sim::kTimeNever;
   return run;
-}
-
-// ---------------------------------------------------------------------------
-// Merge
-// ---------------------------------------------------------------------------
-
-TimelineRun merge_regions(const std::vector<TimelineRun>& parts) {
-  TimelineRun out;
-  if (parts.empty()) return out;
-  out.rep = parts.front().rep;
-  out.seed = parts.front().seed;
-  out.interval_ns = parts.front().interval_ns;
-  std::size_t rows = 0;
-  for (const TimelineRun& p : parts) rows = std::max(rows, p.rows());
-  out.data.assign(rows * kTimelineNumColumns, 0);
-  out.final_row.assign(kTimelineNumColumns, 0);
-
-  // cell(p, k, c): region p's value at tick k — its sampled row while the
-  // region was live, its post-quiescence final_row afterwards.
-  auto cell = [](const TimelineRun& p, std::size_t k, int c) {
-    return k < p.rows() ? p.row(k)[c] : p.final_row[c];
-  };
-  auto combine = [&](std::size_t k, std::uint64_t* row,
-                     auto&& value_of) {
-    for (int c = 0; c < kTimelineNumColumns; ++c) {
-      switch (kColumns[c].merge) {
-        case TimelineMerge::kTime:
-          row[c] = k < rows ? static_cast<std::uint64_t>(k) * out.interval_ns
-                            : 0;
-          break;
-        case TimelineMerge::kSum: {
-          std::uint64_t acc = 0;
-          for (const TimelineRun& p : parts) acc += value_of(p, k, c);
-          row[c] = acc;
-          break;
-        }
-        case TimelineMerge::kSumF64: {
-          double acc = 0;
-          for (const TimelineRun& p : parts) {
-            acc += timeline_f64(value_of(p, k, c));
-          }
-          row[c] = timeline_bits_f64(acc);
-          break;
-        }
-        case TimelineMerge::kMssMin: {
-          std::uint64_t acc = UINT64_MAX;
-          bool any = false;
-          for (const TimelineRun& p : parts) {
-            if (value_of(p, k, kColMssCount) == 0) continue;
-            any = true;
-            acc = std::min(acc, value_of(p, k, c));
-          }
-          row[c] = any ? acc : 0;
-          break;
-        }
-        case TimelineMerge::kMssMax: {
-          std::uint64_t acc = 0;
-          for (const TimelineRun& p : parts) {
-            if (value_of(p, k, kColMssCount) == 0) continue;
-            acc = std::max(acc, value_of(p, k, c));
-          }
-          row[c] = acc;
-          break;
-        }
-      }
-    }
-  };
-
-  for (std::size_t k = 0; k < rows; ++k) {
-    combine(k, out.data.data() + k * kTimelineNumColumns, cell);
-  }
-  combine(rows, out.final_row.data(),
-          [](const TimelineRun& p, std::size_t, int c) {
-            return p.final_row[c];
-          });
-  return out;
 }
 
 // ---------------------------------------------------------------------------

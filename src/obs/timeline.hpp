@@ -11,17 +11,14 @@
 // telemetry. A row is O(columns) to record, independent of n, so a 1M-host
 // run produces the same few-KiB-per-sim-minute stream as a 16-host run.
 //
-// Determinism contract (extends the PR 6 sharded contract to telemetry):
-// rows are a pure function of (config, seed). Instrumented layers update
-// gauges through a TimelineCounters struct behind the same branch-on-null
-// discipline as obs::Tracer; sampling itself hooks the simulator's event
-// loop *before* an event fires, so row k records the state after every
-// event with at < k*interval and nothing later — no scheduled sampling
-// events exist that could perturb event ordering or goldens. Under the
-// sharded engine each region runs its own sampler over its own partition
-// and merge_regions() combines per-region rows columnwise in region-index
-// order (regions are fixed by topology, never by --shards/--jobs), so
-// timeline bytes are identical for any shard/job count.
+// Determinism contract: rows are a pure function of (config, seed), so
+// timeline bytes are identical for any --jobs count. Instrumented layers
+// update gauges through a TimelineCounters struct behind the same
+// branch-on-null discipline as obs::Tracer; sampling itself hooks the
+// simulator's event loop *before* an event fires, so row k records the
+// state after every event with at < k*interval and nothing later — no
+// scheduled sampling events exist that could perturb event ordering or
+// goldens.
 //
 // File format MCKTL01: versioned header + self-describing schema block
 // (per-column value type, merge op, name), then per-replication row
@@ -50,14 +47,14 @@ enum class TimelineValue : std::uint8_t {
   kF64 = 2,  // IEEE double stored by bit pattern
 };
 
-/// How per-region cells combine into the merged row (region-index order).
+/// How cells of one column combine across partial rows. Recorded per
+/// column in the MCKTL01 schema block; part of the file format.
 enum class TimelineMerge : std::uint8_t {
   kTime = 0,     // recomputed as k * interval, never summed
-  kSum = 1,      // u64/i64 wraparound addition (cross-region imbalances
-                 // in signed gauges cancel exactly)
-  kSumF64 = 2,   // double addition in region-index order
-  kMssMin = 3,   // min over regions that own at least one MSS
-  kMssMax = 4,   // max over regions that own at least one MSS
+  kSum = 1,      // u64/i64 wraparound addition
+  kSumF64 = 2,   // double addition
+  kMssMin = 3,   // min over parts that own at least one MSS
+  kMssMax = 4,   // max over parts that own at least one MSS
 };
 
 struct TimelineColumn {
@@ -67,8 +64,8 @@ struct TimelineColumn {
 };
 
 // Column indices. The order is the wire order; append-only across format
-// versions (readers are schema-driven, but the instrumented layers and
-// the merge path index by these constants).
+// versions (readers are schema-driven, but the instrumented layers index
+// by these constants).
 enum : int {
   kColTime = 0,             // sim time of the tick, ns
   kColEventsExecuted = 1,   // cumulative events fired (engine)
@@ -120,14 +117,12 @@ struct TimelineCounters {
   double outstanding_weight = 0;   // cao-singhal: weight in flight
   std::int64_t ckpt_live[5] = {};  // store: by CkptKind (0 = initial unused)
   std::int64_t disconnected = 0;   // cellular: MHs currently disconnected
-  // Per-MSS buffer depths. Serial cellular: num_mss entries, base 0.
-  // Sharded cellular region r: one entry, base r. LAN: empty.
-  int mss_base = 0;
+  // Per-MSS buffer depths, indexed by MssId. LAN: empty.
   std::vector<std::int64_t> mss_depth;
 };
 
 // ---------------------------------------------------------------------------
-// TimelineRun — the sampled rows of one replication (or one region).
+// TimelineRun — the sampled rows of one replication.
 // ---------------------------------------------------------------------------
 
 struct TimelineRun {
@@ -136,8 +131,8 @@ struct TimelineRun {
   std::uint64_t interval_ns = 0;
   // Row-major cells, kTimelineNumColumns per row.
   std::vector<std::uint64_t> data;
-  // Post-quiescence state of every column (time cell unused); regions
-  // that fall quiet early are padded with this during the merge.
+  // Post-quiescence state of every column (time cell unused). Held in
+  // memory only: MCKTL01 does not persist it.
   std::vector<std::uint64_t> final_row;
 
   std::size_t rows() const { return data.size() / kTimelineNumColumns; }
@@ -145,12 +140,6 @@ struct TimelineRun {
     return data.data() + k * kTimelineNumColumns;
   }
 };
-
-/// Columnwise deterministic merge of per-region timelines (region-index
-/// order — the order of `parts`). The merged run has
-/// max(rows of any part) rows; shorter parts contribute their final_row
-/// for the ticks after their region went quiet.
-TimelineRun merge_regions(const std::vector<TimelineRun>& parts);
 
 // ---------------------------------------------------------------------------
 // TimelineSampler
@@ -173,9 +162,8 @@ class TimelineSampler {
   };
 
   /// Arms the sampler. `mss_count` gauges sized into the counter block
-  /// (0 for LAN), `mss_base` the global index of the first one (sharded
-  /// cellular regions own a single MSS each).
-  void configure(sim::SimTime interval, int mss_count = 0, int mss_base = 0);
+  /// (0 for LAN).
+  void configure(sim::SimTime interval, int mss_count = 0);
 
   bool enabled() const { return interval_ > 0; }
   sim::SimTime interval() const { return interval_; }

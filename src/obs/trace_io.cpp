@@ -90,7 +90,7 @@ bool write_trace_file(const std::string& path, const TraceFileMeta& meta,
     append_pod(footer, static_cast<std::uint32_t>(runs.size()));
     for (const TraceRun& run : runs) {
       // Trust digests the harness already computed over these exact
-      // records (the per-region merge path); recompute otherwise.
+      // records; recompute otherwise.
       RunDigests fresh;
       const RunDigests* d = &run.digests;
       if (d->chunks.size() != digest_chunk_count(run.records.size())) {

@@ -117,16 +117,16 @@ struct ProcessContext {
   /// delivery and block/unblock here, so all eight algorithms get the
   /// message-path trace points for free.
   obs::Tracer* tracer = nullptr;
-  /// Region-lifetime bump arena (null = global heap). Protocols bind
+  /// Run-lifetime bump arena (null = global heap). Protocols bind
   /// their long-lived sparse state (dependency vectors, csn maps) to it
   /// so spill storage is a pointer bump instead of a malloc. Owned by the
-  /// harness (one per region), lives for the whole run, never reset
+  /// System, lives for the whole run, never reset
   /// mid-run — see DESIGN.md "Hot-path memory discipline" for what may
   /// and may not be arena-backed.
   util::Arena* arena = nullptr;
   /// Timeline gauge block (null = off). The protocol base maintains the
   /// blocked-process gauge here; other owners (store, tracker, transport)
-  /// hold their own pointer to the same per-region block.
+  /// hold their own pointer to the same block.
   obs::TimelineCounters* timeline = nullptr;
 };
 

@@ -40,17 +40,6 @@ void Simulator::cancel_slot(std::uint32_t slot, std::uint32_t gen) {
   ++pending_cancelled_;  // its heap record is now a tombstone
 }
 
-SimTime Simulator::next_live_time() {
-  while (!heap_.empty()) {
-    const HeapRec& top = heap_[0];
-    if (slot_ref(top.slot).generation == top.gen) return top.at;
-    heap_pop_top();  // cancelled: reap the tombstone
-    ++tombstones_reaped_;
-    --pending_cancelled_;
-  }
-  return kTimeNever;
-}
-
 std::uint64_t Simulator::run_until(SimTime until) {
   std::uint64_t n = 0;
   stop_requested_ = false;

@@ -90,12 +90,6 @@ class Simulator {
   /// Stops the run loop after the current event finishes.
   void request_stop() { stop_requested_ = true; }
 
-  /// Time of the next event that will actually fire, or kTimeNever if the
-  /// queue holds no live events. Reaps cancelled tombstones parked at the
-  /// heap top on the way (cold path — the sharded engine calls this once
-  /// per safe window to compute the global lower bound, never per event).
-  SimTime next_live_time();
-
   /// Attaches a flight recorder (null = off, the default). When off, the
   /// hot path pays exactly one well-predicted null test per event — the
   /// 0-allocs/event guarantee and golden outputs are unaffected. When on,

@@ -2,12 +2,12 @@
 // of the scale path (DESIGN.md "Hot-path memory discipline").
 //
 // Arena is a chained-block bump allocator with no per-object free: a
-// region (serial System, or one shard Region) owns one, every long-lived
-// per-process container spills into it, and the whole thing is released
-// at region teardown. Compared to malloc this removes the ~16-32 B
-// per-allocation header/rounding overhead (at 1M processes that is
-// hundreds of MB of RSS), keeps related state contiguous, and makes
-// steady-state allocation a pointer bump.
+// System owns one, every long-lived per-process container spills into
+// it, and the whole thing is released at System teardown. Compared to
+// malloc this removes the ~16-32 B per-allocation header/rounding
+// overhead (at 1M processes that is hundreds of MB of RSS), keeps
+// related state contiguous, and makes steady-state allocation a pointer
+// bump.
 //
 // SmallVec<T, N> stores up to N elements inline (no heap touch at all for
 // the common small case — a dependency set of a few intervals, a csn map
@@ -17,14 +17,14 @@
 //
 // Ownership rules (who may point where):
 //   * A container tied to an arena must not outlive it. Arenas are owned
-//     by the region harness and live for the whole run; protocol state
+//     by the System and live for the whole run; protocol state
 //     (IntervalSet / SparseCsnMap / SparseMr fields) may therefore spill
-//     into the region arena safely — it never dangles across windows
-//     because windows never reset the arena.
-//   * Anything that crosses region boundaries (wire payloads and their
-//     containers) must NOT be arena-backed: payload SmallVecs always
-//     spill to the global heap. Copy/move assignment between containers
-//     with different arenas copies elements, never storage.
+//     into the System arena safely.
+//   * Wire payloads and their containers must NOT be arena-backed: they
+//     live in pooled shared_ptrs whose lifetime is not tied to the
+//     arena's, so payload SmallVecs always spill to the global heap.
+//     Copy/move assignment between containers with different arenas
+//     copies elements, never storage.
 #pragma once
 
 #include <cstddef>
@@ -66,7 +66,7 @@ class Arena {
   }
 
   /// Constructs a T inside the arena (destructor is the caller's problem;
-  /// the region harness runs destructors before dropping the arena).
+  /// the System runs destructors before dropping the arena).
   template <typename T, typename... Args>
   T* create(Args&&... args) {
     return ::new (allocate(sizeof(T), alignof(T)))
@@ -74,7 +74,7 @@ class Arena {
   }
 
   /// Frees every block. Only valid when no arena-backed container is
-  /// still live (region teardown).
+  /// still live (System teardown).
   void release() {
     Block* b = head_;
     while (b != nullptr) {

@@ -7,25 +7,19 @@
 // never touches the global heap: acquire() pops a block, the last
 // shared_ptr release pushes it back.
 //
-// Thread model: a pool's freelist belongs to the thread that created it
-// (make_pooled<T>() keeps one thread_local pool per payload type, so
-// acquire() always runs on the owner). Releases, however, may happen on
-// ANY thread — a cross-shard message hands its payload to another shard's
-// worker, which drops the last reference there. The release path is
-// therefore thread-affine: the owner thread recycles the block into the
-// freelist (single-threaded, allocation-free steady state); a foreign
-// thread returns the block straight to the global heap instead of
-// touching the owner's freelist unsynchronized.
+// Thread model: a pool belongs to the thread that created it
+// (make_pooled<T>() keeps one thread_local pool per payload type). Both
+// acquire and release must run on that thread: a --jobs worker runs each
+// System start to finish, so no payload ever crosses threads, and the
+// freelist needs no synchronization. Both paths assert it.
 //
 // Lifetime: the allocator stored in each shared_ptr's control block holds
-// a reference on the pool's core, so a payload may outlive the pool (and
-// the owner thread) that produced it — the core, and with it the
-// freelist, is torn down by whichever release comes last.
+// a reference on the pool's core, so a payload may outlive the Pool
+// object that produced it — the core, and with it the freelist, is torn
+// down by whichever release comes last.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <new>
 #include <thread>
@@ -54,30 +48,20 @@ class Pool {
 
   /// Blocks sitting in the freelist, ready for reuse.
   std::size_t free_blocks() const { return core_->free_.size(); }
-  /// Blocks ever carved from the heap (freelisted + outstanding), minus
-  /// those already handed back by foreign-thread releases.
-  std::size_t blocks_allocated() const {
-    return core_->allocated_ -
-           static_cast<std::size_t>(
-               core_->foreign_frees_.load(std::memory_order_relaxed));
-  }
+  /// Blocks ever carved from the heap (freelisted + outstanding).
+  std::size_t blocks_allocated() const { return core_->allocated_; }
   std::size_t outstanding() const {
     return blocks_allocated() - core_->free_.size();
   }
-  /// Releases that arrived on a non-owner thread and bypassed the
-  /// freelist (returned straight to the heap).
-  std::uint64_t foreign_frees() const {
-    return core_->foreign_frees_.load(std::memory_order_relaxed);
-  }
 
   /// Returns freelisted blocks to the heap (outstanding blocks still
-  /// recycle into the pool when released on the owner thread).
+  /// recycle into the pool when released).
   void shrink() { core_->shrink(); }
 
  private:
   /// The shared state behind every allocator copy. Kept alive past the
-  /// Pool (and the owner thread's exit) by the allocators stored in
-  /// outstanding control blocks, so a late release never dangles.
+  /// Pool by the allocators stored in outstanding control blocks, so a
+  /// late release never dangles.
   struct Core {
     ~Core() { shrink(); }
 
@@ -97,17 +81,10 @@ class Pool {
       return ::operator new(bytes);
     }
 
-    void free_block(void* p, std::size_t bytes) {
-      (void)bytes;
-      if (std::this_thread::get_id() == owner_) {
-        free_.push_back(p);
-        return;
-      }
-      // Foreign thread: recycling into free_ would race the owner. Give
-      // the block back to the global heap instead — rare (only payloads
-      // that crossed a shard boundary) and always safe.
-      ::operator delete(p);
-      foreign_frees_.fetch_add(1, std::memory_order_relaxed);
+    void free_block(void* p) {
+      MCK_ASSERT_MSG(std::this_thread::get_id() == owner_,
+                     "Pool release on a non-owner thread");
+      free_.push_back(p);
     }
 
     void shrink() {
@@ -120,7 +97,6 @@ class Pool {
     std::size_t block_size_ = 0;
     std::size_t allocated_ = 0;
     std::vector<void*> free_;
-    std::atomic<std::uint64_t> foreign_frees_{0};
   };
 
   template <typename U>
@@ -135,9 +111,7 @@ class Pool {
     U* allocate(std::size_t n) {
       return static_cast<U*>(core->alloc_block(n * sizeof(U)));
     }
-    void deallocate(U* p, std::size_t n) {
-      core->free_block(p, n * sizeof(U));
-    }
+    void deallocate(U* p, std::size_t) { core->free_block(p); }
     template <typename V>
     bool operator==(const Allocator<V>& o) const { return core == o.core; }
     template <typename V>
@@ -149,9 +123,8 @@ class Pool {
 
 /// Pool-backed replacement for std::make_shared on high-churn message
 /// payloads: one thread_local pool per payload type. Zero heap traffic in
-/// steady state on the owning thread; a payload released on another
-/// thread (cross-shard delivery) falls back to the heap, and the pool
-/// core stays alive until the last such payload is gone.
+/// steady state; every payload must be released on the thread that made
+/// it.
 template <typename T, typename... Args>
 std::shared_ptr<T> make_pooled(Args&&... args) {
   thread_local Pool<T> pool;

@@ -14,13 +14,6 @@ void PointToPointWorkload::start(sim::SimTime horizon) {
   for (ProcessId p = 0; p < n_; ++p) schedule(p);
 }
 
-void PointToPointWorkload::start(sim::SimTime horizon,
-                                 const std::vector<ProcessId>& pids) {
-  MCK_ASSERT(n_ >= 2);
-  horizon_ = horizon;
-  for (ProcessId p : pids) schedule(p);
-}
-
 void PointToPointWorkload::schedule(ProcessId p) {
   sim::SimTime at = sim_.now() + rng_.exponential(mean_gap_);
   if (at > horizon_) return;
@@ -56,15 +49,6 @@ GroupWorkload::GroupWorkload(sim::Simulator& sim, sim::Rng& rng,
 void GroupWorkload::start(sim::SimTime horizon) {
   horizon_ = horizon;
   for (ProcessId p = 0; p < n_; ++p) {
-    schedule_intra(p);
-    if (is_leader(p)) schedule_inter(p);
-  }
-}
-
-void GroupWorkload::start(sim::SimTime horizon,
-                          const std::vector<ProcessId>& pids) {
-  horizon_ = horizon;
-  for (ProcessId p : pids) {
     schedule_intra(p);
     if (is_leader(p)) schedule_inter(p);
   }

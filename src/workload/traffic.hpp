@@ -33,10 +33,6 @@ class PointToPointWorkload {
         send_(std::move(send)) {}
 
   void start(sim::SimTime horizon);
-  /// Sharded mode: drive only the region's own processes. Destinations
-  /// still range over all n processes; `num_processes` keeps the global
-  /// count so the destination distribution is shard-independent.
-  void start(sim::SimTime horizon, const std::vector<ProcessId>& pids);
 
  private:
   void schedule(ProcessId p);
@@ -58,9 +54,6 @@ class GroupWorkload {
                 SendFn send);
 
   void start(sim::SimTime horizon);
-  /// Sharded mode: drive only the region's own processes (see
-  /// PointToPointWorkload::start overload).
-  void start(sim::SimTime horizon, const std::vector<ProcessId>& pids);
 
   bool is_leader(ProcessId p) const {
     return p % (n_ / groups_) == 0;

@@ -12,7 +12,6 @@
 #include "ckpt/store.hpp"
 #include "harness/experiment.hpp"
 #include "harness/scheduler.hpp"
-#include "harness/sharded.hpp"
 #include "mobile/mobility.hpp"
 #include "obs/audit.hpp"
 #include "obs/graph.hpp"
@@ -67,29 +66,6 @@ TEST(AuditPositive, AllAlgorithmsAuditCleanAndAgreeWithChecker) {
     SCOPED_TRACE(harness::to_string(a));
     harness::ExperimentConfig cfg = small_config(a);
     harness::RunResult res = harness::run_replicated(cfg, 2, 1);
-    ASSERT_EQ(res.traces.size(), 2u);
-
-    AuditReport rep = obs::audit_runs(res.traces, cfg.sys.num_processes);
-    EXPECT_TRUE(rep.ok()) << describe(rep);
-    EXPECT_EQ(rep.consistent(), res.consistent);
-    EXPECT_GT(rep.totals.sends, 0u);
-    EXPECT_EQ(rep.totals.rounds_committed, res.committed);
-    EXPECT_EQ(rep.totals.rounds_aborted, res.aborted);
-  }
-}
-
-// Traces merged out of the conservative sharded engine must satisfy the
-// same independent witness: globally ordered, causally closed, zero
-// violations — on both transports. A merge bug (dropped region, broken
-// FIFO join, misordered records) surfaces here as an audit violation.
-TEST(AuditPositive, ShardedTracesAuditClean) {
-  for (harness::TransportKind t :
-       {harness::TransportKind::kLan, harness::TransportKind::kCellular}) {
-    SCOPED_TRACE(t == harness::TransportKind::kLan ? "lan" : "cellular");
-    harness::ExperimentConfig cfg =
-        small_config(harness::Algorithm::kCaoSinghal);
-    cfg.sys.transport = t;
-    harness::RunResult res = harness::run_replicated(cfg, 2, 1, /*shards=*/4);
     ASSERT_EQ(res.traces.size(), 2u);
 
     AuditReport rep = obs::audit_runs(res.traces, cfg.sys.num_processes);

@@ -56,7 +56,7 @@ obs::TraceFile make_trace(harness::Algorithm a, int reps = 2,
                           double horizon_s = 1800.0) {
   harness::ExperimentConfig cfg = lan_config(a);
   cfg.horizon = sim::seconds(horizon_s);
-  harness::RunResult res = harness::run_replicated(cfg, reps, 1, 1);
+  harness::RunResult res = harness::run_replicated(cfg, reps, 1);
   obs::TraceFile f;
   f.meta.num_processes = 8;
   f.meta.algo = harness::to_string(a);

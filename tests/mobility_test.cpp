@@ -6,6 +6,7 @@
 #include "harness/scheduler.hpp"
 #include "harness/system.hpp"
 #include "mobile/mobility.hpp"
+#include "obs/audit.hpp"
 #include "workload/traffic.hpp"
 
 namespace mck {
@@ -54,6 +55,49 @@ TEST(Mobility, DisconnectBuffersAndReconnectReplaysInOrder) {
   for (const auto& rec : sys.log().messages()) {
     EXPECT_GE(rec.recv_at, sim::seconds(5));
   }
+}
+
+// The reconnect flush drains the MSS buffer one downlink frame at a time.
+// A message sent right after the reconnection takes a shorter path and
+// reaches the MSS while the flush is still draining; it must queue behind
+// the buffered messages of its channel (FIFO, Sections 2.1-2.2).
+TEST(Mobility, MessageInsideReconnectFlushWaitsBehindBufferedOnes) {
+  obs::Tracer tracer;
+  tracer.enable();
+  SystemOptions opts = cellular_options(3, 2);
+  opts.tracer = &tracer;
+  System sys(opts);
+  auto* cell = sys.cellular();
+
+  std::vector<MessageId> received;
+  sys.cao(1).on_app_message = [&](const rt::Message& m) {
+    received.push_back(m.id);
+  };
+
+  sys.simulator().schedule_at(sim::milliseconds(10), [&] {
+    sys.cao(1).on_disconnect();
+    cell->disconnect(1);
+  });
+  for (int i = 0; i < 5; ++i) {
+    sys.simulator().schedule_at(sim::milliseconds(100 + 20 * i),
+                                [&sys] { sys.send(0, 1); });
+  }
+  // Reconnect next to the sender, then send once more at the same instant:
+  // uplink + downlink beats the wired hop plus five queued downlinks.
+  sys.simulator().schedule_at(sim::seconds(5), [&] {
+    cell->reconnect(1, 0);
+    sys.send(0, 1);
+  });
+  sys.simulator().run_until(sim::kTimeNever);
+
+  EXPECT_EQ(cell->messages_buffered(), 5u);
+  ASSERT_EQ(received.size(), 6u);
+  for (std::size_t i = 1; i < received.size(); ++i) {
+    EXPECT_LT(received[i - 1], received[i]) << "flush overtaken at " << i;
+  }
+  obs::AuditReport rep;
+  obs::audit_records(tracer.take_records(), sys.n(), 0, rep);
+  EXPECT_TRUE(rep.ok()) << obs::render_report(rep, false);
 }
 
 TEST(Mobility, DisconnectedSenderProducesNoEvents) {

@@ -1,13 +1,10 @@
-// Regression tests for the util::Pool cross-thread release data race:
-// a pool-backed shared_ptr whose last reference dies on another thread
-// used to push the block onto the owner's freelist concurrently with the
-// owner popping it. The fix routes foreign releases straight to the heap;
-// under -fsanitize=thread these tests are the race detector's witness.
+// util::Pool thread model: a pool belongs to the thread that created it.
+// Releases on the owner recycle through the freelist; a release on any
+// other thread is a bug (it would race the owner's freelist) and aborts.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <thread>
-#include <vector>
 
 #include "util/pool.hpp"
 
@@ -19,98 +16,24 @@ struct Payload {
   char pad[48] = {};
 };
 
-TEST(PoolThreads, ForeignReleaseBypassesTheFreelist) {
-  util::Pool<Payload> pool;
-  std::shared_ptr<Payload> p = pool.acquire();
-  p->value = 42;
-  EXPECT_EQ(pool.blocks_allocated(), 1u);
-  EXPECT_EQ(pool.outstanding(), 1u);
-
-  std::thread t([q = std::move(p)]() mutable {
-    EXPECT_EQ(q->value, 42u);
-    q.reset();  // last reference dies off-owner: must go to the heap
-  });
-  t.join();
-
-  EXPECT_EQ(pool.foreign_frees(), 1u);
-  EXPECT_EQ(pool.free_blocks(), 0u) << "foreign free must not touch the list";
-  EXPECT_EQ(pool.blocks_allocated(), 0u);
-  EXPECT_EQ(pool.outstanding(), 0u);
-}
-
-TEST(PoolThreads, OwnerReleasesStillRecycle) {
+TEST(PoolThreads, OwnerReleasesRecycle) {
   util::Pool<Payload> pool;
   { auto p = pool.acquire(); }
   { auto p = pool.acquire(); }
   EXPECT_EQ(pool.blocks_allocated(), 1u) << "owner release must recycle";
-  EXPECT_EQ(pool.foreign_frees(), 0u);
-}
-
-// The race this file exists for: the owner churns acquire/release on the
-// freelist while other threads drop their references concurrently. Before
-// the fix, TSan flags the unsynchronized freelist push; after it, foreign
-// releases never touch owner state.
-TEST(PoolThreads, ConcurrentForeignReleasesDoNotRaceOwnerChurn) {
-  util::Pool<Payload> pool;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 256;
-
-  std::vector<std::vector<std::shared_ptr<Payload>>> handoff(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    handoff[static_cast<std::size_t>(t)].reserve(kPerThread);
-    for (int i = 0; i < kPerThread; ++i) {
-      auto p = pool.acquire();
-      p->value = static_cast<std::uint64_t>(t * kPerThread + i);
-      handoff[static_cast<std::size_t>(t)].push_back(std::move(p));
-    }
-  }
-
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back(
-        [batch = std::move(handoff[static_cast<std::size_t>(t)])]() mutable {
-          for (auto& p : batch) p.reset();
-        });
-  }
-  // Owner keeps the freelist hot while the foreign releases land.
-  for (int i = 0; i < 4096; ++i) {
-    auto p = pool.acquire();
-    p->value = static_cast<std::uint64_t>(i);
-  }
-  for (std::thread& t : threads) t.join();
-
-  EXPECT_EQ(pool.foreign_frees(),
-            static_cast<std::uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(pool.free_blocks(), 1u);
   EXPECT_EQ(pool.outstanding(), 0u);
-  pool.shrink();
-  EXPECT_EQ(pool.free_blocks(), 0u);
 }
 
-// A payload may outlive the pool-owning thread entirely: allocator copies
-// hold the shared core, so a late release never dangles.
-TEST(PoolThreads, PayloadOutlivesCreatingThread) {
-  std::shared_ptr<Payload> survivor;
-  std::thread t([&survivor] {
-    util::Pool<Payload> pool;
-    survivor = pool.acquire();
-    survivor->value = 7;
-  });  // pool (and its thread) die here; survivor holds the core alive
-  t.join();
-  ASSERT_NE(survivor, nullptr);
-  EXPECT_EQ(survivor->value, 7u);
-  survivor.reset();  // foreign release after owner destruction: heap free
-}
-
-// make_pooled keeps a thread_local pool per payload type; handing the
-// result to another thread to die must be safe too.
-TEST(PoolThreads, MakePooledCrossThreadRelease) {
-  auto p = util::make_pooled<Payload>();
-  p->value = 11;
-  std::thread t([q = std::move(p)]() mutable { q.reset(); });
-  t.join();
-  auto again = util::make_pooled<Payload>();
-  EXPECT_EQ(again->value, 0u);
+TEST(PoolThreadsDeathTest, ForeignReleaseAborts) {
+  EXPECT_DEATH(
+      {
+        util::Pool<Payload> pool;
+        std::shared_ptr<Payload> p = pool.acquire();
+        std::thread t([q = std::move(p)]() mutable { q.reset(); });
+        t.join();
+      },
+      "non-owner thread");
 }
 
 }  // namespace

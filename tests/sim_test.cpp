@@ -198,38 +198,6 @@ TEST(Simulator, LivePendingExcludesTombstones) {
   EXPECT_EQ(sim.live_pending(), 0u);
 }
 
-// next_live_time is the sharded engine's window oracle: it must see
-// through tombstoned queue heads and report kTimeNever when nothing live
-// remains — without firing anything.
-TEST(Simulator, NextLiveTimeSkipsCancelledHeads) {
-  Simulator sim;
-  EXPECT_EQ(sim.next_live_time(), kTimeNever);
-
-  EventHandle a = sim.schedule_at(seconds(1), [] {});
-  EventHandle b = sim.schedule_at(seconds(2), [] {});
-  sim.schedule_at(seconds(3), [] {});
-  EXPECT_EQ(sim.next_live_time(), seconds(1));
-
-  a.cancel();
-  b.cancel();
-  EXPECT_EQ(sim.next_live_time(), seconds(3));
-  EXPECT_EQ(sim.live_pending(), 1u);  // peeked, not fired
-
-  sim.run_until(kTimeNever);
-  EXPECT_EQ(sim.next_live_time(), kTimeNever);
-}
-
-TEST(Simulator, NextLiveTimeAllCancelledIsNever) {
-  Simulator sim;
-  std::vector<EventHandle> handles;
-  for (int i = 0; i < 4; ++i) {
-    handles.push_back(sim.schedule_at(seconds(i + 1), [] {}));
-  }
-  for (EventHandle& h : handles) h.cancel();
-  EXPECT_EQ(sim.next_live_time(), kTimeNever);
-  EXPECT_EQ(sim.pending(), 0u);  // the peek reaped the tombstones
-}
-
 TEST(Simulator, CancelAllDropsEverything) {
   Simulator sim;
   int fired = 0;

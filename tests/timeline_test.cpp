@@ -1,8 +1,8 @@
-// Run-health timeline (obs/timeline.hpp): the acceptance invariant
-// extends the sharded-byte-identity contract to telemetry — timeline rows
-// are a pure function of (config, seed), never of --shards or --jobs —
-// and every gauge must reconcile with the aggregates the run reports
-// elsewhere (RunStats, the flight-recorder summary).
+// Run-health timeline (obs/timeline.hpp): the acceptance invariant is
+// byte-identity — timeline rows and traces are a pure function of
+// (config, seed), never of --jobs — and every gauge must reconcile with
+// the aggregates the run reports elsewhere (RunStats, the flight-recorder
+// summary).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,10 +10,8 @@
 #include <string>
 
 #include "harness/experiment.hpp"
-#include "harness/sharded.hpp"
 #include "obs/audit.hpp"
 #include "obs/diff.hpp"
-#include "obs/metrics.hpp"
 #include "obs/round_metrics.hpp"
 #include "obs/timeline.hpp"
 
@@ -25,7 +23,7 @@ harness::ExperimentConfig cellular_config(harness::Algorithm a) {
   cfg.sys.algorithm = a;
   cfg.sys.num_processes = 8;
   cfg.sys.seed = 7;
-  cfg.sys.transport = harness::TransportKind::kCellular;  // 4 MSS regions
+  cfg.sys.transport = harness::TransportKind::kCellular;  // 4 MSSs
   cfg.rate = 0.02;
   cfg.ckpt_interval = sim::seconds(600);
   cfg.horizon = sim::seconds(1800);
@@ -71,44 +69,61 @@ std::int64_t cell_i64(const obs::TimelineRun& run, std::size_t k, int col) {
   return obs::timeline_i64(run.row(k)[col]);
 }
 
-// ---------------------------------------------------------------------------
-// Determinism: --shards x --jobs must not move a single byte.
-// ---------------------------------------------------------------------------
-
-TEST(TimelineDeterminism, ShardsAndJobsCrossProductIsByteIdentical) {
-  harness::ExperimentConfig cfg =
-      cellular_config(harness::Algorithm::kCaoSinghal);
-  const int reps = 2;
-  harness::RunResult base = harness::run_replicated(cfg, reps, 1, 1);
-  ASSERT_EQ(base.timelines.size(), static_cast<std::size_t>(reps));
-  ASSERT_GT(base.timelines[0].rows(), 0u);
-  for (int shards : {1, 2, 4}) {
-    for (int jobs : {1, 4}) {
-      if (shards == 1 && jobs == 1) continue;
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
-                   " jobs=" + std::to_string(jobs));
-      harness::RunResult other = harness::run_replicated(cfg, reps, jobs,
-                                                         shards);
-      expect_same_timelines(base.timelines, other.timelines);
+void expect_same_traces(const std::vector<obs::TraceRun>& a,
+                        const std::vector<obs::TraceRun>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].rep, b[i].rep);
+    EXPECT_EQ(a[i].seed, b[i].seed);
+    EXPECT_EQ(a[i].digests.run, b[i].digests.run)
+        << "rep " << i << ": harness-computed run digest differs";
+    // On divergence, fail with the forensic report (first diverging
+    // record, classification, causal backtrace) instead of memcmp != 0.
+    std::optional<obs::RunDivergence> d =
+        obs::diff_records(a[i].records, b[i].records, a[i].rep);
+    if (d) {
+      ADD_FAILURE() << "trace divergence at rep " << i << ":\n"
+                    << obs::render_divergence(*d);
     }
   }
 }
 
-TEST(TimelineDeterminism, AllAlgorithmsByteIdenticalAcrossShardCounts) {
+// ---------------------------------------------------------------------------
+// Determinism: --jobs must not move a single byte of the timeline or the
+// trace, for any algorithm on either transport.
+// ---------------------------------------------------------------------------
+
+void expect_jobs_byte_identical(harness::ExperimentConfig cfg) {
+  cfg.capture_trace = true;
+  const int reps = 4;
+  harness::RunResult j1 = harness::run_replicated(cfg, reps, 1);
+  harness::RunResult j4 = harness::run_replicated(cfg, reps, 4);
+  ASSERT_EQ(j1.timelines.size(), static_cast<std::size_t>(reps));
+  ASSERT_GT(j1.timelines[0].rows(), 0u);
+  ASSERT_GT(j1.comp_msgs, 0u);
+  expect_same_timelines(j1.timelines, j4.timelines);
+  expect_same_traces(j1.traces, j4.traces);
+  EXPECT_EQ(j1.initiations, j4.initiations);
+  EXPECT_EQ(j1.committed, j4.committed);
+  EXPECT_EQ(j1.stats.deliveries, j4.stats.deliveries);
+  // The traces are genuine: the offline auditor certifies them.
+  obs::AuditReport rep = obs::audit_runs(j4.traces, cfg.sys.num_processes);
+  EXPECT_TRUE(rep.ok()) << obs::render_report(rep, false);
+  EXPECT_EQ(rep.consistent(), j4.consistent);
+}
+
+TEST(TimelineDeterminism, AllAlgorithmsByteIdenticalAcrossJobsOnCellular) {
   for (harness::Algorithm a : kAllAlgorithms) {
     SCOPED_TRACE(harness::to_string(a));
-    harness::ExperimentConfig cfg = cellular_config(a);
-    harness::RunResult s1 = harness::run_replicated(cfg, 1, 1, 1);
-    harness::RunResult s4 = harness::run_replicated(cfg, 1, 1, 4);
-    expect_same_timelines(s1.timelines, s4.timelines);
+    expect_jobs_byte_identical(cellular_config(a));
   }
 }
 
-TEST(TimelineDeterminism, LanRegionsMergeIdenticallyToo) {
-  harness::ExperimentConfig cfg = lan_config(harness::Algorithm::kKooToueg);
-  harness::RunResult s1 = harness::run_replicated(cfg, 1, 1, 1);
-  harness::RunResult s4 = harness::run_replicated(cfg, 1, 4, 4);
-  expect_same_timelines(s1.timelines, s4.timelines);
+TEST(TimelineDeterminism, AllAlgorithmsByteIdenticalAcrossJobsOnLan) {
+  for (harness::Algorithm a : kAllAlgorithms) {
+    SCOPED_TRACE(harness::to_string(a));
+    expect_jobs_byte_identical(lan_config(a));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -156,6 +171,8 @@ TEST(TimelineGauges, ReconcileWithRunStatsOnAllAlgorithms) {
     for (int k = 0; k < rt::kMsgKindCount; ++k) sent += res.stats.msgs_sent[k];
     EXPECT_EQ(fin[obs::kColMsgsSent], sent);
     EXPECT_EQ(fin[obs::kColBytesSys], res.stats.system_bytes());
+    EXPECT_EQ(fin[obs::kColMssCount],
+              static_cast<std::uint64_t>(cfg.sys.cellular.num_mss));
     // Gauges stay sane at every tick, not just at the end.
     for (std::size_t k = 0; k < rows; ++k) {
       ASSERT_GE(cell_i64(tl, k, obs::kColInFlight), 0) << "row " << k;
@@ -170,94 +187,6 @@ TEST(TimelineGauges, ReconcileWithRunStatsOnAllAlgorithms) {
   }
 }
 
-TEST(TimelineGauges, ShardedMergeReconcilesWithItsOwnRunStats) {
-  // The merged timeline of a sharded run must reconcile with that run's
-  // own aggregates (serial and sharded engines order same-time events
-  // differently, so only self-consistency is comparable across engines).
-  harness::ExperimentConfig cfg =
-      cellular_config(harness::Algorithm::kCaoSinghal);
-  harness::RunResult res = harness::run_sharded_experiment(cfg, 4);
-  ASSERT_EQ(res.timelines.size(), 1u);
-  const obs::TimelineRun& tl = res.timelines[0];
-  ASSERT_GT(tl.rows(), 0u);
-  const std::uint64_t* fin = tl.final_row.data();
-  EXPECT_EQ(obs::timeline_i64(fin[obs::kColInFlight]), 0);
-  EXPECT_EQ(obs::timeline_i64(fin[obs::kColBufferedNow]), 0);
-  EXPECT_EQ(obs::timeline_i64(fin[obs::kColBlockedProcs]), 0);
-  EXPECT_EQ(fin[obs::kColDeliveries], res.stats.deliveries);
-  std::uint64_t sent = 0;
-  for (int k = 0; k < rt::kMsgKindCount; ++k) sent += res.stats.msgs_sent[k];
-  EXPECT_EQ(fin[obs::kColMsgsSent], sent);
-  EXPECT_EQ(fin[obs::kColBytesSys], res.stats.system_bytes());
-  // Every MSS region contributed its one-entry depth gauge to the merge.
-  EXPECT_EQ(fin[obs::kColMssCount],
-            static_cast<std::uint64_t>(cfg.sys.cellular.num_mss));
-}
-
-// ---------------------------------------------------------------------------
-// merge_regions: quiet regions pad with their final_row; aggregate ops
-// follow the schema.
-// ---------------------------------------------------------------------------
-
-obs::TimelineRun make_run(std::size_t rows, std::uint64_t fill,
-                          std::uint64_t mss_count) {
-  obs::TimelineRun run;
-  run.interval_ns = 1000;
-  run.data.assign(rows * obs::kTimelineNumColumns, 0);
-  for (std::size_t k = 0; k < rows; ++k) {
-    std::uint64_t* row = run.data.data() + k * obs::kTimelineNumColumns;
-    row[obs::kColTime] = k * 1000;
-    row[obs::kColDeliveries] = fill + k;
-    row[obs::kColInFlight] = obs::timeline_bits_i64(
-        static_cast<std::int64_t>(fill));
-    row[obs::kColOutstandingWeight] = obs::timeline_bits_f64(0.25);
-    row[obs::kColMssBufMin] = fill + 1;
-    row[obs::kColMssBufMax] = fill + 2;
-    row[obs::kColMssCount] = mss_count;
-  }
-  run.final_row.assign(obs::kTimelineNumColumns, 0);
-  run.final_row[obs::kColDeliveries] = fill + 100;
-  run.final_row[obs::kColMssCount] = mss_count;
-  return run;
-}
-
-TEST(TimelineMerge, PadsQuietRegionsWithTheirFinalRow) {
-  std::vector<obs::TimelineRun> parts;
-  parts.push_back(make_run(2, 10, 1));
-  parts.push_back(make_run(4, 20, 1));
-  obs::TimelineRun merged = obs::merge_regions(parts);
-  ASSERT_EQ(merged.rows(), 4u);
-  EXPECT_EQ(merged.interval_ns, 1000u);
-  // Row 1: both regions live — sums of live rows.
-  EXPECT_EQ(merged.row(1)[obs::kColDeliveries], (10 + 1) + (20 + 1));
-  // Row 3: region 0 went quiet after 2 rows — its final_row pads in.
-  EXPECT_EQ(merged.row(3)[obs::kColDeliveries], (10 + 100) + (20 + 3));
-  // Time is recomputed from the grid, never summed.
-  EXPECT_EQ(merged.row(3)[obs::kColTime], 3000u);
-  // f64 columns sum in region-index order.
-  EXPECT_EQ(obs::timeline_f64(merged.row(1)[obs::kColOutstandingWeight]), 0.5);
-  // Signed gauges sum as i64.
-  EXPECT_EQ(obs::timeline_i64(merged.row(1)[obs::kColInFlight]), 30);
-  // MSS aggregates: min/max across contributing regions.
-  EXPECT_EQ(merged.row(1)[obs::kColMssBufMin], 11u);
-  EXPECT_EQ(merged.row(1)[obs::kColMssBufMax], 22u);
-  EXPECT_EQ(merged.row(1)[obs::kColMssCount], 2u);
-  // Merged final row combines the parts' final rows.
-  EXPECT_EQ(merged.final_row[obs::kColDeliveries], 110u + 120u);
-}
-
-TEST(TimelineMerge, MssAggregatesSkipRegionsWithoutMsss) {
-  std::vector<obs::TimelineRun> parts;
-  parts.push_back(make_run(1, 5, 1));
-  obs::TimelineRun no_mss = make_run(1, 50, 0);  // LAN-style region
-  parts.push_back(no_mss);
-  obs::TimelineRun merged = obs::merge_regions(parts);
-  // The region with mss_count == 0 must not drag the min to its cell.
-  EXPECT_EQ(merged.row(0)[obs::kColMssBufMin], 6u);
-  EXPECT_EQ(merged.row(0)[obs::kColMssBufMax], 7u);
-  EXPECT_EQ(merged.row(0)[obs::kColMssCount], 1u);
-}
-
 // ---------------------------------------------------------------------------
 // MCKTL01 round-trip and corrupt-input rejection.
 // ---------------------------------------------------------------------------
@@ -269,7 +198,7 @@ std::string temp_path(const char* name) {
 TEST(TimelineIo, RoundTripPreservesEveryByte) {
   harness::ExperimentConfig cfg =
       cellular_config(harness::Algorithm::kCaoSinghal);
-  harness::RunResult res = harness::run_replicated(cfg, 2, 1, 1);
+  harness::RunResult res = harness::run_replicated(cfg, 2, 1);
   ASSERT_EQ(res.timelines.size(), 2u);
 
   obs::TimelineFileMeta meta;
@@ -379,75 +308,6 @@ TEST(TracerCap, UncappedRunsStayCertifiable) {
       obs::audit_runs(res.traces, cfg.sys.num_processes);
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.count(obs::AuditCheck::kTruncation), 0u);
-}
-
-TEST(TracerCap, CapAppliesPerRegionUnderSharding) {
-  // The truncation point must not depend on the shard count: the cap is
-  // per region tracer, and regions are fixed by topology.
-  harness::ExperimentConfig cfg =
-      cellular_config(harness::Algorithm::kCaoSinghal);
-  cfg.capture_trace = true;
-  cfg.trace_record_cap = 100;
-  harness::RunResult s1 = harness::run_replicated(cfg, 1, 1, 1);
-  harness::RunResult s4 = harness::run_replicated(cfg, 1, 1, 4);
-  ASSERT_EQ(s1.traces.size(), 1u);
-  ASSERT_EQ(s4.traces.size(), 1u);
-  std::optional<obs::RunDivergence> d =
-      obs::diff_records(s1.traces[0].records, s4.traces[0].records);
-  if (d) {
-    ADD_FAILURE() << "capped-trace divergence between shard counts:\n"
-                  << obs::render_divergence(*d);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Metric merge determinism (satellite: obs::Histogram::merge and friends).
-// ---------------------------------------------------------------------------
-
-TEST(MetricMerge, HistogramMergeMatchesCombinedObservation) {
-  std::vector<double> bounds = {1.0, 2.0, 4.0, 8.0};
-  obs::Histogram a(bounds), b(bounds), combined(bounds);
-  for (double x : {0.5, 1.5, 3.0, 9.0}) {
-    a.observe(x);
-    combined.observe(x);
-  }
-  for (double x : {0.25, 7.0, 16.0}) {
-    b.observe(x);
-    combined.observe(x);
-  }
-  obs::Histogram merged = a;
-  merged.merge(b);
-  EXPECT_EQ(merged.count(), combined.count());
-  EXPECT_EQ(merged.min(), combined.min());
-  EXPECT_EQ(merged.max(), combined.max());
-  for (std::size_t i = 0; i < combined.num_buckets(); ++i) {
-    EXPECT_EQ(merged.bucket(i), combined.bucket(i)) << "bucket " << i;
-  }
-  // IEEE addition commutes: merge(a, b) == merge(b, a) bitwise.
-  obs::Histogram merged_ba = b;
-  merged_ba.merge(a);
-  EXPECT_EQ(merged.sum(), merged_ba.sum());
-  EXPECT_EQ(merged.p95(), merged_ba.p95());
-}
-
-TEST(MetricMerge, RegistryMergeIsDeterministicByName) {
-  obs::Registry a, b;
-  a.counter("msgs").inc(10);
-  a.gauge("depth").set(3.0);
-  b.counter("msgs").inc(5);
-  b.counter("only_in_b").inc(1);
-  b.gauge("depth").set(7.0);
-  a.merge(b);
-  EXPECT_EQ(a.counter("msgs").value(), 15u);
-  EXPECT_EQ(a.counter("only_in_b").value(), 1u);
-  EXPECT_EQ(a.gauge("depth").value(), 7.0);  // gauges keep the max
-  // Merge preserves the target's insertion order and appends metrics
-  // present only in `other`, so the rendered table is reproducible.
-  obs::Registry c;
-  c.counter("msgs").inc(15);
-  c.gauge("depth").set(7.0);
-  c.counter("only_in_b").inc(1);
-  EXPECT_EQ(a.render(), c.render());
 }
 
 }  // namespace

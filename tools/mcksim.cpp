@@ -2,7 +2,7 @@
 //
 //   mcksim [--algo NAME] [--n N] [--rate R] [--interval S] [--hours H]
 //          [--workload p2p|group] [--ratio X] [--groups G] [--seed S]
-//          [--reps R] [--jobs N] [--shards N] [--transport lan|cellular]
+//          [--reps R] [--jobs N] [--transport lan|cellular]
 //          [--shared-medium] [--commit broadcast|update|hybrid]
 //          [--wire-sizes] [--wire-fidelity] [--csv]
 //          [--trace FILE] [--trace-cap N] [--metrics] [--audit]
@@ -45,11 +45,6 @@ namespace {
                "  --jobs N          replication worker threads (default:\n"
                "                    MCK_JOBS env var, else 1; results are\n"
                "                    identical for any N)\n"
-               "  --shards N        conservative-PDES worker lanes within\n"
-               "                    each replication (default: MCK_SHARDS\n"
-               "                    env var, else the legacy serial engine;\n"
-               "                    traces, CSVs and aggregates are byte-\n"
-               "                    identical for any N >= 1)\n"
                "  --transport T     lan | cellular (default lan)\n"
                "  --shared-medium   802.11-style contention for messages\n"
                "  --commit MODE     broadcast | update | hybrid\n"
@@ -62,21 +57,21 @@ namespace {
                "  --trace FILE      record a flight-recorder trace (inspect\n"
                "                    with mcktrace; bytes are identical for\n"
                "                    any --jobs)\n"
-               "  --trace-cap N     cap trace records per rep (per region\n"
-               "                    with --shards); further records drop and\n"
-               "                    a truncation marker is stamped. Default:\n"
+               "  --trace-cap N     cap trace records per rep; further\n"
+               "                    records drop and a truncation marker\n"
+               "                    is stamped. Default:\n"
                "                    unlimited, except 4000000 when tracing\n"
                "                    n >= 100000 (OOM guard; pass 0 to lift)\n"
                "  --timeline FILE   record the run-health timeline (one\n"
                "                    gauge row per --timeline-interval of\n"
                "                    sim time; inspect with mcktrace\n"
                "                    timeline; bytes are identical for any\n"
-               "                    --jobs and any --shards >= 1)\n"
+               "                    --jobs)\n"
                "  --timeline-interval S\n"
                "                    timeline sampling period in simulated\n"
                "                    seconds (default 1.0)\n"
                "  --progress        periodic run-health line on stderr\n"
-               "                    (serial engine; stdout is untouched)\n"
+               "                    (stdout is untouched)\n"
                "  --metrics         derive trace metrics: extra CSV columns,\n"
                "                    or a metrics table after the report\n"
                "  --audit           replay the trace through the offline\n"
@@ -103,8 +98,7 @@ int main(int argc, char** argv) {
   harness::ExperimentConfig cfg;
   cfg.rate = 0.01;
   int reps = 1;
-  int jobs = 0;    // 0 = MCK_JOBS env, else serial
-  int shards = 0;  // 0 = MCK_SHARDS env, else the legacy serial engine
+  int jobs = 0;  // 0 = MCK_JOBS env, else serial
   bool csv = false;
   double hours = 4.0;
   std::string trace_path;
@@ -152,9 +146,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--jobs") {
       jobs = std::atoi(next());
       if (jobs < 1) usage("--jobs must be >= 1");
-    } else if (arg == "--shards") {
-      shards = std::atoi(next());
-      if (shards < 1) usage("--shards must be >= 1");
     } else if (arg == "--transport") {
       std::string t = next();
       if (t == "lan") {
@@ -225,12 +216,7 @@ int main(int argc, char** argv) {
                  "mcksim: note: tracing with n >= 100000 defaults to "
                  "--trace-cap 4000000 (pass --trace-cap 0 to lift)\n");
   }
-  if (harness::resolve_shards(shards) >= 1 &&
-      cfg.sys.lan.mode == net::MediumMode::kShared) {
-    usage("--shared-medium is incompatible with --shards");
-  }
-
-  harness::RunResult res = harness::run_replicated(cfg, reps, jobs, shards);
+  harness::RunResult res = harness::run_replicated(cfg, reps, jobs);
 
   // Offline audit of the captured trace: an independent verdict that must
   // agree with the in-sim checker. stderr keeps the --csv stdout clean.
