@@ -10,8 +10,10 @@
 #include <functional>
 
 #include "baselines/payloads.hpp"
+#include "ckpt/checker.hpp"
 #include "ckpt/event_log.hpp"
 #include "ckpt/store.hpp"
+#include "ckpt/tracker.hpp"
 #include "core/codec.hpp"
 #include "core/payloads.hpp"
 #include "sim/simulator.hpp"
@@ -197,21 +199,37 @@ void BM_MutableCheckpointRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_MutableCheckpointRecord);
 
-void BM_OrphanScan(benchmark::State& state) {
-  ckpt::EventLog log(16);
-  std::vector<MessageId> ids;
-  for (int i = 0; i < 10000; ++i) {
-    MessageId id = log.record_send(i % 16, (i + 5) % 16, i);
-    log.record_recv(id, (i + 5) % 16, i);
+void BM_CheckAll(benchmark::State& state) {
+  // The end-of-run Theorem 1 check over a fixed 100k-record log with K
+  // committed lines, evenly spaced through the history. One sweep of the
+  // log serves every line, so the time should be flat in K.
+  constexpr int kProcs = 16;
+  constexpr int kRecords = 100000;
+  const int lines = static_cast<int>(state.range(0));
+  ckpt::EventLog log(kProcs);
+  ckpt::CoordinationTracker tracker;
+  for (int i = 0; i < kRecords; ++i) {
+    MessageId id = log.record_send(i % kProcs, (i + 5) % kProcs, i);
+    log.record_recv(id, (i + 5) % kProcs, i);
+    if ((i + 1) % (kRecords / lines) == 0) {
+      int k = (i + 1) / (kRecords / lines);
+      ckpt::InitiationStats& s = tracker.open(
+          ckpt::make_initiation_id(k % kProcs, static_cast<Csn>(k)),
+          k % kProcs, i);
+      for (ProcessId p = 0; p < kProcs; ++p) {
+        s.line_updates.emplace_back(p, log.cursor(p));
+      }
+      s.committed_at = i;
+    }
   }
-  ckpt::Line line(16);
-  for (int p = 0; p < 16; ++p) line[p] = 600;
+  ckpt::ConsistencyChecker checker(log, tracker);
   for (auto _ : state) {
-    auto orphans = log.find_orphans(line);
-    benchmark::DoNotOptimize(orphans);
+    ckpt::CheckResult res = checker.check_all();
+    benchmark::DoNotOptimize(res);
   }
+  state.SetItemsProcessed(state.iterations() * kRecords);
 }
-BENCHMARK(BM_OrphanScan);
+BENCHMARK(BM_CheckAll)->Arg(1)->Arg(16)->Arg(128);
 
 // --- wire codec hot path ------------------------------------------------
 // The codec runs per message in --wire-sizes mode (sizing) and twice per

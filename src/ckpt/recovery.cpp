@@ -25,15 +25,8 @@ RecoveryOutcome RecoveryManager::finish(Line line,
 RecoveryOutcome RecoveryManager::recover_coordinated(sim::SimTime t) const {
   Line line(static_cast<std::size_t>(log_.num_processes()));
   // Replay committed initiations up to time t in commit order.
-  std::vector<const InitiationStats*> inits = tracker_.in_order();
-  std::stable_sort(inits.begin(), inits.end(),
-                   [](const InitiationStats* a, const InitiationStats* b) {
-                     sim::SimTime ca = a->committed() ? a->committed_at : -1;
-                     sim::SimTime cb = b->committed() ? b->committed_at : -1;
-                     return ca < cb;
-                   });
-  for (const InitiationStats* s : inits) {
-    if (!s->committed() || s->committed_at > t) continue;
+  for (const InitiationStats* s : tracker_.committed_in_commit_order()) {
+    if (s->committed_at > t) break;
     for (const auto& [pid, cursor] : s->line_updates) {
       if (cursor > line[pid]) line[pid] = cursor;
     }

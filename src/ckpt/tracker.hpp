@@ -5,6 +5,7 @@
 // reads it to rebuild committed global checkpoint lines.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -153,6 +154,21 @@ class CoordinationTracker {
     std::vector<const InitiationStats*> out;
     out.reserve(order_.size());
     for (InitiationId id : order_) out.push_back(&map_.at(id));
+    return out;
+  }
+
+  /// Committed initiations in commit order (ties keep start order): the
+  /// order in which their line updates build the global checkpoint line.
+  std::vector<const InitiationStats*> committed_in_commit_order() const {
+    std::vector<const InitiationStats*> out;
+    for (InitiationId id : order_) {
+      const InitiationStats& s = map_.at(id);
+      if (s.committed()) out.push_back(&s);
+    }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const InitiationStats* a, const InitiationStats* b) {
+                       return a->committed_at < b->committed_at;
+                     });
     return out;
   }
 

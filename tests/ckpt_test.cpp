@@ -2,6 +2,9 @@
 // checker and rollback recovery — the executable oracle for Theorem 1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "ckpt/checker.hpp"
 #include "ckpt/event_log.hpp"
 #include "ckpt/recovery.hpp"
@@ -179,6 +182,146 @@ TEST(Checker, CommitOrderLinesChecked) {
   b.line_updates.push_back({0, 1});
   CheckResult res2 = ConsistencyChecker(log, tracker).check_all();
   EXPECT_TRUE(res2.consistent);
+}
+
+TEST(Checker, OrphanOnConsecutiveLinesReportedPerLine) {
+  EventLog log(2);
+  CoordinationTracker tracker;
+  MessageId m = log.record_send(0, 1, 0);
+  log.record_recv(m, 1, 1);
+
+  // A takes P1 past the receive; B moves nothing; C finally covers the
+  // send. The orphan stands on A's and B's lines, so it is reported twice.
+  InitiationStats& a = tracker.open(make_initiation_id(1, 1), 1, 2);
+  a.line_updates = {{1, 1}};
+  a.committed_at = 10;
+  InitiationStats& b = tracker.open(make_initiation_id(0, 1), 0, 12);
+  b.committed_at = 20;
+  InitiationStats& c = tracker.open(make_initiation_id(0, 2), 0, 22);
+  c.line_updates = {{0, 1}};
+  c.committed_at = 30;
+
+  CheckResult res = ConsistencyChecker(log, tracker).check_all();
+  EXPECT_FALSE(res.consistent);
+  EXPECT_EQ(res.lines_checked, 3u);
+  ASSERT_EQ(res.orphans.size(), 2u);
+  EXPECT_EQ(res.orphans[0].msg, m);
+  EXPECT_EQ(res.orphans[1].msg, m);
+  EXPECT_EQ(res.in_transit_total, 0u);
+}
+
+// Reference oracle: the per-line loop, one find_orphans and one
+// count_in_transit scan of the whole log per committed line.
+CheckResult check_per_line(const EventLog& log,
+                           const CoordinationTracker& tracker) {
+  std::vector<const InitiationStats*> inits;
+  for (const InitiationStats* s : tracker.in_order()) {
+    if (s->committed()) inits.push_back(s);
+  }
+  std::stable_sort(inits.begin(), inits.end(),
+                   [](const InitiationStats* a, const InitiationStats* b) {
+                     return a->committed_at < b->committed_at;
+                   });
+  CheckResult result;
+  Line line(static_cast<std::size_t>(log.num_processes()));
+  for (const InitiationStats* s : inits) {
+    for (const auto& [pid, cursor] : s->line_updates) {
+      line[pid] = std::max(line[pid], cursor);
+    }
+    std::vector<Orphan> orphans = log.find_orphans(line);
+    result.orphans.insert(result.orphans.end(), orphans.begin(),
+                          orphans.end());
+    result.in_transit_total += log.count_in_transit(line);
+    ++result.lines_checked;
+  }
+  result.consistent = result.orphans.empty();
+  return result;
+}
+
+TEST(Checker, SweepMatchesPerLineScans) {
+  std::mt19937_64 rng(20260416);
+  auto uniform = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  std::size_t inconsistent_cases = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    const int n = uniform(2, 8);
+    EventLog log(n);
+    // Random traffic: sends, and receives of pending messages in any
+    // order; whatever is still pending at the end is never received.
+    std::vector<std::pair<MessageId, ProcessId>> pending;
+    const int steps = uniform(0, 60);
+    for (int s = 0; s < steps; ++s) {
+      if (!pending.empty() && uniform(0, 2) == 0) {
+        std::size_t j = static_cast<std::size_t>(
+            uniform(0, static_cast<int>(pending.size()) - 1));
+        log.record_recv(pending[j].first, pending[j].second, s);
+        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(j));
+      } else {
+        ProcessId src = uniform(0, n - 1);
+        ProcessId dst = (src + uniform(1, n - 1)) % n;
+        pending.emplace_back(log.record_send(src, dst, s), dst);
+      }
+    }
+
+    // Random lines: cursors anywhere in a process's history (so later
+    // ones may point backwards), processes left out, empty lines, tied
+    // commit times and initiations that never commit.
+    CoordinationTracker tracker;
+    const int inits = uniform(0, 20);
+    for (int k = 0; k < inits; ++k) {
+      InitiationStats& st = tracker.open(
+          make_initiation_id(k % n, static_cast<Csn>(k + 1)), k % n,
+          k);
+      const int updates = uniform(0, 2 * n);
+      for (int u = 0; u < updates; ++u) {
+        ProcessId pid = uniform(0, n - 1);
+        st.line_updates.emplace_back(
+            pid, static_cast<std::uint64_t>(
+                     uniform(0, static_cast<int>(log.cursor(pid)))));
+      }
+      int commit = uniform(-1, 6);
+      if (commit >= 0) st.committed_at = commit;
+    }
+
+    CheckResult want = check_per_line(log, tracker);
+    CheckResult got = ConsistencyChecker(log, tracker).check_all();
+    SCOPED_TRACE(testing::Message() << "iteration " << iter);
+    EXPECT_EQ(got.consistent, want.consistent);
+    EXPECT_EQ(got.lines_checked, want.lines_checked);
+    EXPECT_EQ(got.in_transit_total, want.in_transit_total);
+    ASSERT_EQ(got.orphans.size(), want.orphans.size());
+    for (std::size_t i = 0; i < want.orphans.size(); ++i) {
+      EXPECT_EQ(got.orphans[i].msg, want.orphans[i].msg);
+      EXPECT_EQ(got.orphans[i].src, want.orphans[i].src);
+      EXPECT_EQ(got.orphans[i].dst, want.orphans[i].dst);
+      EXPECT_EQ(got.orphans[i].send_event, want.orphans[i].send_event);
+      EXPECT_EQ(got.orphans[i].recv_event, want.orphans[i].recv_event);
+    }
+    if (!want.consistent) ++inconsistent_cases;
+  }
+  // The generator must exercise both verdicts.
+  EXPECT_GT(inconsistent_cases, 40u);
+  EXPECT_LT(inconsistent_cases, 360u);
+}
+
+TEST(Tracker, CommittedInCommitOrder) {
+  CoordinationTracker tracker;
+  InitiationStats& a = tracker.open(make_initiation_id(0, 1), 0, 0);
+  InitiationStats& b = tracker.open(make_initiation_id(1, 1), 1, 1);
+  InitiationStats& c = tracker.open(make_initiation_id(2, 1), 2, 2);
+  InitiationStats& d = tracker.open(make_initiation_id(3, 1), 3, 3);
+  a.committed_at = 50;
+  c.committed_at = 20;  // commits before a although it started later
+  d.committed_at = 50;  // tie with a: start order decides
+  tracker.mark_aborted(b, 30);
+
+  std::vector<const InitiationStats*> order =
+      tracker.committed_in_commit_order();
+  ASSERT_EQ(order.size(), 3u);
+  EXPECT_EQ(order[0], &c);
+  EXPECT_EQ(order[1], &a);
+  EXPECT_EQ(order[2], &d);
 }
 
 TEST(Recovery, CoordinatedUsesLatestCommittedLine) {

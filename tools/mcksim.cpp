@@ -10,7 +10,11 @@
 //          [--log-level LVL]
 //
 // Prints the paper's per-initiation metrics for one configuration;
-// --csv emits a machine-readable row instead.
+// --csv emits a machine-readable row instead. A malformed or out-of-range
+// flag prints the usage and exits 2 before anything runs.
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,7 +43,8 @@ namespace {
                "  --hours H         simulated hours (default 4)\n"
                "  --workload KIND   p2p | group (default p2p)\n"
                "  --ratio X         group intra/inter rate ratio (default 1000)\n"
-               "  --groups G        number of groups (default 4)\n"
+               "  --groups G        number of groups, >= 2 and dividing N\n"
+               "                    into groups of >= 2 (default 4)\n"
                "  --seed S          RNG seed (default 1)\n"
                "  --reps R          repetitions merged (default 1)\n"
                "  --jobs N          replication worker threads (default:\n"
@@ -82,6 +87,38 @@ namespace {
   std::exit(2);
 }
 
+/// The whole of `s` as a finite number; anything else is a usage error.
+double parse_real(const char* flag, const char* s) {
+  char* end = nullptr;
+  errno = 0;
+  double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+    usage((std::string(flag) + " needs a number, got '" + s + "'").c_str());
+  }
+  return v;
+}
+
+/// The whole of `s` as an integer; anything else is a usage error.
+long long parse_int(const char* flag, const char* s) {
+  char* end = nullptr;
+  errno = 0;
+  long long v = std::strtoll(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE) {
+    usage((std::string(flag) + " needs an integer, got '" + s + "'").c_str());
+  }
+  return v;
+}
+
+/// An integer flag that must be at least `min` and fit an int.
+int parse_count(const char* flag, const char* s, int min) {
+  long long v = parse_int(flag, s);
+  if (v < min) {
+    usage((std::string(flag) + " must be >= " + std::to_string(min)).c_str());
+  }
+  if (v > INT_MAX) usage((std::string(flag) + " is too large").c_str());
+  return static_cast<int>(v);
+}
+
 harness::Algorithm parse_algo(const std::string& s) {
   using A = harness::Algorithm;
   for (A a : {A::kCaoSinghal, A::kKooToueg, A::kElnozahy,
@@ -117,15 +154,16 @@ int main(int argc, char** argv) {
     if (arg == "--algo") {
       cfg.sys.algorithm = parse_algo(next());
     } else if (arg == "--n") {
-      cfg.sys.num_processes = std::atoi(next());
-      if (cfg.sys.num_processes < 2) usage("--n must be >= 2");
+      cfg.sys.num_processes = parse_count("--n", next(), 2);
     } else if (arg == "--rate") {
-      cfg.rate = std::atof(next());
+      cfg.rate = parse_real("--rate", next());
       if (cfg.rate <= 0) usage("--rate must be positive");
     } else if (arg == "--interval") {
-      cfg.ckpt_interval = sim::from_seconds(std::atof(next()));
+      cfg.ckpt_interval = sim::from_seconds(parse_real("--interval", next()));
+      if (cfg.ckpt_interval <= 0) usage("--interval must be positive");
     } else if (arg == "--hours") {
-      hours = std::atof(next());
+      hours = parse_real("--hours", next());
+      if (hours < 0) usage("--hours must be >= 0");
     } else if (arg == "--workload") {
       std::string w = next();
       if (w == "p2p") {
@@ -136,16 +174,16 @@ int main(int argc, char** argv) {
         usage("unknown --workload");
       }
     } else if (arg == "--ratio") {
-      cfg.group_ratio = std::atof(next());
+      cfg.group_ratio = parse_real("--ratio", next());
+      if (cfg.group_ratio <= 0) usage("--ratio must be positive");
     } else if (arg == "--groups") {
-      cfg.groups = std::atoi(next());
+      cfg.groups = parse_count("--groups", next(), 2);
     } else if (arg == "--seed") {
-      cfg.sys.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      cfg.sys.seed = static_cast<std::uint64_t>(parse_int("--seed", next()));
     } else if (arg == "--reps") {
-      reps = std::atoi(next());
+      reps = parse_count("--reps", next(), 1);
     } else if (arg == "--jobs") {
-      jobs = std::atoi(next());
-      if (jobs < 1) usage("--jobs must be >= 1");
+      jobs = parse_count("--jobs", next(), 1);
     } else if (arg == "--transport") {
       std::string t = next();
       if (t == "lan") {
@@ -178,12 +216,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace") {
       trace_path = next();
     } else if (arg == "--trace-cap") {
-      trace_cap = std::atoll(next());
+      trace_cap = parse_int("--trace-cap", next());
       if (trace_cap < 0) usage("--trace-cap must be >= 0");
     } else if (arg == "--timeline") {
       timeline_path = next();
     } else if (arg == "--timeline-interval") {
-      timeline_interval_s = std::atof(next());
+      timeline_interval_s = parse_real("--timeline-interval", next());
       if (timeline_interval_s <= 0) {
         usage("--timeline-interval must be positive");
       }
@@ -200,6 +238,12 @@ int main(int argc, char** argv) {
     } else {
       usage(("unknown option: " + arg).c_str());
     }
+  }
+  if (cfg.workload == harness::WorkloadKind::kGroup &&
+      (cfg.sys.num_processes % cfg.groups != 0 ||
+       cfg.sys.num_processes / cfg.groups < 2)) {
+    usage("--workload group needs --n a multiple of --groups, with at least "
+          "2 processes per group");
   }
   cfg.horizon = sim::from_seconds(hours * 3600.0);
   cfg.capture_trace = !trace_path.empty() || metrics || audit;
