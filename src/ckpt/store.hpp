@@ -30,15 +30,20 @@ enum class CkptKind : std::uint8_t {
   kDisconnect,
 };
 
-// obs/round_metrics.cpp and obs/audit.cpp mirror these discriminators
-// (the trace stores them as raw bytes) to avoid an obs -> ckpt dependency
-// cycle.
-static_assert(static_cast<int>(CkptKind::kPermanent) == 1 &&
-                  static_cast<int>(CkptKind::kTentative) == 2 &&
-                  static_cast<int>(CkptKind::kMutable) == 3 &&
-                  static_cast<int>(CkptKind::kDisconnect) == 4,
-              "update the mirror constants in obs/round_metrics.cpp "
-              "and obs/audit.cpp");
+// Trace records carry CkptKind as a raw `sub` byte; obs/trace.hpp
+// mirrors it (obs must not depend on ckpt).
+static_assert(static_cast<int>(CkptKind::kInitial) == obs::kRawCkptInitial &&
+                  static_cast<int>(CkptKind::kPermanent) ==
+                      obs::kRawCkptPermanent &&
+                  static_cast<int>(CkptKind::kTentative) ==
+                      obs::kRawCkptTentative &&
+                  static_cast<int>(CkptKind::kMutable) ==
+                      obs::kRawCkptMutable &&
+                  static_cast<int>(CkptKind::kDisconnect) ==
+                      obs::kRawCkptDisconnect &&
+                  static_cast<int>(CkptKind::kDisconnect) + 1 ==
+                      obs::kRawCkptKindCount,
+              "update the CkptKind mirror in obs/trace.hpp");
 
 inline const char* to_string(CkptKind k) {
   switch (k) {

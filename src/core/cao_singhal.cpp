@@ -623,10 +623,12 @@ void CaoSinghalProtocol::handle_request(const rt::Message& m,
   }
 
   // Concurrent initiations (Section 3.5, "ignore" technique of [19]): an
-  // active initiator refuses foreign requests; the refused initiator
-  // aborts its checkpointing. Even with serialized scheduling this can
-  // fire under failures — an aborting initiator's first-hop requests can
-  // still be propagating when the next initiation starts.
+  // active initiator always refuses foreign requests, and the refused
+  // initiator aborts its checkpointing. Overlapping initiations are thus
+  // legal input, not a harness bug: scripted runs start them on purpose,
+  // and even with serialized scheduling this fires under failures — an
+  // aborting initiator's first-hop requests can still be propagating
+  // when the next initiation starts.
   if (active_initiator_ && p.trigger != own_trigger_) {
     send_reply(p.trigger, p.weight, /*refused=*/true);
     return;

@@ -67,12 +67,6 @@ struct CaoSinghalOptions {
   /// Hybrid mode: broadcast when more than this many processes replied.
   std::uint32_t hybrid_threshold = 4;
 
-  /// Concurrent initiations (Section 3.5, the Koo-Toueg "ignore" variant):
-  /// a process holding an uncommitted tentative checkpoint refuses foreign
-  /// requests; the refused initiator aborts. When false, overlapping
-  /// initiations are a harness bug and assert.
-  bool allow_concurrent = false;
-
   /// Section 3.6 safety net: if the initiator has not reached a decision
   /// within this budget (a participant died mid-coordination and its
   /// reply will never come), it aborts (or partial-commits). 0 disables.

@@ -3,10 +3,10 @@
 // and the csn at that initiator when it took its own local checkpoint.
 #pragma once
 
-#include <cstdio>
 #include <string>
 
 #include "ckpt/store.hpp"
+#include "obs/trace.hpp"
 #include "util/types.hpp"
 
 namespace mck::core {
@@ -27,10 +27,7 @@ struct Trigger {
   }
 
   std::string to_string() const {
-    if (!valid()) return "(null)";
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "(P%d,%u)", pid, inum);
-    return buf;
+    return valid() ? obs::initiation_label(initiation()) : "(null)";
   }
 };
 

@@ -150,7 +150,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
   obs::Tracer tracer;
   SystemOptions sys_opts = config.sys;
   if (config.capture_trace) {
-    tracer.enable(config.trace_mask);
+    tracer.enable();
     if (config.trace_record_cap > 0) {
       tracer.set_record_cap(config.trace_record_cap);
     }
@@ -194,7 +194,6 @@ RunResult run_experiment(const ExperimentConfig& config) {
   // Checkpoint initiations.
   SchedulerOptions sched_opts;
   sched_opts.interval = config.ckpt_interval;
-  sched_opts.serialize = config.serialize_initiations;
   sched_opts.initiator_limit = config.initiator_limit;
   CheckpointScheduler scheduler(system, sched_opts);
   scheduler.start(config.horizon);

@@ -24,15 +24,14 @@ struct ExperimentConfig {
   double group_ratio = 1000.0;  // intragroup / intergroup rate, Fig. 6
   sim::SimTime ckpt_interval = sim::seconds(900);
   sim::SimTime horizon = sim::seconds(4 * 3600);
-  bool serialize_initiations = true;
   /// See SchedulerOptions::initiator_limit (0 = all processes initiate).
   int initiator_limit = 0;
 
-  /// Flight-recorder capture: each repetition records into its own
-  /// obs::Tracer and lands in RunResult::traces. Deterministic — the trace
-  /// bytes depend only on (config, seed), never on the job count.
+  /// Flight-recorder capture of every record kind: each repetition
+  /// records into its own obs::Tracer and lands in RunResult::traces.
+  /// Deterministic — the trace bytes depend only on (config, seed), never
+  /// on the job count.
   bool capture_trace = false;
-  std::uint64_t trace_mask = obs::Tracer::kAllKinds;
 
   /// Tracer OOM guard: per-repetition record cap (0 = unlimited). When the
   /// cap is hit the tracer drops further records and stamps a kTruncated

@@ -8,32 +8,12 @@
 #include <unordered_set>
 
 #include "stats/table.hpp"
+#include "util/json.hpp"
 #include "util/weight.hpp"
 
 namespace mck::obs {
 
 namespace {
-
-// CkptKind discriminators, mirrored as raw bytes (ckpt/store.hpp
-// static_asserts these stay in sync).
-constexpr std::uint8_t kCkptPermanent = 1;
-constexpr std::uint8_t kCkptTentative = 2;
-constexpr std::uint8_t kCkptMutable = 3;
-constexpr std::uint8_t kCkptDisconnect = 4;
-
-// rt::MsgKind::kComputation, mirrored (rt/message.hpp pins it to 0).
-constexpr std::uint8_t kMsgComputation = 0;
-
-const char* ckpt_kind_name(std::uint8_t k) {
-  switch (k) {
-    case 0: return "initial";
-    case kCkptPermanent: return "permanent";
-    case kCkptTentative: return "tentative";
-    case kCkptMutable: return "mutable";
-    case kCkptDisconnect: return "disconnect";
-    default: return "?";
-  }
-}
 
 std::string fmt(const char* f, ...) {
   char buf[512];
@@ -42,11 +22,6 @@ std::string fmt(const char* f, ...) {
   std::vsnprintf(buf, sizeof buf, f, ap);
   va_end(ap);
   return buf;
-}
-
-std::string init_label(std::uint64_t initiation) {
-  return fmt("p%u#%u", static_cast<unsigned>(initiation >> 32),
-             static_cast<unsigned>(initiation & 0xffffffffu));
 }
 
 /// Replay state of one checkpoint ref.
@@ -220,13 +195,14 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
           violate(AuditCheck::kLifecycle, r.at, r.arg0,
                   fmt("promotion of discarded checkpoint ref %llu",
                       static_cast<unsigned long long>(r.arg1)));
-        } else if (st.kind != kCkptMutable && st.kind != kCkptDisconnect) {
+        } else if (st.kind != kRawCkptMutable &&
+                   st.kind != kRawCkptDisconnect) {
           violate(AuditCheck::kLifecycle, r.at, r.arg0,
                   fmt("promotion of a %s checkpoint (ref %llu)",
                       ckpt_kind_name(st.kind),
                       static_cast<unsigned long long>(r.arg1)));
         }
-        st.kind = kCkptTentative;
+        st.kind = kRawCkptTentative;
         st.initiation = r.arg0;
         break;
       }
@@ -243,7 +219,7 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
           violate(AuditCheck::kLifecycle, r.at, r.arg0,
                   fmt("discarded checkpoint ref %llu made permanent",
                       static_cast<unsigned long long>(r.arg1)));
-        } else if (st.kind != kCkptTentative) {
+        } else if (st.kind != kRawCkptTentative) {
           violate(AuditCheck::kLifecycle, r.at, r.arg0,
                   fmt("%s checkpoint ref %llu made permanent (must be "
                       "tentative first)",
@@ -254,10 +230,10 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
                   fmt("checkpoint ref %llu committed under initiation %s but "
                       "taken for %s",
                       static_cast<unsigned long long>(r.arg1),
-                      init_label(r.arg0).c_str(),
-                      init_label(st.initiation).c_str()));
+                      initiation_label(r.arg0).c_str(),
+                      initiation_label(st.initiation).c_str()));
         }
-        st.kind = kCkptPermanent;
+        st.kind = kRawCkptPermanent;
         if (r.arg0 != 0) {
           if (!st.has_cursor) {
             violate(AuditCheck::kLifecycle, r.at, r.arg0,
@@ -278,7 +254,7 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
           break;
         }
         CkptState& st = it->second;
-        if (st.kind == kCkptPermanent) {
+        if (st.kind == kRawCkptPermanent) {
           violate(AuditCheck::kLifecycle, r.at, r.arg0,
                   fmt("permanent checkpoint ref %llu discarded",
                       static_cast<unsigned long long>(r.arg1)));
@@ -324,8 +300,8 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
         }
         break;
       case TraceKind::kMsgSend:
-        if (r.sub == kMsgComputation && r.pid >= 0 && r.pid < num_processes &&
-            blocked[static_cast<std::size_t>(r.pid)]) {
+        if (r.sub == kRawMsgComputation && r.pid >= 0 &&
+            r.pid < num_processes && blocked[static_cast<std::size_t>(r.pid)]) {
           violate(AuditCheck::kBlocking, r.at, 0,
                   fmt("P%d sent computation message %llu while blocked",
                       r.pid, static_cast<unsigned long long>(r.arg0)));
@@ -488,26 +464,6 @@ namespace {
 double ms(sim::SimTime t) { return static_cast<double>(t) / 1e6; }
 double secs(sim::SimTime t) { return static_cast<double>(t) / 1e9; }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += fmt("\\u%04x", static_cast<unsigned>(c));
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string render_report(const AuditReport& r, bool show_rounds) {
@@ -539,7 +495,7 @@ std::string render_report(const AuditReport& r, bool show_rounds) {
     const AuditViolation& v = r.violations[i];
     out += fmt("  [%s] rep %d t=%.6fs", to_string(v.check), v.rep,
                secs(v.at));
-    if (v.initiation != 0) out += " " + init_label(v.initiation);
+    if (v.initiation != 0) out += " " + initiation_label(v.initiation);
     out += ": " + v.detail + "\n";
   }
   if (r.violations.size() > kMaxShown) {
@@ -551,7 +507,7 @@ std::string render_report(const AuditReport& r, bool show_rounds) {
                             "wire_ms", "retry_ms", "buffer_ms", "partic_ms",
                             "init_wait_ms", "hops"});
     for (const RoundAttribution& a : r.rounds) {
-      table.add_row({fmt("%d", a.rep), init_label(a.initiation),
+      table.add_row({fmt("%d", a.rep), initiation_label(a.initiation),
                      fmt("P%d", a.initiator),
                      stats::fmt("%.3f", secs(a.started_at)),
                      stats::fmt("%.3f", ms(a.total)),
@@ -572,7 +528,7 @@ std::string report_json(const AuditReport& r, const TraceFileMeta* meta) {
   if (meta != nullptr) {
     out += fmt("  \"trace\": {\"algo\": \"%s\", \"processes\": %d, "
                "\"runs\": %llu},\n",
-               json_escape(meta->algo).c_str(), meta->num_processes,
+               util::json_escape(meta->algo).c_str(), meta->num_processes,
                static_cast<unsigned long long>(r.totals.runs));
   }
   out += fmt("  \"verdict\": \"%s\",\n", r.ok() ? "ok" : "violations");
@@ -605,8 +561,8 @@ std::string report_json(const AuditReport& r, const TraceFileMeta* meta) {
     out += fmt("    {\"check\": \"%s\", \"rep\": %d, \"at_s\": %.9f, "
                "\"initiation\": \"%s\", \"detail\": \"%s\"}",
                to_string(v.check), v.rep, secs(v.at),
-               init_label(v.initiation).c_str(),
-               json_escape(v.detail).c_str());
+               initiation_label(v.initiation).c_str(),
+               util::json_escape(v.detail).c_str());
   }
   out += r.violations.empty() ? "],\n" : "\n  ],\n";
   out += "  \"rounds\": [";
@@ -618,7 +574,7 @@ std::string report_json(const AuditReport& r, const TraceFileMeta* meta) {
                "\"total_ms\": %.6f, \"wire_ms\": %.6f, \"retry_ms\": %.6f, "
                "\"buffer_ms\": %.6f, \"participant_ms\": %.6f, "
                "\"initiator_wait_ms\": %.6f, \"hops\": %u}",
-               a.rep, init_label(a.initiation).c_str(), a.initiator,
+               a.rep, initiation_label(a.initiation).c_str(), a.initiator,
                secs(a.started_at), secs(a.committed_at), ms(a.total),
                ms(a.wire), ms(a.retry), ms(a.buffer), ms(a.participant),
                ms(a.initiator_wait), a.hops);

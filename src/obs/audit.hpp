@@ -1,5 +1,5 @@
 // Offline trace-replay auditor: an independent witness for the paper's
-// correctness claims, recomputed from MCKTRC01 records alone.
+// correctness claims, recomputed from trace records alone.
 //
 // Four verdict families (ISSUE 5; see EXPERIMENTS.md "Auditing a run"):
 //   causality    — every delivery matches an earlier send, channels stay

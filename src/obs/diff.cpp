@@ -1,6 +1,7 @@
 #include "obs/diff.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <unordered_set>
@@ -8,46 +9,8 @@
 namespace mck::obs {
 
 // ---------------------------------------------------------------------------
-// Shared record decoding
+// Record formatting
 // ---------------------------------------------------------------------------
-
-const char* decode_msg_kind(std::uint8_t sub) {
-  // Mirrors rt::to_string(rt::MsgKind) — pinned by static_asserts in
-  // tools/mcktrace.cpp and a name-for-name test in tests/diff_test.cpp.
-  static const char* kNames[kDecodeMsgKindCount] = {
-      "computation", "request", "reply", "commit", "abort", "marker",
-      "control"};
-  if (sub >= kDecodeMsgKindCount) return "?";
-  return kNames[sub];
-}
-
-const char* decode_ckpt_kind(std::uint8_t sub) {
-  // Mirrors ckpt::to_string(ckpt::CkptKind) — same pinning as above.
-  static const char* kNames[kDecodeCkptKindCount] = {
-      "initial", "permanent", "tentative", "mutable", "disconnect"};
-  if (sub >= kDecodeCkptKindCount) return "?";
-  return kNames[sub];
-}
-
-namespace {
-
-// InitiationId is (pid, inum) packed high/low (ckpt/store.hpp); decode
-// instead of printing the raw 64-bit value.
-std::string init_name(std::uint64_t id) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "(P%llu,%llu)",
-                (unsigned long long)(id >> 32),
-                (unsigned long long)(id & 0xffffffffull));
-  return buf;
-}
-
-double bits_to_double(std::uint64_t bits) {
-  double d;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
-}
-
-}  // namespace
 
 std::string format_record(const TraceRecord& r) {
   using K = TraceKind;
@@ -82,25 +45,25 @@ std::string format_record(const TraceRecord& r) {
                       (unsigned long long)(msg_stamp_of(r.arg1) - 1));
       }
       std::snprintf(buf, sizeof(buf), "%s id=%llu %s bytes=%llu%s",
-                    decode_msg_kind(r.sub), (unsigned long long)r.arg0, peer,
+                    msg_kind_name(r.sub), (unsigned long long)r.arg0, peer,
                     (unsigned long long)msg_bytes_of(r.arg1), ev);
       break;
     }
     case K::kMsgRetry:
       std::snprintf(buf, sizeof(buf), "%s id=%llu dst=%u retries=%llu "
                     "extra=%.6fs",
-                    decode_msg_kind(r.sub), (unsigned long long)r.arg0, r.aux,
+                    msg_kind_name(r.sub), (unsigned long long)r.arg0, r.aux,
                     (unsigned long long)retry_count_of(r.arg1),
                     sim::to_seconds(retry_extra_of(r.arg1)));
       break;
     case K::kMsgBuffered:
       std::snprintf(buf, sizeof(buf), "%s id=%llu at-mss=%u depth=%llu",
-                    decode_msg_kind(r.sub), (unsigned long long)r.arg0, r.aux,
+                    msg_kind_name(r.sub), (unsigned long long)r.arg0, r.aux,
                     (unsigned long long)r.arg1);
       break;
     case K::kMsgForwarded:
       std::snprintf(buf, sizeof(buf), "%s id=%llu mss=%u->%llu",
-                    decode_msg_kind(r.sub), (unsigned long long)r.arg0, r.aux,
+                    msg_kind_name(r.sub), (unsigned long long)r.arg0, r.aux,
                     (unsigned long long)r.arg1);
       break;
     case K::kHandoff:
@@ -123,44 +86,45 @@ std::string format_record(const TraceRecord& r) {
                     sim::to_seconds(static_cast<sim::SimTime>(r.arg0)));
       break;
     case K::kInitStart:
-      std::snprintf(buf, sizeof(buf), "init=%s", init_name(r.arg0).c_str());
+      std::snprintf(buf, sizeof(buf), "init=%s",
+                    initiation_label(r.arg0).c_str());
       break;
     case K::kRoundCommit:
     case K::kRoundAbort:
       std::snprintf(buf, sizeof(buf), "init=%s latency=%.6fs",
-                    init_name(r.arg0).c_str(),
+                    initiation_label(r.arg0).c_str(),
                     sim::to_seconds(static_cast<sim::SimTime>(r.arg1)));
       break;
     case K::kCkptTaken:
       std::snprintf(buf, sizeof(buf), "%s init=%s ref=%llu csn=%llu",
-                    decode_ckpt_kind(r.sub), init_name(r.arg0).c_str(),
+                    ckpt_kind_name(r.sub), initiation_label(r.arg0).c_str(),
                     (unsigned long long)(r.arg1 >> 32),
                     (unsigned long long)(r.arg1 & 0xffffffffull));
       break;
     case K::kCkptPromoted:
       std::snprintf(buf, sizeof(buf), "%s->tentative init=%s ref=%llu",
-                    decode_ckpt_kind(r.sub), init_name(r.arg0).c_str(),
+                    ckpt_kind_name(r.sub), initiation_label(r.arg0).c_str(),
                     (unsigned long long)r.arg1);
       break;
     case K::kCkptPermanent:
     case K::kCkptDiscarded:
       std::snprintf(buf, sizeof(buf), "%s init=%s ref=%llu",
-                    decode_ckpt_kind(r.sub), init_name(r.arg0).c_str(),
+                    ckpt_kind_name(r.sub), initiation_label(r.arg0).c_str(),
                     (unsigned long long)r.arg1);
       break;
     case K::kWeightSplit:
       std::snprintf(buf, sizeof(buf), "init=%s dst=%u sent-weight=%g",
-                    init_name(r.arg0).c_str(), r.aux,
-                    bits_to_double(r.arg1));
+                    initiation_label(r.arg0).c_str(), r.aux,
+                    std::bit_cast<double>(r.arg1));
       break;
     case K::kWeightReturn:
       std::snprintf(buf, sizeof(buf), "init=%s from=%u acc-weight=%g",
-                    init_name(r.arg0).c_str(), r.aux,
-                    bits_to_double(r.arg1));
+                    initiation_label(r.arg0).c_str(), r.aux,
+                    std::bit_cast<double>(r.arg1));
       break;
     case K::kCkptCursor:
       std::snprintf(buf, sizeof(buf), "%s ref=%llu cursor=%llu",
-                    decode_ckpt_kind(r.sub), (unsigned long long)r.arg0,
+                    ckpt_kind_name(r.sub), (unsigned long long)r.arg0,
                     (unsigned long long)r.arg1);
       break;
     case K::kTruncated:
@@ -403,15 +367,6 @@ TraceDiff diff_traces(const TraceFile& a, const TraceFile& b,
   if (a.meta.algo != b.meta.algo) {
     meta_issue("algorithm differs: " + a.meta.algo + " vs " + b.meta.algo);
   }
-  if (a.version != b.version) {
-    // Informational only: MCKTRC01 vs 02 changes the envelope, not the
-    // records — the record streams are still compared.
-    std::snprintf(buf, sizeof buf,
-                  "format version differs: MCKTRC0%d vs MCKTRC0%d (records "
-                  "still compared)",
-                  a.version, b.version);
-    out.meta_issues.push_back(buf);
-  }
   if (a.runs.size() != b.runs.size()) {
     std::snprintf(buf, sizeof buf, "replication count differs: %zu vs %zu",
                   a.runs.size(), b.runs.size());
@@ -617,7 +572,7 @@ std::optional<TimelineDivergence> diff_timeline_runs(
                 rows < rows_b);
   }
   // Rows agree; the post-quiescence final row is part of the contract too
-  // — but only when both sides carry one: MCKTL01 does not persist it, so
+  // — but only when both sides carry one: MCKTL02 does not persist it, so
   // a file-loaded run legitimately has none.
   if (a.final_row.empty() || b.final_row.empty()) return std::nullopt;
   const std::size_t fin = std::min(a.final_row.size(), b.final_row.size());

@@ -12,10 +12,8 @@
 // predecessors of the diverging record on each side with their decoded
 // fields. Non-diverging chunks are never decoded.
 //
-// The per-kind field decoding mirrors rt::MsgKind / ckpt::CkptKind names
-// as raw-byte tables (obs must not depend on rt/ckpt — it is the
-// independent-witness layer); tools/mcktrace.cpp static_asserts and
-// tests/diff_test.cpp pin the mirrors to the real enums.
+// Records are decoded with the MsgKind / CkptKind name mirrors and the
+// initiation label of obs/trace.hpp.
 #pragma once
 
 #include <cstdint>
@@ -29,17 +27,9 @@
 namespace mck::obs {
 
 // ---------------------------------------------------------------------------
-// Shared record decoding (the one formatter behind `mcktrace dump` and
-// every diff report).
+// Record formatting (the one formatter behind `mcktrace dump` and every
+// diff report).
 // ---------------------------------------------------------------------------
-
-/// Mirrored rt::MsgKind names, indexed by the raw `sub` byte.
-const char* decode_msg_kind(std::uint8_t sub);
-inline constexpr int kDecodeMsgKindCount = 7;  // == rt::kMsgKindCount
-
-/// Mirrored ckpt::CkptKind names, indexed by the raw `sub` byte.
-const char* decode_ckpt_kind(std::uint8_t sub);
-inline constexpr int kDecodeCkptKindCount = 5;  // kInitial..kDisconnect
 
 /// Kind-specific human rendering of the sub/aux/arg fields, following the
 /// per-kind conventions documented in obs/trace.hpp.
@@ -131,7 +121,7 @@ std::string render_divergence(const RunDivergence& d);
 std::string render_trace_diff(const TraceDiff& d);
 
 // ---------------------------------------------------------------------------
-// Timeline (MCKTL01) diff
+// Timeline (MCKTL02) diff
 // ---------------------------------------------------------------------------
 
 /// First diverging cell of a timeline pair, named by the schema.

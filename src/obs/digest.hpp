@@ -10,6 +10,10 @@
 // granularity, so the chunking costs the writer nothing extra) plus a
 // whole-run digest folded over the chunk digests.
 //
+// The digests are also the integrity check: the MCKTRC02 footer that
+// stores them is mandatory (obs/trace_io.hpp), and mckaudit refuses to
+// audit a file whose records do not match them.
+//
 // The digest is a fixed, non-cryptographic 64-bit hash (SplitMix64-style
 // avalanche over 8-byte lanes). It is part of the MCKTRC02 on-disk format
 // and must never change without a format-version bump: two builds of any
@@ -36,7 +40,7 @@ std::uint64_t digest_bytes(const void* data, std::size_t n,
 /// The digests of one run: one 64-bit word per kDigestChunkRecords
 /// records (the last chunk may be short) and a whole-run digest folded
 /// over the chunk digests + record count. Empty (no chunks, run == 0)
-/// means "not computed" — e.g. a file read from the MCKTRC01 format.
+/// means "not computed yet"; every run read from a file carries them.
 struct RunDigests {
   std::uint64_t run = 0;
   std::vector<std::uint64_t> chunks;

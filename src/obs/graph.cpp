@@ -9,10 +9,6 @@ namespace mck::obs {
 
 namespace {
 
-// rt::MsgKind::kComputation, mirrored as a raw byte (the trace stores the
-// discriminator raw; rt/message.hpp pins kComputation == 0).
-constexpr std::uint8_t kMsgComputation = 0;
-
 struct SendInfo {
   std::int32_t src = -1;
   std::uint16_t dst = 0;  // kBroadcastDst for broadcasts
@@ -72,7 +68,7 @@ CausalGraph build_graph(const std::vector<TraceRecord>& records,
           issue(r.at, r.arg0, "duplicate send record for one message id");
         } else {
           ++g.sends;
-          const bool comp = r.sub == kMsgComputation;
+          const bool comp = r.sub == kRawMsgComputation;
           if (r.aux == kBroadcastDst) {
             for (std::int32_t p = 0; p < num_processes; ++p) {
               if (p == r.pid) continue;
@@ -120,7 +116,7 @@ CausalGraph build_graph(const std::vector<TraceRecord>& records,
           issue(r.at, r.arg0, "unicast message delivered to a third party");
         }
 
-        const bool comp = r.sub == kMsgComputation;
+        const bool comp = r.sub == kRawMsgComputation;
         auto ch = channels.find(channel_key(si.src, r.pid, comp));
         bool on_channel = false;
         if (ch != channels.end()) {

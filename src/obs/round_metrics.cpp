@@ -4,16 +4,6 @@
 
 namespace mck::obs {
 
-namespace {
-
-// CkptKind values, mirrored to avoid an obs -> ckpt dependency (the trace
-// stores the discriminator as a raw byte; ckpt/store.hpp static_asserts
-// the mirror stays in sync).
-constexpr std::uint8_t kCkptTentative = 2;
-constexpr std::uint8_t kCkptMutable = 3;
-
-}  // namespace
-
 void accumulate(TraceSummary& s, const std::vector<TraceRecord>& records) {
   for (const TraceRecord& r : records) {
     ++s.total;
@@ -32,7 +22,7 @@ void accumulate(TraceSummary& s, const std::vector<TraceRecord>& records) {
       case TraceKind::kRoundAbort: ++s.rounds_aborted; break;
       case TraceKind::kCkptPromoted: ++s.promoted; break;
       case TraceKind::kCkptDiscarded:
-        if (r.sub == kCkptMutable) ++s.discarded_mutable;
+        if (r.sub == kRawCkptMutable) ++s.discarded_mutable;
         break;
       case TraceKind::kCkptPermanent: ++s.permanent; break;
       case TraceKind::kUnblock: {
@@ -86,11 +76,11 @@ std::vector<RoundMetrics> derive_rounds(
       case TraceKind::kCkptTaken: {
         if (r.arg0 == 0) break;  // local decision, not part of a round
         RoundMetrics& m = round_of(r.arg0);
-        if (r.sub == kCkptTentative) {
+        if (r.sub == kRawCkptTentative) {
           ++m.tentative;
           if (m.first_tentative_at < 0) m.first_tentative_at = r.at;
           m.last_tentative_at = r.at;
-        } else if (r.sub == kCkptMutable) {
+        } else if (r.sub == kRawCkptMutable) {
           ++m.mutables;
         }
         break;
@@ -106,7 +96,9 @@ std::vector<RoundMetrics> derive_rounds(
         break;
       }
       case TraceKind::kCkptDiscarded:
-        if (r.arg0 != 0 && r.sub == kCkptMutable) ++round_of(r.arg0).discarded;
+        if (r.arg0 != 0 && r.sub == kRawCkptMutable) {
+          ++round_of(r.arg0).discarded;
+        }
         break;
       case TraceKind::kRoundCommit:
         round_of(r.arg0).committed_at = r.at;
@@ -150,8 +142,9 @@ Registry build_registry(const TraceSummary& s,
   reg.counter("rounds.started").inc(s.rounds_started);
   reg.counter("rounds.committed").inc(s.rounds_committed);
   reg.counter("rounds.aborted").inc(s.rounds_aborted);
-  reg.counter("ckpt.tentative").inc(s.ckpt_taken_by_kind[kCkptTentative]);
-  reg.counter("ckpt.mutable").inc(s.ckpt_taken_by_kind[kCkptMutable]);
+  reg.counter("ckpt.tentative")
+      .inc(s.ckpt_taken_by_kind[kRawCkptTentative]);
+  reg.counter("ckpt.mutable").inc(s.ckpt_taken_by_kind[kRawCkptMutable]);
   reg.counter("ckpt.promoted").inc(s.promoted);
   reg.counter("ckpt.useless_mutable").inc(s.discarded_mutable);
   reg.counter("ckpt.permanent").inc(s.permanent);

@@ -2,7 +2,8 @@
 
 #include <cstdio>
 #include <cstring>
-#include <memory>
+
+#include "obs/file_io.hpp"
 
 namespace mck::obs {
 
@@ -13,34 +14,34 @@ namespace mck::obs {
 namespace {
 
 constexpr TimelineColumn kColumns[kTimelineNumColumns] = {
-    {"time_ns", TimelineValue::kU64, TimelineMerge::kTime},
-    {"events_executed", TimelineValue::kU64, TimelineMerge::kSum},
-    {"queue_depth", TimelineValue::kU64, TimelineMerge::kSum},
-    {"event_slots", TimelineValue::kU64, TimelineMerge::kSum},
-    {"arena_bytes", TimelineValue::kU64, TimelineMerge::kSum},
-    {"arena_reserved", TimelineValue::kU64, TimelineMerge::kSum},
-    {"in_flight", TimelineValue::kI64, TimelineMerge::kSum},
-    {"buffered_now", TimelineValue::kI64, TimelineMerge::kSum},
-    {"blocked_procs", TimelineValue::kI64, TimelineMerge::kSum},
-    {"active_inits", TimelineValue::kI64, TimelineMerge::kSum},
-    {"outstanding_weight", TimelineValue::kF64, TimelineMerge::kSumF64},
-    {"ckpt_mutable", TimelineValue::kI64, TimelineMerge::kSum},
-    {"ckpt_tentative", TimelineValue::kI64, TimelineMerge::kSum},
-    {"ckpt_permanent", TimelineValue::kI64, TimelineMerge::kSum},
-    {"ckpt_disconnect", TimelineValue::kI64, TimelineMerge::kSum},
-    {"disconnected_mhs", TimelineValue::kI64, TimelineMerge::kSum},
-    {"mss_buf_min", TimelineValue::kU64, TimelineMerge::kMssMin},
-    {"mss_buf_max", TimelineValue::kU64, TimelineMerge::kMssMax},
-    {"mss_buf_sum", TimelineValue::kU64, TimelineMerge::kSum},
-    {"mss_count", TimelineValue::kU64, TimelineMerge::kSum},
-    {"msgs_sent", TimelineValue::kU64, TimelineMerge::kSum},
-    {"deliveries", TimelineValue::kU64, TimelineMerge::kSum},
-    {"bytes_comp", TimelineValue::kU64, TimelineMerge::kSum},
-    {"bytes_sys", TimelineValue::kU64, TimelineMerge::kSum},
-    {"wire_bytes_comp", TimelineValue::kU64, TimelineMerge::kSum},
-    {"wire_bytes_sys", TimelineValue::kU64, TimelineMerge::kSum},
-    {"buffered_total", TimelineValue::kU64, TimelineMerge::kSum},
-    {"forwarded_total", TimelineValue::kU64, TimelineMerge::kSum},
+    {"time_ns", TimelineValue::kU64},
+    {"events_executed", TimelineValue::kU64},
+    {"queue_depth", TimelineValue::kU64},
+    {"event_slots", TimelineValue::kU64},
+    {"arena_bytes", TimelineValue::kU64},
+    {"arena_reserved", TimelineValue::kU64},
+    {"in_flight", TimelineValue::kI64},
+    {"buffered_now", TimelineValue::kI64},
+    {"blocked_procs", TimelineValue::kI64},
+    {"active_inits", TimelineValue::kI64},
+    {"outstanding_weight", TimelineValue::kF64},
+    {"ckpt_mutable", TimelineValue::kI64},
+    {"ckpt_tentative", TimelineValue::kI64},
+    {"ckpt_permanent", TimelineValue::kI64},
+    {"ckpt_disconnect", TimelineValue::kI64},
+    {"disconnected_mhs", TimelineValue::kI64},
+    {"mss_buf_min", TimelineValue::kU64},
+    {"mss_buf_max", TimelineValue::kU64},
+    {"mss_buf_sum", TimelineValue::kU64},
+    {"mss_count", TimelineValue::kU64},
+    {"msgs_sent", TimelineValue::kU64},
+    {"deliveries", TimelineValue::kU64},
+    {"bytes_comp", TimelineValue::kU64},
+    {"bytes_sys", TimelineValue::kU64},
+    {"wire_bytes_comp", TimelineValue::kU64},
+    {"wire_bytes_sys", TimelineValue::kU64},
+    {"buffered_total", TimelineValue::kU64},
+    {"forwarded_total", TimelineValue::kU64},
 };
 
 }  // namespace
@@ -51,7 +52,7 @@ std::vector<TimelineColumnMeta> builtin_timeline_schema() {
   std::vector<TimelineColumnMeta> out;
   out.reserve(kTimelineNumColumns);
   for (const TimelineColumn& c : kColumns) {
-    out.push_back(TimelineColumnMeta{c.name, c.value, c.merge});
+    out.push_back(TimelineColumnMeta{c.name, c.value});
   }
   return out;
 }
@@ -88,10 +89,11 @@ void TimelineSampler::fill_row(std::uint64_t* row, sim::SimTime at,
   row[kColBlockedProcs] = timeline_bits_i64(c.blocked);
   row[kColActiveInits] = timeline_bits_i64(c.active_inits);
   row[kColOutstandingWeight] = timeline_bits_f64(c.outstanding_weight);
-  row[kColCkptMutable] = timeline_bits_i64(c.ckpt_live[3]);
-  row[kColCkptTentative] = timeline_bits_i64(c.ckpt_live[2]);
-  row[kColCkptPermanent] = timeline_bits_i64(c.ckpt_live[1]);
-  row[kColCkptDisconnect] = timeline_bits_i64(c.ckpt_live[4]);
+  row[kColCkptMutable] = timeline_bits_i64(c.ckpt_live[kRawCkptMutable]);
+  row[kColCkptTentative] = timeline_bits_i64(c.ckpt_live[kRawCkptTentative]);
+  row[kColCkptPermanent] = timeline_bits_i64(c.ckpt_live[kRawCkptPermanent]);
+  row[kColCkptDisconnect] =
+      timeline_bits_i64(c.ckpt_live[kRawCkptDisconnect]);
   row[kColDisconnectedMhs] = timeline_bits_i64(c.disconnected);
   std::uint64_t mn = 0, mx = 0, sum = 0;
   if (!c.mss_depth.empty()) {
@@ -143,63 +145,31 @@ TimelineRun TimelineSampler::take_run(std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// MCKTL01 I/O (same framing discipline as trace_io.cpp)
+// MCKTL02 I/O
 // ---------------------------------------------------------------------------
 
 namespace {
 
-constexpr char kTlMagic[8] = {'M', 'C', 'K', 'T', 'L', '0', '1', '\0'};
+using io::read_all;
+using io::read_pod;
+using io::set_error;
+using io::write_all;
+using io::write_pod;
+
 constexpr char kTlRunMagic[4] = {'T', 'L', 'R', '.'};
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-void set_error(std::string* error, const std::string& msg) {
-  if (error != nullptr) *error = msg;
-}
-
-bool write_all(std::FILE* f, const void* p, std::size_t n) {
-  return n == 0 || std::fwrite(p, 1, n, f) == n;
-}
-
-bool read_all(std::FILE* f, void* p, std::size_t n) {
-  return n == 0 || std::fread(p, 1, n, f) == n;
-}
-
-template <typename T>
-bool write_pod(std::FILE* f, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  return write_all(f, &v, sizeof v);
-}
-
-template <typename T>
-bool read_pod(std::FILE* f, T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  return read_all(f, &v, sizeof v);
-}
 
 }  // namespace
 
 bool write_timeline_file(const std::string& path, const TimelineFileMeta& meta,
                          const std::vector<TimelineRun>& runs,
                          std::string* err) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) {
-    set_error(err, "cannot open " + path + " for writing");
-    return false;
-  }
-  bool ok = write_all(f.get(), kTlMagic, sizeof kTlMagic);
-  ok = ok && write_pod(f.get(), static_cast<std::uint32_t>(meta.num_processes));
-  ok = ok && write_pod(f.get(), static_cast<std::uint32_t>(meta.algo.size()));
-  ok = ok && write_all(f.get(), meta.algo.data(), meta.algo.size());
+  io::FilePtr f = io::open_file(path, "wb", err);
+  if (!f) return false;
+  bool ok = io::write_header(f.get(), kTimelineFileMagic, meta.num_processes,
+                             meta.algo);
   ok = ok && write_pod(f.get(), static_cast<std::uint32_t>(meta.columns.size()));
   for (const TimelineColumnMeta& c : meta.columns) {
     ok = ok && write_pod(f.get(), static_cast<std::uint8_t>(c.value));
-    ok = ok && write_pod(f.get(), static_cast<std::uint8_t>(c.merge));
     ok = ok && write_pod(f.get(), static_cast<std::uint16_t>(c.name.size()));
     ok = ok && write_all(f.get(), c.name.data(), c.name.size());
   }
@@ -214,55 +184,33 @@ bool write_timeline_file(const std::string& path, const TimelineFileMeta& meta,
     ok = ok && write_all(f.get(), run.data.data(),
                          row_count * cols * sizeof(std::uint64_t));
   }
-  if (!ok) {
-    set_error(err, "short write to " + path);
-    return false;
-  }
-  if (std::fflush(f.get()) != 0) {
-    set_error(err, "flush failed for " + path);
-    return false;
-  }
-  return true;
+  return io::finish_write(f.get(), ok, path, err);
 }
 
 std::optional<TimelineFile> read_timeline_file(const std::string& path,
                                                std::string* err) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) {
-    set_error(err, "cannot open " + path);
-    return std::nullopt;
-  }
-  char magic[8];
-  if (!read_all(f.get(), magic, sizeof magic) ||
-      std::memcmp(magic, kTlMagic, sizeof kTlMagic) != 0) {
-    set_error(err, path + ": not a mck timeline file (bad magic)");
-    return std::nullopt;
-  }
+  io::FilePtr f = io::open_file(path, "rb", err);
+  if (!f) return std::nullopt;
   TimelineFile out;
-  std::uint32_t n = 0, algo_len = 0, num_cols = 0;
-  if (!read_pod(f.get(), n) || !read_pod(f.get(), algo_len) ||
-      algo_len > 4096) {
-    set_error(err, path + ": corrupt header");
+  if (!io::read_header(f.get(), kTimelineFileMagic, path, "timeline",
+                       out.meta.num_processes, out.meta.algo, err)) {
     return std::nullopt;
   }
-  out.meta.num_processes = static_cast<int>(n);
-  out.meta.algo.resize(algo_len);
-  if (!read_all(f.get(), out.meta.algo.data(), algo_len) ||
-      !read_pod(f.get(), num_cols) || num_cols == 0 || num_cols > 1024) {
+  std::uint32_t num_cols = 0;
+  if (!read_pod(f.get(), num_cols) || num_cols == 0 || num_cols > 1024) {
     set_error(err, path + ": corrupt schema block");
     return std::nullopt;
   }
   out.meta.columns.resize(num_cols);
   for (TimelineColumnMeta& c : out.meta.columns) {
-    std::uint8_t value = 0, merge = 0;
+    std::uint8_t value = 0;
     std::uint16_t name_len = 0;
-    if (!read_pod(f.get(), value) || !read_pod(f.get(), merge) ||
-        !read_pod(f.get(), name_len) || name_len > 256) {
+    if (!read_pod(f.get(), value) || !read_pod(f.get(), name_len) ||
+        name_len > 256) {
       set_error(err, path + ": corrupt column descriptor");
       return std::nullopt;
     }
     c.value = static_cast<TimelineValue>(value);
-    c.merge = static_cast<TimelineMerge>(merge);
     c.name.resize(name_len);
     if (!read_all(f.get(), c.name.data(), name_len)) {
       set_error(err, path + ": truncated column name");

@@ -20,10 +20,15 @@
 // scheduled sampling events exist that could perturb event ordering or
 // goldens.
 //
-// File format MCKTL01: versioned header + self-describing schema block
-// (per-column value type, merge op, name), then per-replication row
-// blocks. Readers consume the schema, so columns can grow in later
-// versions without breaking old tools.
+// File format MCKTL02 (little-endian):
+//   file header:  magic "MCKTL02\0" (8 B), u32 num_processes,
+//                 u32 algo name length + name bytes (obs/file_io.hpp)
+//   schema:       u32 column count, then per column: u8 TimelineValue,
+//                 u16 name length + name bytes
+//   per run:      magic "TLR." (4 B), u32 rep, u64 seed, u64 interval_ns,
+//                 u64 row count, row count * columns * u64 cells
+// Readers consume the schema, so columns can be appended without breaking
+// tools. Any other magic, including the version-1 layout's, is rejected.
 #pragma once
 
 #include <bit>
@@ -32,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "sim/time.hpp"
 
 namespace mck::obs {
@@ -47,20 +53,9 @@ enum class TimelineValue : std::uint8_t {
   kF64 = 2,  // IEEE double stored by bit pattern
 };
 
-/// How cells of one column combine across partial rows. Recorded per
-/// column in the MCKTL01 schema block; part of the file format.
-enum class TimelineMerge : std::uint8_t {
-  kTime = 0,     // recomputed as k * interval, never summed
-  kSum = 1,      // u64/i64 wraparound addition
-  kSumF64 = 2,   // double addition
-  kMssMin = 3,   // min over parts that own at least one MSS
-  kMssMax = 4,   // max over parts that own at least one MSS
-};
-
 struct TimelineColumn {
   const char* name;
   TimelineValue value;
-  TimelineMerge merge;
 };
 
 // Column indices. The order is the wire order; append-only across format
@@ -115,7 +110,8 @@ struct TimelineCounters {
   std::int64_t blocked = 0;        // protocol: block()/unblock()
   std::int64_t active_inits = 0;   // tracker: open rounds
   double outstanding_weight = 0;   // cao-singhal: weight in flight
-  std::int64_t ckpt_live[5] = {};  // store: by CkptKind (0 = initial unused)
+  // store: by CkptKind (kRawCkptInitial unused)
+  std::int64_t ckpt_live[kRawCkptKindCount] = {};
   std::int64_t disconnected = 0;   // cellular: MHs currently disconnected
   // Per-MSS buffer depths, indexed by MssId. LAN: empty.
   std::vector<std::int64_t> mss_depth;
@@ -132,7 +128,7 @@ struct TimelineRun {
   // Row-major cells, kTimelineNumColumns per row.
   std::vector<std::uint64_t> data;
   // Post-quiescence state of every column (time cell unused). Held in
-  // memory only: MCKTL01 does not persist it.
+  // memory only: MCKTL02 does not persist it.
   std::vector<std::uint64_t> final_row;
 
   std::size_t rows() const { return data.size() / kTimelineNumColumns; }
@@ -217,13 +213,16 @@ class TimelineSampler {
 };
 
 // ---------------------------------------------------------------------------
-// MCKTL01 file I/O
+// MCKTL02 file I/O
 // ---------------------------------------------------------------------------
+
+/// The file magic, "MCKTL02\0".
+inline constexpr char kTimelineFileMagic[8] = {'M', 'C', 'K', 'T',
+                                               'L', '0', '2', '\0'};
 
 struct TimelineColumnMeta {
   std::string name;
   TimelineValue value = TimelineValue::kU64;
-  TimelineMerge merge = TimelineMerge::kSum;
 };
 
 struct TimelineFileMeta {
@@ -240,13 +239,13 @@ struct TimelineFile {
 /// Built-in schema as file metadata (the writer's column block).
 std::vector<TimelineColumnMeta> builtin_timeline_schema();
 
-/// Writes `runs` to `path` in MCKTL01 format. Returns false and sets
+/// Writes `runs` to `path` in MCKTL02 format. Returns false and sets
 /// *err on I/O failure.
 bool write_timeline_file(const std::string& path, const TimelineFileMeta& meta,
                          const std::vector<TimelineRun>& runs,
                          std::string* err);
 
-/// Reads an MCKTL01 file; nullopt + *err on malformed input (bad magic,
+/// Reads an MCKTL02 file; nullopt + *err on malformed input (bad magic,
 /// truncated header, implausible counts).
 std::optional<TimelineFile> read_timeline_file(const std::string& path,
                                                std::string* err);

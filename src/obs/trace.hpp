@@ -16,13 +16,18 @@
 //
 // This header is intentionally dependency-light (sim/time.hpp and
 // util/types.hpp only, both header-only) so the simulator and the
-// checkpoint substrate can include it without a library cycle; file I/O
-// and derived metrics live in the mck_obs library (trace_io.hpp,
+// checkpoint substrate can include it without a library cycle. It also
+// holds the record conventions every reader shares: the raw-byte mirrors
+// of the MsgKind/CkptKind `sub` discriminators and their names, and the
+// initiation label. File I/O, the record formatter (format_record) and
+// derived metrics live in the mck_obs library (trace_io.hpp, diff.hpp,
 // round_metrics.hpp).
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -33,7 +38,7 @@ namespace mck::obs {
 
 /// Every instrumentation point in the tree. The `sub`/`aux`/`arg` fields
 /// of a TraceRecord are kind-specific; the conventions are documented per
-/// enumerator and implemented once in mcktrace's dump formatter.
+/// enumerator and rendered by obs::format_record (diff.hpp).
 enum class TraceKind : std::uint8_t {
   // ---- simulator -----------------------------------------------------
   kEventFire = 0,   // pid=-1  arg0=seq  arg1=slot
@@ -121,6 +126,59 @@ inline const char* to_string(TraceKind k) {
     case TraceKind::kCount: break;
   }
   return "?";
+}
+
+// ---- sub-byte discriminators -----------------------------------------
+// Records store rt::MsgKind and ckpt::CkptKind as raw `sub` bytes. obs is
+// the independent-witness layer and links neither rt nor ckpt, so it
+// mirrors both enums here; rt/message.hpp and ckpt/store.hpp
+// static_assert every value against the real enum.
+
+/// rt::MsgKind as stored in `sub`.
+enum RawMsgKind : std::uint8_t {
+  kRawMsgComputation = 0,
+  kRawMsgRequest,
+  kRawMsgReply,
+  kRawMsgCommit,
+  kRawMsgAbort,
+  kRawMsgMarker,
+  kRawMsgControl,
+  kRawMsgKindCount
+};
+
+/// ckpt::CkptKind as stored in `sub`.
+enum RawCkptKind : std::uint8_t {
+  kRawCkptInitial = 0,
+  kRawCkptPermanent,
+  kRawCkptTentative,
+  kRawCkptMutable,
+  kRawCkptDisconnect,
+  kRawCkptKindCount
+};
+
+/// rt::to_string(MsgKind) of a raw `sub` byte; "?" out of range.
+inline const char* msg_kind_name(std::uint8_t sub) {
+  static constexpr const char* kNames[kRawMsgKindCount] = {
+      "computation", "request", "reply", "commit", "abort", "marker",
+      "control"};
+  return sub < kRawMsgKindCount ? kNames[sub] : "?";
+}
+
+/// ckpt::to_string(CkptKind) of a raw `sub` byte; "?" out of range.
+inline const char* ckpt_kind_name(std::uint8_t sub) {
+  static constexpr const char* kNames[kRawCkptKindCount] = {
+      "initial", "permanent", "tentative", "mutable", "disconnect"};
+  return sub < kRawCkptKindCount ? kNames[sub] : "?";
+}
+
+/// "(P<pid>,<inum>)" for an initiation id, which packs the paper's
+/// trigger (pid, inum) high/low (ckpt::make_initiation_id).
+inline std::string initiation_label(std::uint64_t id) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "(P%u,%u)",
+                static_cast<unsigned>(id >> 32),
+                static_cast<unsigned>(id & 0xffffffffu));
+  return buf;
 }
 
 // ---- arg1 packing for the audit stamps -------------------------------

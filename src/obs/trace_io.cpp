@@ -2,14 +2,19 @@
 
 #include <cstdio>
 #include <cstring>
-#include <memory>
+
+#include "obs/file_io.hpp"
 
 namespace mck::obs {
 
 namespace {
 
-constexpr char kFileMagicV1[8] = {'M', 'C', 'K', 'T', 'R', 'C', '0', '1'};
-constexpr char kFileMagicV2[8] = {'M', 'C', 'K', 'T', 'R', 'C', '0', '2'};
+using io::read_all;
+using io::read_pod;
+using io::set_error;
+using io::write_all;
+using io::write_pod;
+
 constexpr char kRunMagic[4] = {'R', 'U', 'N', '.'};
 constexpr char kDigMagic[4] = {'D', 'I', 'G', '.'};
 
@@ -17,37 +22,6 @@ constexpr char kDigMagic[4] = {'D', 'I', 'G', '.'};
 // themselves, so a bit flip inside the index is detected as "corrupt
 // footer" instead of silently mislocating divergences).
 constexpr std::uint64_t kFooterSeed = 0x666f6f746572ull;  // "footer"
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-void set_error(std::string* error, const std::string& msg) {
-  if (error != nullptr) *error = msg;
-}
-
-bool write_all(std::FILE* f, const void* p, std::size_t n) {
-  return n == 0 || std::fwrite(p, 1, n, f) == n;
-}
-
-bool read_all(std::FILE* f, void* p, std::size_t n) {
-  return n == 0 || std::fread(p, 1, n, f) == n;
-}
-
-template <typename T>
-bool write_pod(std::FILE* f, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  return write_all(f, &v, sizeof v);
-}
-
-template <typename T>
-bool read_pod(std::FILE* f, T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  return read_all(f, &v, sizeof v);
-}
 
 // Appends a POD's raw bytes to the footer image (the footer is built in
 // memory so its self-digest can cover exactly the bytes written).
@@ -61,19 +35,11 @@ void append_pod(std::vector<unsigned char>& buf, const T& v) {
 }  // namespace
 
 bool write_trace_file(const std::string& path, const TraceFileMeta& meta,
-                      const std::vector<TraceRun>& runs, std::string* error,
-                      TraceFormat format) {
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) {
-    set_error(error, "cannot open " + path + " for writing");
-    return false;
-  }
-  const bool v2 = format == TraceFormat::kV2;
-  bool ok = write_all(f.get(), v2 ? kFileMagicV2 : kFileMagicV1,
-                      sizeof kFileMagicV2);
-  ok = ok && write_pod(f.get(), static_cast<std::uint32_t>(meta.num_processes));
-  ok = ok && write_pod(f.get(), static_cast<std::uint32_t>(meta.algo.size()));
-  ok = ok && write_all(f.get(), meta.algo.data(), meta.algo.size());
+                      const std::vector<TraceRun>& runs, std::string* error) {
+  io::FilePtr f = io::open_file(path, "wb", error);
+  if (!f) return false;
+  bool ok = io::write_header(f.get(), kTraceFileMagic, meta.num_processes,
+                             meta.algo);
   for (const TraceRun& run : runs) {
     ok = ok && write_all(f.get(), kRunMagic, sizeof kRunMagic);
     ok = ok && write_pod(f.get(), static_cast<std::uint32_t>(run.rep));
@@ -83,7 +49,7 @@ bool write_trace_file(const std::string& path, const TraceFileMeta& meta,
     ok = ok && write_all(f.get(), run.records.data(),
                          run.records.size() * sizeof(TraceRecord));
   }
-  if (ok && v2) {
+  if (ok) {
     // Footer image built in memory (a few KB even for 1M-record runs —
     // one u64 per 4096 records) so the trailing self-digest covers it.
     std::vector<unsigned char> footer;
@@ -108,48 +74,16 @@ bool write_trace_file(const std::string& path, const TraceFileMeta& meta,
     ok = ok && write_all(f.get(), footer.data(), footer.size());
     ok = ok && write_pod(f.get(), self);
   }
-  if (!ok) {
-    set_error(error, "short write to " + path);
-    return false;
-  }
-  if (std::fflush(f.get()) != 0) {
-    set_error(error, "flush failed for " + path);
-    return false;
-  }
-  return true;
+  return io::finish_write(f.get(), ok, path, error);
 }
 
 std::optional<TraceFile> read_trace_file(const std::string& path,
                                          std::string* error) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) {
-    set_error(error, "cannot open " + path);
-    return std::nullopt;
-  }
-  char magic[8];
-  if (!read_all(f.get(), magic, sizeof magic)) {
-    set_error(error, path + ": not a mck trace file (bad magic)");
-    return std::nullopt;
-  }
+  io::FilePtr f = io::open_file(path, "rb", error);
+  if (!f) return std::nullopt;
   TraceFile out;
-  if (std::memcmp(magic, kFileMagicV2, sizeof kFileMagicV2) == 0) {
-    out.version = 2;
-  } else if (std::memcmp(magic, kFileMagicV1, sizeof kFileMagicV1) == 0) {
-    out.version = 1;
-  } else {
-    set_error(error, path + ": not a mck trace file (bad magic)");
-    return std::nullopt;
-  }
-  std::uint32_t n = 0, algo_len = 0;
-  if (!read_pod(f.get(), n) || !read_pod(f.get(), algo_len) ||
-      algo_len > 4096) {
-    set_error(error, path + ": corrupt header");
-    return std::nullopt;
-  }
-  out.meta.num_processes = static_cast<int>(n);
-  out.meta.algo.resize(algo_len);
-  if (!read_all(f.get(), out.meta.algo.data(), algo_len)) {
-    set_error(error, path + ": truncated header");
+  if (!io::read_header(f.get(), kTraceFileMagic, path, "trace",
+                       out.meta.num_processes, out.meta.algo, error)) {
     return std::nullopt;
   }
   bool saw_footer = false;
@@ -162,7 +96,7 @@ std::optional<TraceFile> read_trace_file(const std::string& path,
       return std::nullopt;
     }
     if (std::memcmp(sect_magic, kDigMagic, sizeof kDigMagic) == 0) {
-      if (out.version < 2 || saw_footer) {
+      if (saw_footer) {
         set_error(error, path + ": unexpected digest footer");
         return std::nullopt;
       }
@@ -238,7 +172,7 @@ std::optional<TraceFile> read_trace_file(const std::string& path,
     }
     out.runs.push_back(std::move(run));
   }
-  if (out.version >= 2 && !saw_footer) {
+  if (!saw_footer) {
     set_error(error, path + ": MCKTRC02 file is missing its digest footer");
     return std::nullopt;
   }
@@ -248,7 +182,6 @@ std::optional<TraceFile> read_trace_file(const std::string& path,
 std::vector<DigestMismatch> verify_trace_digests(const TraceFile& file) {
   std::vector<DigestMismatch> out;
   for (const TraceRun& run : file.runs) {
-    if (!run.digests.present()) continue;
     const std::uint64_t chunks = digest_chunk_count(run.records.size());
     for (std::uint64_t c = 0; c < chunks && c < run.digests.chunks.size();
          ++c) {

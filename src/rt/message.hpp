@@ -8,6 +8,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "sim/time.hpp"
 #include "util/types.hpp"
 
@@ -25,6 +26,19 @@ enum class MsgKind : std::uint8_t {
 
 /// Number of MsgKind enumerators; sizes every per-kind counter array.
 inline constexpr int kMsgKindCount = static_cast<int>(MsgKind::kControl) + 1;
+
+// Trace records carry MsgKind as a raw `sub` byte; obs/trace.hpp mirrors
+// it (obs must not depend on rt).
+static_assert(static_cast<int>(MsgKind::kComputation) ==
+                      obs::kRawMsgComputation &&
+                  static_cast<int>(MsgKind::kRequest) == obs::kRawMsgRequest &&
+                  static_cast<int>(MsgKind::kReply) == obs::kRawMsgReply &&
+                  static_cast<int>(MsgKind::kCommit) == obs::kRawMsgCommit &&
+                  static_cast<int>(MsgKind::kAbort) == obs::kRawMsgAbort &&
+                  static_cast<int>(MsgKind::kMarker) == obs::kRawMsgMarker &&
+                  static_cast<int>(MsgKind::kControl) == obs::kRawMsgControl &&
+                  kMsgKindCount == obs::kRawMsgKindCount,
+              "update the MsgKind mirror in obs/trace.hpp");
 
 inline const char* to_string(MsgKind k) {
   switch (k) {

@@ -122,9 +122,7 @@ TEST(CaoSinghal, ConcurrentInitiationProducesSecondMutable) {
   // Fig. 3's C1,2: while P2's checkpointing runs, P0 independently
   // initiates and sends a computation message; the receiver takes a
   // second mutable checkpoint, discarded at P0's commit.
-  core::CaoSinghalOptions cs;
-  cs.allow_concurrent = true;
-  System sys(lan_options(5, cs));
+  System sys(lan_options(5));
   run_script(sys, {
       {sim::milliseconds(10), K::kSend, 3, 2},
       {sim::milliseconds(20), K::kSend, 4, 1},    // sent_4 = 1

@@ -21,7 +21,6 @@ SystemOptions concurrent_options(int n) {
   SystemOptions opts;
   opts.num_processes = n;
   opts.algorithm = Algorithm::kCaoSinghal;
-  opts.cs.allow_concurrent = true;
   return opts;
 }
 

@@ -4,8 +4,8 @@
 //    restores bit-for-bit; verify_trace_digests passes on honest files
 //    and names the corrupt chunk on tampered ones; a tampered footer
 //    rejects the whole file.
-//  * backward compat — MCKTRC01 files still read cleanly (no digests)
-//    and diff as identical against their MCKTRC02 siblings.
+//  * format version — a digest-less version-1 trace is rejected as bad
+//    magic, so digest verification can never pass vacuously.
 //  * fuzzed localization — for every algorithm, every single-record
 //    mutation (bit-flip, drop, insert, swap-adjacent, truncate) is
 //    localized by diff_traces to the exact (rep, record index) with the
@@ -179,7 +179,6 @@ TEST(DigestIo, V2RoundTripRestoresDigests) {
   ASSERT_TRUE(obs::write_trace_file(path, f.meta, f.runs, &err)) << err;
   std::optional<obs::TraceFile> back = obs::read_trace_file(path, &err);
   ASSERT_TRUE(back) << err;
-  EXPECT_EQ(back->version, 2);
   ASSERT_EQ(back->runs.size(), f.runs.size());
   for (std::size_t i = 0; i < f.runs.size(); ++i) {
     EXPECT_EQ(back->runs[i].digests.run, f.runs[i].digests.run);
@@ -269,38 +268,33 @@ TEST(DigestIo, TruncatedFooterRejectsFile) {
 }
 
 // ---------------------------------------------------------------------------
-// MCKTRC01 backward compatibility
+// Format version
 // ---------------------------------------------------------------------------
 
-TEST(TraceCompat, V1FilesStillReadAndDiffCleanly) {
-  obs::TraceFile f = make_trace(harness::Algorithm::kChandyLamport, 1);
-  const std::string v1 = temp_path("compat_v1.trc");
-  const std::string v2 = temp_path("compat_v2.trc");
+TEST(TraceVersion, RejectsMCKTRC01Header) {
+  // The version-1 layout: the same header and RUN. sections, no footer.
+  const std::string path = temp_path("v1.trc");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const char algo[] = "cao-singhal";
+  const std::uint32_t n = 4, algo_len = sizeof algo - 1, rep = 0;
+  const std::uint64_t seed = 1, count = 1;
+  const obs::TraceRecord rec{};
+  std::fwrite("MCKTRC01", 1, 8, f);
+  std::fwrite(&n, sizeof n, 1, f);
+  std::fwrite(&algo_len, sizeof algo_len, 1, f);
+  std::fwrite(algo, 1, algo_len, f);
+  std::fwrite("RUN.", 1, 4, f);
+  std::fwrite(&rep, sizeof rep, 1, f);
+  std::fwrite(&seed, sizeof seed, 1, f);
+  std::fwrite(&count, sizeof count, 1, f);
+  std::fwrite(&rec, sizeof rec, 1, f);
+  std::fclose(f);
+
   std::string err;
-  ASSERT_TRUE(obs::write_trace_file(v1, f.meta, f.runs, &err,
-                                    obs::TraceFormat::kV1))
-      << err;
-  ASSERT_TRUE(obs::write_trace_file(v2, f.meta, f.runs, &err)) << err;
-
-  std::optional<obs::TraceFile> a = obs::read_trace_file(v1, &err);
-  ASSERT_TRUE(a) << err;
-  EXPECT_EQ(a->version, 1);
-  EXPECT_FALSE(a->runs[0].digests.present());
-  EXPECT_TRUE(obs::verify_trace_digests(*a).empty());  // vacuous
-
-  std::optional<obs::TraceFile> b = obs::read_trace_file(v2, &err);
-  ASSERT_TRUE(b) << err;
-  EXPECT_EQ(b->version, 2);
-
-  // Same records, different envelope: identical, with one informational
-  // meta note and no digest-guided search (one side has no footer).
-  obs::TraceDiff d = obs::diff_traces(*a, *b);
-  EXPECT_TRUE(d.identical);
-  ASSERT_EQ(d.meta_issues.size(), 1u);
-  EXPECT_NE(d.meta_issues[0].find("version"), std::string::npos);
-  EXPECT_FALSE(d.stats.used_digests);
-  std::remove(v1.c_str());
-  std::remove(v2.c_str());
+  EXPECT_FALSE(obs::read_trace_file(path, &err).has_value());
+  EXPECT_NE(err.find("bad magic"), std::string::npos) << err;
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -392,23 +386,24 @@ TEST(DiffRecords, IdenticalStreamsReportNoDivergence) {
 }
 
 // ---------------------------------------------------------------------------
-// Decoder name pins (obs mirrors rt/ckpt without linking them)
+// Name pins (obs/trace.hpp mirrors rt/ckpt without linking them; the
+// values are static_asserted in rt/message.hpp and ckpt/store.hpp)
 // ---------------------------------------------------------------------------
 
 TEST(DecoderPins, MsgKindNamesMatchRt) {
   for (int k = 0; k < rt::kMsgKindCount; ++k) {
-    EXPECT_STREQ(obs::decode_msg_kind(static_cast<std::uint8_t>(k)),
+    EXPECT_STREQ(obs::msg_kind_name(static_cast<std::uint8_t>(k)),
                  rt::to_string(static_cast<rt::MsgKind>(k)));
   }
-  EXPECT_STREQ(obs::decode_msg_kind(rt::kMsgKindCount), "?");
+  EXPECT_STREQ(obs::msg_kind_name(rt::kMsgKindCount), "?");
 }
 
 TEST(DecoderPins, CkptKindNamesMatchCkpt) {
-  for (int k = 0; k <= static_cast<int>(ckpt::CkptKind::kDisconnect); ++k) {
-    EXPECT_STREQ(obs::decode_ckpt_kind(static_cast<std::uint8_t>(k)),
+  for (int k = 0; k < obs::kRawCkptKindCount; ++k) {
+    EXPECT_STREQ(obs::ckpt_kind_name(static_cast<std::uint8_t>(k)),
                  ckpt::to_string(static_cast<ckpt::CkptKind>(k)));
   }
-  EXPECT_STREQ(obs::decode_ckpt_kind(obs::kDecodeCkptKindCount), "?");
+  EXPECT_STREQ(obs::ckpt_kind_name(obs::kRawCkptKindCount), "?");
 }
 
 }  // namespace

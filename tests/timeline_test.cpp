@@ -188,7 +188,7 @@ TEST(TimelineGauges, ReconcileWithRunStatsOnAllAlgorithms) {
 }
 
 // ---------------------------------------------------------------------------
-// MCKTL01 round-trip and corrupt-input rejection.
+// MCKTL02 round-trip and corrupt-input rejection.
 // ---------------------------------------------------------------------------
 
 std::string temp_path(const char* name) {
@@ -219,7 +219,6 @@ TEST(TimelineIo, RoundTripPreservesEveryByte) {
   for (int c = 0; c < obs::kTimelineNumColumns; ++c) {
     EXPECT_EQ(f->meta.columns[c].name, obs::timeline_columns()[c].name);
     EXPECT_EQ(f->meta.columns[c].value, obs::timeline_columns()[c].value);
-    EXPECT_EQ(f->meta.columns[c].merge, obs::timeline_columns()[c].merge);
   }
   ASSERT_EQ(f->runs.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
@@ -251,7 +250,7 @@ TEST(TimelineIo, RejectsCorruptInput) {
   {  // Truncated header after a valid magic.
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    std::fwrite("MCKTL01\0", 1, 8, f);
+    std::fwrite("MCKTL02\0", 1, 8, f);
     std::uint32_t n = 8;
     std::fwrite(&n, sizeof n, 1, f);
     std::fclose(f);
@@ -260,7 +259,7 @@ TEST(TimelineIo, RejectsCorruptInput) {
   {  // Implausible column count.
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    std::fwrite("MCKTL01\0", 1, 8, f);
+    std::fwrite("MCKTL02\0", 1, 8, f);
     std::uint32_t n = 8, algo_len = 0, cols = 5000;
     std::fwrite(&n, sizeof n, 1, f);
     std::fwrite(&algo_len, sizeof algo_len, 1, f);
@@ -272,6 +271,31 @@ TEST(TimelineIo, RejectsCorruptInput) {
   EXPECT_FALSE(obs::read_timeline_file(temp_path("definitely_missing.mcktl"),
                                        &err)
                    .has_value());
+  std::remove(path.c_str());
+}
+
+TEST(TimelineIo, RejectsMCKTL01File) {
+  // A well-formed version-1 file: the same header, a schema whose column
+  // descriptors carry an extra merge byte, and no runs.
+  const std::string path = temp_path("tl_v1.mcktl");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const std::uint32_t n = 8, algo_len = 0, cols = 1;
+  const std::uint8_t value = 0, merge = 0;
+  const std::uint16_t name_len = 7;
+  std::fwrite("MCKTL01\0", 1, 8, f);
+  std::fwrite(&n, sizeof n, 1, f);
+  std::fwrite(&algo_len, sizeof algo_len, 1, f);
+  std::fwrite(&cols, sizeof cols, 1, f);
+  std::fwrite(&value, sizeof value, 1, f);
+  std::fwrite(&merge, sizeof merge, 1, f);
+  std::fwrite(&name_len, sizeof name_len, 1, f);
+  std::fwrite("time_ns", 1, name_len, f);
+  std::fclose(f);
+
+  std::string err;
+  EXPECT_FALSE(obs::read_timeline_file(path, &err).has_value());
+  EXPECT_NE(err.find("bad magic"), std::string::npos) << err;
   std::remove(path.c_str());
 }
 

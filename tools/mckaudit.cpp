@@ -25,14 +25,14 @@
 #include <utility>
 #include <vector>
 
+#include "flags.hpp"
 #include "obs/audit.hpp"
 #include "obs/trace_io.hpp"
 
 using namespace mck;
+using namespace mck::cli;
 
-namespace {
-
-[[noreturn]] void usage(const char* msg = nullptr) {
+void cli::usage(const char* msg) {
   if (msg) std::fprintf(stderr, "error: %s\n\n", msg);
   std::fprintf(stderr,
                "usage: mckaudit COMMAND FILE [options]\n"
@@ -46,15 +46,13 @@ namespace {
   std::exit(2);
 }
 
-}  // namespace
-
 int main(int argc, char** argv) {
   if (argc < 3) usage();
   std::string cmd = argv[1];
   std::string path = argv[2];
   bool json = false;
   std::string out_path;
-  long sample = 0;  // 0 = audit every replication
+  int sample = 0;  // 0 = audit every replication
 
   for (int i = 3; i < argc; ++i) {
     std::string arg = argv[i];
@@ -65,8 +63,7 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
     } else if (arg == "--sample") {
       if (i + 1 >= argc) usage("missing value");
-      sample = std::strtol(argv[++i], nullptr, 10);
-      if (sample < 1) usage("--sample needs a positive count");
+      sample = parse_count("--sample", argv[++i], 1);
     } else {
       usage(("unknown option: " + arg).c_str());
     }
@@ -83,8 +80,8 @@ int main(int argc, char** argv) {
   }
 
   // Before auditing semantics, check integrity: every stored chunk/run
-  // digest (MCKTRC02) must match the records it covers. A mismatch means
-  // the file was modified after writing — auditing it would attribute the
+  // digest must match the records it covers. A mismatch means the file
+  // was modified after writing — auditing it would attribute the
   // corruption to the protocol.
   std::vector<obs::DigestMismatch> bad = obs::verify_trace_digests(*f);
   if (!bad.empty()) {

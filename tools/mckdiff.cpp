@@ -3,14 +3,14 @@
 //
 //   mckdiff A B [--context K] [--align-window W] [--json] [--out F]
 //
-// A and B are both MCKTRC01/MCKTRC02 traces or both MCKTL01 timelines
+// A and B are both MCKTRC02 traces or both MCKTL02 timelines
 // (autodetected by magic). The report names the first diverging
 // (rep, record index), classifies it (timestamp / ordering /
 // payload-field / missing-record / extra-record / truncation), and
 // prints the last K happens-before predecessors of the diverging record
-// on each side with decoded fields. With digest footers on both sides
-// (MCKTRC02) the diverging chunk is found in O(chunks) 64-bit compares
-// and no non-diverging chunk is decoded.
+// on each side with decoded fields. The digest footers find the diverging
+// chunk in O(chunks) 64-bit compares, so no non-diverging chunk is
+// decoded.
 //
 // Exit codes: 0 identical, 1 diverged, 2 usage or I/O error — so CI can
 // `mckdiff a b || { upload report; exit 1; }` where it used to `cmp`.
@@ -21,20 +21,21 @@
 #include <cstring>
 #include <string>
 
+#include "flags.hpp"
 #include "obs/diff.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace_io.hpp"
+#include "util/json.hpp"
 
 using namespace mck;
+using namespace mck::cli;
 
-namespace {
-
-[[noreturn]] void usage(const char* msg = nullptr) {
+void cli::usage(const char* msg) {
   if (msg) std::fprintf(stderr, "error: %s\n\n", msg);
   std::fprintf(stderr,
                "usage: mckdiff A B [options]\n"
-               "  A, B              two trace files (MCKTRC01/MCKTRC02) or\n"
-               "                    two timeline files (MCKTL01)\n"
+               "  A, B              two trace files (MCKTRC02) or\n"
+               "                    two timeline files (MCKTL02)\n"
                "  --context K       causal-backtrace length per side "
                "(default 8)\n"
                "  --align-window W  lookahead for missing/extra-record\n"
@@ -44,6 +45,8 @@ namespace {
                "exit status: 0 identical, 1 diverged, 2 error\n");
   std::exit(2);
 }
+
+namespace {
 
 enum class FileType { kTrace, kTimeline, kUnknown };
 
@@ -57,9 +60,10 @@ FileType sniff(const std::string& path) {
   std::size_t got = std::fread(magic, 1, sizeof magic, f);
   std::fclose(f);
   if (got != sizeof magic) return FileType::kUnknown;
-  if (std::memcmp(magic, "MCKTRC0", 7) == 0) return FileType::kTrace;
-  const char kTlMagic[8] = {'M', 'C', 'K', 'T', 'L', '0', '1', '\0'};
-  if (std::memcmp(magic, kTlMagic, sizeof kTlMagic) == 0) {
+  if (std::memcmp(magic, obs::kTraceFileMagic, sizeof magic) == 0) {
+    return FileType::kTrace;
+  }
+  if (std::memcmp(magic, obs::kTimelineFileMagic, sizeof magic) == 0) {
     return FileType::kTimeline;
   }
   return FileType::kUnknown;
@@ -67,27 +71,12 @@ FileType sniff(const std::string& path) {
 
 // ---- JSON helpers ---------------------------------------------------------
 
-void json_escape(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
 void json_kv(std::string& out, const char* key, const std::string& v,
              bool comma = true) {
   out += '"';
   out += key;
   out += "\":\"";
-  json_escape(out, v);
+  out += util::json_escape(v);
   out += '"';
   if (comma) out += ',';
 }
@@ -113,7 +102,7 @@ void json_record(std::string& out, const obs::TraceRecord& r) {
                 r.aux, (unsigned long long)r.arg0,
                 (unsigned long long)r.arg1);
   out += buf;
-  json_escape(out, obs::format_record(r));
+  out += util::json_escape(obs::format_record(r));
   out += "\"}";
 }
 
@@ -142,7 +131,7 @@ void json_meta_issues(std::string& out, const std::vector<std::string>& v) {
   for (std::size_t i = 0; i < v.size(); ++i) {
     if (i > 0) out += ',';
     out += '"';
-    json_escape(out, v[i]);
+    out += util::json_escape(v[i]);
     out += '"';
   }
   out += "],";
@@ -278,11 +267,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--context") {
-      opt.context = std::atoi(next());
-      if (opt.context < 0) usage("--context must be >= 0");
+      opt.context = parse_count("--context", next(), 0);
     } else if (arg == "--align-window") {
-      opt.align_window = std::atoi(next());
-      if (opt.align_window < 1) usage("--align-window must be >= 1");
+      opt.align_window = parse_count("--align-window", next(), 1);
     } else if (arg == "--json") {
       json = true;
     } else if (arg == "--out" || arg == "-o") {
@@ -295,7 +282,7 @@ int main(int argc, char** argv) {
   FileType ta = sniff(path_a);
   FileType tb = sniff(path_b);
   if (ta == FileType::kUnknown || tb == FileType::kUnknown) {
-    std::fprintf(stderr, "mckdiff: %s is neither MCKTRC nor MCKTL01\n",
+    std::fprintf(stderr, "mckdiff: %s is neither MCKTRC02 nor MCKTL02\n",
                  (ta == FileType::kUnknown ? path_a : path_b).c_str());
     return 2;
   }

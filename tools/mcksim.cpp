@@ -12,14 +12,12 @@
 // Prints the paper's per-initiation metrics for one configuration;
 // --csv emits a machine-readable row instead. A malformed or out-of-range
 // flag prints the usage and exits 2 before anything runs.
-#include <cerrno>
-#include <climits>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "flags.hpp"
 #include "harness/experiment.hpp"
 #include "obs/audit.hpp"
 #include "obs/round_metrics.hpp"
@@ -27,10 +25,9 @@
 #include "util/log.hpp"
 
 using namespace mck;
+using namespace mck::cli;
 
-namespace {
-
-[[noreturn]] void usage(const char* msg = nullptr) {
+void cli::usage(const char* msg) {
   if (msg) std::fprintf(stderr, "error: %s\n\n", msg);
   std::fprintf(stderr,
                "usage: mcksim [options]\n"
@@ -87,37 +84,7 @@ namespace {
   std::exit(2);
 }
 
-/// The whole of `s` as a finite number; anything else is a usage error.
-double parse_real(const char* flag, const char* s) {
-  char* end = nullptr;
-  errno = 0;
-  double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
-    usage((std::string(flag) + " needs a number, got '" + s + "'").c_str());
-  }
-  return v;
-}
-
-/// The whole of `s` as an integer; anything else is a usage error.
-long long parse_int(const char* flag, const char* s) {
-  char* end = nullptr;
-  errno = 0;
-  long long v = std::strtoll(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE) {
-    usage((std::string(flag) + " needs an integer, got '" + s + "'").c_str());
-  }
-  return v;
-}
-
-/// An integer flag that must be at least `min` and fit an int.
-int parse_count(const char* flag, const char* s, int min) {
-  long long v = parse_int(flag, s);
-  if (v < min) {
-    usage((std::string(flag) + " must be >= " + std::to_string(min)).c_str());
-  }
-  if (v > INT_MAX) usage((std::string(flag) + " is too large").c_str());
-  return static_cast<int>(v);
-}
+namespace {
 
 harness::Algorithm parse_algo(const std::string& s) {
   using A = harness::Algorithm;

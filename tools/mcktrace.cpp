@@ -8,7 +8,7 @@
 // dump prints one line per record (filterable); stats prints the whole-run
 // tallies and the per-round latency breakdown; export --chrome emits a
 // Chrome trace-event JSON (load in chrome://tracing or Perfetto);
-// timeline inspects MCKTL01 run-health timelines written by
+// timeline inspects MCKTL02 run-health timelines written by
 // mcksim --timeline (sparklines + per-column stats by default, CSV or
 // Chrome counter tracks on request).
 #include <algorithm>
@@ -18,31 +18,20 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/store.hpp"
+#include "flags.hpp"
 #include "obs/diff.hpp"
 #include "obs/graph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/round_metrics.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace_io.hpp"
-#include "rt/message.hpp"
 #include "sim/time.hpp"
+#include "util/json.hpp"
 
 using namespace mck;
+using namespace mck::cli;
 
-// obs/diff.cpp mirrors the rt/ckpt enum names as raw-byte tables (obs is
-// the independent-witness layer and must not link rt/ckpt). This tool
-// sees both sides, so pin the mirrored table sizes to the real enums —
-// adding a MsgKind/CkptKind without teaching the decoder fails here.
-static_assert(obs::kDecodeMsgKindCount == rt::kMsgKindCount,
-              "obs::decode_msg_kind is out of sync with rt::MsgKind");
-static_assert(obs::kDecodeCkptKindCount ==
-                  static_cast<int>(ckpt::CkptKind::kDisconnect) + 1,
-              "obs::decode_ckpt_kind is out of sync with ckpt::CkptKind");
-
-namespace {
-
-[[noreturn]] void usage(const char* msg = nullptr) {
+void cli::usage(const char* msg) {
   if (msg) std::fprintf(stderr, "error: %s\n\n", msg);
   std::fprintf(stderr,
                "usage: mcktrace COMMAND FILE [options]\n"
@@ -64,6 +53,8 @@ namespace {
   std::exit(2);
 }
 
+namespace {
+
 obs::TraceFile load(const std::string& path) {
   std::string err;
   std::optional<obs::TraceFile> f = obs::read_trace_file(path, &err);
@@ -72,12 +63,6 @@ obs::TraceFile load(const std::string& path) {
     std::exit(1);
   }
   return std::move(*f);
-}
-
-// The per-kind field decoding lives in obs/diff.{hpp,cpp} so that the
-// diff engine and this tool render records identically.
-const char* msg_kind_name(std::uint8_t sub) {
-  return obs::decode_msg_kind(sub);
 }
 
 int cmd_dump(const obs::TraceFile& f, int filter_kind, int filter_pid,
@@ -136,7 +121,7 @@ int cmd_stats(const obs::TraceFile& f) {
 
 // ---- Timeline inspection --------------------------------------------------
 //
-// MCKTL01 files are schema-driven: everything below walks
+// MCKTL02 files are schema-driven: everything below walks
 // f.meta.columns rather than the compiled-in kCol* constants, so the
 // tool keeps working when the schema grows.
 
@@ -328,21 +313,6 @@ int cmd_timeline_stats(const obs::TimelineFile& f, int filter_rep) {
 
 double to_us(sim::SimTime t) { return static_cast<double>(t) / 1000.0; }
 
-void json_escape(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
 int cmd_export_chrome(const obs::TraceFile& f, const std::string& out_path) {
   std::FILE* out = stdout;
   if (!out_path.empty()) {
@@ -369,11 +339,11 @@ int cmd_export_chrome(const obs::TraceFile& f, const std::string& out_path) {
     for (const obs::MsgHop& h : g.hops) {
       emit("{\"ph\":\"s\",\"cat\":\"msg\",\"name\":\"%s\","
            "\"id\":\"r%d.m%llu.d%d\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f}",
-           msg_kind_name(h.kind), run.rep, (unsigned long long)h.id, h.dst,
+           obs::msg_kind_name(h.kind), run.rep, (unsigned long long)h.id, h.dst,
            run.rep, h.src, to_us(h.sent_at));
       emit("{\"ph\":\"f\",\"bp\":\"e\",\"cat\":\"msg\",\"name\":\"%s\","
            "\"id\":\"r%d.m%llu.d%d\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f}",
-           msg_kind_name(h.kind), run.rep, (unsigned long long)h.id, h.dst,
+           obs::msg_kind_name(h.kind), run.rep, (unsigned long long)h.id, h.dst,
            run.rep, h.dst, to_us(h.delivered_at));
     }
     for (const obs::TraceRecord& r : run.records) {
@@ -415,7 +385,7 @@ int cmd_export_chrome(const obs::TraceFile& f, const std::string& out_path) {
         default: {
           std::string name = obs::to_string(k);
           std::string args;
-          json_escape(args, obs::format_record(r));
+          args += util::json_escape(obs::format_record(r));
           emit("{\"ph\":\"i\",\"s\":\"t\",\"name\":\"%s\",\"pid\":%d,"
                "\"tid\":%d,\"ts\":%.3f,\"args\":{\"detail\":\"%s\"}}",
                name.c_str(), run.rep, r.pid, to_us(r.at), args.c_str());
@@ -460,12 +430,14 @@ int main(int argc, char** argv) {
       }
       if (filter_kind < 0) usage("unknown --kind");
     } else if (arg == "--pid") {
-      filter_pid = std::atoi(next());
+      filter_pid = parse_count("--pid", next(), -1);
       pid_set = true;
     } else if (arg == "--rep") {
-      filter_rep = std::atoi(next());
+      filter_rep = parse_count("--rep", next(), 0);
     } else if (arg == "--limit") {
-      limit = static_cast<std::uint64_t>(std::atoll(next()));
+      const long long n = parse_int("--limit", next());
+      if (n < 0) usage("--limit must be >= 0");
+      limit = static_cast<std::uint64_t>(n);
     } else if (arg == "--chrome") {
       chrome = true;
     } else if (arg == "--csv") {
