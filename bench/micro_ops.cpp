@@ -238,11 +238,13 @@ BENCHMARK(BM_CheckAll)->Arg(1)->Arg(16)->Arg(128);
 
 core::RequestPayload make_request(int n) {
   core::RequestPayload p;
+  core::SparseMr mr;
   for (int i = 0; i < n; ++i) {
-    p.mr.put(static_cast<std::size_t>(i),
-             core::MrEntry{static_cast<Csn>(i * 3 + 1),
-                           static_cast<std::uint8_t>((i % 2) ? 1 : 0)});
+    mr.put(static_cast<std::size_t>(i),
+           core::MrEntry{static_cast<Csn>(i * 3 + 1),
+                         static_cast<std::uint8_t>((i % 2) ? 1 : 0)});
   }
+  p.mr = std::make_shared<const core::SparseMr>(std::move(mr));
   p.sender_csn = 41;
   p.trigger = core::Trigger{2, 7};
   p.req_csn = 40;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 
 #include "util/assert.hpp"
 #include "util/pool.hpp"
@@ -34,8 +35,9 @@ void CaoSinghalProtocol::start() {
   dep_csn_.assign(static_cast<std::size_t>(n));
   if (ctx_.arena != nullptr) {
     // Long-lived sparse state spills into the System arena. Payload
-    // copies built from these (reply deps, request MRs) stay heap-backed:
-    // SmallVec copies never inherit the source arena.
+    // state built from these (reply deps, the request MR each fan-out
+    // shares) stays heap-backed: SmallVec copies never inherit the
+    // source arena.
     R_.set_arena(ctx_.arena);
     csn_.set_arena(ctx_.arena);
     dep_csn_.set_arena(ctx_.arena);
@@ -204,15 +206,12 @@ Weight CaoSinghalProtocol::prop_cp(const IntervalSet& deps,
   // MR[k].R | deps[k]} for every k; sparsely, only the slots that differ
   // from {0, 0} are materialized — receivers read absent slots as the
   // default, so the semantics are element-for-element the dense ones while
-  // the work is O(active dependencies).
-  SparseMr temp = mr_in;
-  dep_csn_.for_each(
-      [&temp](std::size_t k, Csn v) { temp.raise_csn(k, v); });
-  deps.for_each([&temp](std::size_t k) { temp.mark_requested(k); });
+  // the work is O(active dependencies). temp is built when the first
+  // request goes out and is then shared, immutable, by every request of
+  // this fan-out; a call that sends none builds nothing.
+  std::shared_ptr<const SparseMr> temp;
 
   ckpt::InitiationStats& st = init_stats(trigger);
-  bool weight_consumed_guard = false;
-  (void)weight_consumed_guard;
   deps.for_each([&](std::size_t ks) {
     const int k = static_cast<int>(ks);
     if (k == self()) return;
@@ -251,6 +250,12 @@ Weight CaoSinghalProtocol::prop_cp(const IntervalSet& deps,
       ctx_.tracer->record(obs::TraceKind::kWeightSplit, ctx_.sim->now(),
                           self(), 0, static_cast<std::uint16_t>(k),
                           trigger.initiation(), weight_bits(weight));
+    }
+    if (temp == nullptr) {
+      auto m = std::make_shared<SparseMr>(mr_in);
+      dep_csn_.for_each([&m](std::size_t j, Csn v) { m->raise_csn(j, v); });
+      deps.for_each([&m](std::size_t j) { m->mark_requested(j); });
+      temp = std::move(m);
     }
     auto rp = util::make_pooled<RequestPayload>();
     rp->mr = temp;
@@ -533,7 +538,7 @@ void CaoSinghalProtocol::initiator_decide_commit() {
        is.repliers.size() > opts_.hybrid_threshold);
   auto cp = util::make_pooled<CommitPayload>();
   cp->trigger = t;
-  cp->abort_set = abort_set;
+  cp->abort_set = std::move(abort_set);
   if (use_broadcast) {
     broadcast_system(rt::MsgKind::kCommit, cp);
     st.commits += static_cast<std::uint64_t>(ctx_.num_processes - 1);
@@ -546,7 +551,7 @@ void CaoSinghalProtocol::initiator_decide_commit() {
   is.repliers.clear();
 
   // Local effect of the commit on the initiator itself.
-  handle_clear(t, /*is_commit=*/true, abort_set.size() ? &abort_set : nullptr);
+  handle_commit(t, &cp->abort_set);
   if (is.on_initiation_done) is.on_initiation_done(t, true);
 }
 
@@ -639,7 +644,7 @@ void CaoSinghalProtocol::handle_request(const rt::Message& m,
   if (p.trigger == own_trigger_) {
     int idx = find_mutable(p.trigger);
     if (idx >= 0) {
-      promote_mutable(static_cast<std::size_t>(idx), p.mr, p.weight);
+      promote_mutable(static_cast<std::size_t>(idx), *p.mr, p.weight);
     } else {
       // Already checkpointed for this initiation (Lemma 1).
       ++init_stats(p.trigger).duplicate_requests;
@@ -648,7 +653,7 @@ void CaoSinghalProtocol::handle_request(const rt::Message& m,
   } else {
     csn_.bump(static_cast<std::size_t>(self()));
     own_trigger_ = p.trigger;
-    take_tentative(p.trigger, p.mr, p.weight, /*as_initiator=*/false);
+    take_tentative(p.trigger, *p.mr, p.weight, /*as_initiator=*/false);
   }
 }
 

@@ -144,7 +144,8 @@ std::shared_ptr<rt::Payload> get_comp(WireReader& r) {
 
 void put_request(WireWriter& w, const rt::Payload& p0) {
   const auto& p = static_cast<const RequestPayload&>(p0);
-  put_mr(w, p.mr);
+  MCK_ASSERT(p.mr != nullptr);
+  put_mr(w, *p.mr);
   w.vu32(p.sender_csn);
   put_trigger(w, p.trigger);
   w.vu32(p.req_csn);
@@ -152,7 +153,7 @@ void put_request(WireWriter& w, const rt::Payload& p0) {
 }
 std::shared_ptr<rt::Payload> get_request(WireReader& r) {
   auto p = util::make_pooled<RequestPayload>();
-  p->mr = get_mr(r);
+  p->mr = std::make_shared<const SparseMr>(get_mr(r));  // one per recipient
   p->sender_csn = r.vu32();
   p->trigger = get_trigger(r);
   p->req_csn = r.vu32();

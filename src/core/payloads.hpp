@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "core/trigger.hpp"
@@ -45,9 +46,10 @@ class SparseMr {
     bool operator==(const Slot&) const = default;
   };
 
-  /// Payloads live in pooled shared_ptrs whose lifetime is not an
-  /// arena's, so SparseMr storage is never arena-backed: inline up to 4
-  /// slots, global heap beyond (see util/arena.hpp ownership rules).
+  /// A request's MR lives as long as the last request of its fan-out
+  /// (RequestPayload::mr), a lifetime that is not an arena's, so
+  /// SparseMr storage is never arena-backed: inline up to 4 slots,
+  /// global heap beyond (see util/arena.hpp ownership rules).
   using Storage = util::SmallVec<Slot, 4>;
 
   SparseMr() = default;
@@ -130,7 +132,10 @@ class SparseMr {
 };
 
 struct RequestPayload final : rt::TaggedPayload<rt::PayloadTag::kRequest> {
-  SparseMr mr;               // merged knowledge along the request path
+  /// Merged knowledge along the request path. Immutable once sent: every
+  /// request of one prop_cp fan-out points at the same MR. Never null in
+  /// a sent or decoded request.
+  std::shared_ptr<const SparseMr> mr;
   Csn sender_csn = 0;        // csn_j[j] of the request sender (recv_csn)
   Trigger trigger;           // msg_trigger: the initiation this belongs to
   Csn req_csn = 0;           // csn_j[i]: what the sender expects of us

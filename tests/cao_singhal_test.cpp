@@ -100,6 +100,42 @@ TEST(CaoSinghal, RedundantMutableDiscardedOnCommit) {
   EXPECT_TRUE(sys.check_consistency().consistent);
 }
 
+TEST(CaoSinghal, RequestFanOutSharesOneMr) {
+  // P0 depends on P1..P9 (one message from each), so its initiation's
+  // prop_cp sends k = 9 requests. Every one of them must carry the same
+  // immutable MR, not a copy each.
+  constexpr int kDeps = 9;
+  System sys(lan_options(kDeps + 1));
+  std::vector<std::shared_ptr<const core::RequestPayload>> requests;
+  std::vector<ScriptStep> steps;
+  for (ProcessId p = 1; p <= kDeps; ++p) {
+    sys.lan()->set_sink(p, [&sys, &requests](const rt::Message& m) {
+      if (m.payload_as<core::RequestPayload>() != nullptr) {
+        requests.push_back(
+            std::static_pointer_cast<const core::RequestPayload>(m.payload));
+      }
+      sys.proto(m.dst).on_deliver(m);
+    });
+    steps.push_back({sim::milliseconds(10 * p), K::kSend, p, 0});
+  }
+  steps.push_back({sim::milliseconds(200), K::kInitiate, 0, -1});
+  run_script(sys, steps);
+
+  ASSERT_EQ(requests.size(), static_cast<std::size_t>(kDeps));
+  const std::shared_ptr<const core::SparseMr>& mr = requests[0]->mr;
+  ASSERT_NE(mr, nullptr);
+  for (const auto& rq : requests) EXPECT_EQ(rq->mr.get(), mr.get());
+  EXPECT_GE(mr.use_count(), kDeps);
+  for (ProcessId p = 1; p <= kDeps; ++p) {
+    EXPECT_EQ(mr->get(static_cast<std::size_t>(p)).requested, 1u);
+  }
+  auto inits = sys.tracker().in_order();
+  ASSERT_EQ(inits.size(), 1u);
+  EXPECT_TRUE(inits[0]->committed());
+  EXPECT_EQ(inits[0]->tentative, static_cast<std::uint32_t>(kDeps + 1));
+  EXPECT_TRUE(sys.check_consistency().consistent);
+}
+
 TEST(CaoSinghal, MutableRestoresDependencyInfoOnDiscard) {
   // After the redundant mutable is discarded, P4's R/sent must reflect
   // the dependencies from before the mutable (the paper's

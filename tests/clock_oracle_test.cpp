@@ -1,13 +1,13 @@
 // Vector clocks and the clock-based consistency oracle, including the
 // cross-check property: on randomized runs, the clock condition and the
 // direct orphan scan must agree on every line.
-#include "ckpt/clock_oracle.hpp"
+#include "clock_oracle.hpp"
 
 #include <gtest/gtest.h>
 
 #include "harness/scheduler.hpp"
 #include "harness/system.hpp"
-#include "util/vector_clock.hpp"
+#include "vector_clock.hpp"
 #include "workload/traffic.hpp"
 
 namespace mck {

@@ -49,12 +49,14 @@ TEST(Codec, RequestRoundTripWithDeepWeight) {
   RequestPayload p;
   // Sparse, gappy MR slots — including a far-away pid to exercise the
   // delta encoding.
+  SparseMr mr;
   for (int i = 1; i < 16; i += 3) {
-    p.mr.put(static_cast<std::size_t>(i),
-             MrEntry{static_cast<Csn>(i * 3),
-                     static_cast<std::uint8_t>(i % 2 == 0 ? 1 : 0)});
+    mr.put(static_cast<std::size_t>(i),
+           MrEntry{static_cast<Csn>(i * 3),
+                   static_cast<std::uint8_t>(i % 2 == 0 ? 1 : 0)});
   }
-  p.mr.put(900000, MrEntry{7, 1});
+  mr.put(900000, MrEntry{7, 1});
+  p.mr = std::make_shared<const SparseMr>(std::move(mr));
   p.sender_csn = 9;
   p.trigger = Trigger{3, 4};
   p.req_csn = 2;
@@ -62,9 +64,10 @@ TEST(Codec, RequestRoundTripWithDeepWeight) {
 
   auto q = roundtrip(p);
   ASSERT_NE(q, nullptr);
-  EXPECT_EQ(q->mr, p.mr);
-  EXPECT_EQ(q->mr.get(900000), (MrEntry{7, 1}));
-  EXPECT_TRUE(q->mr.get(2).is_default());
+  EXPECT_NE(q->mr, p.mr);  // decoding builds the receiver's own MR
+  EXPECT_EQ(*q->mr, *p.mr);
+  EXPECT_EQ(q->mr->get(900000), (MrEntry{7, 1}));
+  EXPECT_TRUE(q->mr->get(2).is_default());
   EXPECT_EQ(q->sender_csn, 9u);
   EXPECT_EQ(q->req_csn, 2u);
   EXPECT_EQ(q->weight, deep_weight(200));  // bit-exact
@@ -114,7 +117,9 @@ TEST(Codec, CommitAbortClearRoundTrips) {
 
 TEST(Codec, TruncatedBuffersRejected) {
   RequestPayload p;
-  for (std::size_t i = 0; i < 8; ++i) p.mr.put(i * 5, MrEntry{1, 1});
+  SparseMr mr;
+  for (std::size_t i = 0; i < 8; ++i) mr.put(i * 5, MrEntry{1, 1});
+  p.mr = std::make_shared<const SparseMr>(std::move(mr));
   p.trigger = Trigger{0, 1};
   p.weight = deep_weight(70);
   std::vector<std::uint8_t> bytes = encode(p);
@@ -145,9 +150,11 @@ TEST(Codec, RequestSizeGrowsWithActiveSlotsNotUniverse) {
   // a 16-host system with k active dependencies.
   auto request_size = [](int active, std::size_t stride) {
     RequestPayload p;
+    SparseMr mr;
     for (int i = 0; i < active; ++i) {
-      p.mr.put(static_cast<std::size_t>(i) * stride, MrEntry{3, 1});
+      mr.put(static_cast<std::size_t>(i) * stride, MrEntry{3, 1});
     }
+    p.mr = std::make_shared<const SparseMr>(std::move(mr));
     p.weight = util::Weight::one();
     return wire_size(p);
   };
@@ -166,6 +173,7 @@ TEST(Codec, RequestSizeGrowsWithActiveSlotsNotUniverse) {
 
 TEST(Codec, WeightDepthInflatesRequests) {
   RequestPayload a, b;
+  a.mr = b.mr = std::make_shared<const SparseMr>();
   a.weight = deep_weight(10);    // 1 limb
   b.weight = deep_weight(500);   // 8 limbs
   EXPECT_GT(wire_size(b), wire_size(a));

@@ -182,7 +182,9 @@ std::vector<std::vector<std::uint8_t>> all_encodings() {
   comp.trigger = core::Trigger{1, 2};
   add(comp);
   core::RequestPayload req;
-  for (std::size_t i = 0; i < 10; ++i) req.mr.put(i, core::MrEntry{5, 1});
+  core::SparseMr mr;
+  for (std::size_t i = 0; i < 10; ++i) mr.put(i, core::MrEntry{5, 1});
+  req.mr = std::make_shared<const core::SparseMr>(std::move(mr));
   req.trigger = core::Trigger{0, 1};
   req.weight = util::Weight::one();
   add(req);

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "ckpt/checker.hpp"
-#include "ckpt/clock_oracle.hpp"
+#include "clock_oracle.hpp"
 #include "harness/system.hpp"
 #include "workload/traffic.hpp"
 

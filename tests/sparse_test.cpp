@@ -285,12 +285,12 @@ TEST(SparseProperty, CodecFuzzRoundTripTruncationCorruption) {
         p.sender_csn = val(rng);
         p.req_csn = val(rng);
         p.weight = util::Weight::one();
-        p.mr = random_mr(rng, n);
+        p.mr = std::make_shared<const core::SparseMr>(random_mr(rng, n));
         bytes = core::encode(p);
         auto q = std::dynamic_pointer_cast<core::RequestPayload>(
             core::decode(bytes));
         ASSERT_NE(q, nullptr);
-        EXPECT_EQ(q->mr, p.mr);
+        EXPECT_EQ(*q->mr, *p.mr);
         EXPECT_EQ(q->req_csn, p.req_csn);
         break;
       }

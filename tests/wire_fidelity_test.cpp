@@ -3,6 +3,8 @@
 // send, decode on deliver) must produce the exact same event history and
 // message counts as passing payload objects by pointer. A codec that
 // drops or distorts any field diverges the protocol and fails here.
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hpp"
@@ -109,6 +111,52 @@ TEST(WireFidelity, CellularTransportIdentical) {
   Trace wire = run_scenario(Algorithm::kCaoSinghal, true,
                             harness::TransportKind::kCellular);
   expect_identical(plain, wire, "cao-singhal/cellular");
+}
+
+// P0 depends on P1..P8 (one message from each) and initiates; returns
+// the checkpoint requests P1..P8 receive.
+std::vector<std::shared_ptr<const core::RequestPayload>> fan_out_requests(
+    bool fidelity) {
+  constexpr int kDeps = 8;
+  SystemOptions opts;
+  opts.algorithm = Algorithm::kCaoSinghal;
+  opts.num_processes = kDeps + 1;
+  opts.wire_fidelity = fidelity;
+  System sys(opts);
+  std::vector<std::shared_ptr<const core::RequestPayload>> requests;
+  for (ProcessId p = 1; p <= kDeps; ++p) {
+    sys.lan()->set_sink(p, [&sys, &requests](const rt::Message& m) {
+      if (m.payload_as<core::RequestPayload>() != nullptr) {
+        requests.push_back(
+            std::static_pointer_cast<const core::RequestPayload>(m.payload));
+      }
+      sys.proto(m.dst).on_deliver(m);
+    });
+    sys.simulator().schedule_at(sim::milliseconds(10 * p),
+                                [&sys, p] { sys.send(p, 0); });
+  }
+  sys.simulator().schedule_at(sim::milliseconds(200),
+                              [&sys] { sys.initiate(0); });
+  sys.simulator().run_until(sim::kTimeNever);
+  return requests;
+}
+
+TEST(WireFidelity, EachDecodedRequestOwnsItsMr) {
+  // Without fidelity the fan-out shares the sender's MR; with it, every
+  // recipient decodes its own MR, equal to the one that was sent.
+  const auto plain = fan_out_requests(false);
+  const auto wire = fan_out_requests(true);
+  ASSERT_EQ(plain.size(), 8u);
+  ASSERT_EQ(wire.size(), plain.size());
+  const core::SparseMr& sent = *plain[0]->mr;
+  std::set<const core::SparseMr*> distinct;
+  for (const auto& rq : wire) {
+    ASSERT_NE(rq->mr, nullptr);
+    EXPECT_EQ(*rq->mr, sent);
+    EXPECT_EQ(rq->mr.use_count(), 1);
+    distinct.insert(rq->mr.get());
+  }
+  EXPECT_EQ(distinct.size(), wire.size());
 }
 
 TEST(WireFidelity, ExperimentRunnerRoundTrip) {
