@@ -16,6 +16,9 @@
 //     events/s) on a fig5-style Cao-Singhal run, so the report tracks the
 //     end-to-end number and not just the queue microcosm.
 //
+//  4. Trace-audit throughput (records/s) and heap growth of
+//     obs::audit_records on a fixed in-process cellular n=1024 trace.
+//
 // Usage: perf_report [--quick] [--out PATH]
 #include <algorithm>
 #include <atomic>
@@ -24,36 +27,56 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <malloc.h>
 #include <memory>
 #include <new>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "harness/experiment.hpp"
+#include "obs/audit.hpp"
 #include "sim/simulator.hpp"
 #include "core/payloads.hpp"
 #include "util/pool.hpp"
 
 // ---------------------------------------------------------------------------
 // Allocation instrumentation (binary-local). Counts every heap block the
-// process requests; relaxed atomics keep the probe cheap enough that it
+// process requests and the bytes live through operator new, with their
+// high-water mark; relaxed atomics keep the probe cheap enough that it
 // does not distort the throughput numbers it is qualifying.
 // ---------------------------------------------------------------------------
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::int64_t> g_peak_bytes{0};
+
+void release(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
 void* operator new(std::size_t n) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
+  if (void* p = std::malloc(n ? n : 1)) {
+    const auto size = static_cast<std::int64_t>(malloc_usable_size(p));
+    const std::int64_t live =
+        g_live_bytes.fetch_add(size, std::memory_order_relaxed) + size;
+    if (live > g_peak_bytes.load(std::memory_order_relaxed)) {
+      g_peak_bytes.store(live, std::memory_order_relaxed);
+    }
+    return p;
+  }
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
 
 namespace {
 
@@ -294,6 +317,62 @@ ScalePathPerf measure_scale_path() {
   return out;
 }
 
+// ---------------------------------------------------------------------------
+// Trace audit: records/s of obs::audit_records (best of kAuditTrials) and
+// the heap it needs on top of the records, as the peak of bytes live
+// through operator new during the audit minus the bytes live before it.
+// The trace is close to simbench's cell-mobile-audit, without mobility:
+// Cao-Singhal, cellular with 4 MSSs, n=1024, 0.1 msg/s, 1 h (10 min in
+// --quick mode).
+// ---------------------------------------------------------------------------
+
+constexpr int kAuditTrials = 3;
+
+struct AuditPerf {
+  std::uint64_t records = 0;
+  double records_per_sec = 0;  // best of kAuditTrials
+  double heap_growth_mib = 0;  // largest of kAuditTrials
+  bool ok = false;
+};
+
+AuditPerf measure_audit(bool quick) {
+  harness::ExperimentConfig cfg;
+  cfg.sys.algorithm = harness::Algorithm::kCaoSinghal;
+  cfg.sys.num_processes = 1024;
+  cfg.sys.seed = 1;
+  cfg.sys.transport = harness::TransportKind::kCellular;
+  cfg.sys.cellular.num_mss = 4;
+  cfg.workload = harness::WorkloadKind::kPointToPoint;
+  cfg.rate = 0.1;
+  cfg.ckpt_interval = sim::seconds(900);
+  cfg.horizon = sim::seconds(quick ? 600 : 3600);
+  cfg.capture_trace = true;
+  harness::RunResult res = harness::run_experiment(cfg);
+
+  AuditPerf out;
+  if (res.traces.empty()) return out;
+  const std::vector<obs::TraceRecord>& records = res.traces.front().records;
+  out.records = records.size();
+  out.ok = true;
+  for (int t = 0; t < kAuditTrials; ++t) {
+    const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+    g_peak_bytes.store(before, std::memory_order_relaxed);
+    Clock::time_point t0 = Clock::now();
+    obs::AuditReport rep;
+    obs::audit_records(records, cfg.sys.num_processes, 0, rep);
+    const double dt = secs_since(t0);
+    const double growth =
+        static_cast<double>(g_peak_bytes.load(std::memory_order_relaxed) -
+                            before) /
+        (1024.0 * 1024.0);
+    out.ok = out.ok && rep.ok();
+    out.records_per_sec =
+        std::max(out.records_per_sec, static_cast<double>(out.records) / dt);
+    out.heap_growth_mib = std::max(out.heap_growth_mib, growth);
+  }
+  return out;
+}
+
 void usage() {
   std::fprintf(stderr,
                "usage: perf_report [--quick] [--out PATH]\n"
@@ -374,6 +453,18 @@ int main(int argc, char** argv) {
               static_cast<long long>(sc.n1M_peak_in_flight),
               static_cast<long long>(sc.n1M_peak_blocked));
 
+  // After the scale path: its n=1M peak RSS is a process-wide VmHWM.
+  AuditPerf au = measure_audit(quick);
+  std::printf("trace audit: %llu records, best-of-%d %.0f records/s, "
+              "heap growth %.1f MiB%s\n",
+              static_cast<unsigned long long>(au.records), kAuditTrials,
+              au.records_per_sec, au.heap_growth_mib,
+              au.ok ? "" : " (AUDIT FAILED)");
+  if (!au.ok) {
+    std::fprintf(stderr, "perf_report: the audited trace has violations\n");
+    return 1;
+  }
+
   std::FILE* f = std::fopen(out_path, "w");
   if (!f) {
     std::fprintf(stderr, "perf_report: cannot write %s\n", out_path);
@@ -408,6 +499,13 @@ int main(int argc, char** argv) {
                "    \"n1M_peak_queue_depth\": %llu,\n"
                "    \"n1M_peak_in_flight\": %lld,\n"
                "    \"n1M_peak_blocked\": %lld\n"
+               "  },\n"
+               "  \"audit\": {\n"
+               "    \"workload\": \"obs::audit_records, cao_singhal cellular "
+               "n=1024 rate=0.1, horizon %.0fs, best-of-%d\",\n"
+               "    \"records\": %llu,\n"
+               "    \"records_per_sec\": %.1f,\n"
+               "    \"heap_growth_mib\": %.1f\n"
                "  }\n"
                "}\n",
                quick ? "true" : "false", pending,
@@ -419,7 +517,10 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(sc.n1M_timeline_rows),
                static_cast<unsigned long long>(sc.n1M_peak_queue_depth),
                static_cast<long long>(sc.n1M_peak_in_flight),
-               static_cast<long long>(sc.n1M_peak_blocked));
+               static_cast<long long>(sc.n1M_peak_blocked),
+               quick ? 600.0 : 3600.0, kAuditTrials,
+               static_cast<unsigned long long>(au.records),
+               au.records_per_sec, au.heap_growth_mib);
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
 
@@ -440,11 +541,14 @@ int main(int argc, char** argv) {
                  "\"deliveries_per_sec\":%.1f,"
                  "\"n1k_deliveries_per_sec\":%.1f,"
                  "\"n1M_wall_s\":%.3f,"
-                 "\"n1M_peak_rss_kib\":%llu}\n",
+                 "\"n1M_peak_rss_kib\":%llu,"
+                 "\"audit_records_per_sec\":%.1f,"
+                 "\"audit_heap_growth_mib\":%.1f}\n",
                  sha, stamp, quick ? "true" : "false", cur_eps, cur_ape,
                  st.sim_seconds_per_wall_second,
                  st.events_per_sec, sc.n1k_deliveries_per_sec, sc.n1M_wall_s,
-                 static_cast<unsigned long long>(sc.n1M_peak_rss_kib));
+                 static_cast<unsigned long long>(sc.n1M_peak_rss_kib),
+                 au.records_per_sec, au.heap_growth_mib);
     std::fclose(h);
     std::printf("appended %s\n", history_path);
   }

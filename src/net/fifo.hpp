@@ -13,6 +13,7 @@
 
 #include "rt/message.hpp"
 #include "util/assert.hpp"
+#include "util/flat_map.hpp"
 
 namespace mck::net {
 
@@ -21,14 +22,15 @@ class FifoSequencer {
   /// Small populations get a dense n*n channel table (no hashing on the
   /// per-message hot path); past the threshold the table would be
   /// quadratic in n (16 hosts: 16 KB; 1M hosts: ~16 TB), so channels are
-  /// created lazily in an open-addressed flat table keyed by (src, dst) —
-  /// 16 bytes per touched channel, one multiply-mix hash and a linear
-  /// probe per lookup (a broadcast at n = 1M touches a million channels,
-  /// so per-channel footprint and lookup cost both matter). A channel
-  /// that was never touched is identical to a default-constructed Chan,
-  /// so the storage modes behave the same. Overtaken messages are parked
-  /// in a shared ordered side map: out-of-order arrival is rare (reroutes
-  /// after handoffs), so the per-channel structure stays lean.
+  /// created lazily in an open-addressed flat table keyed by (src, dst)
+  /// (util::FlatMap) — 16 bytes per touched channel, one multiply-mix
+  /// hash and a linear probe per lookup (a broadcast at n = 1M touches a
+  /// million channels, so per-channel footprint and lookup cost both
+  /// matter). A channel that was never touched is identical to a
+  /// default-constructed Chan, so the storage modes behave the same.
+  /// Overtaken messages are parked in a shared ordered side map:
+  /// out-of-order arrival is rare (reroutes after handoffs), so the
+  /// per-channel structure stays lean.
   /// (Measured dead ends at n = 1k, do not revisit: raising kDenseLimit
   /// to cover n = 1k loses ~6% — zeroing two 16 MB tables dominates the
   /// ~0.1 s run; lazily allocated per-sender row arrays lose ~12% — the
@@ -38,8 +40,6 @@ class FifoSequencer {
     if (num_processes <= kDenseLimit) {
       dense_.resize(static_cast<std::size_t>(num_processes) *
                     static_cast<std::size_t>(num_processes));
-    } else {
-      table_.resize(kInitialSlots);
     }
   }
 
@@ -106,7 +106,6 @@ class FifoSequencer {
 
  private:
   static constexpr int kDenseLimit = 256;
-  static constexpr std::size_t kInitialSlots = 1024;  // power of two
   static constexpr std::uint32_t kSeqLimit = 0xffffffffu;
 
   /// 8 bytes per channel; sequence numbers are 32-bit (4G messages per
@@ -118,22 +117,9 @@ class FifoSequencer {
     std::uint32_t next_deliver = 0;
   };
 
-  struct Slot {
-    std::uint64_t key_plus1 = 0;  // 0 = empty
-    Chan chan;
-  };
-
   std::uint64_t chan_key(ProcessId src, ProcessId dst) const {
     return static_cast<std::uint64_t>(src) * static_cast<std::uint64_t>(n_) +
            static_cast<std::uint64_t>(dst);
-  }
-
-  static std::uint64_t mix(std::uint64_t x) {
-    // SplitMix64 finalizer.
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
   }
 
   Chan& chan(ProcessId src, ProcessId dst) {
@@ -141,39 +127,13 @@ class FifoSequencer {
   }
 
   Chan& chan_by_key(std::uint64_t key) {
-    if (!dense_.empty()) return dense_[static_cast<std::size_t>(key)].chan;
-    if ((live_ + 1) * 8 > table_.size() * 5) rehash(table_.size() * 2);
-    const std::size_t mask = table_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(mix(key)) & mask;
-    while (true) {
-      Slot& s = table_[i];
-      if (s.key_plus1 == key + 1) return s.chan;
-      if (s.key_plus1 == 0) {
-        s.key_plus1 = key + 1;
-        ++live_;
-        return s.chan;
-      }
-      i = (i + 1) & mask;
-    }
-  }
-
-  void rehash(std::size_t new_slots) {
-    std::vector<Slot> old;
-    old.swap(table_);
-    table_.resize(new_slots);
-    const std::size_t mask = new_slots - 1;
-    for (const Slot& s : old) {
-      if (s.key_plus1 == 0) continue;
-      std::size_t i = static_cast<std::size_t>(mix(s.key_plus1 - 1)) & mask;
-      while (table_[i].key_plus1 != 0) i = (i + 1) & mask;
-      table_[i] = s;
-    }
+    if (!dense_.empty()) return dense_[static_cast<std::size_t>(key)];
+    return table_[key];
   }
 
   int n_;
-  std::vector<Slot> dense_;   // n <= kDenseLimit: direct-indexed
-  std::vector<Slot> table_;   // open-addressed, lazily populated
-  std::size_t live_ = 0;
+  std::vector<Chan> dense_;    // n <= kDenseLimit: direct-indexed
+  util::FlatMap<Chan> table_;  // otherwise: lazily populated
   /// Parked overtakers, keyed (channel key, seq). Shared across channels:
   /// almost always empty, so the per-channel Chan stays 8 bytes.
   std::map<std::pair<std::uint64_t, std::uint64_t>, rt::Message> pending_;

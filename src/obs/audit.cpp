@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "stats/table.hpp"
 #include "util/json.hpp"
@@ -14,6 +13,10 @@
 namespace mck::obs {
 
 namespace {
+
+/// kMsgSend / kMsgDeliver / kWeight* records carry the peer pid in the
+/// 16-bit aux, and 0xFFFF is kBroadcastDst: peers P0..P65534 fit.
+constexpr int kMaxCertifiedProcesses = kBroadcastDst;
 
 std::string fmt(const char* f, ...) {
   char buf[512];
@@ -125,17 +128,22 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
         AuditViolation{c, rep, at, initiation, std::move(detail)});
   };
 
-  // ---- causal graph (matching + FIFO discipline) ----------------------
-  CausalGraph g = build_graph(records, num_processes);
-  for (const CausalIssue& is : g.issues) {
-    violate(AuditCheck::kCausality, is.at, 0,
-            fmt("msg %llu: %s", static_cast<unsigned long long>(is.msg_id),
-                is.detail.c_str()));
-  }
   out.totals.records += records.size();
-  out.totals.sends += g.sends;
-  out.totals.delivers += g.delivers;
-  out.totals.in_transit += g.in_transit;
+  if (num_processes > kMaxCertifiedProcesses) {
+    // A unicast to P65535 would read as a broadcast and higher peer pids
+    // wrap, so the causality and weight verdicts would be false. Refuse
+    // the rep instead.
+    violate(AuditCheck::kTruncation, 0, 0,
+            fmt("peer ids are 16-bit; cannot certify n > %d (n = %d)",
+                kMaxCertifiedProcesses, num_processes));
+    return;
+  }
+
+  // One pass: every record goes to the causal matcher (FIFO discipline,
+  // hops) and to the lifecycle / round / blocking / weight replay below.
+  // Causality verdicts are reported ahead of the replay's.
+  GraphBuilder builder(records, num_processes);
+  const std::size_t first_replay_violation = out.violations.size();
 
   // ---- replay: checkpoint lifecycle, rounds, blocking, weights --------
   std::unordered_map<std::uint64_t, CkptState> ckpts;
@@ -155,6 +163,7 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
   };
 
   for (const TraceRecord& r : records) {
+    builder.add(r);
     switch (static_cast<TraceKind>(r.kind)) {
       case TraceKind::kCkptTaken: {
         const std::uint64_t ref = r.arg1 >> 32;
@@ -365,6 +374,23 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
     }
   }
 
+  // ---- causal graph (matching + FIFO discipline) ----------------------
+  const CausalGraph g = builder.finish();
+  const std::size_t first_causal_violation = out.violations.size();
+  for (const CausalIssue& is : g.issues) {
+    violate(AuditCheck::kCausality, is.at, 0,
+            fmt("msg %llu: %s", static_cast<unsigned long long>(is.msg_id),
+                is.detail.c_str()));
+  }
+  std::rotate(out.violations.begin() +
+                  static_cast<std::ptrdiff_t>(first_replay_violation),
+              out.violations.begin() +
+                  static_cast<std::ptrdiff_t>(first_causal_violation),
+              out.violations.end());
+  out.totals.sends += g.sends;
+  out.totals.delivers += g.delivers;
+  out.totals.in_transit += g.in_transit;
+
   // ---- round verdicts -------------------------------------------------
   for (auto& [initiation, rd] : rounds) {
     if (rd.committed_at >= 0) ++out.totals.rounds_committed;
@@ -407,39 +433,62 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
   }
 
   // ---- consistency: Theorem 1 over the reconstructed lines ------------
-  std::vector<std::uint64_t> line(static_cast<std::size_t>(num_processes), 0);
-  std::unordered_set<std::size_t> flagged_hops;
-  for (std::uint64_t initiation : commit_order) {
-    const Round& rd = rounds[initiation];
-    for (const auto& [pid, cursor] : rd.line_updates) {
+  // Line k (after the k-th commit in commit order) only ever raises a
+  // process's cursor, so keep per process the lines at which it rises. A
+  // hop is an orphan on line k iff its receive is inside (k >= kr, the
+  // first line past the receive event at dst) and its send is not
+  // (k < ks, the first line past the send event at src). It is reported
+  // once, on line kr: two binary searches per hop instead of a test of
+  // every hop against every line.
+  struct CursorStep {
+    std::size_t line;
+    std::uint64_t cursor;
+  };
+  const std::size_t num_lines = commit_order.size();
+  std::vector<std::vector<CursorStep>> steps(
+      static_cast<std::size_t>(num_processes));
+  for (std::size_t k = 0; k < num_lines; ++k) {
+    for (const auto& [pid, cursor] : rounds[commit_order[k]].line_updates) {
       if (pid < 0 || pid >= num_processes) continue;
+      auto& st = steps[static_cast<std::size_t>(pid)];
       // A later checkpoint never moves the line backwards.
-      if (cursor > line[static_cast<std::size_t>(pid)]) {
-        line[static_cast<std::size_t>(pid)] = cursor;
+      if (cursor > (st.empty() ? 0 : st.back().cursor)) {
+        st.push_back(CursorStep{k, cursor});
       }
     }
-    for (std::size_t i = 0; i < g.hops.size(); ++i) {
-      const MsgHop& h = g.hops[i];
-      if (!h.computation || h.send_stamp == 0 || h.recv_stamp == 0) continue;
-      if (h.src < 0 || h.src >= num_processes || h.dst < 0 ||
-          h.dst >= num_processes) {
-        continue;
-      }
-      ++out.totals.orphan_checks;
-      const std::uint64_t send_event = h.send_stamp - 1;
-      const std::uint64_t recv_event = h.recv_stamp - 1;
-      if (recv_event < line[static_cast<std::size_t>(h.dst)] &&
-          send_event >= line[static_cast<std::size_t>(h.src)]) {
-        if (flagged_hops.insert(i).second) {
-          violate(AuditCheck::kConsistency, rd.committed_at, initiation,
-                  fmt("orphan msg %llu: P%d(ev %llu) -> P%d(ev %llu) crosses "
-                      "the committed line",
-                      static_cast<unsigned long long>(h.id), h.src,
-                      static_cast<unsigned long long>(send_event), h.dst,
-                      static_cast<unsigned long long>(recv_event)));
-        }
-      }
+  }
+  auto first_line_past = [&](std::int32_t pid, std::uint64_t event) {
+    const auto& st = steps[static_cast<std::size_t>(pid)];
+    auto it = std::upper_bound(
+        st.begin(), st.end(), event,
+        [](std::uint64_t e, const CursorStep& s) { return e < s.cursor; });
+    return it == st.end() ? num_lines : it->line;
+  };
+  std::vector<std::pair<std::size_t, std::size_t>> orphans;  // (line, hop)
+  for (std::size_t i = 0; i < g.hops.size(); ++i) {
+    const MsgHop& h = g.hops[i];
+    if (!h.computation || h.send_stamp == 0 || h.recv_stamp == 0) continue;
+    if (h.src < 0 || h.src >= num_processes || h.dst < 0 ||
+        h.dst >= num_processes) {
+      continue;
     }
+    out.totals.orphan_checks += num_lines;
+    const std::size_t kr = first_line_past(h.dst, h.recv_stamp - 1);
+    if (kr < first_line_past(h.src, h.send_stamp - 1)) {
+      orphans.emplace_back(kr, i);
+    }
+  }
+  std::sort(orphans.begin(), orphans.end());  // line-major, hop order
+  for (const auto& [k, i] : orphans) {
+    const std::uint64_t initiation = commit_order[k];
+    const MsgHop& h = g.hops[i];
+    violate(AuditCheck::kConsistency, rounds[initiation].committed_at,
+            initiation,
+            fmt("orphan msg %llu: P%d(ev %llu) -> P%d(ev %llu) crosses "
+                "the committed line",
+                static_cast<unsigned long long>(h.id), h.src,
+                static_cast<unsigned long long>(h.send_stamp - 1), h.dst,
+                static_cast<unsigned long long>(h.recv_stamp - 1)));
   }
 
   // ---- critical-path attribution --------------------------------------

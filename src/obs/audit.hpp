@@ -24,7 +24,9 @@
 //   truncation   — the trace is complete: a kTruncated marker (record-cap
 //                  overflow) means the tail of the run is missing, so no
 //                  absence-based verdict can be trusted and the rep is
-//                  refused certification.
+//                  refused certification. A rep with n > 65535 is refused
+//                  outright (one verdict, no other check): message and
+//                  weight records carry peer pids in a 16-bit field.
 //
 // On top of the causal graph the auditor attributes each committed
 // round's init -> commit latency to wire / retry / MSS-buffer /

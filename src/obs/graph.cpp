@@ -1,22 +1,13 @@
 #include "obs/graph.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <deque>
-#include <unordered_map>
+#include <iterator>
+
+#include "util/assert.hpp"
 
 namespace mck::obs {
 
 namespace {
-
-struct SendInfo {
-  std::int32_t src = -1;
-  std::uint16_t dst = 0;  // kBroadcastDst for broadcasts
-  std::uint8_t kind = 0;
-  sim::SimTime at = 0;
-  std::uint64_t stamp = 0;
-  std::uint32_t pos = 0;
-};
 
 /// Channel key: ordered (src, dst) pair plus the message class. The LAN
 /// sequencer orders all kinds per pair; the cellular transport runs
@@ -37,148 +28,179 @@ std::string fmt_issue(const char* f, unsigned long long a,
 
 }  // namespace
 
+GraphBuilder::GraphBuilder(const std::vector<TraceRecord>& records,
+                           int num_processes)
+    : records_(records), n_(num_processes) {
+  MCK_ASSERT_MSG(records.size() <= 0xffffffffu,
+                 "a run holds at most 2^32 records");
+  g_.delivers_by_pid.resize(static_cast<std::size_t>(num_processes));
+}
+
+void GraphBuilder::issue(sim::SimTime at, std::uint64_t id,
+                         std::string detail) {
+  g_.issues.push_back(CausalIssue{at, id, std::move(detail)});
+}
+
+std::uint32_t GraphBuilder::enqueue(std::uint64_t chan_key) {
+  Chan& c = channels_[chan_key];
+  MCK_ASSERT_MSG(c.next_send != 0xffffffffu, "channel sequence overflow");
+  ++enqueued_;
+  return c.next_send++;
+}
+
+bool GraphBuilder::match(const TraceRecord& send, const SendRef& ref,
+                         const TraceRecord& r, bool comp) {
+  if (comp != (send.sub == kRawMsgComputation)) return false;
+  std::uint32_t seq = ref.seq;
+  if (send.aux == kBroadcastDst) {
+    if (r.pid < 0 || r.pid >= n_ || r.pid == send.pid) return false;
+    seq = bcast_seqs_[ref.seq + static_cast<std::size_t>(r.pid)];
+  } else if (r.pid != static_cast<std::int32_t>(send.aux)) {
+    return false;
+  }
+  const std::uint64_t key = channel_key(send.pid, r.pid, comp);
+  Chan& c = *channels_.find(key);  // the send created it
+  if (seq < c.next_deliver || overtaken_.count({key, seq}) != 0) {
+    return false;  // this copy was delivered already
+  }
+  ++matched_;
+  if (seq == c.next_deliver) {
+    // In order: also release the overtakers parked right behind it.
+    ++c.next_deliver;
+    for (auto it = overtaken_.find({key, c.next_deliver});
+         it != overtaken_.end() && it->first == key &&
+         it->second == c.next_deliver;
+         it = overtaken_.erase(it)) {
+      ++c.next_deliver;
+    }
+    return true;
+  }
+  // Ahead of the channel: every number in [next_deliver, seq) that is not
+  // parked here itself is an earlier send still undelivered.
+  const auto parked =
+      std::distance(overtaken_.lower_bound({key, c.next_deliver}),
+                    overtaken_.lower_bound({key, seq}));
+  issue(r.at, r.arg0,
+        fmt_issue("FIFO violation: message overtook %llu earlier "
+                  "send(s) on channel P%llu -> P%llu",
+                  static_cast<unsigned long long>(seq - c.next_deliver) -
+                      static_cast<unsigned long long>(parked),
+                  static_cast<unsigned long long>(
+                      static_cast<std::uint32_t>(send.pid)),
+                  static_cast<unsigned long long>(
+                      static_cast<std::uint32_t>(r.pid))));
+  overtaken_.emplace(key, seq);
+  return true;
+}
+
+void GraphBuilder::add(const TraceRecord& r) {
+  const std::uint32_t idx = next_rec_++;
+  MCK_ASSERT_MSG(&r == records_.data() + idx,
+                 "GraphBuilder::add must see the records in order");
+  switch (static_cast<TraceKind>(r.kind)) {
+    case TraceKind::kMsgSend: {
+      auto [ref, fresh] = sends_.try_emplace(r.arg0);
+      if (!fresh) {
+        issue(r.at, r.arg0, "duplicate send record for one message id");
+        break;
+      }
+      ++g_.sends;
+      ref->rec = idx;
+      const bool comp = r.sub == kRawMsgComputation;
+      if (r.aux == kBroadcastDst) {
+        const std::size_t base = bcast_seqs_.size();
+        MCK_ASSERT_MSG(base <= 0xffffffffu, "too many broadcast recipients");
+        ref->seq = static_cast<std::uint32_t>(base);
+        bcast_seqs_.resize(base + static_cast<std::size_t>(n_));
+        for (std::int32_t p = 0; p < n_; ++p) {
+          if (p == r.pid) continue;
+          bcast_seqs_[base + static_cast<std::size_t>(p)] =
+              enqueue(channel_key(r.pid, p, comp));
+        }
+      } else {
+        ref->seq =
+            enqueue(channel_key(r.pid, static_cast<std::int32_t>(r.aux), comp));
+      }
+      break;
+    }
+    case TraceKind::kMsgRetry:
+      annots_[r.arg0].retry_extra += retry_extra_of(r.arg1);
+      break;
+    case TraceKind::kMsgBuffered:
+      annots_[r.arg0].buffered_at = r.at;
+      break;
+    case TraceKind::kMsgForwarded:
+      annots_[r.arg0].forwarded = true;
+      break;
+    case TraceKind::kMsgDeliver: {
+      ++g_.delivers;
+      const SendRef* ref = sends_.find(r.arg0);
+      if (ref == nullptr) {
+        issue(r.at, r.arg0, "delivery with no matching send record");
+        break;
+      }
+      const TraceRecord& s = records_[ref->rec];
+      if (s.at > r.at) {
+        issue(r.at, r.arg0, "message delivered before it was sent");
+      }
+      if (static_cast<std::int32_t>(r.aux) != s.pid) {
+        issue(r.at, r.arg0,
+              fmt_issue("delivery names sender P%llu, send was by P%llu",
+                        static_cast<unsigned long long>(r.aux),
+                        static_cast<unsigned long long>(
+                            static_cast<std::uint32_t>(s.pid)),
+                        0));
+      }
+      if (s.aux != kBroadcastDst && static_cast<std::int32_t>(s.aux) != r.pid) {
+        issue(r.at, r.arg0, "unicast message delivered to a third party");
+      }
+
+      const bool comp = r.sub == kRawMsgComputation;
+      if (!match(s, *ref, r, comp)) {
+        issue(r.at, r.arg0, "message delivered twice to one process");
+      }
+
+      MsgHop h;
+      h.id = r.arg0;
+      h.src = s.pid;
+      h.dst = r.pid;
+      h.kind = r.sub;
+      h.computation = comp;
+      h.sent_at = s.at;
+      h.delivered_at = r.at;
+      h.send_stamp = msg_stamp_of(s.arg1);
+      h.recv_stamp = msg_stamp_of(r.arg1);
+      if (const Annot* a = annots_.find(r.arg0)) {
+        h.buffered_at = a->buffered_at;
+        h.retry_extra = a->retry_extra;
+        h.forwarded = a->forwarded;
+      }
+      if (comp && (h.send_stamp == 0 || h.recv_stamp == 0)) {
+        issue(r.at, r.arg0,
+              "computation message is missing an event-log stamp");
+      }
+      if (r.pid >= 0 && r.pid < n_) {
+        g_.delivers_by_pid[static_cast<std::size_t>(r.pid)].push_back(
+            static_cast<std::uint32_t>(g_.hops.size()));
+      }
+      g_.hops.push_back(h);
+      break;
+    }
+    default:
+      break;
+  }
+}
+
+CausalGraph GraphBuilder::finish() {
+  g_.in_transit = enqueued_ - matched_;
+  return std::move(g_);
+}
+
 CausalGraph build_graph(const std::vector<TraceRecord>& records,
                         int num_processes) {
-  CausalGraph g;
-  g.delivers_by_pid.resize(static_cast<std::size_t>(num_processes));
-
-  std::unordered_map<std::uint64_t, SendInfo> sends;
-  std::unordered_map<std::uint64_t, sim::SimTime> buffered_at;
-  std::unordered_map<std::uint64_t, sim::SimTime> retry_extra;
-  std::unordered_map<std::uint64_t, char> forwarded;
-  // Per channel: the positions of sends not yet delivered, in send order.
-  std::unordered_map<std::uint64_t, std::deque<std::uint32_t>> channels;
-
-  auto issue = [&](sim::SimTime at, std::uint64_t id, std::string detail) {
-    g.issues.push_back(CausalIssue{at, id, std::move(detail)});
-  };
-
-  std::uint32_t pos = 0;
-  for (const TraceRecord& r : records) {
-    switch (static_cast<TraceKind>(r.kind)) {
-      case TraceKind::kMsgSend: {
-        SendInfo si;
-        si.src = r.pid;
-        si.dst = r.aux;
-        si.kind = r.sub;
-        si.at = r.at;
-        si.stamp = msg_stamp_of(r.arg1);
-        si.pos = pos;
-        if (!sends.emplace(r.arg0, si).second) {
-          issue(r.at, r.arg0, "duplicate send record for one message id");
-        } else {
-          ++g.sends;
-          const bool comp = r.sub == kRawMsgComputation;
-          if (r.aux == kBroadcastDst) {
-            for (std::int32_t p = 0; p < num_processes; ++p) {
-              if (p == r.pid) continue;
-              channels[channel_key(r.pid, p, comp)].push_back(pos);
-            }
-          } else {
-            channels[channel_key(r.pid, static_cast<std::int32_t>(r.aux),
-                                 comp)]
-                .push_back(pos);
-          }
-        }
-        ++pos;
-        break;
-      }
-      case TraceKind::kMsgRetry:
-        retry_extra[r.arg0] += retry_extra_of(r.arg1);
-        break;
-      case TraceKind::kMsgBuffered:
-        buffered_at[r.arg0] = r.at;
-        break;
-      case TraceKind::kMsgForwarded:
-        forwarded[r.arg0] = 1;
-        break;
-      case TraceKind::kMsgDeliver: {
-        ++g.delivers;
-        auto it = sends.find(r.arg0);
-        if (it == sends.end()) {
-          issue(r.at, r.arg0, "delivery with no matching send record");
-          break;
-        }
-        const SendInfo& si = it->second;
-        if (si.at > r.at) {
-          issue(r.at, r.arg0, "message delivered before it was sent");
-        }
-        if (static_cast<std::int32_t>(r.aux) != si.src) {
-          issue(r.at, r.arg0,
-                fmt_issue("delivery names sender P%llu, send was by P%llu",
-                          static_cast<unsigned long long>(r.aux),
-                          static_cast<unsigned long long>(
-                              static_cast<std::uint32_t>(si.src)),
-                          0));
-        }
-        if (si.dst != kBroadcastDst &&
-            static_cast<std::int32_t>(si.dst) != r.pid) {
-          issue(r.at, r.arg0, "unicast message delivered to a third party");
-        }
-
-        const bool comp = r.sub == kRawMsgComputation;
-        auto ch = channels.find(channel_key(si.src, r.pid, comp));
-        bool on_channel = false;
-        if (ch != channels.end()) {
-          auto& pending = ch->second;
-          auto f = std::find(pending.begin(), pending.end(), si.pos);
-          if (f != pending.end()) {
-            on_channel = true;
-            if (f != pending.begin()) {
-              issue(r.at, r.arg0,
-                    fmt_issue("FIFO violation: message overtook %llu earlier "
-                              "send(s) on channel P%llu -> P%llu",
-                              static_cast<unsigned long long>(
-                                  f - pending.begin()),
-                              static_cast<unsigned long long>(
-                                  static_cast<std::uint32_t>(si.src)),
-                              static_cast<unsigned long long>(
-                                  static_cast<std::uint32_t>(r.pid))));
-            }
-            pending.erase(f);
-          }
-        }
-        if (!on_channel) {
-          issue(r.at, r.arg0, "message delivered twice to one process");
-        }
-
-        MsgHop h;
-        h.id = r.arg0;
-        h.src = si.src;
-        h.dst = r.pid;
-        h.kind = r.sub;
-        h.computation = comp;
-        h.sent_at = si.at;
-        h.delivered_at = r.at;
-        h.send_stamp = si.stamp;
-        h.recv_stamp = msg_stamp_of(r.arg1);
-        auto b = buffered_at.find(r.arg0);
-        if (b != buffered_at.end()) h.buffered_at = b->second;
-        auto re = retry_extra.find(r.arg0);
-        if (re != retry_extra.end()) h.retry_extra = re->second;
-        h.forwarded = forwarded.count(r.arg0) != 0;
-        h.send_pos = si.pos;
-        if (comp && (h.send_stamp == 0 || h.recv_stamp == 0)) {
-          issue(r.at, r.arg0,
-                "computation message is missing an event-log stamp");
-        }
-        if (r.pid >= 0 && r.pid < num_processes) {
-          g.delivers_by_pid[static_cast<std::size_t>(r.pid)].push_back(
-              static_cast<std::uint32_t>(g.hops.size()));
-        }
-        g.hops.push_back(h);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
-  for (const auto& [key, pending] : channels) {
-    (void)key;
-    g.in_transit += pending.size();
-  }
-  return g;
+  GraphBuilder b(records, num_processes);
+  for (const TraceRecord& r : records) b.add(r);
+  return b.finish();
 }
 
 }  // namespace mck::obs

@@ -1,43 +1,59 @@
 // Causal reconstruction of a recorded run: the happens-before skeleton.
 //
-// build_graph matches kMsgSend records to kMsgDeliver records by message
+// GraphBuilder matches kMsgSend records to kMsgDeliver records by message
 // id (including broadcast fan-out — one send record, N-1 delivers — plus
 // kMsgForwarded reroutes and kMsgBuffered deferred deliveries), checks the
 // FIFO channel discipline the simulated transports guarantee (per ordered
 // (src, dst) pair and message class), and exposes the matched hops in
 // delivery order so the auditor (obs/audit.hpp) can replay Theorem 1 and
-// walk critical paths without any protocol knowledge.
+// walk critical paths without any protocol knowledge. It is fed one
+// record at a time, so the auditor runs it in the same pass as its own
+// replay; build_graph is the loop for callers that only want the graph.
+//
+// Channel state mirrors net::FifoSequencer: a (src, dst, class) channel
+// is two 32-bit counters in a flat table — sends take the next sequence
+// number, an in-order delivery advances the delivery counter — and a
+// delivery that overtakes an undelivered predecessor is parked in one
+// shared ordered set, which stays empty in a clean run. The state is one
+// 16-byte slot per channel used and per message id (flat tables at most
+// 5/8 full) plus 4 B per broadcast recipient; a send is kept as the index
+// of its record, not copied.
 //
 // Everything here is derived from TraceRecords alone — the whole point is
 // an *independent* witness that shares no code with the system under test
-// beyond the trace schema.
+// beyond the trace schema and util's generic containers (util::FlatMap is
+// the table the sequencer uses too; the matching logic is separate).
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "util/flat_map.hpp"
 
 namespace mck::obs {
 
 /// One matched (send, deliver) pair. A broadcast produces one hop per
-/// recipient, all sharing the send-side fields.
+/// recipient, all sharing the send-side fields. 64 bytes: a run holds one
+/// per delivery.
 struct MsgHop {
   std::uint64_t id = 0;
   std::int32_t src = -1;
   std::int32_t dst = -1;
-  std::uint8_t kind = 0;        // rt::MsgKind discriminator (raw byte)
-  bool computation = false;
   sim::SimTime sent_at = 0;
   sim::SimTime delivered_at = 0;
-  std::uint64_t send_stamp = 0;  // sender's event index + 1 (0: system msg)
-  std::uint64_t recv_stamp = 0;  // receiver's event index + 1
   sim::SimTime buffered_at = -1;  // when an MSS buffered it (-1: never)
   sim::SimTime retry_extra = 0;   // delay added by link-layer retries (ns)
+  std::uint32_t send_stamp = 0;   // sender's event index + 1 (0: system msg)
+  std::uint32_t recv_stamp = 0;   // receiver's event index + 1
+  std::uint8_t kind = 0;          // rt::MsgKind discriminator (raw byte)
+  bool computation = false;
   bool forwarded = false;         // rerouted after a handoff
-  std::uint32_t send_pos = 0;     // send-record ordinal (channel order key)
 };
+static_assert(sizeof(MsgHop) == 64, "MsgHop is one cache line");
 
 /// A causal-order defect found while matching: an unmatched or duplicated
 /// delivery, time travel, or a FIFO inversion on a channel.
@@ -58,8 +74,60 @@ struct CausalGraph {
   std::uint64_t in_transit = 0;  // expected deliveries that never happened
 };
 
-/// Rebuilds the causal graph of ONE run's records. Message ids repeat
-/// across replications, so runs must be processed separately.
+/// Incremental matcher over ONE run's records. Message ids repeat across
+/// replications, so runs must be processed separately.
+class GraphBuilder {
+ public:
+  /// `records` must outlive the builder, and add() must be fed
+  /// records[0], records[1], ... in order: sends are kept as indices.
+  GraphBuilder(const std::vector<TraceRecord>& records, int num_processes);
+
+  void add(const TraceRecord& r);
+
+  /// The graph of every record added so far; the builder is spent.
+  CausalGraph finish();
+
+ private:
+  struct Chan {
+    std::uint32_t next_send = 0;
+    std::uint32_t next_deliver = 0;
+  };
+  /// A send: its record, and its sequence number on its channel — for a
+  /// broadcast, the offset of its per-recipient numbers in bcast_seqs_.
+  struct SendRef {
+    std::uint32_t rec = 0;
+    std::uint32_t seq = 0;
+  };
+  /// What kMsgRetry / kMsgBuffered / kMsgForwarded said about a message.
+  struct Annot {
+    sim::SimTime buffered_at = -1;
+    sim::SimTime retry_extra = 0;
+    bool forwarded = false;
+  };
+
+  std::uint32_t enqueue(std::uint64_t chan_key);
+  /// Consumes the delivery `r` of `send` on its channel. False if `r` is
+  /// not on the channel the send went to, or that copy was delivered.
+  bool match(const TraceRecord& send, const SendRef& ref,
+             const TraceRecord& r, bool comp);
+  void issue(sim::SimTime at, std::uint64_t id, std::string detail);
+
+  const std::vector<TraceRecord>& records_;
+  int n_;
+  std::uint32_t next_rec_ = 0;
+  CausalGraph g_;
+  util::FlatMap<SendRef> sends_;  // message id -> first send record
+  util::FlatMap<Annot> annots_;   // message id -> reroute/buffer/retry
+  util::FlatMap<Chan> channels_;  // channel key -> counters
+  std::vector<std::uint32_t> bcast_seqs_;  // n per broadcast, by recipient
+  /// Deliveries that arrived ahead of an undelivered predecessor, keyed
+  /// (channel key, seq); erased once the channel catches up to them.
+  std::set<std::pair<std::uint64_t, std::uint32_t>> overtaken_;
+  std::uint64_t enqueued_ = 0;  // expected deliveries
+  std::uint64_t matched_ = 0;   // deliveries consumed on their channel
+};
+
+/// Rebuilds the causal graph of ONE run's records.
 CausalGraph build_graph(const std::vector<TraceRecord>& records,
                         int num_processes);
 

@@ -189,8 +189,8 @@ inline constexpr std::uint64_t pack_msg_stamp(std::uint64_t event_plus1,
                                               std::uint64_t bytes) {
   return (event_plus1 << 32) | (bytes & 0xffffffffull);
 }
-inline constexpr std::uint64_t msg_stamp_of(std::uint64_t arg1) {
-  return arg1 >> 32;
+inline constexpr std::uint32_t msg_stamp_of(std::uint64_t arg1) {
+  return static_cast<std::uint32_t>(arg1 >> 32);
 }
 inline constexpr std::uint64_t msg_bytes_of(std::uint64_t arg1) {
   return arg1 & 0xffffffffull;

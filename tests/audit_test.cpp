@@ -8,8 +8,16 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <map>
+#include <random>
+#include <set>
+#include <string>
+#include <tuple>
+#include <unordered_set>
+#include <vector>
 
 #include "ckpt/store.hpp"
+#include "deque_matcher.hpp"
 #include "harness/experiment.hpp"
 #include "harness/scheduler.hpp"
 #include "mobile/mobility.hpp"
@@ -366,6 +374,376 @@ TEST(AuditGraph, BroadcastFanOutAndInTransit) {
   EXPECT_EQ(g.sends, 1u);
   EXPECT_EQ(g.delivers, 2u);
   EXPECT_EQ(g.in_transit, 1u);
+}
+
+// ---- matcher semantics, pinned: exact issue text and order ---------------
+
+constexpr std::uint8_t kComp = obs::kRawMsgComputation;
+constexpr std::uint8_t kReq = obs::kRawMsgRequest;
+
+TraceRecord send_rec(sim::SimTime at, std::int32_t src, std::uint16_t dst,
+                     std::uint64_t id, std::uint8_t sub = kComp) {
+  return rec(at, TraceKind::kMsgSend, src, sub, dst, id,
+             obs::pack_msg_stamp(sub == kComp ? id : 0, 64));
+}
+
+TraceRecord deliver_rec(sim::SimTime at, std::int32_t dst, std::uint16_t src,
+                        std::uint64_t id, std::uint8_t sub = kComp) {
+  return rec(at, TraceKind::kMsgDeliver, dst, sub, src, id,
+             obs::pack_msg_stamp(sub == kComp ? id : 0, 64));
+}
+
+std::vector<std::string> issue_lines(const obs::CausalGraph& g) {
+  std::vector<std::string> out;
+  for (const obs::CausalIssue& is : g.issues) {
+    out.push_back("t" + std::to_string(is.at) + " msg " +
+                  std::to_string(is.msg_id) + ": " + is.detail);
+  }
+  return out;
+}
+
+using Lines = std::vector<std::string>;
+
+/// The graph of a pinned case; the reference deque matcher must report
+/// the same issues and in-transit count, so the pins hold for both.
+obs::CausalGraph pinned_graph(const std::vector<TraceRecord>& t, int n) {
+  obs::CausalGraph g = obs::build_graph(t, n);
+  const obs::CausalGraph ref = obs::build_graph_deque(t, n);
+  EXPECT_EQ(issue_lines(g), issue_lines(ref));
+  EXPECT_EQ(g.in_transit, ref.in_transit);
+  return g;
+}
+
+TEST(AuditGraph, OvertakeCountsOnlyUndeliveredPredecessors) {
+  std::vector<TraceRecord> t = {
+      send_rec(10, 0, 1, 1), send_rec(11, 0, 1, 2), send_rec(12, 0, 1, 3),
+      send_rec(13, 0, 1, 4),
+      deliver_rec(20, 1, 0, 3),  // ahead of 1 and 2
+      deliver_rec(21, 1, 0, 2),  // ahead of 1 only
+      deliver_rec(22, 1, 0, 1),  // late, but nothing left to overtake
+      deliver_rec(23, 1, 0, 4),
+  };
+  obs::CausalGraph g = pinned_graph(t, 2);
+  EXPECT_EQ(issue_lines(g),
+            (Lines{"t20 msg 3: FIFO violation: message overtook 2 earlier "
+                   "send(s) on channel P0 -> P1",
+                   "t21 msg 2: FIFO violation: message overtook 1 earlier "
+                   "send(s) on channel P0 -> P1"}));
+  EXPECT_EQ(g.hops.size(), 4u);
+  EXPECT_EQ(g.in_transit, 0u);
+}
+
+TEST(AuditGraph, OvertakenMessageDeliveredLateIsNotAViolation) {
+  std::vector<TraceRecord> t = {
+      send_rec(10, 0, 1, 1), send_rec(11, 0, 1, 2),
+      deliver_rec(20, 1, 0, 2), deliver_rec(30, 1, 0, 1),
+      send_rec(31, 0, 1, 3), deliver_rec(40, 1, 0, 3),
+  };
+  obs::CausalGraph g = pinned_graph(t, 2);
+  EXPECT_EQ(issue_lines(g),
+            (Lines{"t20 msg 2: FIFO violation: message overtook 1 earlier "
+                   "send(s) on channel P0 -> P1"}));
+  EXPECT_EQ(g.in_transit, 0u);
+  ASSERT_EQ(g.delivers_by_pid[1].size(), 3u);
+  EXPECT_EQ(g.hops[g.delivers_by_pid[1][1]].id, 1u);
+}
+
+TEST(AuditGraph, NeverDeliveredPredecessorIsOvertakenByEveryLaterSend) {
+  std::vector<TraceRecord> t = {
+      send_rec(10, 0, 1, 1), send_rec(11, 0, 1, 2),
+      deliver_rec(20, 1, 0, 2),
+      send_rec(21, 0, 1, 3), deliver_rec(30, 1, 0, 3),
+  };
+  obs::CausalGraph g = pinned_graph(t, 2);
+  EXPECT_EQ(issue_lines(g),
+            (Lines{"t20 msg 2: FIFO violation: message overtook 1 earlier "
+                   "send(s) on channel P0 -> P1",
+                   "t30 msg 3: FIFO violation: message overtook 1 earlier "
+                   "send(s) on channel P0 -> P1"}));
+  EXPECT_EQ(g.in_transit, 1u);
+}
+
+TEST(AuditGraph, DuplicateDeliveryIsFlaggedAndStillAHop) {
+  std::vector<TraceRecord> t = {
+      send_rec(10, 0, 1, 1), deliver_rec(20, 1, 0, 1),
+      deliver_rec(30, 1, 0, 1),
+  };
+  obs::CausalGraph g = pinned_graph(t, 2);
+  EXPECT_EQ(issue_lines(g),
+            (Lines{"t30 msg 1: message delivered twice to one process"}));
+  EXPECT_EQ(g.hops.size(), 2u);
+  EXPECT_EQ(g.delivers, 2u);
+  EXPECT_EQ(g.in_transit, 0u);
+}
+
+TEST(AuditGraph, WrongKindSenderOrRecipientMissesTheChannel) {
+  std::vector<TraceRecord> t = {
+      send_rec(10, 0, 1, 1),
+      deliver_rec(20, 1, 0, 1, kReq),  // right channel pair, wrong class
+      send_rec(21, 0, 1, 2),
+      deliver_rec(30, 2, 0, 2),        // third party
+      send_rec(31, 0, 1, 3),
+      deliver_rec(40, 1, 2, 3),        // names the wrong sender
+  };
+  t.back().arg1 = obs::pack_msg_stamp(0, 64);  // and lacks its stamp
+  obs::CausalGraph g = pinned_graph(t, 3);
+  EXPECT_EQ(issue_lines(g),
+            (Lines{"t20 msg 1: message delivered twice to one process",
+                   "t30 msg 2: unicast message delivered to a third party",
+                   "t30 msg 2: message delivered twice to one process",
+                   "t40 msg 3: delivery names sender P2, send was by P0",
+                   "t40 msg 3: FIFO violation: message overtook 2 earlier "
+                   "send(s) on channel P0 -> P1",
+                   "t40 msg 3: computation message is missing an event-log "
+                   "stamp"}));
+  EXPECT_EQ(g.hops.size(), 3u);
+  EXPECT_EQ(g.in_transit, 2u);
+}
+
+TEST(AuditGraph, BroadcastInterleavedWithUnicastsOnOneChannel) {
+  std::vector<TraceRecord> t = {
+      send_rec(10, 0, 1, 1, kReq),
+      send_rec(11, 0, obs::kBroadcastDst, 2, kReq),
+      send_rec(12, 0, 1, 3, kReq),
+      deliver_rec(20, 1, 0, 3, kReq),  // ahead of 1 and the broadcast
+      deliver_rec(21, 2, 0, 2, kReq),  // P2's channel is in order
+      deliver_rec(22, 1, 0, 1, kReq),
+      deliver_rec(23, 1, 0, 2, kReq),
+  };
+  obs::CausalGraph g = pinned_graph(t, 3);
+  EXPECT_EQ(issue_lines(g),
+            (Lines{"t20 msg 3: FIFO violation: message overtook 2 earlier "
+                   "send(s) on channel P0 -> P1"}));
+  EXPECT_EQ(g.sends, 3u);
+  EXPECT_EQ(g.hops.size(), 4u);
+  EXPECT_EQ(g.in_transit, 0u);
+}
+
+TEST(AuditGraph, BroadcastDeliveredToItsSender) {
+  std::vector<TraceRecord> t = {
+      send_rec(10, 0, obs::kBroadcastDst, 1, kReq),
+      deliver_rec(20, 0, 0, 1, kReq),
+  };
+  obs::CausalGraph g = pinned_graph(t, 3);
+  EXPECT_EQ(issue_lines(g),
+            (Lines{"t20 msg 1: message delivered twice to one process"}));
+  EXPECT_EQ(g.in_transit, 2u);
+}
+
+// ---- matcher vs the reference deque matcher, on random traces ------------
+
+std::vector<TraceRecord> random_message_trace(std::mt19937_64& rng, int n) {
+  auto pick = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  struct Copy {
+    std::uint64_t id;
+    std::int32_t src, dst;
+    std::uint8_t sub;
+  };
+  std::vector<Copy> pending;
+  std::vector<TraceRecord> t;
+  const int len = pick(1, 20);
+  sim::SimTime now = 0;
+  for (int i = 0; i < len; ++i) {
+    now += pick(0, 3);
+    const int what = pick(0, 99);
+    if (what < 40 || pending.empty()) {
+      // Send; ids are drawn from a small pool, so some repeat.
+      const std::uint64_t id = static_cast<std::uint64_t>(pick(1, 8));
+      const std::int32_t src = pick(0, n - 1);
+      const std::uint8_t sub = pick(0, 2) == 0 ? kReq : kComp;
+      const bool bcast = pick(0, 6) == 0;
+      const std::uint16_t dst =
+          bcast ? obs::kBroadcastDst : static_cast<std::uint16_t>(pick(0, n));
+      t.push_back(send_rec(now, src, dst, id, sub));
+      if (pick(0, 9) == 0) t.back().arg1 = 0;  // no stamp
+      for (std::int32_t p = 0; p < n; ++p) {
+        if (bcast ? p != src : p == dst) pending.push_back({id, src, p, sub});
+      }
+    } else if (what < 90) {
+      // Deliver some pending copy (random order: overtakes), sometimes
+      // mangled, sometimes twice.
+      const std::size_t k = static_cast<std::size_t>(
+          pick(0, static_cast<int>(pending.size()) - 1));
+      Copy c = pending[k];
+      if (pick(0, 3) != 0) pending.erase(pending.begin() + k);
+      if (pick(0, 9) == 0) c.sub = c.sub == kComp ? kReq : kComp;
+      if (pick(0, 9) == 0) c.dst = pick(0, n);
+      if (pick(0, 9) == 0) c.src = pick(0, n - 1);
+      if (pick(0, 19) == 0) c.id = static_cast<std::uint64_t>(pick(1, 9));
+      t.push_back(deliver_rec(now - pick(0, 1) * 5, c.dst,
+                              static_cast<std::uint16_t>(c.src), c.id, c.sub));
+    } else {
+      const std::uint64_t id = static_cast<std::uint64_t>(pick(1, 8));
+      const int k = pick(0, 2);
+      if (k == 0) {
+        t.push_back(rec(now, TraceKind::kMsgRetry, 0, 0, 0, id,
+                        obs::pack_retry(pick(1, 100), 1)));
+      } else if (k == 1) {
+        t.push_back(rec(now, TraceKind::kMsgBuffered, 0, 0, 0, id, 1));
+      } else {
+        t.push_back(rec(now, TraceKind::kMsgForwarded, 0, 0, 0, id, 0));
+      }
+    }
+  }
+  return t;
+}
+
+bool same_hop(const obs::MsgHop& a, const obs::MsgHop& b) {
+  return std::tie(a.id, a.src, a.dst, a.kind, a.computation, a.sent_at,
+                  a.delivered_at, a.send_stamp, a.recv_stamp, a.buffered_at,
+                  a.retry_extra, a.forwarded) ==
+         std::tie(b.id, b.src, b.dst, b.kind, b.computation, b.sent_at,
+                  b.delivered_at, b.send_stamp, b.recv_stamp, b.buffered_at,
+                  b.retry_extra, b.forwarded);
+}
+
+TEST(AuditGraph, MatchesReferenceDequeMatcherOnRandomTraces) {
+  std::mt19937_64 rng(2024);
+  std::uint64_t overtakes = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const int n = std::uniform_int_distribution<int>(2, 5)(rng);
+    const std::vector<TraceRecord> t = random_message_trace(rng, n);
+    const obs::CausalGraph want = obs::build_graph_deque(t, n);
+    const obs::CausalGraph got = obs::build_graph(t, n);
+    ASSERT_EQ(issue_lines(got), issue_lines(want)) << "trial " << trial;
+    ASSERT_EQ(got.hops.size(), want.hops.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < got.hops.size(); ++i) {
+      ASSERT_TRUE(same_hop(got.hops[i], want.hops[i]))
+          << "trial " << trial << " hop " << i;
+    }
+    ASSERT_EQ(got.delivers_by_pid, want.delivers_by_pid) << "trial " << trial;
+    ASSERT_EQ(got.sends, want.sends);
+    ASSERT_EQ(got.delivers, want.delivers);
+    ASSERT_EQ(got.in_transit, want.in_transit) << "trial " << trial;
+    for (const obs::CausalIssue& is : want.issues) {
+      overtakes += is.detail.rfind("FIFO violation", 0) == 0 ? 1 : 0;
+    }
+  }
+  EXPECT_GT(overtakes, 1000u);  // the generator does exercise overtakes
+}
+
+// ---- Theorem 1 replay vs the per-line scan, on random committed lines ----
+
+TEST(AuditConsistency, SweepMatchesPerLineScanOnRandomLines) {
+  constexpr std::uint8_t kTent =
+      static_cast<std::uint8_t>(ckpt::CkptKind::kTentative);
+  std::mt19937_64 rng(77);
+  auto pick = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  std::uint64_t orphans = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int n = pick(2, 6);
+    std::vector<TraceRecord> t;
+    sim::SimTime now = 0;
+    std::uint64_t next_ref = 1, next_msg = 1;
+    std::map<std::uint64_t, std::vector<std::pair<int, std::uint64_t>>>
+        updates;
+    std::map<std::uint64_t, sim::SimTime> committed_at;
+    std::vector<std::uint64_t> commit_order;
+    std::vector<std::uint64_t> open;
+    const int steps = pick(1, 40);
+    for (int i = 0; i < steps; ++i) {
+      ++now;
+      const int what = pick(0, 9);
+      if (what < 4) {
+        const std::int32_t src = pick(0, n - 1), dst = pick(0, n - 1);
+        const std::uint64_t id = next_msg++;
+        t.push_back(rec(now, TraceKind::kMsgSend, src, kComp,
+                        static_cast<std::uint16_t>(dst), id,
+                        obs::pack_msg_stamp(pick(1, 30), 64)));
+        ++now;  // in flight for a while: critical paths make progress
+        t.push_back(rec(now, TraceKind::kMsgDeliver, dst, kComp,
+                        static_cast<std::uint16_t>(src), id,
+                        obs::pack_msg_stamp(pick(1, 30), 64)));
+      } else if (what < 7 || open.empty()) {
+        // A round whose checkpoints are all made permanent up front.
+        const std::int32_t init_pid = pick(0, n - 1);
+        const std::uint64_t init =
+            (static_cast<std::uint64_t>(init_pid) << 32) | next_ref;
+        t.push_back(rec(now, TraceKind::kInitStart, init_pid, 0, 0, init, 0));
+        for (std::int32_t p = 0; p < n; ++p) {
+          if (pick(0, 2) == 0) continue;
+          const std::uint64_t ref = next_ref++;
+          const std::uint64_t cursor = static_cast<std::uint64_t>(pick(0, 30));
+          t.push_back(rec(now, TraceKind::kCkptTaken, p, kTent, 0, init,
+                          ref << 32));
+          t.push_back(rec(now, TraceKind::kCkptCursor, p, kTent, 0, ref,
+                          cursor));
+          t.push_back(
+              rec(now, TraceKind::kCkptPermanent, p, kTent, 0, init, ref));
+          updates[init].emplace_back(p, cursor);
+        }
+        ++next_ref;
+        open.push_back(init);
+      } else {
+        // Commit an open round; now and then one twice.
+        const std::size_t k = static_cast<std::size_t>(
+            pick(0, static_cast<int>(open.size()) - 1));
+        const std::uint64_t init = open[k];
+        if (pick(0, 4) != 0) open.erase(open.begin() + k);
+        t.push_back(rec(now, TraceKind::kRoundCommit,
+                        static_cast<std::int32_t>(init >> 32), 0, 0, init, 0));
+        committed_at[init] = now;
+        commit_order.push_back(init);
+      }
+    }
+
+    // The per-line scan: every hop against every committed line.
+    std::vector<std::string> want;
+    std::uint64_t want_checks = 0;
+    std::vector<std::uint64_t> line(static_cast<std::size_t>(n), 0);
+    std::unordered_set<std::size_t> flagged;
+    const obs::CausalGraph g = obs::build_graph(t, n);
+    for (std::uint64_t init : commit_order) {
+      for (const auto& [p, cursor] : updates[init]) {
+        line[static_cast<std::size_t>(p)] =
+            std::max(line[static_cast<std::size_t>(p)], cursor);
+      }
+      for (std::size_t i = 0; i < g.hops.size(); ++i) {
+        const obs::MsgHop& h = g.hops[i];
+        ++want_checks;
+        if (h.recv_stamp - 1 < line[static_cast<std::size_t>(h.dst)] &&
+            h.send_stamp - 1 >= line[static_cast<std::size_t>(h.src)] &&
+            flagged.insert(i).second) {
+          want.push_back(std::to_string(committed_at[init]) + " " +
+                         obs::initiation_label(init) + " msg " +
+                         std::to_string(h.id));
+        }
+      }
+    }
+
+    AuditReport rep = audit_one(t, n);
+    std::vector<std::string> got;
+    for (const obs::AuditViolation& v : rep.violations) {
+      ASSERT_EQ(v.check, AuditCheck::kConsistency) << v.detail;
+      got.push_back(std::to_string(v.at) + " " +
+                    obs::initiation_label(v.initiation) + " msg " +
+                    v.detail.substr(11, v.detail.find(':') - 11));
+    }
+    ASSERT_EQ(got, want) << "trial " << trial;
+    ASSERT_EQ(rep.totals.orphan_checks, want_checks) << "trial " << trial;
+    orphans += want.size();
+  }
+  EXPECT_GT(orphans, 100u);
+}
+
+// ---- refusal: peer pids do not fit the 16-bit aux past n = 65535 ---------
+
+TEST(AuditNegative, MoreThan65535ProcessesIsRefusedNotMisjudged) {
+  std::vector<TraceRecord> t = {send_rec(10, 0, 1, 1),
+                                deliver_rec(20, 1, 0, 1)};
+  AuditReport ok = audit_one(t, 65535);
+  EXPECT_TRUE(ok.ok()) << describe(ok);
+
+  AuditReport rep = audit_one(t, 70000);
+  ASSERT_EQ(rep.violations.size(), 1u) << describe(rep);
+  EXPECT_EQ(rep.violations[0].check, AuditCheck::kTruncation);
+  EXPECT_EQ(rep.violations[0].detail,
+            "peer ids are 16-bit; cannot certify n > 65535 (n = 70000)");
+  EXPECT_EQ(rep.totals.records, 2u);
 }
 
 }  // namespace

@@ -9,16 +9,19 @@
 // Also fuzzes the delta/varint codec for the sparse payloads: random
 // gappy structures round-trip exactly, every strict prefix of an encoding
 // is rejected, and random single-byte corruption never crashes the
-// decoder.
+// decoder. And pins util::FlatMap (the sequencer's and the trace
+// matcher's channel table) to std::map.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <random>
 #include <vector>
 
 #include "core/codec.hpp"
 #include "core/payloads.hpp"
 #include "util/bitvec.hpp"
+#include "util/flat_map.hpp"
 #include "util/interval_set.hpp"
 #include "util/sparse_csn.hpp"
 
@@ -338,6 +341,32 @@ TEST(SparseProperty, CodecFuzzRoundTripTruncationCorruption) {
       }
     }
   }
+}
+
+// ---- FlatMap vs std::map ----------------------------------------------
+
+TEST(FlatMap, MatchesStdMapThroughRehashesAndEveryKey) {
+  std::mt19937_64 rng(11);
+  util::FlatMap<std::uint32_t> flat;
+  std::map<std::uint64_t, std::uint32_t> ref;
+  // 0 and the all-ones key border the empty-slot marker.
+  const std::uint64_t edge[] = {0, 1, ~std::uint64_t{0},
+                                ~std::uint64_t{0} - 1};
+  EXPECT_EQ(flat.find(~std::uint64_t{0}), nullptr);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t key =
+        i % 97 == 0 ? edge[(i / 97) % 4] : rng() % 5000 * 0x10001;
+    auto [v, inserted] = flat.try_emplace(key);
+    EXPECT_EQ(inserted, ref.count(key) == 0) << key;
+    *v += static_cast<std::uint32_t>(i);
+    ref[key] += static_cast<std::uint32_t>(i);
+  }
+  for (const auto& [key, value] : ref) {
+    const std::uint32_t* v = flat.find(key);
+    ASSERT_NE(v, nullptr) << key;
+    EXPECT_EQ(*v, value) << key;
+  }
+  EXPECT_EQ(flat.find(3), nullptr);
 }
 
 }  // namespace
