@@ -66,25 +66,14 @@ inline void append_metrics_header(std::vector<std::string>& header) {
 /// initiation->commit latencies, useless-mutable count, record count.
 inline std::vector<std::string> trace_metric_cells(
     const harness::RunResult& res) {
-  obs::TraceSummary s = obs::summarize_runs(res.traces);
-  std::vector<obs::RoundMetrics> rounds = obs::derive_rounds_runs(res.traces);
-  double tent_sum = 0.0, commit_sum = 0.0;
-  std::uint64_t tent_n = 0, commit_n = 0;
-  for (const obs::RoundMetrics& r : rounds) {
-    if (r.tentative_latency() >= 0) {
-      tent_sum += sim::to_seconds(r.tentative_latency());
-      ++tent_n;
-    }
-    if (r.commit_latency() >= 0) {
-      commit_sum += sim::to_seconds(r.commit_latency());
-      ++commit_n;
-    }
-  }
-  return {stats::fmt("%.3f", tent_n ? tent_sum / static_cast<double>(tent_n)
-                                    : 0.0),
+  const obs::TraceFold fold = obs::fold_runs(res.traces);
+  const obs::TraceSummary& s = fold.summary();
+  return {stats::fmt("%.3f", obs::mean_latency_s(
+                                 fold.rounds(),
+                                 &obs::RoundMetrics::tentative_latency)),
           stats::fmt("%.3f",
-                     commit_n ? commit_sum / static_cast<double>(commit_n)
-                              : 0.0),
+                     obs::mean_latency_s(fold.rounds(),
+                                         &obs::RoundMetrics::commit_latency)),
           stats::fmt_u("%llu", s.discarded_mutable),
           stats::fmt_u("%llu", s.total)};
 }

@@ -22,7 +22,7 @@
 //
 // Flags: --quick (n = 16 and 1k only), --golden (n = 16 only), --out F,
 // --trace F (flight-recorder trace of the n = 1k point, for
-// `mckaudit check --sample`), --timeline PREFIX (run-health timeline of
+// `mckaudit check`), --timeline PREFIX (run-health timeline of
 // every point, written to PREFIX_n<N>.mcktl), --jobs N, --wire-fidelity.
 #include <chrono>
 #include <cstdio>

@@ -50,8 +50,6 @@ void KooTouegProtocol::take_tentative_and_propagate(ckpt::InitiationId init,
   Coordination c;
   c.initiation = init;
   c.parent = parent;
-  c.saved_R = R_;
-  c.saved_sent = sent_;
 
   ++own_csn_;
   c.ref = ctx_.store->take(self(), ckpt::CkptKind::kTentative, own_csn_, init,

@@ -46,8 +46,6 @@ class KooTouegProtocol final : public rt::CheckpointProtocol {
     bool reply_sent = false;
     ckpt::CkptRef ref = ckpt::kNoCkpt;
     std::vector<ProcessId> children;
-    util::BitVec saved_R;
-    bool saved_sent = false;
   };
 
   void take_tentative_and_propagate(ckpt::InitiationId init,

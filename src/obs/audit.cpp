@@ -37,13 +37,9 @@ struct CkptState {
   bool discarded = false;
 };
 
-/// Replay state of one checkpointing round.
+/// What only the audit keeps per checkpointing round; start, commit,
+/// abort and initiator come from the TraceFold's RoundMetrics.
 struct Round {
-  std::uint64_t initiation = 0;
-  std::int32_t initiator = -1;
-  sim::SimTime started_at = -1;
-  sim::SimTime committed_at = -1;
-  sim::SimTime aborted_at = -1;
   std::vector<std::pair<std::int32_t, std::uint64_t>> line_updates;
   // Weight ledger (exact dyadic arithmetic over the recorded bit
   // patterns): what each process was given vs. what left it again.
@@ -66,7 +62,7 @@ sim::SimTime clamp_time(sim::SimTime v, sim::SimTime lo, sim::SimTime hi) {
 /// Walks the latest-delivery chain backwards from the commit decision and
 /// splits the round's latency into the five attribution buckets. The
 /// buckets telescope: they always sum exactly to committed_at - started_at.
-RoundAttribution attribute_round(const Round& rd, const CausalGraph& g,
+RoundAttribution attribute_round(const RoundMetrics& rd, const CausalGraph& g,
                                  int num_processes, int rep) {
   RoundAttribution a;
   a.rep = rep;
@@ -129,6 +125,7 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
   };
 
   out.totals.records += records.size();
+  TraceFold& fold = out.fold;
   if (num_processes > kMaxCertifiedProcesses) {
     // A unicast to P65535 would read as a broadcast and higher peer pids
     // wrap, so the causality and weight verdicts would be false. Refuse
@@ -136,26 +133,27 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
     violate(AuditCheck::kTruncation, 0, 0,
             fmt("peer ids are 16-bit; cannot certify n > %d (n = %d)",
                 kMaxCertifiedProcesses, num_processes));
+    for (const TraceRecord& r : records) fold.add(r);
+    fold.end_run();
     return;
   }
 
   // One pass: every record goes to the causal matcher (FIFO discipline,
-  // hops) and to the lifecycle / round / blocking / weight replay below.
-  // Causality verdicts are reported ahead of the replay's.
+  // hops), to the fold (summary, round start / commit / abort) and to the
+  // lifecycle / blocking / weight replay below. Causality verdicts are
+  // reported ahead of the replay's.
   GraphBuilder builder(records, num_processes);
   const std::size_t first_replay_violation = out.violations.size();
 
-  // ---- replay: checkpoint lifecycle, rounds, blocking, weights --------
+  // ---- replay: checkpoint lifecycle, line updates, blocking, weights ---
   std::unordered_map<std::uint64_t, CkptState> ckpts;
   std::map<std::uint64_t, Round> rounds;  // ordered: stable reporting
-  std::vector<std::uint64_t> commit_order;
   std::vector<char> blocked(static_cast<std::size_t>(num_processes), 0);
 
-  auto round_of = [&](std::uint64_t initiation) -> Round& {
+  auto ledger_of = [&](std::uint64_t initiation) -> Round& {
     Round& rd = rounds[initiation];
-    if (rd.initiation == 0) {
-      rd.initiation = initiation;
-      rd.initiator = static_cast<std::int32_t>(initiation >> 32);
+    if (!rd.has_weight) {
+      rd.has_weight = true;
       rd.given.resize(static_cast<std::size_t>(num_processes));
       rd.spent.resize(static_cast<std::size_t>(num_processes));
     }
@@ -164,6 +162,7 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
 
   for (const TraceRecord& r : records) {
     builder.add(r);
+    fold.add(r);
     switch (static_cast<TraceKind>(r.kind)) {
       case TraceKind::kCkptTaken: {
         const std::uint64_t ref = r.arg1 >> 32;
@@ -250,7 +249,7 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
                         "place it on the committed line",
                         static_cast<unsigned long long>(r.arg1)));
           }
-          round_of(r.arg0).line_updates.emplace_back(st.pid, st.cursor);
+          rounds[r.arg0].line_updates.emplace_back(st.pid, st.cursor);
         }
         break;
       }
@@ -275,21 +274,6 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
         st.discarded = true;
         break;
       }
-      case TraceKind::kInitStart: {
-        Round& rd = round_of(r.arg0);
-        rd.initiator = r.pid;
-        rd.started_at = r.at;
-        break;
-      }
-      case TraceKind::kRoundCommit: {
-        Round& rd = round_of(r.arg0);
-        rd.committed_at = r.at;
-        commit_order.push_back(r.arg0);
-        break;
-      }
-      case TraceKind::kRoundAbort:
-        round_of(r.arg0).aborted_at = r.at;
-        break;
       case TraceKind::kBlock:
         if (r.pid >= 0 && r.pid < num_processes) {
           if (blocked[static_cast<std::size_t>(r.pid)]) {
@@ -317,8 +301,7 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
         }
         break;
       case TraceKind::kWeightSplit: {
-        Round& rd = round_of(r.arg0);
-        rd.has_weight = true;
+        Round& rd = ledger_of(r.arg0);
         ++rd.weight_records;
         util::Weight w = util::Weight::from_double_bits(r.arg1);
         if (w.is_zero()) {
@@ -334,8 +317,7 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
         break;
       }
       case TraceKind::kWeightReturn: {
-        Round& rd = round_of(r.arg0);
-        rd.has_weight = true;
+        Round& rd = ledger_of(r.arg0);
         ++rd.weight_records;
         util::Weight acc = util::Weight::from_double_bits(r.arg1);
         util::Weight diff = acc;
@@ -392,17 +374,25 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
   out.totals.in_transit += g.in_transit;
 
   // ---- round verdicts -------------------------------------------------
+  for (std::size_t i = fold.run_begin(); i < fold.rounds().size(); ++i) {
+    if (fold.rounds()[i].committed()) ++out.totals.rounds_committed;
+    if (fold.rounds()[i].aborted_at >= 0) ++out.totals.rounds_aborted;
+  }
   for (auto& [initiation, rd] : rounds) {
-    if (rd.committed_at >= 0) ++out.totals.rounds_committed;
-    if (rd.aborted_at >= 0) ++out.totals.rounds_aborted;
     if (!rd.has_weight) continue;
     ++out.totals.weight_rounds;
+    // Without an initiation record, the initiator is the one the id names.
+    const RoundMetrics* m = fold.find(initiation);
+    const sim::SimTime started_at = m != nullptr ? m->started_at : -1;
+    const sim::SimTime committed_at = m != nullptr ? m->committed_at : -1;
+    const std::int32_t initiator =
+        started_at >= 0 ? m->initiator
+                        : static_cast<std::int32_t>(initiation >> 32);
     // Conservation per process: nothing leaves a process (onward splits +
     // returned increments) beyond what it was given (incoming splits,
     // plus the initiator's initial weight of 1).
-    if (rd.initiator >= 0 && rd.initiator < num_processes) {
-      rd.given[static_cast<std::size_t>(rd.initiator)].add(
-          util::Weight::one());
+    if (initiator >= 0 && initiator < num_processes) {
+      rd.given[static_cast<std::size_t>(initiator)].add(util::Weight::one());
     }
     // Measurement floor: every contributing record may be off by half an
     // ulp of a value <= 1, so only an excess above weight_records * 2^-53
@@ -417,16 +407,15 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
         excess.try_subtract(given);
         if (excess.to_double() <= quant_floor) continue;
         violate(AuditCheck::kWeight,
-                rd.committed_at >= 0 ? rd.committed_at : rd.started_at,
-                initiation,
+                committed_at >= 0 ? committed_at : started_at, initiation,
                 fmt("P%d emitted more weight (%.17g) than it was given "
                     "(%.17g)",
                     p, spent.to_double(), given.to_double()));
       }
     }
     // Termination: a committed round's returns must sum to exactly 1.
-    if (rd.committed_at >= 0 && !rd.last_acc.is_one()) {
-      violate(AuditCheck::kWeight, rd.committed_at, initiation,
+    if (committed_at >= 0 && !rd.last_acc.is_one()) {
+      violate(AuditCheck::kWeight, committed_at, initiation,
               fmt("committed with accumulated weight %.17g != 1",
                   rd.last_acc.to_double()));
     }
@@ -444,11 +433,17 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
     std::size_t line;
     std::uint64_t cursor;
   };
-  const std::size_t num_lines = commit_order.size();
+  const std::vector<std::size_t>& commits = fold.commits();
+  auto committed_round = [&](std::size_t k) -> const RoundMetrics& {
+    return fold.rounds()[commits[k]];
+  };
+  const std::size_t num_lines = commits.size();
   std::vector<std::vector<CursorStep>> steps(
       static_cast<std::size_t>(num_processes));
   for (std::size_t k = 0; k < num_lines; ++k) {
-    for (const auto& [pid, cursor] : rounds[commit_order[k]].line_updates) {
+    auto it = rounds.find(committed_round(k).initiation);
+    if (it == rounds.end()) continue;
+    for (const auto& [pid, cursor] : it->second.line_updates) {
       if (pid < 0 || pid >= num_processes) continue;
       auto& st = steps[static_cast<std::size_t>(pid)];
       // A later checkpoint never moves the line backwards.
@@ -480,10 +475,9 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
   }
   std::sort(orphans.begin(), orphans.end());  // line-major, hop order
   for (const auto& [k, i] : orphans) {
-    const std::uint64_t initiation = commit_order[k];
+    const RoundMetrics& rd = committed_round(k);
     const MsgHop& h = g.hops[i];
-    violate(AuditCheck::kConsistency, rounds[initiation].committed_at,
-            initiation,
+    violate(AuditCheck::kConsistency, rd.committed_at, rd.initiation,
             fmt("orphan msg %llu: P%d(ev %llu) -> P%d(ev %llu) crosses "
                 "the committed line",
                 static_cast<unsigned long long>(h.id), h.src,
@@ -492,11 +486,12 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
   }
 
   // ---- critical-path attribution --------------------------------------
-  for (std::uint64_t initiation : commit_order) {
-    const Round& rd = rounds[initiation];
+  for (std::size_t k = 0; k < num_lines; ++k) {
+    const RoundMetrics& rd = committed_round(k);
     if (rd.started_at < 0 || rd.committed_at < rd.started_at) continue;
     out.rounds.push_back(attribute_round(rd, g, num_processes, rep));
   }
+  fold.end_run();
 }
 
 AuditReport audit_runs(const std::vector<TraceRun>& runs, int num_processes) {

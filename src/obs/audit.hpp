@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "obs/graph.hpp"
+#include "obs/round_metrics.hpp"
 #include "obs/trace_io.hpp"
 
 namespace mck::obs {
@@ -109,6 +110,9 @@ struct AuditReport {
   std::vector<AuditViolation> violations;
   std::vector<RoundAttribution> rounds;  // committed rounds, rep order
   AuditTotals totals;
+  /// Summary and rounds of every audited run: equal to fold_runs() over
+  /// the same runs, folded in the audit's own pass.
+  TraceFold fold;
 
   bool ok() const { return violations.empty(); }
   std::size_t count(AuditCheck c) const {

@@ -340,6 +340,29 @@ std::uint64_t scan_first_diff(const std::vector<TraceRecord>& a,
   return kNoDivergence;
 }
 
+/// The header checks trace and timeline diffs share, in report order:
+/// process count, algorithm, `schema` (file-specific checks), then the
+/// replication count.
+template <class File, class Note, class Schema>
+void compare_meta(const File& a, const File& b, Note&& note,
+                  Schema&& schema) {
+  char buf[160];
+  if (a.meta.num_processes != b.meta.num_processes) {
+    std::snprintf(buf, sizeof buf, "process count differs: %d vs %d",
+                  a.meta.num_processes, b.meta.num_processes);
+    note(buf);
+  }
+  if (a.meta.algo != b.meta.algo) {
+    note("algorithm differs: " + a.meta.algo + " vs " + b.meta.algo);
+  }
+  schema();
+  if (a.runs.size() != b.runs.size()) {
+    std::snprintf(buf, sizeof buf, "replication count differs: %zu vs %zu",
+                  a.runs.size(), b.runs.size());
+    note(buf);
+  }
+}
+
 }  // namespace
 
 std::optional<RunDivergence> diff_records(const std::vector<TraceRecord>& a,
@@ -359,19 +382,7 @@ TraceDiff diff_traces(const TraceFile& a, const TraceFile& b,
     out.identical = false;
   };
 
-  if (a.meta.num_processes != b.meta.num_processes) {
-    std::snprintf(buf, sizeof buf, "process count differs: %d vs %d",
-                  a.meta.num_processes, b.meta.num_processes);
-    meta_issue(buf);
-  }
-  if (a.meta.algo != b.meta.algo) {
-    meta_issue("algorithm differs: " + a.meta.algo + " vs " + b.meta.algo);
-  }
-  if (a.runs.size() != b.runs.size()) {
-    std::snprintf(buf, sizeof buf, "replication count differs: %zu vs %zu",
-                  a.runs.size(), b.runs.size());
-    meta_issue(buf);
-  }
+  compare_meta(a, b, meta_issue, [] {});
 
   const std::size_t pairs = std::min(a.runs.size(), b.runs.size());
   for (std::size_t k = 0; k < pairs; ++k) {
@@ -614,31 +625,21 @@ TimelineDiff diff_timelines(const TimelineFile& a, const TimelineFile& b,
     out.identical = false;
   };
 
-  if (a.meta.num_processes != b.meta.num_processes) {
-    std::snprintf(buf, sizeof buf, "process count differs: %d vs %d",
-                  a.meta.num_processes, b.meta.num_processes);
-    meta_issue(buf);
-  }
-  if (a.meta.algo != b.meta.algo) {
-    meta_issue("algorithm differs: " + a.meta.algo + " vs " + b.meta.algo);
-  }
-  if (a.meta.columns.size() != b.meta.columns.size()) {
-    std::snprintf(buf, sizeof buf, "schema width differs: %zu vs %zu columns",
-                  a.meta.columns.size(), b.meta.columns.size());
-    meta_issue(buf);
-  } else {
+  compare_meta(a, b, meta_issue, [&] {
+    if (a.meta.columns.size() != b.meta.columns.size()) {
+      std::snprintf(buf, sizeof buf,
+                    "schema width differs: %zu vs %zu columns",
+                    a.meta.columns.size(), b.meta.columns.size());
+      meta_issue(buf);
+      return;
+    }
     for (std::size_t c = 0; c < a.meta.columns.size(); ++c) {
       if (a.meta.columns[c].name != b.meta.columns[c].name) {
         meta_issue("column " + std::to_string(c) + " named " +
                    a.meta.columns[c].name + " vs " + b.meta.columns[c].name);
       }
     }
-  }
-  if (a.runs.size() != b.runs.size()) {
-    std::snprintf(buf, sizeof buf, "replication count differs: %zu vs %zu",
-                  a.runs.size(), b.runs.size());
-    meta_issue(buf);
-  }
+  });
   if (!out.meta_issues.empty() &&
       a.meta.columns.size() != b.meta.columns.size()) {
     return out;  // row-major cells are incomparable across schemas
@@ -673,26 +674,6 @@ TimelineDiff diff_timelines(const TimelineFile& a, const TimelineFile& b,
   }
   return out;
 }
-
-namespace {
-
-std::string timeline_cell_text(TimelineValue v, std::uint64_t bits) {
-  char buf[48];
-  switch (v) {
-    case TimelineValue::kU64:
-      std::snprintf(buf, sizeof buf, "%llu", (unsigned long long)bits);
-      break;
-    case TimelineValue::kI64:
-      std::snprintf(buf, sizeof buf, "%lld", (long long)timeline_i64(bits));
-      break;
-    case TimelineValue::kF64:
-      std::snprintf(buf, sizeof buf, "%.17g", timeline_f64(bits));
-      break;
-  }
-  return buf;
-}
-
-}  // namespace
 
 std::string render_timeline_divergence(const TimelineDivergence& d) {
   std::string out;

@@ -250,4 +250,20 @@ std::optional<TimelineFile> read_timeline_file(const std::string& path,
   return out;
 }
 
+std::string timeline_cell_text(TimelineValue v, std::uint64_t bits) {
+  char buf[48];
+  switch (v) {
+    case TimelineValue::kU64:
+      std::snprintf(buf, sizeof buf, "%llu", (unsigned long long)bits);
+      break;
+    case TimelineValue::kI64:
+      std::snprintf(buf, sizeof buf, "%lld", (long long)timeline_i64(bits));
+      break;
+    case TimelineValue::kF64:
+      std::snprintf(buf, sizeof buf, "%.17g", timeline_f64(bits));
+      break;
+  }
+  return buf;
+}
+
 }  // namespace mck::obs

@@ -267,4 +267,7 @@ inline double timeline_f64(std::uint64_t bits) {
   return std::bit_cast<double>(bits);
 }
 
+/// One cell as text: %llu, %lld or %.17g by its column's value type.
+std::string timeline_cell_text(TimelineValue v, std::uint64_t bits);
+
 }  // namespace mck::obs

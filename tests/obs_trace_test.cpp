@@ -11,6 +11,7 @@
 
 #include "ckpt/store.hpp"
 #include "harness/experiment.hpp"
+#include "obs/audit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/round_metrics.hpp"
 #include "obs/trace.hpp"
@@ -204,7 +205,7 @@ TEST(TraceCrossCheck, DerivedMetricsMatchRunStatsForAllAlgorithms) {
     SCOPED_TRACE(harness::to_string(a));
     harness::RunResult res = harness::run_replicated(small_config(a), 2, 1);
     ASSERT_EQ(res.traces.size(), 2u);
-    obs::TraceSummary s = obs::summarize_runs(res.traces);
+    obs::TraceSummary s = obs::fold_runs(res.traces).summary();
 
     for (int k = 0; k < rt::kMsgKindCount; ++k) {
       EXPECT_EQ(s.msgs_sent_by_kind[k], res.stats.msgs_sent[k])
@@ -217,11 +218,13 @@ TEST(TraceCrossCheck, DerivedMetricsMatchRunStatsForAllAlgorithms) {
         res.stats.tentative_taken);
     EXPECT_EQ(s.ckpt_taken_by_kind[static_cast<int>(ckpt::CkptKind::kMutable)],
               res.stats.mutable_taken);
-    EXPECT_EQ(s.promoted, res.stats.mutable_promoted);
+    EXPECT_EQ(s.count(TraceKind::kCkptPromoted),
+              res.stats.mutable_promoted);
     EXPECT_EQ(s.discarded_mutable, res.stats.mutable_discarded);
-    EXPECT_EQ(s.permanent, res.stats.permanent_made);
-    EXPECT_EQ(s.rounds_committed, res.committed);
-    EXPECT_EQ(s.rounds_aborted, res.aborted);
+    EXPECT_EQ(s.count(TraceKind::kCkptPermanent),
+              res.stats.permanent_made);
+    EXPECT_EQ(s.count(TraceKind::kRoundCommit), res.committed);
+    EXPECT_EQ(s.count(TraceKind::kRoundAbort), res.aborted);
     EXPECT_EQ(s.blocked_total, res.stats.blocked_time_total);
   }
 }
@@ -231,7 +234,7 @@ TEST(TraceCrossCheck, DerivedMetricsMatchRunStatsForAllAlgorithms) {
 TEST(TraceCrossCheck, RoundCommitLatencyMatchesCommitDelay) {
   harness::RunResult res = harness::run_replicated(
       small_config(harness::Algorithm::kCaoSinghal), 2, 1);
-  std::vector<obs::RoundMetrics> rounds = obs::derive_rounds_runs(res.traces);
+  std::vector<obs::RoundMetrics> rounds = obs::fold_runs(res.traces).rounds();
 
   std::uint64_t committed = 0;
   double sum_s = 0.0;
@@ -246,6 +249,70 @@ TEST(TraceCrossCheck, RoundCommitLatencyMatchesCommitDelay) {
   EXPECT_EQ(committed, res.committed);
   EXPECT_NEAR(sum_s / static_cast<double>(committed),
               res.commit_delay_s.mean(), 1e-9);
+}
+
+// The auditor drives the same fold in its own pass: the summary and
+// rounds it exposes must equal fold_runs() record for record, and agree
+// with the protocols' counters, for every algorithm.
+TEST(TraceCrossCheck, AuditFoldEqualsFoldRunsForAllAlgorithms) {
+  for (harness::Algorithm a : kAllAlgorithms) {
+    SCOPED_TRACE(harness::to_string(a));
+    harness::ExperimentConfig cfg = small_config(a);
+    harness::RunResult res = harness::run_replicated(cfg, 2, 1);
+    obs::AuditReport report =
+        obs::audit_runs(res.traces, cfg.sys.num_processes);
+    const obs::TraceFold fold = obs::fold_runs(res.traces);
+    EXPECT_TRUE(report.fold.summary() == fold.summary());
+    EXPECT_TRUE(report.fold.rounds() == fold.rounds());
+
+    const obs::TraceSummary& s = report.fold.summary();
+    EXPECT_EQ(s.total, report.totals.records);
+    EXPECT_EQ(s.count(TraceKind::kRoundCommit), res.committed);
+    EXPECT_EQ(s.count(TraceKind::kRoundAbort), res.aborted);
+    EXPECT_EQ(s.count(TraceKind::kCkptPermanent),
+              res.stats.permanent_made);
+    EXPECT_EQ(s.blocked_total, res.stats.blocked_time_total);
+    EXPECT_EQ(report.totals.rounds_committed, res.committed);
+    std::uint64_t committed = 0;
+    for (const obs::RoundMetrics& r : report.fold.rounds()) {
+      committed += r.committed() ? 1 : 0;
+    }
+    EXPECT_EQ(committed, res.committed);
+    if (res.committed > 0) {
+      EXPECT_NEAR(obs::mean_latency_s(report.fold.rounds(),
+                                      &obs::RoundMetrics::commit_latency),
+                  res.commit_delay_s.mean(), 1e-9);
+    }
+  }
+}
+
+// Rounds are matched per run (initiation ids repeat across reps), and a
+// truncation marker names the run it cut, which is what mcktrace stats
+// prints under each rep.
+TEST(TraceFold, MatchesRoundsPerRunAndKeepsTruncationMarks) {
+  const std::uint64_t init = (std::uint64_t{2} << 32) | 1;
+  const auto rec = [](TraceKind k, sim::SimTime at, std::uint64_t arg0,
+                      std::uint64_t arg1) {
+    return TraceRecord{at, arg0, arg1, 2, static_cast<std::uint8_t>(k), 0, 0};
+  };
+  std::vector<obs::TraceRun> runs(2);
+  runs[0].records = {rec(TraceKind::kInitStart, 10, init, 0),
+                     rec(TraceKind::kRoundCommit, 30, init, 20)};
+  runs[1].records = {rec(TraceKind::kInitStart, 50, init, 0),
+                     rec(TraceKind::kTruncated, 60, 7, 40)};
+  const obs::TraceFold fold = obs::fold_runs(runs);
+
+  ASSERT_EQ(fold.rounds().size(), 2u);
+  EXPECT_EQ(fold.rounds()[0].commit_latency(), 20);
+  EXPECT_EQ(fold.rounds()[1].started_at, 50);
+  EXPECT_FALSE(fold.rounds()[1].committed());
+  EXPECT_EQ(fold.summary().count(TraceKind::kRoundCommit), 1u);
+  ASSERT_EQ(fold.summary().truncations.size(), 1u);
+  const obs::TruncationMark& m = fold.summary().truncations[0];
+  EXPECT_EQ(m.run, 1u);
+  EXPECT_EQ(m.dropped, 7u);
+  EXPECT_EQ(m.since, 40);
+  EXPECT_EQ(m.at, 60);
 }
 
 // Mobility records only appear on the cellular transport and must match
@@ -268,12 +335,15 @@ TEST(TraceCrossCheck, MobilityCountersMatchTransport) {
   cell->reconnect(1, 0);
   sys.simulator().run_until(sim::kTimeNever);
 
-  obs::TraceSummary s = obs::summarize(tracer.take_records());
-  EXPECT_EQ(s.handoffs, cell->handoffs());
-  EXPECT_EQ(s.disconnects, 1u);
-  EXPECT_EQ(s.reconnects, 1u);
-  EXPECT_EQ(s.buffered, cell->messages_buffered());
-  EXPECT_EQ(s.buffered, 1u);
+  obs::TraceFold fold;
+  for (const TraceRecord& r : tracer.take_records()) fold.add(r);
+  const obs::TraceSummary& s = fold.summary();
+  EXPECT_EQ(s.count(TraceKind::kHandoff), cell->handoffs());
+  EXPECT_EQ(s.count(TraceKind::kDisconnect), 1u);
+  EXPECT_EQ(s.count(TraceKind::kReconnect), 1u);
+  EXPECT_EQ(s.count(TraceKind::kMsgBuffered),
+            cell->messages_buffered());
+  EXPECT_EQ(s.count(TraceKind::kMsgBuffered), 1u);
 }
 
 // Determinism: the per-rep trace buffers (and hence the trace file bytes)

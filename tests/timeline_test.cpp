@@ -181,9 +181,11 @@ TEST(TimelineGauges, ReconcileWithRunStatsOnAllAlgorithms) {
       ASSERT_GE(cell_i64(tl, k, obs::kColCkptPermanent), 0) << "row " << k;
     }
     // The transport's cumulative buffering agrees with the trace summary.
-    obs::TraceSummary s = obs::summarize_runs(res.traces);
-    EXPECT_EQ(fin[obs::kColBufferedTotal], s.buffered);
-    EXPECT_EQ(fin[obs::kColForwardedTotal], s.forwarded);
+    obs::TraceSummary s = obs::fold_runs(res.traces).summary();
+    EXPECT_EQ(fin[obs::kColBufferedTotal],
+              s.count(obs::TraceKind::kMsgBuffered));
+    EXPECT_EQ(fin[obs::kColForwardedTotal],
+              s.count(obs::TraceKind::kMsgForwarded));
   }
 }
 

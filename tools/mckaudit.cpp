@@ -1,19 +1,13 @@
 // mckaudit — offline audit of flight-recorder traces (mcksim --trace).
 //
-//   mckaudit check FILE [--sample K]
-//   mckaudit report FILE [--json] [--out OUT] [--sample K]
+//   mckaudit check FILE
+//   mckaudit report FILE [--json] [--out OUT]
 //
 // check prints the verdict summary and exits 1 if any violation was found.
 // report adds the per-round critical-path attribution table (wire / retry /
 // MSS-buffer / participant / initiator-wait time per committed round);
 // --json emits the machine-readable document instead (schema in
 // EXPERIMENTS.md, "Auditing a run").
-//
-// --sample K audits only K of the trace's replications, chosen by a
-// deterministic stride over the run list (always including rep 0), so
-// spot-checking a huge sweep stays tractable: audit cost is linear in the
-// records examined, and K runs bound it regardless of how many
-// replications the trace holds. Verdicts still name the original rep ids.
 //
 // The auditor shares no code with the system under test beyond the trace
 // schema: it re-derives happens-before, the committed lines (trace-level
@@ -22,7 +16,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "flags.hpp"
@@ -40,8 +33,6 @@ void cli::usage(const char* msg) {
                "  report FILE         verdict + per-round critical-path table\n"
                "    --json            machine-readable JSON instead\n"
                "    --out OUT         write to OUT instead of stdout\n"
-               "  --sample K          audit only K replications (deterministic\n"
-               "                      stride over the trace's runs)\n"
                "exit status: 0 clean, 1 violations found, 2 usage error\n");
   std::exit(2);
 }
@@ -52,7 +43,6 @@ int main(int argc, char** argv) {
   std::string path = argv[2];
   bool json = false;
   std::string out_path;
-  int sample = 0;  // 0 = audit every replication
 
   for (int i = 3; i < argc; ++i) {
     std::string arg = argv[i];
@@ -61,9 +51,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--out" || arg == "-o") {
       if (i + 1 >= argc) usage("missing value");
       out_path = argv[++i];
-    } else if (arg == "--sample") {
-      if (i + 1 >= argc) usage("missing value");
-      sample = parse_count("--sample", argv[++i], 1);
     } else {
       usage(("unknown option: " + arg).c_str());
     }
@@ -108,21 +95,6 @@ int main(int argc, char** argv) {
                  "— refusing to audit corrupt records\n",
                  path.c_str(), bad.size());
     return 1;
-  }
-
-  if (sample > 0 && static_cast<std::size_t>(sample) < f->runs.size()) {
-    // Every K-th run starting from the first: index i * stride is strictly
-    // increasing and stays in range for i < K, so exactly K distinct runs
-    // are kept, spread evenly across the replication range.
-    const std::size_t stride = f->runs.size() / static_cast<std::size_t>(sample);
-    std::vector<obs::TraceRun> picked;
-    picked.reserve(static_cast<std::size_t>(sample));
-    for (std::size_t i = 0; i < static_cast<std::size_t>(sample); ++i) {
-      picked.push_back(std::move(f->runs[i * stride]));
-    }
-    std::fprintf(stderr, "mckaudit: sampling %zu of %zu replication(s)\n",
-                 picked.size(), f->runs.size());
-    f->runs = std::move(picked);
   }
 
   obs::AuditReport report = obs::audit_file(*f);

@@ -232,9 +232,9 @@ int main(int argc, char** argv) {
   // Offline audit of the captured trace: an independent verdict that must
   // agree with the in-sim checker. stderr keeps the --csv stdout clean.
   bool audit_failed = false;
+  obs::AuditReport audit_report;
   if (audit) {
-    obs::AuditReport audit_report =
-        obs::audit_runs(res.traces, cfg.sys.num_processes);
+    audit_report = obs::audit_runs(res.traces, cfg.sys.num_processes);
     std::fprintf(stderr, "%s", obs::render_report(audit_report, false).c_str());
     if (audit_report.consistent() != res.consistent) {
       std::fprintf(stderr,
@@ -271,24 +271,12 @@ int main(int argc, char** argv) {
   }
 
   // Derived trace metrics, computed only on request so the default CSV
-  // shape (and the committed goldens built on it) stays untouched.
-  obs::TraceSummary summary;
-  std::vector<obs::RoundMetrics> rounds;
-  if (metrics) {
-    summary = obs::summarize_runs(res.traces);
-    rounds = obs::derive_rounds_runs(res.traces);
-  }
-  auto round_mean = [&](sim::SimTime (obs::RoundMetrics::*latency)() const) {
-    double sum = 0.0;
-    std::uint64_t n = 0;
-    for (const obs::RoundMetrics& r : rounds) {
-      sim::SimTime l = (r.*latency)();
-      if (l < 0) continue;
-      sum += sim::to_seconds(l);
-      ++n;
-    }
-    return n == 0 ? 0.0 : sum / static_cast<double>(n);
-  };
+  // shape (and the committed goldens built on it) stays untouched. The
+  // audit already folded the records in its own pass.
+  const obs::TraceFold fold = !metrics ? obs::TraceFold{}
+                              : audit   ? std::move(audit_report.fold)
+                                        : obs::fold_runs(res.traces);
+  const obs::TraceSummary& summary = fold.summary();
 
   if (csv) {
     std::printf(
@@ -321,9 +309,12 @@ int main(int argc, char** argv) {
     if (metrics) {
       std::printf(",%llu,%llu,%.4f,%.4f,%llu,%.4f",
                   (unsigned long long)summary.total,
-                  (unsigned long long)summary.rounds_committed,
-                  round_mean(&obs::RoundMetrics::tentative_latency),
-                  round_mean(&obs::RoundMetrics::commit_latency),
+                  (unsigned long long)summary.count(
+                      obs::TraceKind::kRoundCommit),
+                  obs::mean_latency_s(fold.rounds(),
+                                      &obs::RoundMetrics::tentative_latency),
+                  obs::mean_latency_s(fold.rounds(),
+                                      &obs::RoundMetrics::commit_latency),
                   (unsigned long long)summary.discarded_mutable,
                   sim::to_seconds(summary.blocked_total));
     }
@@ -377,7 +368,7 @@ int main(int argc, char** argv) {
   std::printf("consistency:            %s (%zu lines checked)\n",
               res.consistent ? "OK" : "VIOLATED", res.lines_checked);
   if (metrics) {
-    obs::Registry reg = obs::build_registry(summary, rounds);
+    obs::Registry reg = obs::build_registry(fold);
     std::printf("\ntrace metrics (%llu records over %zu reps):\n%s",
                 (unsigned long long)summary.total, res.traces.size(),
                 reg.render().c_str());

@@ -89,32 +89,28 @@ int cmd_dump(const obs::TraceFile& f, int filter_kind, int filter_pid,
 }
 
 int cmd_stats(const obs::TraceFile& f) {
-  obs::TraceSummary s = obs::summarize_runs(f.runs);
-  std::vector<obs::RoundMetrics> rounds = obs::derive_rounds_runs(f.runs);
+  const obs::TraceFold fold = obs::fold_runs(f.runs);
+  const std::vector<obs::TruncationMark>& marks = fold.summary().truncations;
   std::printf("trace: algo=%s n=%d runs=%zu records=%llu\n", f.meta.algo.c_str(),
               f.meta.num_processes, f.runs.size(),
               (unsigned long long)f.total_records());
-  bool truncated = false;
-  for (const obs::TraceRun& run : f.runs) {
+  for (std::size_t i = 0; i < f.runs.size(); ++i) {
+    const obs::TraceRun& run = f.runs[i];
     std::printf("  rep %d: seed=%llu records=%zu\n", run.rep,
                 (unsigned long long)run.seed, run.records.size());
-    for (const obs::TraceRecord& r : run.records) {
-      if (r.kind != static_cast<std::uint8_t>(obs::TraceKind::kTruncated)) {
-        continue;
-      }
-      truncated = true;
+    for (const obs::TruncationMark& m : marks) {
+      if (m.run != i) continue;
       std::printf("  rep %d: TRUNCATED — %llu record(s) dropped in "
                   "[%.6fs, %.6fs]\n",
-                  run.rep, (unsigned long long)r.arg0,
-                  sim::to_seconds(static_cast<sim::SimTime>(r.arg1)),
-                  sim::to_seconds(r.at));
+                  run.rep, (unsigned long long)m.dropped,
+                  sim::to_seconds(m.since), sim::to_seconds(m.at));
     }
   }
-  if (truncated) {
+  if (!marks.empty()) {
     std::printf("warning: trace hit its record cap; tallies below cover "
                 "the recorded prefix only\n");
   }
-  obs::Registry reg = obs::build_registry(s, rounds);
+  obs::Registry reg = obs::build_registry(fold);
   std::printf("%s", reg.render().c_str());
   return 0;
 }
@@ -147,20 +143,6 @@ double cell_value(obs::TimelineValue v, std::uint64_t bits) {
   return 0.0;
 }
 
-void print_cell(std::FILE* out, obs::TimelineValue v, std::uint64_t bits) {
-  switch (v) {
-    case obs::TimelineValue::kU64:
-      std::fprintf(out, "%llu", (unsigned long long)bits);
-      break;
-    case obs::TimelineValue::kI64:
-      std::fprintf(out, "%lld", (long long)obs::timeline_i64(bits));
-      break;
-    case obs::TimelineValue::kF64:
-      std::fprintf(out, "%.17g", obs::timeline_f64(bits));
-      break;
-  }
-}
-
 std::FILE* open_out(const std::string& out_path) {
   if (out_path.empty()) return stdout;
   std::FILE* out = std::fopen(out_path.c_str(), "wb");
@@ -187,7 +169,10 @@ int cmd_timeline_csv(const obs::TimelineFile& f, int filter_rep,
       std::fprintf(out, "%d", run.rep);
       for (std::size_t c = 0; c < cols; ++c) {
         std::fputc(',', out);
-        print_cell(out, f.meta.columns[c].value, run.data[k * cols + c]);
+        std::fputs(obs::timeline_cell_text(f.meta.columns[c].value,
+                                           run.data[k * cols + c])
+                       .c_str(),
+                   out);
       }
       std::fputc('\n', out);
     }
@@ -314,14 +299,7 @@ int cmd_timeline_stats(const obs::TimelineFile& f, int filter_rep) {
 double to_us(sim::SimTime t) { return static_cast<double>(t) / 1000.0; }
 
 int cmd_export_chrome(const obs::TraceFile& f, const std::string& out_path) {
-  std::FILE* out = stdout;
-  if (!out_path.empty()) {
-    out = std::fopen(out_path.c_str(), "wb");
-    if (out == nullptr) {
-      std::fprintf(stderr, "mcktrace: cannot open %s\n", out_path.c_str());
-      return 1;
-    }
-  }
+  std::FILE* out = open_out(out_path);
 
   std::fprintf(out, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
   bool first = true;
