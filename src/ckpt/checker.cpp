@@ -2,107 +2,149 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <utility>
+
+#include "util/assert.hpp"
 
 namespace mck::ckpt {
 
 namespace {
 
-/// A point where one process's cursor on the line rises: from line `line`
-/// on (commit order) the line covers that process's events below `cursor`.
-struct Rise {
-  std::uint64_t cursor;
-  std::size_t line;
-};
+using OrphanAt = std::pair<std::size_t, Orphan>;
 
-/// One process's cursor as a step function of the line index.
-class CursorSteps {
- public:
-  /// Lines only move forward, so rises arrive sorted on both keys.
-  void add(std::uint64_t cursor, std::size_t line) {
-    rises_.push_back(Rise{cursor, line});
-  }
-
-  /// Ends the list with a sentinel no event reaches: past the last rise,
-  /// the answer is "no line", i.e. `num_lines`.
-  void close(std::size_t num_lines) { add(kNoEvent, num_lines); }
-
-  /// First line covering `event` (its cursor is greater than `event`), or
-  /// `num_lines` if no line does; `event` is a real event, not kNoEvent.
-  /// Queries come in nearly increasing event order, so the previous answer
-  /// is tried first and a binary search runs only when it is wrong.
-  std::size_t first_line_covering(std::uint64_t event) {
-    auto above = [](std::uint64_t e, const Rise& r) { return e < r.cursor; };
-    auto it = rises_.begin() + static_cast<std::ptrdiff_t>(hint_);
-    if (event >= it->cursor) {
-      it = std::upper_bound(it + 1, rises_.end(), event, above);
-    } else if (it != rises_.begin() && event < (it - 1)->cursor) {
-      it = std::upper_bound(rises_.begin(), it - 1, event, above);
-    } else {
-      return it->line;
+/// A record's send is inside lines [ks, K) and its receive inside [kr, K),
+/// so it is an orphan on [kr, ks) and in transit on [ks, kr).
+void judge(const MsgRecord& m, std::size_t ks, std::size_t kr,
+           std::vector<OrphanAt>& orphans, std::size_t& in_transit) {
+  if (kr < ks) {
+    for (std::size_t k = kr; k < ks; ++k) {
+      orphans.emplace_back(
+          k, Orphan{m.id, m.src, m.dst, m.send_event, m.recv_event});
     }
-    hint_ = static_cast<std::size_t>(it - rises_.begin());
-    return it->line;
+  } else {
+    in_transit += kr - ks;
   }
-
- private:
-  std::vector<Rise> rises_;
-  std::size_t hint_ = 0;
-};
+}
 
 }  // namespace
+
+std::size_t CursorSteps::first_line_covering(std::uint64_t event) {
+  auto above = [](std::uint64_t e, const Rise& r) { return e < r.cursor; };
+  auto it = rises_.begin() + static_cast<std::ptrdiff_t>(hint_);
+  if (event >= it->cursor) {
+    it = std::upper_bound(it + 1, rises_.end(), event, above);
+  } else if (it != rises_.begin() && event < (it - 1)->cursor) {
+    it = std::upper_bound(rises_.begin(), it - 1, event, above);
+  } else {
+    return it->line;
+  }
+  hint_ = static_cast<std::size_t>(it - rises_.begin());
+  return it->line;
+}
+
+void LineSteps::add_line(const InitiationStats& s, std::size_t k) {
+  if (slot_.empty()) slot_.resize(static_cast<std::size_t>(n_), 0);
+  for (const auto& [pid, entry] : s.line_updates) {
+    // A later checkpoint never moves the line backwards.
+    if (entry <= cursor(pid)) continue;
+    std::uint32_t& i = slot_[static_cast<std::size_t>(pid)];
+    if (i == 0) {
+      steps_.emplace_back();
+      i = static_cast<std::uint32_t>(steps_.size());
+    }
+    steps_[i - 1].add(entry, k);
+  }
+}
+
+void LineSteps::close(std::size_t num_lines) {
+  num_lines_ = num_lines;
+  for (CursorSteps& s : steps_) s.close(num_lines);
+}
+
+void ConsistencyChecker::settle(sim::SimTime now) {
+  const std::vector<const InitiationStats*>& decided =
+      tracker_.commit_decisions();
+  const std::size_t begin = settled_.size();
+  std::size_t end = begin;
+  while (end < decided.size() && decided[end]->committed_at < now) ++end;
+  if (end == begin) return;
+
+  // Decisions arrive in commit-time order; ties go by start order, as in
+  // CoordinationTracker::committed_in_commit_order.
+  settled_.insert(settled_.end(), decided.begin() + begin,
+                  decided.begin() + end);
+  std::sort(settled_.begin() + begin, settled_.end(),
+            [](const InitiationStats* a, const InitiationStats* b) {
+              return a->committed_at != b->committed_at
+                         ? a->committed_at < b->committed_at
+                         : a->seq < b->seq;
+            });
+  for (std::size_t k = begin; k < end; ++k) {
+    settled_steps_.add_line(*settled_[k], k);
+    settled_updates_ += settled_[k]->line_updates.size();
+  }
+
+  // Retiring only once the log has doubled keeps the total work O(M),
+  // even when some process is never covered and its records stay live.
+  if (log_.messages().size() >= 2 * live_after_retire_) retire();
+}
+
+void ConsistencyChecker::retire() {
+  // Both events lie below the settled line, so both first covering lines
+  // are settled ones and the verdict is final.
+  LineSteps& steps = settled_steps_;
+  log_.retire_below(
+      [&steps](ProcessId p) { return steps.cursor(p); },
+      [this, &steps](const MsgRecord& m) {
+        judge(m, steps.first_line_covering(m.src, m.send_event),
+              steps.first_line_covering(m.dst, m.recv_event),
+              retired_orphans_, retired_in_transit_);
+      });
+  live_after_retire_ = log_.messages().size();
+}
 
 CheckResult ConsistencyChecker::check_all() const {
   const std::vector<const InitiationStats*> committed =
       tracker_.committed_in_commit_order();
   const std::size_t num_lines = committed.size();
 
+  // The settled lines must still be the first ones, unchanged.
+  MCK_ASSERT(settled_.size() <= num_lines);
+  std::size_t updates = 0;
+  for (std::size_t k = 0; k < settled_.size(); ++k) {
+    MCK_ASSERT_MSG(committed[k] == settled_[k],
+                   "commit order changed below a settled line");
+    updates += committed[k]->line_updates.size();
+  }
+  MCK_ASSERT_MSG(updates == settled_updates_, "a settled line changed");
+
   // Replay the lines once, keeping only where each cursor rises.
-  std::vector<CursorSteps> steps(
-      static_cast<std::size_t>(log_.num_processes()));
-  Line line(steps.size());
+  LineSteps steps(log_.num_processes());
   for (std::size_t k = 0; k < num_lines; ++k) {
-    for (const auto& [pid, cursor] : committed[k]->line_updates) {
-      // A later checkpoint never moves the line backwards.
-      if (cursor > line[pid]) {
-        line[pid] = cursor;
-        steps[static_cast<std::size_t>(pid)].add(cursor, k);
-      }
-    }
+    steps.add_line(*committed[k], k);
   }
-  for (CursorSteps& s : steps) s.close(num_lines);
+  steps.close(num_lines);
 
-  // One pass over the records. A record's send is inside lines [ks, K)
-  // and its receive inside [kr, K), so it is an orphan on [kr, ks) and in
-  // transit on [ks, kr).
-  const std::vector<MsgRecord>& msgs = log_.messages();
-  std::vector<std::pair<std::size_t, std::size_t>> orphan_at;  // (line, record)
+  // One pass over the live records, on top of the retired verdicts.
+  std::vector<OrphanAt> orphan_at = retired_orphans_;
   CheckResult result;
-  for (std::size_t i = 0; i < msgs.size(); ++i) {
-    const MsgRecord& m = msgs[i];
-    std::size_t ks =
-        steps[static_cast<std::size_t>(m.src)].first_line_covering(
-            m.send_event);
-    std::size_t kr =
-        m.recv_event == kNoEvent
-            ? num_lines
-            : steps[static_cast<std::size_t>(m.dst)].first_line_covering(
-                  m.recv_event);
-    if (kr < ks) {
-      for (std::size_t k = kr; k < ks; ++k) orphan_at.emplace_back(k, i);
-    } else {
-      result.in_transit_total += kr - ks;
-    }
+  result.in_transit_total = retired_in_transit_;
+  for (const MsgRecord& m : log_.messages()) {
+    std::size_t ks = steps.first_line_covering(m.src, m.send_event);
+    std::size_t kr = m.recv_event == kNoEvent
+                         ? num_lines
+                         : steps.first_line_covering(m.dst, m.recv_event);
+    judge(m, ks, kr, orphan_at, result.in_transit_total);
   }
 
-  // Report line-major, in record order within a line, like a per-line scan.
-  std::sort(orphan_at.begin(), orphan_at.end());
+  // Report line-major, in log (id) order within a line, like a per-line
+  // scan.
+  std::sort(orphan_at.begin(), orphan_at.end(),
+            [](const OrphanAt& a, const OrphanAt& b) {
+              return a.first != b.first ? a.first < b.first
+                                        : a.second.msg < b.second.msg;
+            });
   result.orphans.reserve(orphan_at.size());
-  for (const auto& [k, i] : orphan_at) {
-    const MsgRecord& m = msgs[i];
-    result.orphans.push_back(
-        Orphan{m.id, m.src, m.dst, m.send_event, m.recv_event});
-  }
+  for (const OrphanAt& o : orphan_at) result.orphans.push_back(o.second);
   result.consistent = result.orphans.empty();
   result.lines_checked = num_lines;
   return result;

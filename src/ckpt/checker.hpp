@@ -12,9 +12,18 @@
 // Coordinated protocols must always pass; the scripted
 // Prakash-Singhal-style scenario (Fig. 2) must fail, which is how the tests
 // validate the checker itself.
+//
+// The checker lives as long as the run and keeps the log history-free.
+// settle() takes the lines that are final in commit order; a record whose
+// send and receive both lie below the settled line has a final verdict on
+// every line (its first covering lines are settled ones), so the checker
+// keeps that verdict and the log retires the record. check_all() sweeps
+// the live records against every committed line and merges the retained
+// verdicts, so its result is the one a never-retired log would give.
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/event_log.hpp"
@@ -30,20 +39,113 @@ struct CheckResult {
   std::string describe() const;
 };
 
+/// One process's cursor as a step function of the line index.
+class CursorSteps {
+ public:
+  /// Lines only move forward, so rises arrive sorted on both keys.
+  void add(std::uint64_t cursor, std::size_t line) {
+    rises_.push_back(Rise{cursor, line});
+  }
+
+  /// Cursor on the line after the last rise (the last rise exists).
+  std::uint64_t last() const { return rises_.back().cursor; }
+
+  /// Ends the list with a sentinel no event reaches: past the last rise,
+  /// the answer is "no line", i.e. `num_lines`.
+  void close(std::size_t num_lines) { add(kNoEvent, num_lines); }
+
+  /// First line covering `event` (its cursor is greater than `event`);
+  /// `event` is a real event below the last rise, which may be the
+  /// closing sentinel. Queries come in nearly increasing event order, so
+  /// the previous answer is tried first and a binary search runs only
+  /// when it is wrong.
+  std::size_t first_line_covering(std::uint64_t event);
+
+ private:
+  /// From line `line` on (commit order) the line covers this process's
+  /// events below `cursor`.
+  struct Rise {
+    std::uint64_t cursor;
+    std::size_t line;
+  };
+
+  std::vector<Rise> rises_;
+  std::size_t hint_ = 0;
+};
+
+/// The lines in commit order as one CursorSteps per process that some
+/// line raises; the others cost four bytes each (lines at n = 1M touch
+/// few processes).
+class LineSteps {
+ public:
+  explicit LineSteps(int num_processes) : n_(num_processes) {}
+
+  /// Applies the updates of line `k` (the next one in commit order).
+  void add_line(const InitiationStats& s, std::size_t k);
+
+  /// Entry of process p on the last line added.
+  std::uint64_t cursor(ProcessId p) const {
+    const std::uint32_t i = slot(p);
+    return i == 0 ? 0 : steps_[i - 1].last();
+  }
+
+  /// After the last line: `num_lines` answers an event no line covers.
+  void close(std::size_t num_lines);
+
+  /// First line covering event `event` of process p: an event below
+  /// cursor(p), or any real event once closed.
+  std::size_t first_line_covering(ProcessId p, std::uint64_t event) {
+    const std::uint32_t i = slot(p);
+    return i == 0 ? num_lines_ : steps_[i - 1].first_line_covering(event);
+  }
+
+ private:
+  std::uint32_t slot(ProcessId p) const {
+    return slot_.empty() ? 0 : slot_[static_cast<std::size_t>(p)];
+  }
+
+  int n_;
+  std::vector<std::uint32_t> slot_;  // pid -> steps_ index + 1; 0 = none
+  std::vector<CursorSteps> steps_;
+  std::size_t num_lines_ = 0;  // set by close()
+};
+
 class ConsistencyChecker {
  public:
-  ConsistencyChecker(const EventLog& log, const CoordinationTracker& tracker)
-      : log_(log), tracker_(tracker) {}
+  ConsistencyChecker(EventLog& log, const CoordinationTracker& tracker)
+      : log_(log), tracker_(tracker), settled_steps_(log.num_processes()) {}
 
-  /// Checks every committed initiation's line in one sweep of the log.
+  /// Settles every initiation committed (CoordinationTracker::
+  /// mark_committed) strictly before `now`, in commit order, and retires
+  /// the log records behind the settled line. Call it only when no
+  /// coordination is active anywhere: participants append their line
+  /// updates when the commit reaches them, so only then is every line
+  /// committed before `now` final. A line committed at `now` may still be
+  /// reordered before a tied one, so it waits.
+  void settle(sim::SimTime now);
+
+  /// Checks every committed initiation's line: one sweep of the live
+  /// records, merged with the verdicts of the retired ones.
   CheckResult check_all() const;
 
   /// Line in effect after the given committed initiation (commit order).
   Line line_after(InitiationId id) const;
 
  private:
-  const EventLog& log_;
+  void retire();
+
+  EventLog& log_;
   const CoordinationTracker& tracker_;
+
+  std::vector<const InitiationStats*> settled_;  // commit order
+  std::size_t settled_updates_ = 0;  // their line updates; must not change
+  LineSteps settled_steps_;
+  std::size_t live_after_retire_ = 0;  // log size after the last retirement
+
+  // Verdicts of the retired records: orphans as (line index in commit
+  // order, orphan), and their in-transit count.
+  std::vector<std::pair<std::size_t, Orphan>> retired_orphans_;
+  std::size_t retired_in_transit_ = 0;
 };
 
 }  // namespace mck::ckpt

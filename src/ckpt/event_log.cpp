@@ -13,24 +13,26 @@ MessageId EventLog::record_send(ProcessId src, ProcessId dst,
   rec.dst = dst;
   rec.send_event = cursors_[static_cast<std::size_t>(src)]++;
   rec.sent_at = at;
-  if (index_by_id_.size() <= id) index_by_id_.resize(id + 1, 0);
-  index_by_id_[id] = msgs_.size() + 1;
+  in_transit_[id] = msgs_.size();
   msgs_.push_back(rec);
   return id;
 }
 
 void EventLog::record_recv(MessageId id, ProcessId dst, sim::SimTime at) {
-  MCK_ASSERT_MSG(id < index_by_id_.size() && index_by_id_[id] != 0,
-                 "record_recv: unknown message id");
-  MsgRecord& rec = msgs_[index_by_id_[id] - 1];
+  const std::size_t* slot = in_transit_.find(id);
+  MCK_ASSERT_MSG(slot != nullptr,
+                 "record_recv: unknown or already received message id");
+  MsgRecord& rec = msgs_[*slot];
   MCK_ASSERT_MSG(rec.dst == dst, "message delivered to wrong process");
-  MCK_ASSERT_MSG(rec.recv_event == kNoEvent, "message received twice");
   rec.recv_event = cursors_[static_cast<std::size_t>(dst)]++;
   rec.recv_at = at;
+  in_transit_.erase(id);
 }
 
 std::vector<Orphan> EventLog::find_orphans(const Line& line) const {
   MCK_ASSERT(line.size() == cursors_.size());
+  MCK_ASSERT_MSG(at_or_past_frontier([&line](ProcessId p) { return line[p]; }),
+                 "find_orphans: line below the retirement frontier");
   std::vector<Orphan> out;
   for (const MsgRecord& m : msgs_) {
     if (m.recv_event == kNoEvent) continue;
@@ -43,6 +45,8 @@ std::vector<Orphan> EventLog::find_orphans(const Line& line) const {
 
 std::size_t EventLog::count_in_transit(const Line& line) const {
   MCK_ASSERT(line.size() == cursors_.size());
+  MCK_ASSERT_MSG(at_or_past_frontier([&line](ProcessId p) { return line[p]; }),
+                 "count_in_transit: line below the retirement frontier");
   std::size_t n = 0;
   for (const MsgRecord& m : msgs_) {
     bool send_in = m.send_event < line[m.src];

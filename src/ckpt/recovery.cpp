@@ -35,6 +35,10 @@ RecoveryOutcome RecoveryManager::recover_coordinated(sim::SimTime t) const {
 }
 
 RecoveryOutcome RecoveryManager::recover_uncoordinated(sim::SimTime t) const {
+  // The rollback search may fall below any committed line, so it needs
+  // the whole history; only coordinated runs retire records.
+  MCK_ASSERT_MSG(log_.retired() == 0,
+                 "recover_uncoordinated: the event log retired records");
   const int n = log_.num_processes();
   // Candidate cursors per process: all checkpoints taken at or before t,
   // sorted ascending (includes the implicit initial checkpoint at 0).

@@ -12,6 +12,7 @@
 
 #include "ckpt/store.hpp"
 #include "sim/time.hpp"
+#include "util/assert.hpp"
 #include "util/types.hpp"
 
 namespace mck::ckpt {
@@ -19,6 +20,7 @@ namespace mck::ckpt {
 struct InitiationStats {
   InitiationId id = 0;
   ProcessId initiator = kInvalidProcess;
+  std::size_t seq = 0;  // position in start order
   sim::SimTime started_at = 0;
   sim::SimTime committed_at = -1;  // initiator's decision time
   sim::SimTime aborted_at = -1;
@@ -90,6 +92,7 @@ class CoordinationTracker {
       s.id = id;
       s.initiator = initiator;
       s.started_at = now;
+      s.seq = order_.size();
       order_.push_back(id);
       if (timeline_ != nullptr) {
         ++timeline_->active_inits;
@@ -106,7 +109,11 @@ class CoordinationTracker {
   /// The initiator's commit decision. Protocols must use this (not write
   /// committed_at directly) so the decision lands in the trace.
   void mark_committed(InitiationStats& s, sim::SimTime now) {
+    MCK_ASSERT_MSG(!s.committed(), "initiation committed twice");
+    MCK_ASSERT_MSG(decisions_.empty() || decisions_.back()->committed_at <= now,
+                   "commit decisions go back in time");
     s.committed_at = now;
+    decisions_.push_back(&s);
     if (s.timeline_counted) {
       --timeline_->active_inits;
       s.timeline_counted = false;
@@ -137,6 +144,7 @@ class CoordinationTracker {
       // (message reordering across MSSs); register it lazily.
       s.id = id;
       s.initiator = initiation_pid(id);
+      s.seq = order_.size();
       order_.push_back(id);
     }
     return s;
@@ -172,11 +180,18 @@ class CoordinationTracker {
     return out;
   }
 
+  /// Initiations committed through mark_committed, in decision order,
+  /// which is non-decreasing commit time (ties in any order).
+  const std::vector<const InitiationStats*>& commit_decisions() const {
+    return decisions_;
+  }
+
   std::size_t initiation_count() const { return order_.size(); }
 
  private:
   std::map<InitiationId, InitiationStats> map_;
   std::vector<InitiationId> order_;
+  std::vector<const InitiationStats*> decisions_;
   obs::Tracer* tracer_ = nullptr;
   obs::TimelineCounters* timeline_ = nullptr;
 };

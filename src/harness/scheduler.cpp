@@ -34,10 +34,15 @@ void CheckpointScheduler::fire(ProcessId p) {
     schedule_at(p, last + opts_.interval);
     return;
   }
-  if (opts_.serialize && sys_.any_coordination_active()) {
-    ++retries_;
-    schedule_at(p, now + opts_.retry_delay);
-    return;
+  if (opts_.serialize) {
+    if (sys_.any_coordination_active()) {
+      ++retries_;
+      schedule_at(p, now + opts_.retry_delay);
+      return;
+    }
+    // Quiescent: every commit has reached its participants, so every
+    // line committed before now is final.
+    sys_.settle_committed_lines();
   }
   if (sys_.cellular() != nullptr && sys_.cellular()->is_disconnected(p)) {
     // A disconnected MH does not start checkpointing on its own; its

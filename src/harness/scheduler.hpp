@@ -4,7 +4,8 @@
 // checkpoint will be scheduled 900s after that time." Initiations are
 // serialized (the paper's "at most one checkpointing is in progress"
 // assumption): a due initiation is retried shortly if a coordination is
-// still active anywhere.
+// still active anywhere. When none is, every committed line is final, so
+// the scheduler settles them there (System::settle_committed_lines).
 #pragma once
 
 #include "harness/system.hpp"

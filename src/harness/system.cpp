@@ -267,9 +267,4 @@ bool System::any_coordination_active() const {
   return false;
 }
 
-ckpt::CheckResult System::check_consistency() const {
-  ckpt::ConsistencyChecker checker(log_, tracker_);
-  return checker.check_all();
-}
-
 }  // namespace mck::harness

@@ -114,8 +114,13 @@ class System {
 
   bool any_coordination_active() const;
 
+  /// Settles every line committed before now and retires the event-log
+  /// records behind them (ckpt::ConsistencyChecker::settle). Call it only
+  /// while no coordination is active anywhere.
+  void settle_committed_lines() { checker_.settle(sim_.now()); }
+
   /// Runs the Theorem 1 oracle over every committed line.
-  ckpt::CheckResult check_consistency() const;
+  ckpt::CheckResult check_consistency() const { return checker_.check_all(); }
 
   ckpt::RecoveryManager recovery() const {
     return ckpt::RecoveryManager(log_, store_, tracker_);
@@ -128,6 +133,7 @@ class System {
   ckpt::EventLog log_;
   ckpt::CheckpointStore store_;
   ckpt::CoordinationTracker tracker_;
+  ckpt::ConsistencyChecker checker_{log_, tracker_};
   rt::RunStats stats_;
   /// Run-lifetime bump arena for the protocols' sparse-state spill
   /// storage (rt::ProcessContext::arena). Declared before protos_ so it

@@ -1,8 +1,10 @@
 #include "obs/audit.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <unordered_map>
 
@@ -54,6 +56,16 @@ struct Round {
   // 2^-53 is quantization of deep split chains, not a forged weight.
   std::uint64_t weight_records = 0;
 };
+
+/// Whether a kWeight* record's arg1 can be a weight: the bits of a
+/// finite, non-negative double of at most 2^10 (real weights never exceed
+/// 1). util::Weight::from_double_bits asserts on anything else, so a
+/// forged pattern is reported instead of converted.
+bool valid_weight_bits(std::uint64_t bits) {
+  double d;
+  std::memcpy(&d, &bits, sizeof d);
+  return !std::signbit(d) && std::isfinite(d) && d <= 0x1p10;
+}
 
 sim::SimTime clamp_time(sim::SimTime v, sim::SimTime lo, sim::SimTime hi) {
   return v < lo ? lo : (v > hi ? hi : v);
@@ -301,6 +313,13 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
         }
         break;
       case TraceKind::kWeightSplit: {
+        if (!valid_weight_bits(r.arg1)) {
+          violate(AuditCheck::kWeight, r.at, r.arg0,
+                  fmt("P%d split a weight with bits %#llx, not a finite "
+                      "non-negative double <= 2^10",
+                      r.pid, static_cast<unsigned long long>(r.arg1)));
+          break;
+        }
         Round& rd = ledger_of(r.arg0);
         ++rd.weight_records;
         util::Weight w = util::Weight::from_double_bits(r.arg1);
@@ -317,6 +336,13 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
         break;
       }
       case TraceKind::kWeightReturn: {
+        if (!valid_weight_bits(r.arg1)) {
+          violate(AuditCheck::kWeight, r.at, r.arg0,
+                  fmt("P%d accumulated a weight with bits %#llx, not a "
+                      "finite non-negative double <= 2^10",
+                      r.pid, static_cast<unsigned long long>(r.arg1)));
+          break;
+        }
         Round& rd = ledger_of(r.arg0);
         ++rd.weight_records;
         util::Weight acc = util::Weight::from_double_bits(r.arg1);

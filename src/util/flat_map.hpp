@@ -2,10 +2,11 @@
 //
 // One slot is the key plus the value, stored inline in a power-of-two
 // array and probed linearly from a SplitMix64-mixed home slot; the table
-// doubles when it passes 5/8 load. There is no per-entry node and no
-// erase: the users (net::FifoSequencer's channels, obs::GraphBuilder's
-// channels, sends and per-message annotations) only ever add keys, and a
-// million-entry table costs one allocation instead of a million.
+// doubles when it passes 5/8 load. There is no per-entry node, so a
+// million-entry table costs one allocation instead of a million. Most
+// users (net::FifoSequencer's channels, obs::GraphBuilder's channels,
+// sends and per-message annotations) only ever add keys; erase() serves
+// ckpt::EventLog, whose table holds only the messages still in transit.
 #pragma once
 
 #include <cstddef>
@@ -60,6 +61,42 @@ class FlatMap {
       i = (i + 1) & mask;
     }
   }
+
+  /// Removes `key`; returns whether it was present. The entries behind it
+  /// in its probe run shift back, so no tombstone is left.
+  bool erase(std::uint64_t key) {
+    if (key == kMaxKey) {
+      if (!has_max_) return false;
+      has_max_ = false;
+      max_value_ = V{};
+      --live_;
+      return true;
+    }
+    if (table_.empty()) return false;
+    const std::size_t mask = table_.size() - 1;
+    std::size_t hole = static_cast<std::size_t>(mix(key)) & mask;
+    while (table_[hole].key_plus1 != key + 1) {
+      if (table_[hole].key_plus1 == 0) return false;
+      hole = (hole + 1) & mask;
+    }
+    for (std::size_t i = (hole + 1) & mask; table_[i].key_plus1 != 0;
+         i = (i + 1) & mask) {
+      // An entry may fill the hole only if its home slot is not in the
+      // cyclic range (hole, i]: otherwise a lookup would stop at the hole.
+      const std::size_t home =
+          static_cast<std::size_t>(mix(table_[i].key_plus1 - 1)) & mask;
+      if (((i - home) & mask) >= ((i - hole) & mask)) {
+        table_[hole] = table_[i];
+        hole = i;
+      }
+    }
+    table_[hole] = Slot{};
+    --live_;
+    return true;
+  }
+
+  /// Number of keys present.
+  std::size_t size() const { return live_; }
 
  private:
   static constexpr std::size_t kInitialSlots = 1024;  // power of two

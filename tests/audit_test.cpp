@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <random>
 #include <set>
@@ -225,6 +226,36 @@ TEST(AuditNegative, FlippedWeightBitsFlagWeight) {
 
   AuditReport rep = audit_one(records);
   EXPECT_GE(rep.count(AuditCheck::kWeight), 1u) << describe(rep);
+}
+
+// A weight record whose bits are no weight at all (sign bit, infinity,
+// NaN, or past 2^10) is a weight violation, not an abort inside
+// util::Weight::from_double_bits.
+TEST(AuditNegative, NonWeightBitPatternsFlagWeightWithoutAborting) {
+  const std::vector<TraceRecord> clean =
+      captured_records(harness::Algorithm::kCaoSinghal);
+  const std::pair<const char*, std::uint64_t> patterns[] = {
+      {"sign bit", std::bit_cast<std::uint64_t>(-0.5)},
+      {"inf",
+       std::bit_cast<std::uint64_t>(std::numeric_limits<double>::infinity())},
+      {"NaN",
+       std::bit_cast<std::uint64_t>(std::numeric_limits<double>::quiet_NaN())},
+      {"2^11", std::bit_cast<std::uint64_t>(0x1p11)},
+  };
+  for (TraceKind kind : {TraceKind::kWeightSplit, TraceKind::kWeightReturn}) {
+    for (const auto& [name, bits] : patterns) {
+      SCOPED_TRACE(testing::Message() << obs::to_string(kind) << ", " << name);
+      std::vector<TraceRecord> records = clean;
+      auto forged = std::find_if(
+          records.begin(), records.end(), [kind](const TraceRecord& r) {
+            return r.kind == static_cast<std::uint8_t>(kind);
+          });
+      ASSERT_NE(forged, records.end());
+      forged->arg1 = bits;
+      AuditReport rep = audit_one(records);
+      EXPECT_GE(rep.count(AuditCheck::kWeight), 1u) << describe(rep);
+    }
+  }
 }
 
 // The mobile promotion path (cao_singhal_test's handoff-delayed request):

@@ -10,6 +10,7 @@
 #include "ckpt/recovery.hpp"
 #include "ckpt/store.hpp"
 #include "ckpt/tracker.hpp"
+#include "full_history.hpp"
 
 namespace mck::ckpt {
 namespace {
@@ -103,6 +104,43 @@ TEST(EventLog, IdLookupSurvivesSystemIdAllocation) {
   EXPECT_EQ(rb.id, b);
   EXPECT_EQ(rb.src, 2);
   EXPECT_EQ(rb.recv_event, 0u);  // processed first at P1
+}
+
+TEST(EventLog, RetirementKeepsInTransitMessagesReceivable) {
+  EventLog log(2);
+  MessageId a = log.record_send(0, 1, 0);
+  MessageId b = log.record_send(0, 1, 1);  // in transit across the line
+  MessageId c = log.record_send(1, 0, 2);
+  log.record_recv(a, 1, 3);
+  log.record_recv(c, 0, 4);
+  Line line(2);
+  line[0] = 3;
+  line[1] = 2;
+  std::vector<MessageId> gone;
+  log.retire_below([&line](ProcessId p) { return line[p]; },
+                   [&gone](const MsgRecord& m) { gone.push_back(m.id); });
+  EXPECT_EQ(gone, (std::vector<MessageId>{a, c}));
+  EXPECT_EQ(log.retired(), 2u);
+  ASSERT_EQ(log.messages().size(), 1u);
+  log.record_recv(b, 1, 5);
+  EXPECT_EQ(log.messages()[0].recv_event, 2u);
+  EXPECT_EQ(log.count_in_transit(line), 1u);  // b's receive is past P1's entry
+}
+
+TEST(EventLogDeathTest, ScansBelowTheRetirementFrontierAbort) {
+  EventLog log(2);
+  MessageId m = log.record_send(0, 1, 0);
+  log.record_recv(m, 1, 1);
+  Line line(2);
+  line[0] = 1;
+  line[1] = 1;
+  log.retire_below([&line](ProcessId p) { return line[p]; },
+                   [](const MsgRecord&) {});
+  EXPECT_TRUE(log.find_orphans(line).empty());  // at the frontier: exact
+  Line below(2);
+  below[0] = 1;  // P1's entry is below the frontier
+  EXPECT_DEATH(log.find_orphans(below), "below the retirement frontier");
+  EXPECT_DEATH(log.count_in_transit(below), "below the retirement frontier");
 }
 
 TEST(Store, LifecyclePermanent) {
@@ -210,99 +248,86 @@ TEST(Checker, OrphanOnConsecutiveLinesReportedPerLine) {
   EXPECT_EQ(res.in_transit_total, 0u);
 }
 
-// Reference oracle: the per-line loop, one find_orphans and one
-// count_in_transit scan of the whole log per committed line.
-CheckResult check_per_line(const EventLog& log,
-                           const CoordinationTracker& tracker) {
-  std::vector<const InitiationStats*> inits;
-  for (const InitiationStats* s : tracker.in_order()) {
-    if (s->committed()) inits.push_back(s);
-  }
-  std::stable_sort(inits.begin(), inits.end(),
-                   [](const InitiationStats* a, const InitiationStats* b) {
-                     return a->committed_at < b->committed_at;
-                   });
-  CheckResult result;
-  Line line(static_cast<std::size_t>(log.num_processes()));
-  for (const InitiationStats* s : inits) {
-    for (const auto& [pid, cursor] : s->line_updates) {
-      line[pid] = std::max(line[pid], cursor);
-    }
-    std::vector<Orphan> orphans = log.find_orphans(line);
-    result.orphans.insert(result.orphans.end(), orphans.begin(),
-                          orphans.end());
-    result.in_transit_total += log.count_in_transit(line);
-    ++result.lines_checked;
-  }
-  result.consistent = result.orphans.empty();
-  return result;
-}
-
 TEST(Checker, SweepMatchesPerLineScans) {
   std::mt19937_64 rng(20260416);
   auto uniform = [&rng](int lo, int hi) {
     return std::uniform_int_distribution<int>(lo, hi)(rng);
   };
   std::size_t inconsistent_cases = 0;
+  std::uint64_t retired = 0;
   for (int iter = 0; iter < 400; ++iter) {
     const int n = uniform(2, 8);
+    // `log` is settled and retires at random points; `full` sees the same
+    // events and never retires, and is what the reference scans.
     EventLog log(n);
-    // Random traffic: sends, and receives of pending messages in any
-    // order; whatever is still pending at the end is never received.
-    std::vector<std::pair<MessageId, ProcessId>> pending;
-    const int steps = uniform(0, 60);
-    for (int s = 0; s < steps; ++s) {
-      if (!pending.empty() && uniform(0, 2) == 0) {
-        std::size_t j = static_cast<std::size_t>(
-            uniform(0, static_cast<int>(pending.size()) - 1));
-        log.record_recv(pending[j].first, pending[j].second, s);
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(j));
-      } else {
-        ProcessId src = uniform(0, n - 1);
-        ProcessId dst = (src + uniform(1, n - 1)) % n;
-        pending.emplace_back(log.record_send(src, dst, s), dst);
-      }
-    }
-
-    // Random lines: cursors anywhere in a process's history (so later
-    // ones may point backwards), processes left out, empty lines, tied
-    // commit times and initiations that never commit.
+    EventLog full(n);
     CoordinationTracker tracker;
-    const int inits = uniform(0, 20);
-    for (int k = 0; k < inits; ++k) {
-      InitiationStats& st = tracker.open(
-          make_initiation_id(k % n, static_cast<Csn>(k + 1)), k % n,
-          k);
-      const int updates = uniform(0, 2 * n);
-      for (int u = 0; u < updates; ++u) {
-        ProcessId pid = uniform(0, n - 1);
-        st.line_updates.emplace_back(
-            pid, static_cast<std::uint64_t>(
-                     uniform(0, static_cast<int>(log.cursor(pid)))));
+    ConsistencyChecker checker(log, tracker);
+
+    // One random action per step, in time order: a send, a receive of a
+    // pending message (in any order), an initiation start, a commit or a
+    // settle. Time advances by 0 or 1 per step, so commits tie. Whatever
+    // is pending at the end is never received; whatever is open never
+    // commits.
+    std::vector<std::pair<MessageId, ProcessId>> pending;
+    std::vector<InitiationStats*> open;
+    sim::SimTime now = 0;
+    int inits = 0;
+    const int steps = uniform(0, 80);
+    for (int s = 0; s < steps; ++s) {
+      now += uniform(0, 1);
+      const int action = uniform(0, 9);
+      if (action < 5) {
+        if (!pending.empty() && uniform(0, 2) == 0) {
+          std::size_t j = static_cast<std::size_t>(
+              uniform(0, static_cast<int>(pending.size()) - 1));
+          log.record_recv(pending[j].first, pending[j].second, now);
+          full.record_recv(pending[j].first, pending[j].second, now);
+          pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(j));
+        } else {
+          ProcessId src = uniform(0, n - 1);
+          ProcessId dst = (src + uniform(1, n - 1)) % n;
+          MessageId id = log.record_send(src, dst, now);
+          ASSERT_EQ(full.record_send(src, dst, now), id);
+          pending.emplace_back(id, dst);
+        }
+      } else if (action < 7) {
+        ++inits;
+        open.push_back(&tracker.open(
+            make_initiation_id(inits % n, static_cast<Csn>(inits)),
+            inits % n, now));
+      } else if (action < 9) {
+        if (open.empty()) continue;
+        // Random line: cursors anywhere in a process's history (so later
+        // lines may point backwards), processes left out, empty lines.
+        std::size_t j = static_cast<std::size_t>(
+            uniform(0, static_cast<int>(open.size()) - 1));
+        InitiationStats& st = *open[j];
+        open.erase(open.begin() + static_cast<std::ptrdiff_t>(j));
+        const int updates = uniform(0, 2 * n);
+        for (int u = 0; u < updates; ++u) {
+          ProcessId pid = uniform(0, n - 1);
+          st.line_updates.emplace_back(
+              pid, static_cast<std::uint64_t>(
+                       uniform(0, static_cast<int>(log.cursor(pid)))));
+        }
+        tracker.mark_committed(st, now);
+      } else {
+        checker.settle(now);
       }
-      int commit = uniform(-1, 6);
-      if (commit >= 0) st.committed_at = commit;
     }
 
-    CheckResult want = check_per_line(log, tracker);
-    CheckResult got = ConsistencyChecker(log, tracker).check_all();
     SCOPED_TRACE(testing::Message() << "iteration " << iter);
-    EXPECT_EQ(got.consistent, want.consistent);
-    EXPECT_EQ(got.lines_checked, want.lines_checked);
-    EXPECT_EQ(got.in_transit_total, want.in_transit_total);
-    ASSERT_EQ(got.orphans.size(), want.orphans.size());
-    for (std::size_t i = 0; i < want.orphans.size(); ++i) {
-      EXPECT_EQ(got.orphans[i].msg, want.orphans[i].msg);
-      EXPECT_EQ(got.orphans[i].src, want.orphans[i].src);
-      EXPECT_EQ(got.orphans[i].dst, want.orphans[i].dst);
-      EXPECT_EQ(got.orphans[i].send_event, want.orphans[i].send_event);
-      EXPECT_EQ(got.orphans[i].recv_event, want.orphans[i].recv_event);
-    }
+    CheckResult want = check_per_line(full, tracker);
+    EXPECT_EQ(check_result_mismatch(checker.check_all(), want), "");
+    EXPECT_EQ(live_log_mismatch(full, log), "");
+    retired += log.retired();
     if (!want.consistent) ++inconsistent_cases;
   }
-  // The generator must exercise both verdicts.
+  // The generator must exercise both verdicts, and retirement.
   EXPECT_GT(inconsistent_cases, 40u);
   EXPECT_LT(inconsistent_cases, 360u);
+  EXPECT_GT(retired, 300u);
 }
 
 TEST(Tracker, CommittedInCommitOrder) {
@@ -365,6 +390,21 @@ TEST(Recovery, UncoordinatedRollbackPropagation) {
   EXPECT_EQ(out.line[1], 0u);
   EXPECT_TRUE(out.domino_to_start);
   EXPECT_GE(out.rollback_steps, 1u);
+}
+
+TEST(RecoveryDeathTest, UncoordinatedRefusesARetiredLog) {
+  EventLog log(2);
+  CheckpointStore store(2);
+  CoordinationTracker tracker;
+  MessageId m = log.record_send(0, 1, 5);
+  log.record_recv(m, 1, 6);
+  Line line(2);
+  line[0] = 1;
+  line[1] = 1;
+  log.retire_below([&line](ProcessId p) { return line[p]; },
+                   [](const MsgRecord&) {});
+  RecoveryManager rm(log, store, tracker);
+  EXPECT_DEATH(rm.recover_uncoordinated(100), "retired records");
 }
 
 TEST(Recovery, UncoordinatedKeepsConsistentCheckpoints) {

@@ -369,5 +369,37 @@ TEST(FlatMap, MatchesStdMapThroughRehashesAndEveryKey) {
   EXPECT_EQ(flat.find(3), nullptr);
 }
 
+TEST(FlatMap, EraseMatchesStdMapAndLeavesNoTombstones) {
+  // Inserts and erases interleaved on a small key space, so probe runs
+  // wrap and shift back over one another; the table never grows past its
+  // first size because erase frees slots.
+  std::mt19937_64 rng(13);
+  util::FlatMap<std::uint32_t> flat;
+  std::map<std::uint64_t, std::uint32_t> ref;
+  const std::uint64_t edge[] = {0, ~std::uint64_t{0}};
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t key =
+        i % 101 == 0 ? edge[(i / 101) % 2] : rng() % 600 * 0x9E3779B9ull;
+    if (rng() % 2 == 0) {
+      EXPECT_EQ(flat.erase(key), ref.erase(key) == 1) << key;
+    } else {
+      flat[key] = static_cast<std::uint32_t>(i);
+      ref[key] = static_cast<std::uint32_t>(i);
+    }
+    ASSERT_EQ(flat.size(), ref.size());
+  }
+  for (std::uint64_t k = 0; k < 600; ++k) {
+    const std::uint64_t key = k * 0x9E3779B9ull;
+    const std::uint32_t* v = flat.find(key);
+    auto it = ref.find(key);
+    if (it == ref.end()) {
+      EXPECT_EQ(v, nullptr) << key;
+    } else {
+      ASSERT_NE(v, nullptr) << key;
+      EXPECT_EQ(*v, it->second) << key;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mck

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "full_history.hpp"
 #include "harness/experiment.hpp"
 #include "harness/scheduler.hpp"
 #include "harness/system.hpp"
@@ -28,7 +29,10 @@ struct Trace {
 
 Trace run_scenario(Algorithm algo, bool fidelity,
                    harness::TransportKind transport) {
+  obs::Tracer tracer;
+  tracer.enable(ckpt::kFullHistoryKinds);
   SystemOptions opts;
+  opts.tracer = &tracer;
   opts.algorithm = algo;
   opts.num_processes = 6;
   opts.seed = 97;
@@ -46,8 +50,13 @@ Trace run_scenario(Algorithm algo, bool fidelity,
   sched.start(sim::seconds(1800));
   sys.simulator().run_until(sim::kTimeNever);
 
+  // The record-by-record comparison covers the full history, rebuilt from
+  // the trace; the live log must hold exactly its unretired records.
+  const ckpt::EventLog full =
+      ckpt::full_history(tracer.take_records(), sys.n());
+  EXPECT_EQ(ckpt::live_log_mismatch(full, sys.log()), "");
   Trace t;
-  t.messages = sys.log().messages();
+  t.messages = full.messages();
   t.stats = sys.stats();
   t.initiations = sched.initiations_fired();
   if (harness::has_committed_lines(algo)) {
