@@ -98,13 +98,13 @@ RoundAttribution attribute_round(const RoundMetrics& rd, const CausalGraph& g,
     auto it = std::upper_bound(
         list.begin(), list.end(), t,
         [&](sim::SimTime tt, std::uint32_t idx) {
-          return tt < g.hops[idx].delivered_at;
+          return tt < g.delivered_at(idx);
         });
-    if (it == list.begin() || g.hops[*(it - 1)].delivered_at < t0) {
+    if (it == list.begin() || g.delivered_at(*(it - 1)) < t0) {
       wait_bucket += t - t0;
       break;
     }
-    const MsgHop& hop = g.hops[*(it - 1)];
+    const MsgHop hop = g.hop(*(it - 1));
     wait_bucket += t - hop.delivered_at;
     sim::SimTime transit_start = std::max(hop.sent_at, t0);
     sim::SimTime transit = hop.delivered_at - transit_start;
@@ -486,8 +486,8 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
     return it == st.end() ? num_lines : it->line;
   };
   std::vector<std::pair<std::size_t, std::size_t>> orphans;  // (line, hop)
-  for (std::size_t i = 0; i < g.hops.size(); ++i) {
-    const MsgHop& h = g.hops[i];
+  for (std::size_t i = 0; i < g.num_hops(); ++i) {
+    const MsgHop h = g.hop(i);
     if (!h.computation || h.send_stamp == 0 || h.recv_stamp == 0) continue;
     if (h.src < 0 || h.src >= num_processes || h.dst < 0 ||
         h.dst >= num_processes) {
@@ -502,7 +502,7 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
   std::sort(orphans.begin(), orphans.end());  // line-major, hop order
   for (const auto& [k, i] : orphans) {
     const RoundMetrics& rd = committed_round(k);
-    const MsgHop& h = g.hops[i];
+    const MsgHop h = g.hop(i);
     violate(AuditCheck::kConsistency, rd.committed_at, rd.initiation,
             fmt("orphan msg %llu: P%d(ev %llu) -> P%d(ev %llu) crosses "
                 "the committed line",

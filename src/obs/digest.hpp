@@ -6,9 +6,8 @@
 // "two trace files are byte-identical". A bare cmp/memcmp says only
 // *that* they differ; the digest layer says *where*, in O(chunks) 64-bit
 // comparisons, before a single record is decoded: each run carries one
-// digest per kDigestChunkRecords records (the Tracer's bump-pointer chunk
-// granularity, so the chunking costs the writer nothing extra) plus a
-// whole-run digest folded over the chunk digests.
+// digest per kDigestChunkRecords records plus a whole-run digest folded
+// over the chunk digests.
 //
 // The digests are also the integrity check: the MCKTRC02 footer that
 // stores them is mandatory (obs/trace_io.hpp), and mckaudit refuses to
@@ -27,8 +26,8 @@
 
 namespace mck::obs {
 
-/// Records per digest chunk. Matches obs::Tracer's bump-pointer chunk
-/// size so a chunk boundary in the file is a chunk boundary in memory.
+/// Records per digest chunk: a format constant, independent of the
+/// Tracer's buffer chunks.
 inline constexpr std::size_t kDigestChunkRecords = 4096;
 
 /// 64-bit digest of `n` raw bytes. Deterministic across platforms for the

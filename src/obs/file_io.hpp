@@ -15,6 +15,8 @@
 #include <string>
 #include <type_traits>
 
+#include <sys/stat.h>
+
 namespace mck::obs::io {
 
 /// Longest algorithm name a reader accepts; a longer length field means
@@ -38,6 +40,20 @@ inline bool write_all(std::FILE* f, const void* p, std::size_t n) {
 
 inline bool read_all(std::FILE* f, void* p, std::size_t n) {
   return n == 0 || std::fread(p, 1, n, f) == n;
+}
+
+/// Whether `f` has at least `n` bytes left to read. Checked before a
+/// reader allocates for a size field, so a forged count is reported as
+/// truncation instead of a huge allocation. A stream whose size cannot
+/// be known (a pipe) passes, and a short read reports it instead.
+inline bool has_bytes_left(std::FILE* f, std::uint64_t n) {
+  struct stat st;
+  const off_t at = ftello(f);
+  if (at < 0 || fstat(fileno(f), &st) != 0 || !S_ISREG(st.st_mode)) {
+    return true;
+  }
+  return st.st_size >= at &&
+         static_cast<std::uint64_t>(st.st_size - at) >= n;
 }
 
 template <typename T>

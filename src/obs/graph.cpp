@@ -1,5 +1,6 @@
 #include "obs/graph.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <iterator>
 
@@ -28,11 +29,40 @@ std::string fmt_issue(const char* f, unsigned long long a,
 
 }  // namespace
 
+MsgHop CausalGraph::hop(std::size_t i) const {
+  MCK_ASSERT(i < hops_.size());
+  const HopRef& ref = hops_[i];
+  MCK_ASSERT_MSG(ref.deliver < records_->size(),
+                 "a CausalGraph must not outlive its records");
+  const TraceRecord& s = (*records_)[ref.send];
+  const TraceRecord& r = (*records_)[ref.deliver];
+  MsgHop h;
+  h.id = r.arg0;
+  h.src = s.pid;
+  h.dst = r.pid;
+  h.kind = r.sub;
+  h.computation = r.sub == kRawMsgComputation;
+  h.sent_at = s.at;
+  h.delivered_at = r.at;
+  h.send_stamp = msg_stamp_of(s.arg1);
+  h.recv_stamp = msg_stamp_of(r.arg1);
+  const auto a = std::lower_bound(
+      annots_.begin(), annots_.end(), i,
+      [](const HopAnnotAt& x, std::size_t hop) { return x.hop < hop; });
+  if (a != annots_.end() && a->hop == i) {
+    h.buffered_at = a->annot.buffered_at;
+    h.retry_extra = a->annot.retry_extra;
+    h.forwarded = a->annot.forwarded;
+  }
+  return h;
+}
+
 GraphBuilder::GraphBuilder(const std::vector<TraceRecord>& records,
                            int num_processes)
     : records_(records), n_(num_processes) {
   MCK_ASSERT_MSG(records.size() <= 0xffffffffu,
                  "a run holds at most 2^32 records");
+  g_.records_ = &records;
   g_.delivers_by_pid.resize(static_cast<std::size_t>(num_processes));
 }
 
@@ -160,30 +190,18 @@ void GraphBuilder::add(const TraceRecord& r) {
         issue(r.at, r.arg0, "message delivered twice to one process");
       }
 
-      MsgHop h;
-      h.id = r.arg0;
-      h.src = s.pid;
-      h.dst = r.pid;
-      h.kind = r.sub;
-      h.computation = comp;
-      h.sent_at = s.at;
-      h.delivered_at = r.at;
-      h.send_stamp = msg_stamp_of(s.arg1);
-      h.recv_stamp = msg_stamp_of(r.arg1);
-      if (const Annot* a = annots_.find(r.arg0)) {
-        h.buffered_at = a->buffered_at;
-        h.retry_extra = a->retry_extra;
-        h.forwarded = a->forwarded;
+      const auto hop = static_cast<std::uint32_t>(g_.hops_.size());
+      if (const CausalGraph::HopAnnot* a = annots_.find(r.arg0)) {
+        g_.annots_.push_back(CausalGraph::HopAnnotAt{hop, *a});
       }
-      if (comp && (h.send_stamp == 0 || h.recv_stamp == 0)) {
+      if (comp && (msg_stamp_of(s.arg1) == 0 || msg_stamp_of(r.arg1) == 0)) {
         issue(r.at, r.arg0,
               "computation message is missing an event-log stamp");
       }
       if (r.pid >= 0 && r.pid < n_) {
-        g_.delivers_by_pid[static_cast<std::size_t>(r.pid)].push_back(
-            static_cast<std::uint32_t>(g_.hops.size()));
+        g_.delivers_by_pid[static_cast<std::size_t>(r.pid)].push_back(hop);
       }
-      g_.hops.push_back(h);
+      g_.hops_.push_back(CausalGraph::HopRef{ref->rec, idx});
       break;
     }
     default:

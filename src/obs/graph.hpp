@@ -5,10 +5,11 @@
 // kMsgForwarded reroutes and kMsgBuffered deferred deliveries), checks the
 // FIFO channel discipline the simulated transports guarantee (per ordered
 // (src, dst) pair and message class), and exposes the matched hops in
-// delivery order so the auditor (obs/audit.hpp) can replay Theorem 1 and
-// walk critical paths without any protocol knowledge. It is fed one
-// record at a time, so the auditor runs it in the same pass as its own
-// replay; build_graph is the loop for callers that only want the graph.
+// delivery order, as record indices, so the auditor (obs/audit.hpp) can
+// replay Theorem 1 and walk critical paths without any protocol
+// knowledge. It is fed one record at a time, so the auditor runs it in
+// the same pass as its own replay; build_graph is the loop for callers
+// that only want the graph.
 //
 // Channel state mirrors net::FifoSequencer: a (src, dst, class) channel
 // is two 32-bit counters in a flat table — sends take the next sequence
@@ -17,7 +18,7 @@
 // shared ordered set, which stays empty in a clean run. The state is one
 // 16-byte slot per channel used and per message id (flat tables at most
 // 5/8 full) plus 4 B per broadcast recipient; a send is kept as the index
-// of its record, not copied.
+// of its record, and a hop as the indices of its two records, not copied.
 //
 // Everything here is derived from TraceRecords alone — the whole point is
 // an *independent* witness that shares no code with the system under test
@@ -36,9 +37,9 @@
 
 namespace mck::obs {
 
-/// One matched (send, deliver) pair. A broadcast produces one hop per
-/// recipient, all sharing the send-side fields. 64 bytes: a run holds one
-/// per delivery.
+/// One matched (send, deliver) pair, as CausalGraph::hop() rebuilds it
+/// from the two records. A broadcast produces one hop per recipient, all
+/// sharing the send-side fields.
 struct MsgHop {
   std::uint64_t id = 0;
   std::int32_t src = -1;
@@ -53,7 +54,6 @@ struct MsgHop {
   bool computation = false;
   bool forwarded = false;         // rerouted after a handoff
 };
-static_assert(sizeof(MsgHop) == 64, "MsgHop is one cache line");
 
 /// A causal-order defect found while matching: an unmatched or duplicated
 /// delivery, time travel, or a FIFO inversion on a channel.
@@ -63,23 +63,64 @@ struct CausalIssue {
   std::string detail;
 };
 
-struct CausalGraph {
-  std::vector<MsgHop> hops;  // in delivery order
-  /// Indices into `hops` of the deliveries at each process, in delivery
-  /// order (trace order == non-decreasing delivered_at).
+/// The matched hops of one run, in delivery order. A hop is held as the
+/// indices of its send and deliver records (8 bytes), not as a copy of
+/// them, so the graph reads the records it was built from: it must not
+/// outlive them, and they must not change while it is in use.
+class CausalGraph {
+ public:
+  std::size_t num_hops() const { return hops_.size(); }
+
+  /// Hop `i`, with the fields its records give and the annotations its
+  /// message had at delivery.
+  MsgHop hop(std::size_t i) const;
+
+  sim::SimTime delivered_at(std::size_t i) const {
+    return (*records_)[hops_[i].deliver].at;
+  }
+
+  /// Indices of the hops delivered at each process, in delivery order
+  /// (trace order == non-decreasing delivered_at).
   std::vector<std::vector<std::uint32_t>> delivers_by_pid;
   std::vector<CausalIssue> issues;
   std::uint64_t sends = 0;       // send records (a broadcast counts once)
   std::uint64_t delivers = 0;    // deliver records
   std::uint64_t in_transit = 0;  // expected deliveries that never happened
+
+ private:
+  friend class GraphBuilder;
+
+  /// What kMsgRetry / kMsgBuffered / kMsgForwarded records said about a
+  /// message.
+  struct HopAnnot {
+    sim::SimTime buffered_at = -1;
+    sim::SimTime retry_extra = 0;
+    bool forwarded = false;
+  };
+  struct HopRef {
+    std::uint32_t send = 0;     // record index of the kMsgSend
+    std::uint32_t deliver = 0;  // record index of the kMsgDeliver
+  };
+  struct HopAnnotAt {
+    std::uint32_t hop = 0;
+    HopAnnot annot;
+  };
+
+  const std::vector<TraceRecord>* records_ = nullptr;
+  std::vector<HopRef> hops_;
+  /// The annotations of the hops whose message had any when it was
+  /// delivered, by ascending hop index (rare: retries, buffering and
+  /// handoff reroutes).
+  std::vector<HopAnnotAt> annots_;
 };
 
 /// Incremental matcher over ONE run's records. Message ids repeat across
 /// replications, so runs must be processed separately.
 class GraphBuilder {
  public:
-  /// `records` must outlive the builder, and add() must be fed
-  /// records[0], records[1], ... in order: sends are kept as indices.
+  /// `records` must outlive the builder and the graph it finishes, and
+  /// add() must be fed records[0], records[1], ... in order: sends and
+  /// hops are kept as indices.
   GraphBuilder(const std::vector<TraceRecord>& records, int num_processes);
 
   void add(const TraceRecord& r);
@@ -98,13 +139,6 @@ class GraphBuilder {
     std::uint32_t rec = 0;
     std::uint32_t seq = 0;
   };
-  /// What kMsgRetry / kMsgBuffered / kMsgForwarded said about a message.
-  struct Annot {
-    sim::SimTime buffered_at = -1;
-    sim::SimTime retry_extra = 0;
-    bool forwarded = false;
-  };
-
   std::uint32_t enqueue(std::uint64_t chan_key);
   /// Consumes the delivery `r` of `send` on its channel. False if `r` is
   /// not on the channel the send went to, or that copy was delivered.
@@ -117,7 +151,8 @@ class GraphBuilder {
   std::uint32_t next_rec_ = 0;
   CausalGraph g_;
   util::FlatMap<SendRef> sends_;  // message id -> first send record
-  util::FlatMap<Annot> annots_;   // message id -> reroute/buffer/retry
+  /// Message id -> what reroute / buffer / retry records said so far.
+  util::FlatMap<CausalGraph::HopAnnot> annots_;
   util::FlatMap<Chan> channels_;  // channel key -> counters
   std::vector<std::uint32_t> bcast_seqs_;  // n per broadcast, by recipient
   /// Deliveries that arrived ahead of an undelivered predecessor, keyed
@@ -127,8 +162,10 @@ class GraphBuilder {
   std::uint64_t matched_ = 0;   // deliveries consumed on their channel
 };
 
-/// Rebuilds the causal graph of ONE run's records.
+/// Rebuilds the causal graph of ONE run's records; the graph reads
+/// `records`, so it must not outlive them.
 CausalGraph build_graph(const std::vector<TraceRecord>& records,
                         int num_processes);
+CausalGraph build_graph(std::vector<TraceRecord>&&, int) = delete;
 
 }  // namespace mck::obs

@@ -239,6 +239,11 @@ std::optional<TimelineFile> read_timeline_file(const std::string& path,
       set_error(err, path + ": implausible row count");
       return std::nullopt;
     }
+    if (!io::has_bytes_left(f.get(),
+                            row_count * num_cols * sizeof(std::uint64_t))) {
+      set_error(err, path + ": truncated rows");
+      return std::nullopt;
+    }
     run.data.resize(row_count * num_cols);
     if (!read_all(f.get(), run.data.data(),
                   row_count * num_cols * sizeof(std::uint64_t))) {

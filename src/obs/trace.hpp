@@ -13,6 +13,11 @@
 //  * No allocation in steady state. Records land in chunked bump-pointer
 //    buffers; a chunk allocation every kChunkRecords records is the only
 //    cold spot, and chunk addresses are stable (no reallocation).
+//  * Records are resident once. A chunk is 2^20 records (32 MiB), large
+//    enough that glibc serves it with mmap, so take_records() returns each
+//    chunk's pages to the OS as soon as it has been copied out; smaller
+//    chunks would stay resident in the heap arena beside the copy. Chunks
+//    are default-initialised: pages no record reached are never touched.
 //
 // This header is intentionally dependency-light (sim/time.hpp and
 // util/types.hpp only, both header-only) so the simulator and the
@@ -293,9 +298,11 @@ class Tracer {
   /// stamp records monotonically.
   sim::SimTime last_at() const { return last_at_; }
 
-  /// Copies every record out, in append order, and resets the buffers.
-  /// A capped tracer that dropped records appends one kTruncated marker
-  /// stamped with the drop count and the dropped time range.
+  /// Copies every record out, in append order, and resets the buffers;
+  /// each chunk is freed as soon as it is copied, so the records are held
+  /// about once, not twice. A capped tracer that dropped records appends
+  /// one kTruncated marker stamped with the drop count and the dropped
+  /// time range.
   std::vector<TraceRecord> take_records() {
     std::vector<TraceRecord> out;
     out.reserve(static_cast<std::size_t>(count_) + (dropped_ > 0 ? 1 : 0));
@@ -303,6 +310,7 @@ class Tracer {
       std::size_t n = c + 1 == chunks_.size() ? fill_ : kChunkRecords;
       const TraceRecord* p = chunks_[c].get();
       out.insert(out.end(), p, p + n);
+      chunks_[c].reset();
     }
     if (dropped_ > 0) {
       TraceRecord r{};
@@ -324,10 +332,14 @@ class Tracer {
   }
 
  private:
-  static constexpr std::size_t kChunkRecords = 4096;  // 128 KB per chunk
+  // 32 MiB per chunk: glibc's mmap threshold never exceeds 32 MiB on
+  // 64-bit (mallopt(3)), so a chunk is its own mapping and freeing it
+  // unmaps it.
+  static constexpr std::size_t kChunkRecords = std::size_t{1} << 20;
 
   void grow() {
-    chunks_.push_back(std::make_unique<TraceRecord[]>(kChunkRecords));
+    chunks_.push_back(
+        std::make_unique_for_overwrite<TraceRecord[]>(kChunkRecords));
     cur_ = chunks_.back().get();
     fill_ = 0;
   }

@@ -164,6 +164,10 @@ std::optional<TraceFile> read_trace_file(const std::string& path,
       set_error(error, path + ": implausible record count");
       return std::nullopt;
     }
+    if (!io::has_bytes_left(f.get(), count * sizeof(TraceRecord))) {
+      set_error(error, path + ": truncated records");
+      return std::nullopt;
+    }
     run.records.resize(count);
     if (!read_all(f.get(), run.records.data(),
                   count * sizeof(TraceRecord))) {

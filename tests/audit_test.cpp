@@ -401,7 +401,7 @@ TEST(AuditGraph, BroadcastFanOutAndInTransit) {
   };
   obs::CausalGraph g = obs::build_graph(t, 4);
   EXPECT_TRUE(g.issues.empty());
-  EXPECT_EQ(g.hops.size(), 2u);
+  EXPECT_EQ(g.num_hops(), 2u);
   EXPECT_EQ(g.sends, 1u);
   EXPECT_EQ(g.delivers, 2u);
   EXPECT_EQ(g.in_transit, 1u);
@@ -424,7 +424,8 @@ TraceRecord deliver_rec(sim::SimTime at, std::int32_t dst, std::uint16_t src,
              obs::pack_msg_stamp(sub == kComp ? id : 0, 64));
 }
 
-std::vector<std::string> issue_lines(const obs::CausalGraph& g) {
+template <typename Graph>  // obs::CausalGraph or obs::DequeGraph
+std::vector<std::string> issue_lines(const Graph& g) {
   std::vector<std::string> out;
   for (const obs::CausalIssue& is : g.issues) {
     out.push_back("t" + std::to_string(is.at) + " msg " +
@@ -439,7 +440,7 @@ using Lines = std::vector<std::string>;
 /// the same issues and in-transit count, so the pins hold for both.
 obs::CausalGraph pinned_graph(const std::vector<TraceRecord>& t, int n) {
   obs::CausalGraph g = obs::build_graph(t, n);
-  const obs::CausalGraph ref = obs::build_graph_deque(t, n);
+  const obs::DequeGraph ref = obs::build_graph_deque(t, n);
   EXPECT_EQ(issue_lines(g), issue_lines(ref));
   EXPECT_EQ(g.in_transit, ref.in_transit);
   return g;
@@ -460,7 +461,7 @@ TEST(AuditGraph, OvertakeCountsOnlyUndeliveredPredecessors) {
                    "send(s) on channel P0 -> P1",
                    "t21 msg 2: FIFO violation: message overtook 1 earlier "
                    "send(s) on channel P0 -> P1"}));
-  EXPECT_EQ(g.hops.size(), 4u);
+  EXPECT_EQ(g.num_hops(), 4u);
   EXPECT_EQ(g.in_transit, 0u);
 }
 
@@ -476,7 +477,7 @@ TEST(AuditGraph, OvertakenMessageDeliveredLateIsNotAViolation) {
                    "send(s) on channel P0 -> P1"}));
   EXPECT_EQ(g.in_transit, 0u);
   ASSERT_EQ(g.delivers_by_pid[1].size(), 3u);
-  EXPECT_EQ(g.hops[g.delivers_by_pid[1][1]].id, 1u);
+  EXPECT_EQ(g.hop(g.delivers_by_pid[1][1]).id, 1u);
 }
 
 TEST(AuditGraph, NeverDeliveredPredecessorIsOvertakenByEveryLaterSend) {
@@ -502,7 +503,7 @@ TEST(AuditGraph, DuplicateDeliveryIsFlaggedAndStillAHop) {
   obs::CausalGraph g = pinned_graph(t, 2);
   EXPECT_EQ(issue_lines(g),
             (Lines{"t30 msg 1: message delivered twice to one process"}));
-  EXPECT_EQ(g.hops.size(), 2u);
+  EXPECT_EQ(g.num_hops(), 2u);
   EXPECT_EQ(g.delivers, 2u);
   EXPECT_EQ(g.in_transit, 0u);
 }
@@ -527,7 +528,7 @@ TEST(AuditGraph, WrongKindSenderOrRecipientMissesTheChannel) {
                    "send(s) on channel P0 -> P1",
                    "t40 msg 3: computation message is missing an event-log "
                    "stamp"}));
-  EXPECT_EQ(g.hops.size(), 3u);
+  EXPECT_EQ(g.num_hops(), 3u);
   EXPECT_EQ(g.in_transit, 2u);
 }
 
@@ -546,7 +547,7 @@ TEST(AuditGraph, BroadcastInterleavedWithUnicastsOnOneChannel) {
             (Lines{"t20 msg 3: FIFO violation: message overtook 2 earlier "
                    "send(s) on channel P0 -> P1"}));
   EXPECT_EQ(g.sends, 3u);
-  EXPECT_EQ(g.hops.size(), 4u);
+  EXPECT_EQ(g.num_hops(), 4u);
   EXPECT_EQ(g.in_transit, 0u);
 }
 
@@ -636,12 +637,12 @@ TEST(AuditGraph, MatchesReferenceDequeMatcherOnRandomTraces) {
   for (int trial = 0; trial < 20000; ++trial) {
     const int n = std::uniform_int_distribution<int>(2, 5)(rng);
     const std::vector<TraceRecord> t = random_message_trace(rng, n);
-    const obs::CausalGraph want = obs::build_graph_deque(t, n);
+    const obs::DequeGraph want = obs::build_graph_deque(t, n);
     const obs::CausalGraph got = obs::build_graph(t, n);
     ASSERT_EQ(issue_lines(got), issue_lines(want)) << "trial " << trial;
-    ASSERT_EQ(got.hops.size(), want.hops.size()) << "trial " << trial;
-    for (std::size_t i = 0; i < got.hops.size(); ++i) {
-      ASSERT_TRUE(same_hop(got.hops[i], want.hops[i]))
+    ASSERT_EQ(got.num_hops(), want.hops.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < got.num_hops(); ++i) {
+      ASSERT_TRUE(same_hop(got.hop(i), want.hops[i]))
           << "trial " << trial << " hop " << i;
     }
     ASSERT_EQ(got.delivers_by_pid, want.delivers_by_pid) << "trial " << trial;
@@ -733,8 +734,8 @@ TEST(AuditConsistency, SweepMatchesPerLineScanOnRandomLines) {
         line[static_cast<std::size_t>(p)] =
             std::max(line[static_cast<std::size_t>(p)], cursor);
       }
-      for (std::size_t i = 0; i < g.hops.size(); ++i) {
-        const obs::MsgHop& h = g.hops[i];
+      for (std::size_t i = 0; i < g.num_hops(); ++i) {
+        const obs::MsgHop h = g.hop(i);
         ++want_checks;
         if (h.recv_stamp - 1 < line[static_cast<std::size_t>(h.dst)] &&
             h.send_stamp - 1 >= line[static_cast<std::size_t>(h.src)] &&

@@ -33,9 +33,9 @@ std::string fmt_issue(const char* f, unsigned long long a,
 
 }  // namespace
 
-CausalGraph build_graph_deque(const std::vector<TraceRecord>& records,
-                              int num_processes) {
-  CausalGraph g;
+DequeGraph build_graph_deque(const std::vector<TraceRecord>& records,
+                             int num_processes) {
+  DequeGraph g;
   g.delivers_by_pid.resize(static_cast<std::size_t>(num_processes));
 
   std::unordered_map<std::uint64_t, SendInfo> sends;

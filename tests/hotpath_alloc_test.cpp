@@ -1,6 +1,7 @@
 // Proves the hot-path memory discipline (DESIGN.md): once warm, the
-// simulator schedules and fires events without touching the heap, pooled
-// message payloads recycle their nodes, and the generation-counted slot
+// simulator schedules and fires events without touching the heap, a
+// tracer that is off allocates nothing, pooled message payloads recycle
+// their nodes, and the generation-counted slot
 // pool survives its edge cases (cancel-after-fire, generation wraparound,
 // pool growth and recycling).
 //
@@ -22,6 +23,7 @@
 #include "mobile/cellular.hpp"
 #include "net/lan.hpp"
 #include "obs/timeline.hpp"
+#include "obs/trace.hpp"
 #include "rt/message.hpp"
 #include "sim/simulator.hpp"
 #include "util/pool.hpp"
@@ -151,6 +153,28 @@ TEST(HotPathAllocs, TimelineSamplingSteadyStateIsAllocationFree) {
   tl.finalize(sim.live_pending(), sim.slot_count(), sim.events_executed());
   obs::TimelineRun run = tl.take_run(1);
   EXPECT_GT(run.rows(), 100u) << "the sampler must actually have sampled";
+}
+
+// The flight recorder costs nothing when off: a tracer that was never
+// enabled allocates no chunk, whatever is recorded into it or taken out.
+TEST(HotPathAllocs, NeverEnabledTracerAllocatesNothing) {
+  const std::uint64_t before = allocs();
+  {
+    obs::Tracer t;
+    t.set_record_cap(5);
+    for (int i = 0; i < 100; ++i) {
+      t.record(obs::TraceKind::kMsgSend, i, 0, 0, 1, 42, 50);
+    }
+    EXPECT_EQ(t.size(), 0u);
+    EXPECT_TRUE(t.take_records().empty());
+  }
+  EXPECT_EQ(allocs(), before);
+  if (counter_active()) {  // control: enabling allocates the first chunk
+    const std::uint64_t off = allocs();
+    obs::Tracer t;
+    t.enable();
+    EXPECT_GT(allocs(), off);
+  }
 }
 
 TEST(HotPathAllocs, PooledPayloadSteadyStateIsAllocationFree) {

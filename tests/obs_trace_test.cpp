@@ -65,10 +65,12 @@ TEST(Tracer, MaskFiltersKinds) {
   EXPECT_EQ(r[0].kind, static_cast<std::uint8_t>(TraceKind::kBlock));
 }
 
+// A chunk is 2^20 records: a run longer than one chunk round-trips in
+// order, and take_records leaves the tracer ready for the next run.
 TEST(Tracer, GrowsAcrossChunksPreservingOrder) {
   Tracer t;
   t.enable();
-  const std::uint64_t n = 10000;  // > 2 chunks of 4096
+  const std::uint64_t n = (1ull << 20) + 2;
   for (std::uint64_t i = 0; i < n; ++i) {
     t.record(TraceKind::kEventFire, static_cast<sim::SimTime>(i), -1, 0, 0, i);
   }
@@ -77,7 +79,38 @@ TEST(Tracer, GrowsAcrossChunksPreservingOrder) {
   ASSERT_EQ(r.size(), n);
   for (std::uint64_t i = 0; i < n; ++i) {
     ASSERT_EQ(r[i].arg0, i);
+    ASSERT_EQ(r[i].at, static_cast<sim::SimTime>(i));
   }
+  r = {};
+  EXPECT_EQ(t.size(), 0u);
+  t.record(TraceKind::kBlock, 7, 2, 0, 0, 99);
+  r = t.take_records();
+  ASSERT_EQ(r.size(), 1u);
+  EXPECT_EQ(r[0].arg0, 99u);
+  EXPECT_EQ(r[0].pid, 2);
+}
+
+TEST(Tracer, CapPastTheFirstChunkKeepsTheExactPrefix) {
+  Tracer t;
+  t.enable();
+  const std::uint64_t cap = (1ull << 20) + 5;
+  t.set_record_cap(cap);
+  const std::uint64_t n = cap + 100;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    t.record(TraceKind::kEventFire, static_cast<sim::SimTime>(i), -1, 0, 0, i);
+  }
+  EXPECT_TRUE(t.truncated());
+  EXPECT_EQ(t.dropped(), 100u);
+  std::vector<TraceRecord> r = t.take_records();
+  ASSERT_EQ(r.size(), cap + 1);
+  for (std::uint64_t i = 0; i < cap; ++i) ASSERT_EQ(r[i].arg0, i);
+  const TraceRecord& marker = r.back();
+  EXPECT_EQ(marker.kind, static_cast<std::uint8_t>(TraceKind::kTruncated));
+  EXPECT_EQ(marker.pid, -1);
+  EXPECT_EQ(marker.arg0, 100u);
+  EXPECT_EQ(marker.arg1, cap);                             // first drop
+  EXPECT_EQ(marker.at, static_cast<sim::SimTime>(n - 1));  // last drop
+  EXPECT_FALSE(t.truncated());  // reset for reuse
 }
 
 // Regression: a retry extra-delay at or past 2^56 ns used to shift into
@@ -173,6 +206,30 @@ TEST(TraceIo, RejectsCorruptFile) {
   std::string err;
   EXPECT_FALSE(obs::read_trace_file(path, &err).has_value());
   EXPECT_FALSE(err.empty());
+  std::remove(path.c_str());
+}
+
+// The 51-byte file of a header, a run header and a forged record count
+// of 2^30 (32 GiB) is reported as truncated before anything is allocated.
+TEST(TraceIo, RejectsForgedRecordCountWithoutAllocating) {
+  const std::string path = "obs_trace_forged_count.tmp";
+  std::FILE* fp = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(fp, nullptr);
+  const std::uint32_t n = 4, algo_len = 3, rep = 0;
+  const std::uint64_t seed = 1, count = 1ull << 30;
+  std::fwrite(obs::kTraceFileMagic, 1, sizeof obs::kTraceFileMagic, fp);
+  std::fwrite(&n, sizeof n, 1, fp);
+  std::fwrite(&algo_len, sizeof algo_len, 1, fp);
+  std::fwrite("cao", 1, algo_len, fp);
+  std::fwrite("RUN.", 1, 4, fp);
+  std::fwrite(&rep, sizeof rep, 1, fp);
+  std::fwrite(&seed, sizeof seed, 1, fp);
+  std::fwrite(&count, sizeof count, 1, fp);
+  std::fclose(fp);
+
+  std::string err;
+  EXPECT_FALSE(obs::read_trace_file(path, &err).has_value());
+  EXPECT_NE(err.find("truncated records"), std::string::npos) << err;
   std::remove(path.c_str());
 }
 

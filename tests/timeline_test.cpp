@@ -276,6 +276,40 @@ TEST(TimelineIo, RejectsCorruptInput) {
   std::remove(path.c_str());
 }
 
+// A forged row count must be reported as truncation before the reader
+// allocates for it: 2^30 rows of 1024 columns would be 8 TiB.
+TEST(TimelineIo, RejectsForgedRowCountWithoutAllocating) {
+  const std::string path = temp_path("tl_forged_rows.mcktl");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const std::uint32_t n = 8, algo_len = 0, cols = 1024, rep = 0;
+  const std::uint8_t value = 0;
+  const std::uint16_t name_len = 1;
+  const std::uint64_t seed = 1, interval = 1, rows = 1ull << 30;
+  std::fwrite("MCKTL02\0", 1, 8, f);
+  std::fwrite(&n, sizeof n, 1, f);
+  std::fwrite(&algo_len, sizeof algo_len, 1, f);
+  std::fwrite(&cols, sizeof cols, 1, f);
+  for (std::uint32_t c = 0; c < cols; ++c) {
+    std::fwrite(&value, sizeof value, 1, f);
+    std::fwrite(&name_len, sizeof name_len, 1, f);
+    std::fwrite("c", 1, name_len, f);
+  }
+  std::fwrite("TLR.", 1, 4, f);
+  std::fwrite(&rep, sizeof rep, 1, f);
+  std::fwrite(&seed, sizeof seed, 1, f);
+  std::fwrite(&interval, sizeof interval, 1, f);
+  std::fwrite(&rows, sizeof rows, 1, f);
+  const std::uint64_t row[2] = {1, 2};  // far short of one row
+  std::fwrite(row, sizeof row, 1, f);
+  std::fclose(f);
+
+  std::string err;
+  EXPECT_FALSE(obs::read_timeline_file(path, &err).has_value());
+  EXPECT_NE(err.find("truncated rows"), std::string::npos) << err;
+  std::remove(path.c_str());
+}
+
 TEST(TimelineIo, RejectsMCKTL01File) {
   // A well-formed version-1 file: the same header, a schema whose column
   // descriptors carry an extra merge byte, and no runs.

@@ -3,7 +3,8 @@
 //   mckaudit check FILE
 //   mckaudit report FILE [--json] [--out OUT]
 //
-// check prints the verdict summary and exits 1 if any violation was found.
+// check prints the verdict summary and exits 1 if any violation was found
+// or the file is rejected (unreadable, malformed, or failing its digests).
 // report adds the per-round critical-path attribution table (wire / retry /
 // MSS-buffer / participant / initiator-wait time per committed round);
 // --json emits the machine-readable document instead (schema in
@@ -33,7 +34,8 @@ void cli::usage(const char* msg) {
                "  report FILE         verdict + per-round critical-path table\n"
                "    --json            machine-readable JSON instead\n"
                "    --out OUT         write to OUT instead of stdout\n"
-               "exit status: 0 clean, 1 violations found, 2 usage error\n");
+               "exit status: 0 clean, 1 violations found or file "
+               "rejected, 2 usage error\n");
   std::exit(2);
 }
 
@@ -63,7 +65,7 @@ int main(int argc, char** argv) {
   std::optional<obs::TraceFile> f = obs::read_trace_file(path, &err);
   if (!f) {
     std::fprintf(stderr, "mckaudit: %s\n", err.c_str());
-    return 2;
+    return 1;  // rejected like a digest mismatch: the input is at fault
   }
 
   // Before auditing semantics, check integrity: every stored chunk/run

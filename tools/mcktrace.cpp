@@ -313,8 +313,10 @@ int cmd_export_chrome(const obs::TraceFile& f, const std::string& out_path) {
     // Flow arrows for every matched (send, deliver) pair of this rep.
     // Ids are strings scoped by rep + message id + recipient so that a
     // broadcast fans out into one arrow per destination.
-    obs::CausalGraph g = obs::build_graph(run.records, f.meta.num_processes);
-    for (const obs::MsgHop& h : g.hops) {
+    const obs::CausalGraph g =
+        obs::build_graph(run.records, f.meta.num_processes);
+    for (std::size_t i = 0; i < g.num_hops(); ++i) {
+      const obs::MsgHop h = g.hop(i);
       emit("{\"ph\":\"s\",\"cat\":\"msg\",\"name\":\"%s\","
            "\"id\":\"r%d.m%llu.d%d\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f}",
            obs::msg_kind_name(h.kind), run.rep, (unsigned long long)h.id, h.dst,
