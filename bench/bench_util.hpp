@@ -5,6 +5,8 @@
 // The job count never changes the numbers, only the wall-clock time.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -12,6 +14,7 @@
 
 #include "harness/experiment.hpp"
 #include "obs/round_metrics.hpp"
+#include "obs/timeline.hpp"
 #include "stats/table.hpp"
 
 namespace mck::bench {
@@ -42,6 +45,67 @@ inline void apply_wire_flags(int argc, char** argv,
     cfg.sys.timing.record_wire_bytes = true;
   }
   if (has_flag(argc, argv, "--wire-fidelity")) cfg.sys.wire_fidelity = true;
+}
+
+/// The cellular scale configuration: fig_scale's sweep point at population
+/// n, which perf_report also times. Callers add only their own flags.
+inline harness::ExperimentConfig scale_config(int n) {
+  harness::ExperimentConfig cfg;
+  cfg.sys.algorithm = harness::Algorithm::kCaoSinghal;
+  cfg.sys.num_processes = n;
+  cfg.sys.seed = 4242;
+  cfg.sys.transport = harness::TransportKind::kCellular;
+  // Hierarchical topology: the backbone stays small (4 MSSs at paper
+  // scale, 32 at deployment scale) while cells absorb the population at
+  // ~64 MHs per wireless cell.
+  cfg.sys.cellular.num_mss = n <= 1000 ? 4 : 32;
+  const int target_cells = n / 64;
+  cfg.sys.cellular.cells_per_mss =
+      std::max(1, target_cells / cfg.sys.cellular.num_mss);
+  // Honest codec byte accounting without use_wire_sizes: recorded wire
+  // bytes come from the real delta/varint encodings while message timing
+  // keeps the paper's flat budgets, so the protocol schedule for a given
+  // (n, seed) is independent of codec changes.
+  cfg.sys.timing.record_wire_bytes = true;
+  cfg.workload = harness::WorkloadKind::kPointToPoint;
+  // A constant aggregate send budget (~36k computation messages over the
+  // horizon) keeps every point's event count comparable: the sweep then
+  // measures how per-message cost scales with n, not how much traffic n
+  // hosts generate.
+  const double aggregate_rate = 60.0;  // msgs/s across the population
+  cfg.rate = aggregate_rate / n;
+  cfg.ckpt_interval = sim::seconds(300);
+  cfg.horizon = sim::seconds(600);
+  // Past a few thousand hosts, only a handful of designated processes
+  // schedule periodic initiations (see SchedulerOptions::initiator_limit);
+  // everyone else checkpoints when the request wave reaches them.
+  cfg.initiator_limit = n <= 1000 ? 0 : 4;
+  return cfg;
+}
+
+/// Peak resident set size (VmHWM) in KiB from /proc/self/status; 0 where
+/// procfs is unavailable. Monotone over the process lifetime, so a sweep
+/// that runs points in ascending n reads, after each point, the peak of
+/// the largest population so far.
+inline std::uint64_t peak_rss_kib() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  unsigned long long kib = 0;
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %llu", &kib) == 1) break;
+  }
+  std::fclose(f);
+  return kib;
+}
+
+/// Column-wise peak over a timeline run (signed columns compare as i64).
+inline std::int64_t timeline_peak(const obs::TimelineRun& run, int col) {
+  std::int64_t peak = 0;
+  for (std::size_t k = 0; k < run.rows(); ++k) {
+    peak = std::max(peak, obs::timeline_i64(run.row(k)[col]));
+  }
+  return peak;
 }
 
 /// `--metrics`: capture a flight-recorder trace per repetition and append

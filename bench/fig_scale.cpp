@@ -38,25 +38,6 @@ using namespace mck;
 
 namespace {
 
-/// Peak resident set size (VmHWM) in KiB from /proc/self/status; 0 where
-/// procfs is unavailable. Monotone over the process lifetime, so the
-/// sweep runs points in ascending n and the reading after each point is
-/// dominated by the largest population so far.
-std::uint64_t peak_rss_kib() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[256];
-  std::uint64_t kib = 0;
-  while (std::fgets(line, sizeof line, f) != nullptr) {
-    if (std::sscanf(line, "VmHWM: %llu",
-                    reinterpret_cast<unsigned long long*>(&kib)) == 1) {
-      break;
-    }
-  }
-  std::fclose(f);
-  return kib;
-}
-
 struct ScalePoint {
   int n = 0;
   int num_mss = 0;
@@ -71,47 +52,10 @@ struct ScalePoint {
   std::uint64_t tl_peak_queue = 0;
 };
 
-std::int64_t timeline_peak(const obs::TimelineRun& run, int col) {
-  std::int64_t peak = 0;
-  for (std::size_t k = 0; k < run.rows(); ++k) {
-    peak = std::max(peak, obs::timeline_i64(run.row(k)[col]));
-  }
-  return peak;
-}
-
 ScalePoint run_point(int n, int argc, char** argv, int jobs,
                      const std::string& trace_path,
                      const std::string& timeline_path) {
-  harness::ExperimentConfig cfg;
-  cfg.sys.algorithm = harness::Algorithm::kCaoSinghal;
-  cfg.sys.num_processes = n;
-  cfg.sys.seed = 4242;
-  cfg.sys.transport = harness::TransportKind::kCellular;
-  // Hierarchical topology: the backbone stays small (4 MSSs at paper
-  // scale, 32 at deployment scale) while cells absorb the population at
-  // ~64 MHs per wireless cell.
-  cfg.sys.cellular.num_mss = n <= 1000 ? 4 : 32;
-  const int target_cells = n / 64;
-  cfg.sys.cellular.cells_per_mss =
-      std::max(1, target_cells / cfg.sys.cellular.num_mss);
-  // Honest codec byte accounting without use_wire_sizes: recorded wire
-  // bytes come from the real delta/varint encodings while message timing
-  // keeps the paper's flat budgets, so the protocol schedule for a given
-  // (n, seed) is independent of codec changes.
-  cfg.sys.timing.record_wire_bytes = true;
-  cfg.workload = harness::WorkloadKind::kPointToPoint;
-  // A constant aggregate send budget (~36k computation messages over the
-  // horizon) keeps every point's event count comparable: the sweep then
-  // measures how per-message cost scales with n, not how much traffic n
-  // hosts generate.
-  const double aggregate_rate = 60.0;  // msgs/s across the population
-  cfg.rate = aggregate_rate / n;
-  cfg.ckpt_interval = sim::seconds(300);
-  cfg.horizon = sim::seconds(600);
-  // Past a few thousand hosts, only a handful of designated processes
-  // schedule periodic initiations (see SchedulerOptions::initiator_limit);
-  // everyone else checkpoints when the request wave reaches them.
-  cfg.initiator_limit = n <= 1000 ? 0 : 4;
+  harness::ExperimentConfig cfg = bench::scale_config(n);
   cfg.capture_trace = !trace_path.empty();
   cfg.capture_timeline = !timeline_path.empty();
   cfg.timeline_interval = sim::seconds(1);
@@ -127,7 +71,7 @@ ScalePoint run_point(int n, int argc, char** argv, int jobs,
   pt.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             t0)
                   .count();
-  pt.rss_kib = peak_rss_kib();
+  pt.rss_kib = bench::peak_rss_kib();
 
   if (!trace_path.empty()) {
     obs::TraceFileMeta meta;
@@ -156,10 +100,10 @@ ScalePoint run_point(int n, int argc, char** argv, int jobs,
   if (!pt.res.timelines.empty()) {
     const obs::TimelineRun& tl = pt.res.timelines.front();
     pt.tl_rows = tl.rows();
-    pt.tl_peak_in_flight = timeline_peak(tl, obs::kColInFlight);
-    pt.tl_peak_blocked = timeline_peak(tl, obs::kColBlockedProcs);
-    pt.tl_peak_queue =
-        static_cast<std::uint64_t>(timeline_peak(tl, obs::kColQueueDepth));
+    pt.tl_peak_in_flight = bench::timeline_peak(tl, obs::kColInFlight);
+    pt.tl_peak_blocked = bench::timeline_peak(tl, obs::kColBlockedProcs);
+    pt.tl_peak_queue = static_cast<std::uint64_t>(
+        bench::timeline_peak(tl, obs::kColQueueDepth));
   }
   return pt;
 }

@@ -17,7 +17,7 @@
 #include "core/codec.hpp"
 #include "core/payloads.hpp"
 #include "sim/simulator.hpp"
-#include "util/bitvec.hpp"
+#include "util/interval_set.hpp"
 #include "util/pool.hpp"
 #include "util/weight.hpp"
 
@@ -51,17 +51,17 @@ void BM_WeightTreeSumToOne(benchmark::State& state) {
 }
 BENCHMARK(BM_WeightTreeSumToOne)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_BitVecMergeAndScan(benchmark::State& state) {
-  util::BitVec a(64), b(64);
+void BM_IntervalSetMergeAndScan(benchmark::State& state) {
+  util::IntervalSet a(64), b(64);
   for (std::size_t i = 0; i < 64; i += 3) a.set(i);
   for (std::size_t i = 0; i < 64; i += 5) b.set(i);
   for (auto _ : state) {
-    util::BitVec r = a;
+    util::IntervalSet r = a;
     r.merge(b);
     benchmark::DoNotOptimize(r.count());
   }
 }
-BENCHMARK(BM_BitVecMergeAndScan);
+BENCHMARK(BM_IntervalSetMergeAndScan);
 
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -242,49 +242,10 @@ struct ScalePathPerf {
   std::int64_t n1M_peak_blocked = 0;
 };
 
-/// Column-wise peak over a timeline run (signed columns compare as i64).
-std::int64_t timeline_peak_i64(const obs::TimelineRun& run, int col) {
-  std::int64_t peak = 0;
-  for (std::size_t k = 0; k < run.rows(); ++k) {
-    peak = std::max(peak, obs::timeline_i64(run.row(k)[col]));
-  }
-  return peak;
-}
-
-harness::ExperimentConfig scale_cfg(int n) {
-  harness::ExperimentConfig cfg;
-  cfg.sys.algorithm = harness::Algorithm::kCaoSinghal;
-  cfg.sys.num_processes = n;
-  cfg.sys.seed = 4242;
-  cfg.sys.transport = harness::TransportKind::kCellular;
-  cfg.sys.cellular.num_mss = n <= 1000 ? 4 : 32;
-  cfg.sys.cellular.cells_per_mss =
-      std::max(1, (n / 64) / cfg.sys.cellular.num_mss);
-  cfg.sys.timing.record_wire_bytes = true;
-  cfg.workload = harness::WorkloadKind::kPointToPoint;
-  cfg.rate = 60.0 / n;
-  cfg.ckpt_interval = sim::seconds(300);
-  cfg.horizon = sim::seconds(600);
-  cfg.initiator_limit = n <= 1000 ? 0 : 4;
-  return cfg;
-}
-
-std::uint64_t vm_hwm_kib() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (!f) return 0;
-  char line[256];
-  unsigned long long kib = 0;
-  while (std::fgets(line, sizeof line, f)) {
-    if (std::sscanf(line, "VmHWM: %llu", &kib) == 1) break;
-  }
-  std::fclose(f);
-  return kib;
-}
-
 ScalePathPerf measure_scale_path() {
   ScalePathPerf out;
   {
-    harness::ExperimentConfig cfg = scale_cfg(1000);
+    harness::ExperimentConfig cfg = bench::scale_config(1000);
     for (int t = 0; t < kScaleTrials; ++t) {
       Clock::time_point t0 = Clock::now();
       harness::RunResult res = harness::run_experiment(cfg);
@@ -298,20 +259,20 @@ ScalePathPerf measure_scale_path() {
     }
   }
   {
-    harness::ExperimentConfig cfg = scale_cfg(1000000);
+    harness::ExperimentConfig cfg = bench::scale_config(1000000);
     cfg.capture_timeline = true;
     cfg.timeline_interval = sim::seconds(1);
     Clock::time_point t0 = Clock::now();
     harness::RunResult res = harness::run_experiment(cfg);
     out.n1M_wall_s = secs_since(t0);
-    out.n1M_peak_rss_kib = vm_hwm_kib();
+    out.n1M_peak_rss_kib = bench::peak_rss_kib();
     if (!res.timelines.empty()) {
       const obs::TimelineRun& tl = res.timelines.front();
       out.n1M_timeline_rows = tl.rows();
       out.n1M_peak_queue_depth = static_cast<std::uint64_t>(
-          timeline_peak_i64(tl, obs::kColQueueDepth));
-      out.n1M_peak_in_flight = timeline_peak_i64(tl, obs::kColInFlight);
-      out.n1M_peak_blocked = timeline_peak_i64(tl, obs::kColBlockedProcs);
+          bench::timeline_peak(tl, obs::kColQueueDepth));
+      out.n1M_peak_in_flight = bench::timeline_peak(tl, obs::kColInFlight);
+      out.n1M_peak_blocked = bench::timeline_peak(tl, obs::kColBlockedProcs);
     }
   }
   return out;

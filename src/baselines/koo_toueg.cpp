@@ -10,7 +10,7 @@
 namespace mck::baselines {
 
 void KooTouegProtocol::start() {
-  R_ = util::BitVec(static_cast<std::size_t>(ctx_.num_processes));
+  R_ = util::IntervalSet(static_cast<std::size_t>(ctx_.num_processes));
   csn_.assign(static_cast<std::size_t>(ctx_.num_processes), 0);
 }
 
@@ -62,18 +62,19 @@ void KooTouegProtocol::take_tentative_and_propagate(ckpt::InitiationId init,
   // checkpoint until the commit arrives.
   block();
 
-  // Propagate to every dependency (no MR filtering — the O(Nmin * Ndep)
-  // message behaviour of Table 1).
-  for (ProcessId k = 0; k < ctx_.num_processes; ++k) {
-    if (k == self() || !R_.test(static_cast<std::size_t>(k))) continue;
+  // Propagate to every dependency, in increasing pid order (no MR
+  // filtering — the O(Nmin * Ndep) message behaviour of Table 1).
+  R_.for_each([&](std::size_t j) {
+    const ProcessId k = static_cast<ProcessId>(j);
+    if (k == self()) return;
     auto rq = util::make_pooled<KtRequest>();
     rq->initiation = init;
-    rq->req_csn = csn_[static_cast<std::size_t>(k)];
+    rq->req_csn = csn_[j];
     send_system(rt::MsgKind::kRequest, k, std::move(rq));
     ++st.requests;
     c.children.push_back(k);
     ++c.outstanding_children;
-  }
+  });
 
   sent_ = false;
   R_.reset();

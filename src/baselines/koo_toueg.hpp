@@ -15,7 +15,7 @@
 
 #include "ckpt/store.hpp"
 #include "rt/protocol.hpp"
-#include "util/bitvec.hpp"
+#include "util/interval_set.hpp"
 
 namespace mck::baselines {
 
@@ -29,7 +29,7 @@ class KooTouegProtocol final : public rt::CheckpointProtocol {
 
   // Test introspection.
   Csn own_csn() const { return own_csn_; }
-  const util::BitVec& dependency_vector() const { return R_; }
+  const util::IntervalSet& dependency_vector() const { return R_; }
 
  protected:
   std::shared_ptr<const rt::Payload> computation_payload(
@@ -55,7 +55,8 @@ class KooTouegProtocol final : public rt::CheckpointProtocol {
 
   ckpt::InitiationStats& stats_of(ckpt::InitiationId init);
 
-  util::BitVec R_;
+  // On the heap, not the system arena: arena spill is never returned.
+  util::IntervalSet R_;
   std::vector<Csn> csn_;  // csn_[j]: last csn seen from P_j
   Csn own_csn_ = 0;       // our stable-checkpoint count
   bool sent_ = false;

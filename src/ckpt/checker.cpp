@@ -27,39 +27,6 @@ void judge(const MsgRecord& m, std::size_t ks, std::size_t kr,
 
 }  // namespace
 
-std::size_t CursorSteps::first_line_covering(std::uint64_t event) {
-  auto above = [](std::uint64_t e, const Rise& r) { return e < r.cursor; };
-  auto it = rises_.begin() + static_cast<std::ptrdiff_t>(hint_);
-  if (event >= it->cursor) {
-    it = std::upper_bound(it + 1, rises_.end(), event, above);
-  } else if (it != rises_.begin() && event < (it - 1)->cursor) {
-    it = std::upper_bound(rises_.begin(), it - 1, event, above);
-  } else {
-    return it->line;
-  }
-  hint_ = static_cast<std::size_t>(it - rises_.begin());
-  return it->line;
-}
-
-void LineSteps::add_line(const InitiationStats& s, std::size_t k) {
-  if (slot_.empty()) slot_.resize(static_cast<std::size_t>(n_), 0);
-  for (const auto& [pid, entry] : s.line_updates) {
-    // A later checkpoint never moves the line backwards.
-    if (entry <= cursor(pid)) continue;
-    std::uint32_t& i = slot_[static_cast<std::size_t>(pid)];
-    if (i == 0) {
-      steps_.emplace_back();
-      i = static_cast<std::uint32_t>(steps_.size());
-    }
-    steps_[i - 1].add(entry, k);
-  }
-}
-
-void LineSteps::close(std::size_t num_lines) {
-  num_lines_ = num_lines;
-  for (CursorSteps& s : steps_) s.close(num_lines);
-}
-
 void ConsistencyChecker::settle(sim::SimTime now) {
   const std::vector<const InitiationStats*>& decided =
       tracker_.commit_decisions();
@@ -79,7 +46,7 @@ void ConsistencyChecker::settle(sim::SimTime now) {
                          : a->seq < b->seq;
             });
   for (std::size_t k = begin; k < end; ++k) {
-    settled_steps_.add_line(*settled_[k], k);
+    settled_steps_.add_line(settled_[k]->line_updates, k);
     settled_updates_ += settled_[k]->line_updates.size();
   }
 
@@ -91,7 +58,7 @@ void ConsistencyChecker::settle(sim::SimTime now) {
 void ConsistencyChecker::retire() {
   // Both events lie below the settled line, so both first covering lines
   // are settled ones and the verdict is final.
-  LineSteps& steps = settled_steps_;
+  util::LineSteps& steps = settled_steps_;
   log_.retire_below(
       [&steps](ProcessId p) { return steps.cursor(p); },
       [this, &steps](const MsgRecord& m) {
@@ -118,9 +85,9 @@ CheckResult ConsistencyChecker::check_all() const {
   MCK_ASSERT_MSG(updates == settled_updates_, "a settled line changed");
 
   // Replay the lines once, keeping only where each cursor rises.
-  LineSteps steps(log_.num_processes());
+  util::LineSteps steps(log_.num_processes());
   for (std::size_t k = 0; k < num_lines; ++k) {
-    steps.add_line(*committed[k], k);
+    steps.add_line(committed[k]->line_updates, k);
   }
   steps.close(num_lines);
 

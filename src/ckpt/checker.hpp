@@ -3,12 +3,13 @@
 // Replays committed initiations in commit order and verifies that the
 // global checkpoint line after every commit contains no orphan message.
 // Lines only move forward, so each process's cursor is a step function of
-// the line index: one replay records its rises, and one sweep over the
-// event log finds, per record, the first line covering its send and the
-// first covering its receive. For K lines and M records that costs
-// O(M log K), where a scan per line would cost O(K M). The result equals
-// a per-line EventLog::find_orphans / count_in_transit loop, orphans
-// included (line-major, log order within a line, repeated per line).
+// the line index (util::LineSteps, the kernel the trace auditor shares):
+// one replay records its rises, and one sweep over the event log finds,
+// per record, the first line covering its send and the first covering its
+// receive. For K lines and M records that costs O(M log K), where a scan
+// per line would cost O(K M). The result equals a per-line
+// EventLog::find_orphans / count_in_transit loop, orphans included
+// (line-major, log order within a line, repeated per line).
 // Coordinated protocols must always pass; the scripted
 // Prakash-Singhal-style scenario (Fig. 2) must fail, which is how the tests
 // validate the checker itself.
@@ -28,6 +29,7 @@
 
 #include "ckpt/event_log.hpp"
 #include "ckpt/tracker.hpp"
+#include "util/line_steps.hpp"
 
 namespace mck::ckpt {
 
@@ -37,77 +39,6 @@ struct CheckResult {
   std::size_t lines_checked = 0;
   std::size_t in_transit_total = 0;     // informational (lost-message count)
   std::string describe() const;
-};
-
-/// One process's cursor as a step function of the line index.
-class CursorSteps {
- public:
-  /// Lines only move forward, so rises arrive sorted on both keys.
-  void add(std::uint64_t cursor, std::size_t line) {
-    rises_.push_back(Rise{cursor, line});
-  }
-
-  /// Cursor on the line after the last rise (the last rise exists).
-  std::uint64_t last() const { return rises_.back().cursor; }
-
-  /// Ends the list with a sentinel no event reaches: past the last rise,
-  /// the answer is "no line", i.e. `num_lines`.
-  void close(std::size_t num_lines) { add(kNoEvent, num_lines); }
-
-  /// First line covering `event` (its cursor is greater than `event`);
-  /// `event` is a real event below the last rise, which may be the
-  /// closing sentinel. Queries come in nearly increasing event order, so
-  /// the previous answer is tried first and a binary search runs only
-  /// when it is wrong.
-  std::size_t first_line_covering(std::uint64_t event);
-
- private:
-  /// From line `line` on (commit order) the line covers this process's
-  /// events below `cursor`.
-  struct Rise {
-    std::uint64_t cursor;
-    std::size_t line;
-  };
-
-  std::vector<Rise> rises_;
-  std::size_t hint_ = 0;
-};
-
-/// The lines in commit order as one CursorSteps per process that some
-/// line raises; the others cost four bytes each (lines at n = 1M touch
-/// few processes).
-class LineSteps {
- public:
-  explicit LineSteps(int num_processes) : n_(num_processes) {}
-
-  /// Applies the updates of line `k` (the next one in commit order).
-  void add_line(const InitiationStats& s, std::size_t k);
-
-  /// Entry of process p on the last line added.
-  std::uint64_t cursor(ProcessId p) const {
-    const std::uint32_t i = slot(p);
-    return i == 0 ? 0 : steps_[i - 1].last();
-  }
-
-  /// After the last line: `num_lines` answers an event no line covers.
-  void close(std::size_t num_lines);
-
-  /// First line covering event `event` of process p: an event below
-  /// cursor(p), or any real event once closed.
-  std::size_t first_line_covering(ProcessId p, std::uint64_t event) {
-    const std::uint32_t i = slot(p);
-    return i == 0 ? num_lines_ : steps_[i - 1].first_line_covering(event);
-  }
-
- private:
-  std::uint32_t slot(ProcessId p) const {
-    return slot_.empty() ? 0 : slot_[static_cast<std::size_t>(p)];
-  }
-
-  int n_;
-  std::vector<std::uint32_t> slot_;  // pid -> steps_ index + 1; 0 = none
-  std::vector<CursorSteps> steps_;
-  std::size_t num_lines_ = 0;  // set by close()
 };
 
 class ConsistencyChecker {
@@ -139,7 +70,7 @@ class ConsistencyChecker {
 
   std::vector<const InitiationStats*> settled_;  // commit order
   std::size_t settled_updates_ = 0;  // their line updates; must not change
-  LineSteps settled_steps_;
+  util::LineSteps settled_steps_;
   std::size_t live_after_retire_ = 0;  // log size after the last retirement
 
   // Verdicts of the retired records: orphans as (line index in commit

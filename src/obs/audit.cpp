@@ -10,6 +10,7 @@
 
 #include "stats/table.hpp"
 #include "util/json.hpp"
+#include "util/line_steps.hpp"
 #include "util/weight.hpp"
 
 namespace mck::obs {
@@ -136,6 +137,10 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
         AuditViolation{c, rep, at, initiation, std::move(detail)});
   };
 
+  auto known = [num_processes](std::int32_t pid) {
+    return pid >= 0 && pid < num_processes;
+  };
+
   out.totals.records += records.size();
   TraceFold& fold = out.fold;
   if (num_processes > kMaxCertifiedProcesses) {
@@ -187,6 +192,15 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
           violate(AuditCheck::kLifecycle, r.at, r.arg0,
                   fmt("checkpoint ref %llu taken twice",
                       static_cast<unsigned long long>(ref)));
+        }
+        // Still tracked, so its later records are judged on the ref, but
+        // it is on no committed line.
+        if (!known(r.pid)) {
+          violate(AuditCheck::kLifecycle, r.at, r.arg0,
+                  fmt("checkpoint ref %llu taken by P%d, not one of the %d "
+                      "processes",
+                      static_cast<unsigned long long>(ref), r.pid,
+                      num_processes));
         }
         break;
       }
@@ -261,7 +275,9 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
                         "place it on the committed line",
                         static_cast<unsigned long long>(r.arg1)));
           }
-          rounds[r.arg0].line_updates.emplace_back(st.pid, st.cursor);
+          if (known(st.pid)) {
+            rounds[r.arg0].line_updates.emplace_back(st.pid, st.cursor);
+          }
         }
         break;
       }
@@ -287,26 +303,22 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
         break;
       }
       case TraceKind::kBlock:
-        if (r.pid >= 0 && r.pid < num_processes) {
-          if (blocked[static_cast<std::size_t>(r.pid)]) {
-            violate(AuditCheck::kBlocking, r.at, 0,
-                    fmt("P%d blocked twice without an unblock", r.pid));
-          }
-          blocked[static_cast<std::size_t>(r.pid)] = 1;
+      case TraceKind::kUnblock: {
+        if (!known(r.pid)) break;
+        const char block = static_cast<TraceKind>(r.kind) == TraceKind::kBlock;
+        char& was = blocked[static_cast<std::size_t>(r.pid)];
+        if (was == block) {
+          violate(AuditCheck::kBlocking, r.at, 0,
+                  fmt(block ? "P%d blocked twice without an unblock"
+                            : "P%d unblocked while not blocked",
+                      r.pid));
         }
+        was = block;
         break;
-      case TraceKind::kUnblock:
-        if (r.pid >= 0 && r.pid < num_processes) {
-          if (!blocked[static_cast<std::size_t>(r.pid)]) {
-            violate(AuditCheck::kBlocking, r.at, 0,
-                    fmt("P%d unblocked while not blocked", r.pid));
-          }
-          blocked[static_cast<std::size_t>(r.pid)] = 0;
-        }
-        break;
+      }
       case TraceKind::kMsgSend:
-        if (r.sub == kRawMsgComputation && r.pid >= 0 &&
-            r.pid < num_processes && blocked[static_cast<std::size_t>(r.pid)]) {
+        if (r.sub == kRawMsgComputation && known(r.pid) &&
+            blocked[static_cast<std::size_t>(r.pid)]) {
           violate(AuditCheck::kBlocking, r.at, 0,
                   fmt("P%d sent computation message %llu while blocked",
                       r.pid, static_cast<unsigned long long>(r.arg0)));
@@ -327,9 +339,7 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
           violate(AuditCheck::kWeight, r.at, r.arg0,
                   fmt("weight split of exactly zero by P%d", r.pid));
         }
-        if (r.pid >= 0 && r.pid < num_processes) {
-          rd.spent[static_cast<std::size_t>(r.pid)].add(w);
-        }
+        if (known(r.pid)) rd.spent[static_cast<std::size_t>(r.pid)].add(w);
         if (r.aux < static_cast<std::uint16_t>(num_processes)) {
           rd.given[r.aux].add(w);
         }
@@ -417,7 +427,7 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
     // Conservation per process: nothing leaves a process (onward splits +
     // returned increments) beyond what it was given (incoming splits,
     // plus the initiator's initial weight of 1).
-    if (initiator >= 0 && initiator < num_processes) {
+    if (known(initiator)) {
       rd.given[static_cast<std::size_t>(initiator)].add(util::Weight::one());
     }
     // Measurement floor: every contributing record may be off by half an
@@ -448,54 +458,30 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
   }
 
   // ---- consistency: Theorem 1 over the reconstructed lines ------------
-  // Line k (after the k-th commit in commit order) only ever raises a
-  // process's cursor, so keep per process the lines at which it rises. A
-  // hop is an orphan on line k iff its receive is inside (k >= kr, the
-  // first line past the receive event at dst) and its send is not
-  // (k < ks, the first line past the send event at src). It is reported
-  // once, on line kr: two binary searches per hop instead of a test of
-  // every hop against every line.
-  struct CursorStep {
-    std::size_t line;
-    std::uint64_t cursor;
-  };
+  // A hop is an orphan on line k iff its receive is inside (k >= kr, the
+  // first line covering the receive event at dst) and its send is not
+  // (k < ks, the first line covering the send event at src). It is
+  // reported once, on line kr: two searches of the committed lines' step
+  // functions per hop instead of a test of every hop against every line.
   const std::vector<std::size_t>& commits = fold.commits();
   auto committed_round = [&](std::size_t k) -> const RoundMetrics& {
     return fold.rounds()[commits[k]];
   };
   const std::size_t num_lines = commits.size();
-  std::vector<std::vector<CursorStep>> steps(
-      static_cast<std::size_t>(num_processes));
+  util::LineSteps steps(num_processes);
   for (std::size_t k = 0; k < num_lines; ++k) {
     auto it = rounds.find(committed_round(k).initiation);
-    if (it == rounds.end()) continue;
-    for (const auto& [pid, cursor] : it->second.line_updates) {
-      if (pid < 0 || pid >= num_processes) continue;
-      auto& st = steps[static_cast<std::size_t>(pid)];
-      // A later checkpoint never moves the line backwards.
-      if (cursor > (st.empty() ? 0 : st.back().cursor)) {
-        st.push_back(CursorStep{k, cursor});
-      }
-    }
+    if (it != rounds.end()) steps.add_line(it->second.line_updates, k);
   }
-  auto first_line_past = [&](std::int32_t pid, std::uint64_t event) {
-    const auto& st = steps[static_cast<std::size_t>(pid)];
-    auto it = std::upper_bound(
-        st.begin(), st.end(), event,
-        [](std::uint64_t e, const CursorStep& s) { return e < s.cursor; });
-    return it == st.end() ? num_lines : it->line;
-  };
+  steps.close(num_lines);
   std::vector<std::pair<std::size_t, std::size_t>> orphans;  // (line, hop)
   for (std::size_t i = 0; i < g.num_hops(); ++i) {
     const MsgHop h = g.hop(i);
     if (!h.computation || h.send_stamp == 0 || h.recv_stamp == 0) continue;
-    if (h.src < 0 || h.src >= num_processes || h.dst < 0 ||
-        h.dst >= num_processes) {
-      continue;
-    }
+    if (!known(h.src) || !known(h.dst)) continue;
     out.totals.orphan_checks += num_lines;
-    const std::size_t kr = first_line_past(h.dst, h.recv_stamp - 1);
-    if (kr < first_line_past(h.src, h.send_stamp - 1)) {
+    const std::size_t kr = steps.first_line_covering(h.dst, h.recv_stamp - 1);
+    if (kr < steps.first_line_covering(h.src, h.send_stamp - 1)) {
       orphans.emplace_back(kr, i);
     }
   }

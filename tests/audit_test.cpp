@@ -340,13 +340,14 @@ TraceRecord rec(sim::SimTime at, TraceKind kind, std::int32_t pid,
   return r;
 }
 
-TEST(AuditNegative, ForgedOrphanFlagsConsistency) {
+/// P0 sends after its committed checkpoint (event 5 >= cursor 3), P1
+/// received before its own (event 0 < cursor 2): a textbook orphan.
+/// t[3]/t[5] are the two kCkptTaken records, t[4]/t[6] their cursors.
+std::vector<TraceRecord> forged_orphan_trace() {
   constexpr std::uint8_t kMut =
       static_cast<std::uint8_t>(ckpt::CkptKind::kMutable);
   const std::uint64_t init = (0ull << 32) | 1;  // P0's round #1
-  // P0 sends after its committed checkpoint (event 5 >= cursor 3), P1
-  // received before its own (event 0 < cursor 2): a textbook orphan.
-  std::vector<TraceRecord> t = {
+  return {
       rec(10, TraceKind::kInitStart, 0, 0, 0, init, 0),
       rec(100, TraceKind::kMsgSend, 0, 0, 1, 1, obs::pack_msg_stamp(6, 64)),
       rec(200, TraceKind::kMsgDeliver, 1, 0, 0, 1, obs::pack_msg_stamp(1, 64)),
@@ -360,6 +361,10 @@ TEST(AuditNegative, ForgedOrphanFlagsConsistency) {
       rec(501, TraceKind::kCkptPermanent, 1, 2, 0, init, 2),
       rec(600, TraceKind::kRoundCommit, 0, 0, 0, init, 590),
   };
+}
+
+TEST(AuditNegative, ForgedOrphanFlagsConsistency) {
+  std::vector<TraceRecord> t = forged_orphan_trace();
   AuditReport rep = audit_one(t, 2);
   EXPECT_EQ(rep.count(AuditCheck::kConsistency), 1u) << describe(rep);
   EXPECT_FALSE(rep.consistent());
@@ -371,6 +376,49 @@ TEST(AuditNegative, ForgedOrphanFlagsConsistency) {
   t[6].arg1 = 0;  // P1's kCkptCursor: cursor 2 -> 0
   AuditReport clean = audit_one(t, 2);
   EXPECT_TRUE(clean.ok()) << describe(clean);
+}
+
+// A committed cursor of 2^64-1 (the line-sweep kernel's closing sentinel)
+// covers every event of its process: on P1 it puts the receive inside the
+// line and the orphan stays, on P0 it puts the send inside and clears it.
+TEST(AuditConsistency, CursorAtTheSentinelCoversEveryEvent) {
+  std::vector<TraceRecord> t = forged_orphan_trace();
+  t[6].arg1 = ~std::uint64_t{0};  // P1's kCkptCursor
+  EXPECT_EQ(describe(audit_one(t, 2)),
+            "audit: 1 VIOLATION(S) — 0 run(s), 12 records, 1 sends, 1 "
+            "delivers, 0 in transit\n"
+            "  checkpoints=2 rounds=1 committed / 0 aborted, "
+            "orphan-checks=1, weight-rounds=0\n"
+            "  checks: causality=0 consistency=1 weight=0 lifecycle=0 "
+            "blocking=0 truncation=0\n"
+            "  [consistency] rep 0 t=0.000001s (P0,1): orphan msg 1: "
+            "P0(ev 5) -> P1(ev 0) crosses the committed line\n");
+
+  t = forged_orphan_trace();
+  t[4].arg1 = ~std::uint64_t{0};  // P0's kCkptCursor
+  AuditReport clean = audit_one(t, 2);
+  EXPECT_TRUE(clean.ok()) << describe(clean);
+}
+
+// A checkpoint taken by a process outside [0, n) is one lifecycle
+// violation. Its cursor, promotion and permanent (or discard) records
+// still find the ref, and its update stays off the committed line (on
+// P1's it would make the orphan).
+TEST(AuditNegative, CheckpointOfANonexistentProcessFlagsLifecycle) {
+  for (const std::int32_t pid : {2, -1}) {
+    for (const TraceKind fate :
+         {TraceKind::kCkptPermanent, TraceKind::kCkptDiscarded}) {
+      std::vector<TraceRecord> t = forged_orphan_trace();
+      t[5].pid = pid;                                 // P1's kCkptTaken
+      t[10].kind = static_cast<std::uint8_t>(fate);  // and its fate
+      AuditReport rep = audit_one(t, 2);
+      ASSERT_EQ(rep.violations.size(), 1u) << describe(rep);
+      EXPECT_EQ(rep.violations[0].check, AuditCheck::kLifecycle);
+      EXPECT_EQ(rep.violations[0].detail,
+                "checkpoint ref 2 taken by P" + std::to_string(pid) +
+                    ", not one of the 2 processes");
+    }
+  }
 }
 
 TEST(AuditNegative, ComputationSendWhileBlockedFlagsBlocking) {

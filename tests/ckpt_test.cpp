@@ -1,5 +1,6 @@
 // Unit tests for the checkpoint substrate: event log, store, consistency
-// checker and rollback recovery — the executable oracle for Theorem 1.
+// checker and rollback recovery — the executable oracle for Theorem 1 —
+// and the line-sweep kernel it shares with the trace auditor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include "ckpt/store.hpp"
 #include "ckpt/tracker.hpp"
 #include "full_history.hpp"
+#include "util/line_steps.hpp"
 
 namespace mck::ckpt {
 namespace {
@@ -328,6 +330,69 @@ TEST(Checker, SweepMatchesPerLineScans) {
   EXPECT_GT(inconsistent_cases, 40u);
   EXPECT_LT(inconsistent_cases, 360u);
   EXPECT_GT(retired, 300u);
+}
+
+// The kernel against a linear scan of the lines: cursors anywhere (so
+// later lines may point backwards), processes no line raises, and a rise
+// at 2^64-1, the closing sentinel's cursor. Queries come in random order,
+// so the hinted search moves both backwards and forwards.
+TEST(LineSteps, MatchesLinearScanOnRandomLines) {
+  constexpr std::uint64_t kMax = util::LineSteps::kNoEvent;
+  std::mt19937_64 rng(20261017);
+  auto uniform = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  std::size_t queries = 0, top_rises = 0;
+  for (int iter = 0; iter < 500; ++iter) {
+    const int n = uniform(1, 6);
+    const std::size_t num_lines = static_cast<std::size_t>(uniform(0, 30));
+    util::LineSteps steps(n);
+    // lines[k][p]: p's cursor on line k, the running maximum of updates.
+    std::vector<std::vector<std::uint64_t>> lines;
+    std::vector<std::uint64_t> line(static_cast<std::size_t>(n), 0);
+    for (std::size_t k = 0; k < num_lines; ++k) {
+      std::vector<util::LineSteps::Update> updates;
+      const int count = uniform(0, 2 * n);
+      for (int u = 0; u < count; ++u) {
+        const std::int32_t p = uniform(0, n - 1);
+        const std::uint64_t cursor =
+            uniform(0, 40) == 0 ? kMax : static_cast<std::uint64_t>(
+                                             uniform(0, 40));
+        updates.emplace_back(p, cursor);
+        if (cursor > line[static_cast<std::size_t>(p)]) {
+          top_rises += cursor == kMax;
+          line[static_cast<std::size_t>(p)] = cursor;
+        }
+      }
+      steps.add_line(updates, k);
+      lines.push_back(line);
+      for (std::int32_t p = 0; p < n; ++p) {
+        ASSERT_EQ(steps.cursor(p), line[static_cast<std::size_t>(p)]);
+      }
+    }
+    steps.close(num_lines);
+
+    std::vector<std::pair<std::int32_t, std::uint64_t>> events;
+    for (std::int32_t p = 0; p < n; ++p) {
+      for (std::uint64_t e = 0; e <= 42; ++e) events.emplace_back(p, e);
+      events.emplace_back(p, kMax - 1);  // the largest real event
+    }
+    std::shuffle(events.begin(), events.end(), rng);
+    for (const auto& [p, e] : events) {
+      std::size_t want = num_lines;
+      for (std::size_t k = 0; k < num_lines; ++k) {
+        if (lines[k][static_cast<std::size_t>(p)] > e) {
+          want = k;
+          break;
+        }
+      }
+      ASSERT_EQ(steps.first_line_covering(p, e), want)
+          << "iteration " << iter << ", P" << p << ", event " << e;
+      ++queries;
+    }
+  }
+  EXPECT_GT(queries, 50000u);
+  EXPECT_GT(top_rises, 100u);
 }
 
 TEST(Tracker, CommittedInCommitOrder) {

@@ -56,61 +56,6 @@ TEST(Message, PayloadDowncast) {
   EXPECT_EQ(m.payload_as<core::RequestPayload>(), nullptr);
 }
 
-TEST(BitVec, MergeCountAndToString) {
-  util::BitVec a(4), b(4);
-  a.set(0);
-  b.set(2);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.to_string(), "1010");
-  a.reset();
-  EXPECT_FALSE(a.any());
-}
-
-// The word-packed storage has its interesting cases at the 64-bit word
-// seams: sizes that don't fill the last word, and bits on either side of
-// a word boundary.
-TEST(BitVec, WordBoundarySizes) {
-  for (std::size_t n : {std::size_t{63}, std::size_t{64}, std::size_t{65},
-                        std::size_t{129}}) {
-    util::BitVec v(n);
-    EXPECT_EQ(v.size(), n);
-    EXPECT_FALSE(v.any());
-    v.set(0);
-    v.set(n - 1);
-    if (n > 65) v.set(64);  // a third bit just past the first word seam
-    EXPECT_TRUE(v.test(0));
-    EXPECT_TRUE(v.test(n - 1));
-    EXPECT_EQ(v.count(), n > 65 ? 3u : 2u);
-    v.set(n - 1, false);
-    EXPECT_FALSE(v.test(n - 1));
-
-    // Merge across the seam: OR must reach the tail word.
-    util::BitVec w(n);
-    w.set(n - 1);
-    v.merge(w);
-    EXPECT_TRUE(v.test(n - 1));
-
-    // to_string has exactly n characters, one per element.
-    EXPECT_EQ(v.to_string().size(), n);
-  }
-}
-
-TEST(BitVec, EqualityIgnoresTailWordGarbagePath) {
-  // set()/reset() never touch bits past n, so clearing the same elements
-  // two different ways yields operator== equality.
-  util::BitVec a(65), b(65);
-  a.set(64);
-  a.set(64, false);
-  EXPECT_TRUE(a == b);
-  a.set(3);
-  EXPECT_FALSE(a == b);
-  b.set(3);
-  EXPECT_TRUE(a == b);
-  // Different universe sizes never compare equal, even when both empty.
-  EXPECT_FALSE(util::BitVec(64) == util::BitVec(65));
-}
-
 TEST(Log, LevelsGateOutput) {
   util::LogLevel saved = util::Log::level();
   util::Log::level() = util::LogLevel::kOff;
