@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <map>
 #include <utility>
-#include <vector>
 
 #include "rt/message.hpp"
 #include "util/assert.hpp"
@@ -19,29 +18,29 @@ namespace mck::net {
 
 class FifoSequencer {
  public:
-  /// Small populations get a dense n*n channel table (no hashing on the
-  /// per-message hot path); past the threshold the table would be
-  /// quadratic in n (16 hosts: 16 KB; 1M hosts: ~16 TB), so channels are
-  /// created lazily in an open-addressed flat table keyed by (src, dst)
-  /// (util::FlatMap) — 16 bytes per touched channel, one multiply-mix
-  /// hash and a linear probe per lookup (a broadcast at n = 1M touches a
-  /// million channels, so per-channel footprint and lookup cost both
-  /// matter). A channel that was never touched is identical to a
-  /// default-constructed Chan, so the storage modes behave the same.
+  /// Channels live in an open-addressed flat table keyed by (src, dst)
+  /// (util::FlatMap): 16 bytes per channel with a message in flight, one
+  /// multiply-mix hash and a linear probe per lookup. A channel is
+  /// retired the moment it goes idle (every stamped message delivered,
+  /// nothing parked): an idle channel behaves exactly like one never
+  /// created, so it is erased and its numbering restarts at 0. The table
+  /// is bounded by the messages in flight, not by the pairs that ever
+  /// talked. In cell-coord (n = 1k) the system-message sequencer touches
+  /// ~277k channels and holds at most ~32k at once; the computation one
+  /// touches ~310k and holds at most 7.
   /// Overtaken messages are parked in a shared ordered side map:
   /// out-of-order arrival is rare (reroutes after handoffs), so the
   /// per-channel structure stays lean.
-  /// (Measured dead ends at n = 1k, do not revisit: raising kDenseLimit
-  /// to cover n = 1k loses ~6% — zeroing two 16 MB tables dominates the
-  /// ~0.1 s run; lazily allocated per-sender row arrays lose ~12% — the
-  /// live hash table is ~1 MB and cache-hot, rows pay 8 MB of scattered
-  /// zeroing plus a 64-bit division per lookup.)
-  explicit FifoSequencer(int num_processes) : n_(num_processes) {
-    if (num_processes <= kDenseLimit) {
-      dense_.resize(static_cast<std::size_t>(num_processes) *
-                    static_cast<std::size_t>(num_processes));
-    }
-  }
+  /// (One storage mode at every n. A dense n*n table for n <= 256 saves
+  /// ~3-6 ns per message at n <= 64, ~4% of a fig5-style n = 16 run, and
+  /// nothing resolvable on the simbench LAN workloads (n = 64, 8
+  /// alternated pairs on a shared 4-CPU Xeon): lan-p2p wall 1.74 s dense
+  /// vs 1.72 s sparse, lan-group-koo 1.24 s vs 1.26 s, both inside the
+  /// dense runs' interquartile range of ~0.25-0.36 s. Dead ends at
+  /// n = 1k, do not revisit: a dense table loses ~6% to zeroing two 16 MB
+  /// tables; lazily allocated per-sender row arrays lose ~12% to
+  /// scattered zeroing plus a 64-bit division per lookup.)
+  explicit FifoSequencer(int num_processes) : n_(num_processes) {}
 
   /// Stamps a message with its channel sequence number. Must be called in
   /// send order.
@@ -53,22 +52,24 @@ class FifoSequencer {
   /// number on (src, dst) without materializing a per-recipient Message at
   /// send time.
   std::uint32_t stamp_channel(ProcessId src, ProcessId dst) {
-    Chan& c = chan(src, dst);
+    Chan& c = table_[chan_key(src, dst)];
     MCK_ASSERT_MSG(c.next_send != kSeqLimit, "channel sequence overflow");
     return c.next_send++;
   }
 
   /// Broadcast-batch fast path: iff no overtaker is parked anywhere and
   /// `seq` is exactly the next expected on (src, dst), consumes the slot
-  /// (advances next_deliver, with nothing to release afterwards) and
-  /// returns true — the caller may deliver without ever materializing a
+  /// (advances next_deliver, with nothing to release afterwards, retiring
+  /// the channel if that was its last message in flight) and returns
+  /// true — the caller may deliver without ever materializing a
   /// per-recipient Message. Returns false untouched otherwise; the caller
   /// falls back to the full arrive() pipeline.
   bool try_fast_deliver(ProcessId src, ProcessId dst, std::uint32_t seq) {
     if (!pending_.empty()) return false;
-    Chan& c = chan(src, dst);
+    const std::uint64_t key = chan_key(src, dst);
+    Chan& c = in_flight(key);
     if (seq != c.next_deliver) return false;
-    ++c.next_deliver;
+    if (++c.next_deliver == c.next_send) table_.erase(key);
     return true;
   }
 
@@ -81,37 +82,39 @@ class FifoSequencer {
   template <typename Deliver>
   void arrive(rt::Message msg, Deliver&& deliver) {
     const std::uint64_t key = chan_key(msg.src, msg.dst);
-    Chan& c = chan_by_key(key);
-    if (msg.channel_seq != c.next_deliver) {
-      MCK_ASSERT_MSG(msg.channel_seq > c.next_deliver,
-                     "duplicate channel sequence number");
+    Chan* c = &in_flight(key);
+    if (msg.channel_seq != c->next_deliver) {
+      MCK_ASSERT_MSG(msg.channel_seq > c->next_deliver &&
+                         msg.channel_seq < c->next_send,
+                     "channel sequence number not in flight");
       pending_.emplace(std::make_pair(key, msg.channel_seq), std::move(msg));
       return;
     }
-    ++c.next_deliver;
-    deliver(std::move(msg));
-    // The callback may create channels (sends from a LAN inline delivery
-    // path), which can rehash the table — re-resolve instead of holding
-    // the Chan reference across it.
-    while (!pending_.empty()) {
-      Chan& cur = chan_by_key(key);
-      auto it = pending_.find(std::make_pair(key, cur.next_deliver));
-      if (it == pending_.end()) break;
-      rt::Message m = std::move(it->second);
+    while (true) {
+      // Retired before `deliver` runs: the callback may create channels
+      // (sends from a LAN inline delivery path), which can rehash the
+      // table, so `c` is re-resolved after it.
+      const bool idle = ++c->next_deliver == c->next_send;
+      if (idle) table_.erase(key);
+      deliver(std::move(msg));
+      if (idle || pending_.empty()) return;
+      c = &in_flight(key);
+      auto it = pending_.find(std::make_pair(key, c->next_deliver));
+      if (it == pending_.end()) return;
+      msg = std::move(it->second);
       pending_.erase(it);
-      ++chan_by_key(key).next_deliver;
-      deliver(std::move(m));
     }
   }
 
+  /// Channels with a message in flight (stamped, not yet delivered).
+  std::size_t live_channels() const { return table_.size(); }
+
  private:
-  static constexpr int kDenseLimit = 256;
   static constexpr std::uint32_t kSeqLimit = 0xffffffffu;
 
-  /// 8 bytes per channel; sequence numbers are 32-bit (4G messages per
-  /// ordered pair, asserted in stamp()) so a 1M-host broadcast costs
-  /// 16 B per touched channel instead of ~112 B under the old
-  /// unordered_map-of-fat-Chan layout.
+  /// 8 bytes per channel; sequence numbers are 32-bit (4G messages on a
+  /// channel between two idle moments, asserted in stamp_channel()). A
+  /// channel holds next_send > next_deliver while it is in the table.
   struct Chan {
     std::uint32_t next_send = 0;
     std::uint32_t next_deliver = 0;
@@ -122,18 +125,16 @@ class FifoSequencer {
            static_cast<std::uint64_t>(dst);
   }
 
-  Chan& chan(ProcessId src, ProcessId dst) {
-    return chan_by_key(chan_key(src, dst));
-  }
-
-  Chan& chan_by_key(std::uint64_t key) {
-    if (!dense_.empty()) return dense_[static_cast<std::size_t>(key)];
-    return table_[key];
+  /// The channel of `key`, which must have a message in flight: an
+  /// arrival on a retired channel was never stamped or is a duplicate.
+  Chan& in_flight(std::uint64_t key) {
+    Chan* c = table_.find(key);
+    MCK_ASSERT_MSG(c != nullptr, "arrival on a channel with nothing in flight");
+    return *c;
   }
 
   int n_;
-  std::vector<Chan> dense_;    // n <= kDenseLimit: direct-indexed
-  util::FlatMap<Chan> table_;  // otherwise: lazily populated
+  util::FlatMap<Chan> table_;  // only channels with a message in flight
   /// Parked overtakers, keyed (channel key, seq). Shared across channels:
   /// almost always empty, so the per-channel Chan stays 8 bytes.
   std::map<std::pair<std::uint64_t, std::uint64_t>, rt::Message> pending_;

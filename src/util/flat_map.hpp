@@ -3,10 +3,10 @@
 // One slot is the key plus the value, stored inline in a power-of-two
 // array and probed linearly from a SplitMix64-mixed home slot; the table
 // doubles when it passes 5/8 load. There is no per-entry node, so a
-// million-entry table costs one allocation instead of a million. Most
-// users (net::FifoSequencer's channels, obs::GraphBuilder's channels,
-// sends and per-message annotations) only ever add keys; erase() serves
-// ckpt::EventLog, whose table holds only the messages still in transit.
+// million-entry table costs one allocation instead of a million. Some
+// users (obs::GraphBuilder's channels, sends and per-message annotations)
+// only ever add keys; erase() serves ckpt::EventLog and
+// net::FifoSequencer, whose tables hold only what is still in transit.
 #pragma once
 
 #include <cstddef>

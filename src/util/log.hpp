@@ -53,7 +53,13 @@ class Log {
 
 }  // namespace mck::util
 
-#define MCK_INFO(...) \
-  ::mck::util::Log::printf(::mck::util::LogLevel::kInfo, __VA_ARGS__)
-#define MCK_TRACE(...) \
-  ::mck::util::Log::printf(::mck::util::LogLevel::kTrace, __VA_ARGS__)
+// The level is tested before the arguments are evaluated, so a disabled
+// trace costs one comparison, not the formatting of its arguments.
+#define MCK_LOG_AT(lvl, ...)                                   \
+  do {                                                         \
+    if (::mck::util::Log::enabled(lvl)) {                      \
+      ::mck::util::Log::printf(lvl, __VA_ARGS__);              \
+    }                                                          \
+  } while (0)
+#define MCK_INFO(...) MCK_LOG_AT(::mck::util::LogLevel::kInfo, __VA_ARGS__)
+#define MCK_TRACE(...) MCK_LOG_AT(::mck::util::LogLevel::kTrace, __VA_ARGS__)

@@ -89,8 +89,20 @@ Weight Weight::from_double_bits(std::uint64_t bits) {
     MCK_ASSERT_MSG(exp <= 10, "weight exceeds the 64-bit integer part");
     return Weight(mantissa << exp);
   }
-  Weight w(mantissa);
-  for (int i = 0; i < -exp; ++i) w.halve();
+  // Fractional bit k (weight 2^-k) is bit 63 - (k-1) % 64 of limb
+  // (k-1) / 64, and mantissa bit j lands on fractional bit s - j. Padding
+  // the s fractional bits to whole limbs leaves the 53 mantissa bits in at
+  // most the last two limbs, shifted left by the padding.
+  const unsigned s = static_cast<unsigned>(-exp);
+  Weight w(s < 64 ? mantissa >> s : 0);
+  const std::uint64_t frac = s < 64 ? mantissa & ((1ull << s) - 1) : mantissa;
+  if (frac == 0) return w;
+  const std::size_t limbs = (s + 63) / 64;
+  const unsigned pad = static_cast<unsigned>(limbs * 64 - s);  // 0..63
+  w.frac_.assign(limbs, 0);
+  w.frac_[limbs - 1] = frac << pad;
+  if (pad != 0 && limbs > 1) w.frac_[limbs - 2] = frac >> (64 - pad);
+  w.trim();
   return w;
 }
 

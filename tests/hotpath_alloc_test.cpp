@@ -21,6 +21,7 @@
 
 #include "core/payloads.hpp"
 #include "mobile/cellular.hpp"
+#include "net/fifo.hpp"
 #include "net/lan.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
@@ -258,6 +259,36 @@ TEST(HotPathAllocs, CellularPointToPointSteadyStateIsAllocationFree) {
   EXPECT_EQ(allocs() - a0, 0u)
       << "warm cellular send->deliver must not allocate";
   EXPECT_EQ(delivered, warm + 512);
+}
+
+TEST(HotPathAllocs, FifoChurnOfFreshChannelsIsAllocationFree) {
+  // Every message goes out on a channel that has never carried one, with
+  // at most 64 in flight. The table holds only channels with a message in
+  // flight, so once warm it never grows: a table that kept every channel
+  // ever touched would rehash its way to 200k entries here.
+  const int n = 4096;
+  net::FifoSequencer fifo(n);
+  constexpr std::size_t kWindow = 64;
+  std::vector<rt::Message> ring(kWindow);
+  std::uint64_t sent = 0, delivered = 0;
+  auto step = [&] {
+    rt::Message& slot = ring[sent % kWindow];
+    if (sent >= kWindow) {
+      fifo.arrive(slot, [&](rt::Message) { ++delivered; });
+    }
+    slot = rt::Message{};
+    slot.src = static_cast<ProcessId>(sent / n % n);
+    slot.dst = static_cast<ProcessId>(sent % n);
+    fifo.stamp(slot);
+    ++sent;
+  };
+  for (int i = 0; i < 4096; ++i) step();  // warm: table at its size
+  const std::uint64_t a0 = allocs();
+  for (int i = 0; i < 200000; ++i) step();
+  EXPECT_EQ(allocs() - a0, 0u)
+      << "fresh channels with bounded in-flight messages must not allocate";
+  EXPECT_EQ(fifo.live_channels(), kWindow);
+  EXPECT_EQ(delivered, sent - kWindow);
 }
 
 TEST(HotPathAllocs, CellularBroadcastCostsO1EventsAndAllocations) {

@@ -2,8 +2,14 @@
 // (dedicated and shared medium), and cellular transport mechanics.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+#include <map>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "mobile/cellular.hpp"
 #include "net/fifo.hpp"
@@ -93,10 +99,9 @@ TEST(FifoSequencer, LongReorderDrainsCompletely) {
   }
 }
 
-TEST(FifoSequencer, SparseStorageAboveDenseLimitBehavesIdentically) {
-  // Past 256 processes the sequencer switches from the dense n*n channel
-  // table to lazily-created hash-map channels; ordering semantics must
-  // not change. Exercise channels spread across the (src, dst) space.
+TEST(FifoSequencer, ChannelsSpreadAcrossALargePopulation) {
+  // Channels keyed across the whole (src, dst) space of a 1000-host
+  // population order exactly like the small-population ones.
   const int n = 1000;
   net::FifoSequencer fifo(n);
   for (ProcessId src : {0, 257, 999}) {
@@ -115,6 +120,162 @@ TEST(FifoSequencer, SparseStorageAboveDenseLimitBehavesIdentically) {
   fifo.stamp(r);
   EXPECT_EQ(r.channel_seq, 0u);
   EXPECT_EQ(arrive_collect(fifo, r).size(), 1u);
+}
+
+/// Reference model of the sequencer, kept per channel in plain maps: the
+/// stamped messages not yet delivered, in stamp order, and which of them
+/// have arrived. A channel whose queue empties is dropped and restarts
+/// its numbering, as a retired channel does.
+struct FifoModel {
+  struct Slot {
+    MessageId id;
+    bool arrived = false;
+  };
+  std::map<std::pair<ProcessId, ProcessId>, std::deque<Slot>> chans;
+  /// Sequence numbers already consumed by deliveries on a live channel.
+  std::map<std::pair<ProcessId, ProcessId>, std::uint32_t> base;
+  std::size_t arrived_undelivered = 0;
+
+  std::uint32_t stamp(ProcessId src, ProcessId dst, MessageId id) {
+    auto& q = chans[{src, dst}];
+    q.push_back(Slot{id});
+    return static_cast<std::uint32_t>(q.size() - 1) + base[{src, dst}];
+  }
+
+  bool is_head(ProcessId src, ProcessId dst, MessageId id) const {
+    return chans.at({src, dst}).front().id == id;
+  }
+
+  /// Marks `id` arrived and returns what becomes deliverable, in order.
+  std::vector<MessageId> arrive(ProcessId src, ProcessId dst, MessageId id) {
+    auto& q = chans.at({src, dst});
+    for (Slot& sl : q) {
+      if (sl.id == id) sl.arrived = true;
+    }
+    ++arrived_undelivered;
+    std::vector<MessageId> out;
+    while (!q.empty() && q.front().arrived) {
+      out.push_back(q.front().id);
+      q.pop_front();
+      --arrived_undelivered;
+      ++base[{src, dst}];
+    }
+    if (q.empty()) {
+      chans.erase({src, dst});
+      base.erase({src, dst});
+    }
+    return out;
+  }
+
+  std::size_t live() const { return chans.size(); }
+};
+
+/// Random stamps and reordered arrivals, some through the broadcast-batch
+/// path (stamp_channel + try_fast_deliver), checked step by step against
+/// FifoModel: exact delivery order, the stamped sequence numbers, and
+/// live_channels() equal to the channels with an undelivered message.
+void run_fifo_property(int n, std::uint64_t seed) {
+  net::FifoSequencer fifo(n);
+  FifoModel model;
+  std::mt19937_64 rng(seed);
+  // A few hosts spread over the population, so channels are reused,
+  // retired and re-created; a rare fully random pair adds fresh ones.
+  auto any_host = [&rng, n] {
+    return static_cast<ProcessId>(rng() % static_cast<std::uint64_t>(n));
+  };
+  std::vector<ProcessId> hosts;
+  for (int i = 0; i < 6; ++i) hosts.push_back(any_host());
+  struct Flight {
+    rt::Message msg;
+    bool batch;  // stamped by stamp_channel, tries try_fast_deliver first
+  };
+  std::vector<Flight> flight;
+  MessageId next_id = 1;
+  std::vector<MessageId> got;
+  auto collect = [&got](rt::Message m) { got.push_back(m.id); };
+  auto pick = [&] {
+    return rng() % 16 == 0 ? any_host() : hosts[rng() % hosts.size()];
+  };
+  auto stamp_one = [&](ProcessId src, ProcessId dst, bool batch) {
+    rt::Message m = make_msg(src, dst, 10);
+    m.id = next_id++;
+    const auto want = model.stamp(src, dst, m.id);
+    if (batch) {
+      m.channel_seq = fifo.stamp_channel(src, dst);
+    } else {
+      fifo.stamp(m);
+    }
+    ASSERT_EQ(m.channel_seq, want) << "numbering restarts only when idle";
+    flight.push_back(Flight{m, batch});
+  };
+  auto arrive_one = [&](std::size_t i) {
+    Flight f = flight[i];
+    flight.erase(flight.begin() + static_cast<std::ptrdiff_t>(i));
+    const rt::Message& m = f.msg;
+    const bool quiet = model.arrived_undelivered == 0;
+    const bool head = model.is_head(m.src, m.dst, m.id);
+    const std::vector<MessageId> want = model.arrive(m.src, m.dst, m.id);
+    got.clear();
+    if (f.batch && fifo.try_fast_deliver(m.src, m.dst, m.channel_seq)) {
+      ASSERT_TRUE(quiet && head) << "fast path taken out of order";
+      got.push_back(m.id);
+    } else {
+      ASSERT_FALSE(f.batch && quiet && head) << "fast path refused in order";
+      fifo.arrive(m, collect);
+    }
+    ASSERT_EQ(got, want);
+  };
+
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t r = rng() % 8;
+    if (r < 3 || flight.empty()) {
+      ProcessId src = pick(), dst = pick();
+      if (src == dst) dst = (dst + 1) % n;
+      stamp_one(src, dst, rng() % 4 == 0);
+    } else if (r == 3) {
+      // A broadcast-style fan-out from one host.
+      const ProcessId src = pick();
+      for (ProcessId dst : hosts) {
+        if (dst != src) stamp_one(src, dst, true);
+      }
+    } else if (r < 6) {
+      arrive_one(0);  // oldest first: the common in-order case
+    } else {
+      arrive_one(rng() % flight.size());  // reordered
+    }
+    if (testing::Test::HasFatalFailure()) return;
+    ASSERT_EQ(fifo.live_channels(), model.live()) << "step " << step;
+  }
+  while (!flight.empty()) {
+    arrive_one(rng() % flight.size());
+    if (testing::Test::HasFatalFailure()) return;
+    ASSERT_EQ(fifo.live_channels(), model.live());
+  }
+  EXPECT_EQ(fifo.live_channels(), 0u) << "a drained sequencer holds nothing";
+}
+
+TEST(FifoSequencer, RandomReorderMatchesModelAndRetiresIdleChannels) {
+  run_fifo_property(4096, 1);
+  ASSERT_FALSE(HasFatalFailure());
+  run_fifo_property(64, 2);
+}
+
+TEST(FifoSequencer, IdleChannelIsRetiredAndRestartsNumbering) {
+  net::FifoSequencer fifo(8);
+  rt::Message a = make_msg(2, 5, 10), b = make_msg(2, 5, 10);
+  fifo.stamp(a);
+  fifo.stamp(b);
+  EXPECT_EQ(fifo.live_channels(), 1u);
+  EXPECT_EQ(arrive_collect(fifo, a).size(), 1u);
+  EXPECT_EQ(fifo.live_channels(), 1u);  // b still in flight
+  EXPECT_EQ(arrive_collect(fifo, b).size(), 1u);
+  EXPECT_EQ(fifo.live_channels(), 0u);
+  rt::Message c = make_msg(2, 5, 10);
+  fifo.stamp(c);
+  EXPECT_EQ(c.channel_seq, 0u);
+  // Broadcast-batch path retires too.
+  EXPECT_TRUE(fifo.try_fast_deliver(2, 5, c.channel_seq));
+  EXPECT_EQ(fifo.live_channels(), 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -66,6 +66,25 @@ TEST(Log, LevelsGateOutput) {
   util::Log::level() = saved;
 }
 
+TEST(Log, DisabledLevelSkipsArgumentEvaluation) {
+  util::LogLevel saved = util::Log::level();
+  int evaluated = 0;
+  auto side_effect = [&evaluated] { return ++evaluated; };
+  util::Log::level() = util::LogLevel::kInfo;
+  MCK_TRACE("%d", side_effect());
+  EXPECT_EQ(evaluated, 0) << "a disabled trace must not evaluate its arguments";
+  util::Log::level() = util::LogLevel::kOff;
+  MCK_INFO("%d", side_effect());
+  EXPECT_EQ(evaluated, 0);
+  util::Log::level() = util::LogLevel::kTrace;
+  testing::internal::CaptureStderr();
+  MCK_TRACE("%d", side_effect());
+  MCK_INFO("%d", side_effect());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "1\n2\n");
+  EXPECT_EQ(evaluated, 2);
+  util::Log::level() = saved;
+}
+
 TEST(Store, CheckpointKindNames) {
   EXPECT_STREQ(ckpt::to_string(ckpt::CkptKind::kMutable), "mutable");
   EXPECT_STREQ(ckpt::to_string(ckpt::CkptKind::kDisconnect), "disconnect");

@@ -222,5 +222,63 @@ TEST(Weight, FromDoubleBitsRoundTripsProtocolWeights) {
   EXPECT_EQ(back, mixed) << back.to_string();
 }
 
+/// The original from_double_bits: mantissa * 2^exp built by halving the
+/// mantissa -exp times. Kept as the reference for the direct placement.
+Weight halving_reference(std::uint64_t bits) {
+  std::uint64_t biased = (bits >> 52) & 0x7ff;
+  std::uint64_t mantissa = bits & ((1ull << 52) - 1);
+  if (biased == 0) {
+    if (mantissa == 0) return Weight();
+    biased = 1;
+  } else {
+    mantissa |= 1ull << 52;
+  }
+  const int exp = static_cast<int>(biased) - 1075;
+  if (exp >= 0) return Weight(mantissa << exp);
+  Weight w(mantissa);
+  for (int i = 0; i < -exp; ++i) w.halve();
+  return w;
+}
+
+TEST(Weight, FromDoubleBitsMatchesHalvingReference) {
+  const std::uint64_t kMantissa = (1ull << 52) - 1;
+  const std::uint64_t max_bits = std::bit_cast<std::uint64_t>(1024.0);
+  std::vector<std::uint64_t> cases = {
+      0,                                         // zero
+      1,                                         // smallest subnormal
+      kMantissa,                                 // largest subnormal
+      1ull << 51,                                // subnormal, one bit
+      std::bit_cast<std::uint64_t>(0x1p-1022),   // smallest normal
+      std::bit_cast<std::uint64_t>(1.0),         // exp = -52
+      std::bit_cast<std::uint64_t>(0x1p52),      // exp = 0: no fraction
+      std::bit_cast<std::uint64_t>(0x1.fffffffffffffp53),  // exp = 1
+      std::bit_cast<std::uint64_t>(1000.5),      // exp = -43
+      max_bits,                                  // 2^10: exp = -42
+  };
+  // Every shift of a normal value below 2^10 (43 to 1074, so each limb
+  // boundary at a multiple of 64), with a full and a one-bit mantissa.
+  for (std::uint64_t biased = 1; biased < 1033; ++biased) {
+    cases.push_back((biased << 52) | kMantissa);
+    cases.push_back(biased << 52);
+    cases.push_back((biased << 52) | 1);
+  }
+  std::mt19937_64 rng(11);
+  for (int i = 0; i < 20000; ++i) {
+    // A random mantissa under a random biased exponent in [0, 1033];
+    // patterns above 2^10 are dropped.
+    const std::uint64_t r = rng();
+    const std::uint64_t bits = ((r >> 52) % 1034 << 52) | (r & kMantissa);
+    if (bits <= max_bits) cases.push_back(bits);
+  }
+  for (std::uint64_t bits : cases) {
+    const Weight got = Weight::from_double_bits(bits);
+    const Weight want = halving_reference(bits);
+    ASSERT_EQ(got, want) << std::hex << bits << ": " << got.to_string()
+                         << " vs " << want.to_string();
+    // Trimmed like every other Weight: no trailing zero limb.
+    ASSERT_EQ(got.fraction_limbs(), want.fraction_limbs()) << std::hex << bits;
+  }
+}
+
 }  // namespace
 }  // namespace mck::util
