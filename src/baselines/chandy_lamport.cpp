@@ -25,10 +25,7 @@ void ChandyLamportProtocol::take_snapshot(ckpt::InitiationId init) {
   std::fill(marker_seen_.begin(), marker_seen_.end(), 0);
   marker_seen_[static_cast<std::size_t>(self())] = 1;  // no self channel
 
-  pending_ref_ = ctx_.store->take(self(), ckpt::CkptKind::kTentative, 0, init,
-                                  ctx_.log->cursor(self()), ctx_.sim->now());
-  ++ctx_.stats->tentative_taken;
-  ++ctx_.tracker->at(init).tentative;
+  pending_ref_ = take_tentative(init, 0);
 
   // Send a marker on every outgoing channel: N-1 system messages per
   // process, O(N^2) total.
@@ -75,10 +72,7 @@ void ChandyLamportProtocol::maybe_commit() {
   cm->initiation = init_;
   broadcast_system(rt::MsgKind::kCommit, cm);
   st.commits += static_cast<std::uint64_t>(ctx_.num_processes - 1);
-  const ckpt::CheckpointRecord& rec = ctx_.store->get(pending_ref_);
-  ctx_.store->make_permanent(pending_ref_, ctx_.sim->now());
-  ++ctx_.stats->permanent_made;
-  st.line_updates.emplace_back(self(), rec.event_cursor);
+  make_permanent(pending_ref_);
   pending_ref_ = ckpt::kNoCkpt;
   recording_ = false;
   init_ = 0;
@@ -126,11 +120,7 @@ void ChandyLamportProtocol::handle_system(const rt::Message& m) {
     case rt::PayloadTag::kClCommit: {
       const auto* p = static_cast<const ClCommit*>(m.payload.get());
       if (init_ != p->initiation || pending_ref_ == ckpt::kNoCkpt) return;
-      const ckpt::CheckpointRecord& rec = ctx_.store->get(pending_ref_);
-      ctx_.store->make_permanent(pending_ref_, ctx_.sim->now());
-      ++ctx_.stats->permanent_made;
-      ctx_.tracker->at(p->initiation)
-          .line_updates.emplace_back(self(), rec.event_cursor);
+      make_permanent(pending_ref_);
       pending_ref_ = ckpt::kNoCkpt;
       recording_ = false;
       init_ = 0;

@@ -22,11 +22,7 @@ void ElnozahyProtocol::take_checkpoint(Csn new_csn, ckpt::InitiationId init) {
                  "EJZ requires serialized initiations");
   csn_ = new_csn;
   pending_init_ = init;
-  pending_ref_ = ctx_.store->take(self(), ckpt::CkptKind::kTentative, csn_,
-                                  init, ctx_.log->cursor(self()),
-                                  ctx_.sim->now());
-  ++ctx_.stats->tentative_taken;
-  ++ctx_.tracker->at(init).tentative;
+  pending_ref_ = take_tentative(init, csn_);
 
   const ProcessId initiator = ckpt::initiation_pid(init);
   sim::SimTime done = start_stable_transfer();
@@ -34,17 +30,31 @@ void ElnozahyProtocol::take_checkpoint(Csn new_csn, ckpt::InitiationId init) {
     if (pending_init_ != init) return;
     if (initiator == self()) {
       transfer_done_ = true;
-      if (awaiting_replies_ == 0) {
-        // Degenerate single-process case.
-        ctx_.tracker->mark_committed(ctx_.tracker->at(init), ctx_.sim->now());
-      }
-    } else {
-      auto rp = util::make_pooled<EjReply>();
-      rp->initiation = init;
-      send_system(rt::MsgKind::kReply, initiator, std::move(rp));
-      ++ctx_.tracker->at(init).replies;
+      maybe_commit(init);
+      return;
     }
+    auto rp = util::make_pooled<EjReply>();
+    rp->initiation = init;
+    send_system(rt::MsgKind::kReply, initiator, std::move(rp));
+    ++ctx_.tracker->at(init).replies;
   });
+}
+
+// The initiator commits once its own checkpoint is stable *and* every
+// reply is in, whichever of the two happens last.
+void ElnozahyProtocol::maybe_commit(ckpt::InitiationId init) {
+  if (pending_init_ != init || awaiting_replies_ > 0 || !transfer_done_) {
+    return;
+  }
+  ckpt::InitiationStats& st = ctx_.tracker->at(init);
+  ctx_.tracker->mark_committed(st, ctx_.sim->now());
+  auto cm = util::make_pooled<EjCommit>();
+  cm->initiation = init;
+  broadcast_system(rt::MsgKind::kCommit, cm);
+  st.commits += static_cast<std::uint64_t>(ctx_.num_processes - 1);
+  make_permanent(pending_ref_);
+  pending_init_ = 0;
+  pending_ref_ = ckpt::kNoCkpt;
 }
 
 void ElnozahyProtocol::initiate() {
@@ -88,31 +98,14 @@ void ElnozahyProtocol::handle_system(const rt::Message& m) {
       const auto* p = static_cast<const EjReply*>(m.payload.get());
       if (pending_init_ != p->initiation) return;
       MCK_ASSERT(awaiting_replies_ > 0);
-      if (--awaiting_replies_ == 0 && transfer_done_) {
-        ckpt::InitiationStats& st = ctx_.tracker->at(p->initiation);
-        ctx_.tracker->mark_committed(st, ctx_.sim->now());
-        auto cm = util::make_pooled<EjCommit>();
-        cm->initiation = p->initiation;
-        broadcast_system(rt::MsgKind::kCommit, cm);
-        st.commits += static_cast<std::uint64_t>(ctx_.num_processes - 1);
-        // Local commit.
-        const ckpt::CheckpointRecord& rec = ctx_.store->get(pending_ref_);
-        ctx_.store->make_permanent(pending_ref_, ctx_.sim->now());
-        ++ctx_.stats->permanent_made;
-        st.line_updates.emplace_back(self(), rec.event_cursor);
-        pending_init_ = 0;
-        pending_ref_ = ckpt::kNoCkpt;
-      }
+      --awaiting_replies_;
+      maybe_commit(p->initiation);
       break;
     }
     case rt::PayloadTag::kEjCommit: {
       const auto* p = static_cast<const EjCommit*>(m.payload.get());
       if (pending_init_ != p->initiation) return;
-      const ckpt::CheckpointRecord& rec = ctx_.store->get(pending_ref_);
-      ctx_.store->make_permanent(pending_ref_, ctx_.sim->now());
-      ++ctx_.stats->permanent_made;
-      ctx_.tracker->at(p->initiation)
-          .line_updates.emplace_back(self(), rec.event_cursor);
+      make_permanent(pending_ref_);
       pending_init_ = 0;
       pending_ref_ = ckpt::kNoCkpt;
       break;

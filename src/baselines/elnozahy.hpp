@@ -33,14 +33,12 @@ class ElnozahyProtocol final : public rt::CheckpointProtocol {
 
  private:
   void take_checkpoint(Csn new_csn, ckpt::InitiationId init);
-  void send_reply_when_stable(ckpt::InitiationId init, ProcessId initiator);
+  void maybe_commit(ckpt::InitiationId init);
 
   Csn csn_ = 0;  // global checkpoint index this process is at
   ckpt::InitiationId pending_init_ = 0;  // uncommitted tentative's initiation
   ckpt::CkptRef pending_ref_ = ckpt::kNoCkpt;
-  bool reply_due_ = false;        // reply owed once transfer completes
   bool transfer_done_ = false;
-  ProcessId reply_to_ = kInvalidProcess;
 
   // Initiator-side.
   int awaiting_replies_ = 0;

@@ -52,11 +52,8 @@ void KooTouegProtocol::take_tentative_and_propagate(ckpt::InitiationId init,
   c.parent = parent;
 
   ++own_csn_;
-  c.ref = ctx_.store->take(self(), ckpt::CkptKind::kTentative, own_csn_, init,
-                           ctx_.log->cursor(self()), ctx_.sim->now());
-  ++ctx_.stats->tentative_taken;
+  c.ref = take_tentative(init, own_csn_);
   ckpt::InitiationStats& st = stats_of(init);
-  ++st.tentative;
 
   // Koo-Toueg blocks the underlying computation from the tentative
   // checkpoint until the commit arrives.
@@ -114,11 +111,8 @@ void KooTouegProtocol::finish_commit(ckpt::InitiationId init) {
   coord_.reset();
   coordinating_ = false;
 
-  const ckpt::CheckpointRecord& rec = ctx_.store->get(c.ref);
-  ctx_.store->make_permanent(c.ref, ctx_.sim->now());
-  ++ctx_.stats->permanent_made;
+  const ckpt::CheckpointRecord& rec = make_permanent(c.ref);
   ckpt::InitiationStats& st = stats_of(init);
-  st.line_updates.emplace_back(self(), rec.event_cursor);
   st.blocked_time += ctx_.sim->now() - rec.taken_at;
 
   for (ProcessId child : c.children) {

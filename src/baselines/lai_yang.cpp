@@ -21,11 +21,7 @@ void LaiYangProtocol::take_snapshot(Csn new_round, ckpt::InitiationId init) {
   round_ = new_round;
   pending_init_ = init;
   channel_state_msgs_ = 0;
-  pending_ref_ = ctx_.store->take(self(), ckpt::CkptKind::kTentative, round_,
-                                  init, ctx_.log->cursor(self()),
-                                  ctx_.sim->now());
-  ++ctx_.stats->tentative_taken;
-  ++ctx_.tracker->at(init).tentative;
+  pending_ref_ = take_tentative(init, round_);
 
   const ProcessId initiator = ckpt::initiation_pid(init);
   sim::SimTime done = start_stable_transfer();
@@ -53,10 +49,7 @@ void LaiYangProtocol::maybe_commit(ckpt::InitiationId init) {
   cm->initiation = init;
   broadcast_system(rt::MsgKind::kCommit, cm);
   st.commits += static_cast<std::uint64_t>(ctx_.num_processes - 1);
-  const ckpt::CheckpointRecord& rec = ctx_.store->get(pending_ref_);
-  ctx_.store->make_permanent(pending_ref_, ctx_.sim->now());
-  ++ctx_.stats->permanent_made;
-  st.line_updates.emplace_back(self(), rec.event_cursor);
+  make_permanent(pending_ref_);
   pending_init_ = 0;
   pending_ref_ = ckpt::kNoCkpt;
 }
@@ -112,11 +105,7 @@ void LaiYangProtocol::handle_system(const rt::Message& m) {
     case rt::PayloadTag::kLyCommit: {
       const auto* p = static_cast<const LyCommit*>(m.payload.get());
       if (pending_init_ != p->initiation) return;
-      const ckpt::CheckpointRecord& rec = ctx_.store->get(pending_ref_);
-      ctx_.store->make_permanent(pending_ref_, ctx_.sim->now());
-      ++ctx_.stats->permanent_made;
-      ctx_.tracker->at(p->initiation)
-          .line_updates.emplace_back(self(), rec.event_cursor);
+      make_permanent(pending_ref_);
       pending_init_ = 0;
       pending_ref_ = ckpt::kNoCkpt;
       break;

@@ -192,7 +192,7 @@ void CaoSinghalProtocol::initiate() {
       if (active_initiator_ && own_trigger_ == t) initiator_abort();
     });
   }
-  take_tentative(t, mr, Weight::one(), /*as_initiator=*/true);
+  take_tentative_and_propagate(t, mr, Weight::one(), /*as_initiator=*/true);
 }
 
 // ---------------------------------------------------------------------
@@ -276,9 +276,10 @@ Weight CaoSinghalProtocol::prop_cp(const IntervalSet& deps,
 // Taking / promoting checkpoints
 // ---------------------------------------------------------------------
 
-void CaoSinghalProtocol::take_tentative(const Trigger& trigger,
-                                        const SparseMr& mr, Weight weight,
-                                        bool as_initiator) {
+void CaoSinghalProtocol::take_tentative_and_propagate(const Trigger& trigger,
+                                                      const SparseMr& mr,
+                                                      Weight weight,
+                                                      bool as_initiator) {
   PendingTentative pt;
   pt.trigger = trigger;
   pt.saved_R = effective_R();
@@ -287,12 +288,8 @@ void CaoSinghalProtocol::take_tentative(const Trigger& trigger,
 
   Weight remaining = prop_cp(pt.saved_R, mr, trigger, weight);
 
-  pt.ref = ctx_.store->take(self(), ckpt::CkptKind::kTentative,
-                            csn_.get(static_cast<std::size_t>(self())),
-                            trigger.initiation(), ctx_.log->cursor(self()),
-                            ctx_.sim->now());
-  ++ctx_.stats->tentative_taken;
-  ++init_stats(trigger).tentative;
+  pt.ref = take_tentative(trigger.initiation(),
+                          csn_.get(static_cast<std::size_t>(self())));
 
   old_csn_ = csn_.get(static_cast<std::size_t>(self()));
   // Mutables are superseded: their states precede this tentative and their
@@ -535,7 +532,7 @@ void CaoSinghalProtocol::initiator_decide_commit() {
   const bool use_broadcast =
       opts_.commit_mode == CommitMode::kBroadcast ||
       (opts_.commit_mode == CommitMode::kHybrid &&
-       is.repliers.size() > opts_.hybrid_threshold);
+       is.repliers.size() > kHybridThreshold);
   auto cp = util::make_pooled<CommitPayload>();
   cp->trigger = t;
   cp->abort_set = std::move(abort_set);
@@ -653,7 +650,8 @@ void CaoSinghalProtocol::handle_request(const rt::Message& m,
   } else {
     csn_.bump(static_cast<std::size_t>(self()));
     own_trigger_ = p.trigger;
-    take_tentative(p.trigger, *p.mr, p.weight, /*as_initiator=*/false);
+    take_tentative_and_propagate(p.trigger, *p.mr, p.weight,
+                                 /*as_initiator=*/false);
   }
 }
 
@@ -734,11 +732,8 @@ void CaoSinghalProtocol::handle_clear(const Trigger& t, bool is_commit,
         had_effect = true;
         break;
       }
-      const ckpt::CheckpointRecord& rec = ctx_.store->get(pending_[i].ref);
-      ctx_.store->make_permanent(pending_[i].ref, ctx_.sim->now());
-      ++ctx_.stats->permanent_made;
+      const ckpt::CheckpointRecord& rec = make_permanent(pending_[i].ref);
       if (rec.csn > perm_csn_) perm_csn_ = rec.csn;
-      init_stats(t).line_updates.emplace_back(self(), rec.event_cursor);
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
       // "P1 discards C1,2 when it makes checkpoint C1,1 permanent":
       // remaining mutables (all newer than this tentative) go away, their

@@ -41,8 +41,12 @@ namespace mck::core {
 enum class CommitMode {
   kBroadcast,  // Section 3.3.4: broadcast commit to all processes
   kUpdate,     // Section 3.3.5 / [6]: commit to repliers + clear chains
-  kHybrid,     // counter-based choice between the two (tuning parameter)
+  kHybrid,     // counter-based choice between the two (kHybridThreshold)
 };
+
+/// Hybrid commit mode: broadcast when more than this many processes
+/// replied, commit to the repliers otherwise.
+inline constexpr std::size_t kHybridThreshold = 4;
 
 enum class FailureMode {
   /// Section 3.6, simplest approach: any failure aborts the whole
@@ -64,8 +68,6 @@ struct CaoSinghalOptions {
   bool req_csn_filter = true;
 
   CommitMode commit_mode = CommitMode::kBroadcast;
-  /// Hybrid mode: broadcast when more than this many processes replied.
-  std::uint32_t hybrid_threshold = 4;
 
   /// Section 3.6 safety net: if the initiator has not reached a decision
   /// within this budget (a participant died mid-coordination and its
@@ -154,8 +156,9 @@ class CaoSinghalProtocol final : public rt::CheckpointProtocol {
   // Pseudocode subroutines.
   util::Weight prop_cp(const util::IntervalSet& deps, const SparseMr& mr_in,
                        const Trigger& trigger, util::Weight weight);
-  void take_tentative(const Trigger& trigger, const SparseMr& mr,
-                      util::Weight weight, bool as_initiator);
+  void take_tentative_and_propagate(const Trigger& trigger,
+                                    const SparseMr& mr, util::Weight weight,
+                                    bool as_initiator);
   void promote_mutable(std::size_t idx, const SparseMr& mr,
                        util::Weight weight);
   void take_mutable(const Trigger& trigger);

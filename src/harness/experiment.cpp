@@ -209,6 +209,9 @@ RunResult run_experiment(const ExperimentConfig& config) {
   }
   MCK_ASSERT_MSG(system.simulator().live_pending() == 0,
                  "experiment did not drain its event queue");
+  // Theorem 2: every coordination terminates, so none is left at drain.
+  MCK_ASSERT_MSG(!system.any_coordination_active(),
+                 "a coordination never terminated");
 
   // Aggregate.
   RunResult result;

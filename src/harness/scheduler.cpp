@@ -4,6 +4,10 @@
 
 namespace mck::harness {
 
+/// How long a due initiation waits before it tries again, when a
+/// coordination is still active or its MH is disconnected.
+constexpr sim::SimTime kRetryDelay = sim::seconds(5);
+
 void CheckpointScheduler::start(sim::SimTime horizon) {
   horizon_ = horizon;
   const ProcessId count =
@@ -37,7 +41,7 @@ void CheckpointScheduler::fire(ProcessId p) {
   if (opts_.serialize) {
     if (sys_.any_coordination_active()) {
       ++retries_;
-      schedule_at(p, now + opts_.retry_delay);
+      schedule_at(p, now + kRetryDelay);
       return;
     }
     // Quiescent: every commit has reached its participants, so every
@@ -48,7 +52,7 @@ void CheckpointScheduler::fire(ProcessId p) {
     // A disconnected MH does not start checkpointing on its own; its
     // scheduled checkpoint waits for reconnection.
     ++retries_;
-    schedule_at(p, now + opts_.retry_delay);
+    schedule_at(p, now + kRetryDelay);
     return;
   }
   ++fired_;

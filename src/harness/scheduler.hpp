@@ -14,7 +14,6 @@ namespace mck::harness {
 
 struct SchedulerOptions {
   sim::SimTime interval = sim::seconds(900);
-  sim::SimTime retry_delay = sim::seconds(5);
   bool serialize = true;
   /// First checkpoints are spread uniformly over one interval so the
   /// processes do not all fire at once.

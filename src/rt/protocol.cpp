@@ -101,9 +101,10 @@ void CheckpointProtocol::on_deliver(const Message& m) {
   }
 }
 
-void CheckpointProtocol::send_system(MsgKind kind, ProcessId dst,
+void CheckpointProtocol::post_system(MsgKind kind, ProcessId dst,
                                      std::shared_ptr<const Payload> payload) {
   MCK_ASSERT(is_system(kind));
+  const bool broadcast = dst == kInvalidProcess;
   Message m;
   m.kind = kind;
   m.src = ctx_.self;
@@ -120,42 +121,11 @@ void CheckpointProtocol::send_system(MsgKind kind, ProcessId dst,
   m.sent_at = ctx_.sim->now();
   m.payload = std::move(payload);
   m.id = ctx_.log->next_msg_id();
-  trace(ctx_, obs::TraceKind::kMsgSend, static_cast<std::uint8_t>(kind),
-        static_cast<std::uint16_t>(dst), m.id, m.size_bytes);
-  ++ctx_.stats->msgs_sent[static_cast<int>(kind)];
-  ctx_.stats->bytes_sent[static_cast<int>(kind)] += m.size_bytes;
-  if (want_honest) {
-    ctx_.stats->wire_bytes_sent[static_cast<int>(kind)] += honest;
-  }
-  stats::ProcessEnergy& e =
-      ctx_.stats->energy.per_process[static_cast<std::size_t>(ctx_.self)];
-  ++e.tx_sys_msgs;
-  e.tx_bytes += m.size_bytes;
-  ctx_.net->send(std::move(m));
-}
-
-void CheckpointProtocol::broadcast_system(
-    MsgKind kind, std::shared_ptr<const Payload> payload) {
-  MCK_ASSERT(is_system(kind));
-  Message m;
-  m.kind = kind;
-  m.src = ctx_.self;
-  m.size_bytes = ctx_.timing->sys_msg_bytes;
-  const bool want_honest =
-      ctx_.timing->use_wire_sizes || ctx_.timing->record_wire_bytes;
-  std::uint64_t honest = m.size_bytes;
-  if (want_honest && payload != nullptr) {
-    std::uint64_t ws = system_payload_wire_size(*payload);
-    if (ws > 0) honest = ws;
-  }
-  if (ctx_.timing->use_wire_sizes) m.size_bytes = honest;
-  m.sent_at = ctx_.sim->now();
-  m.payload = std::move(payload);
-  m.id = ctx_.log->next_msg_id();
   // A broadcast is one transmission on the shared medium but is counted
   // once per recipient for byte accounting symmetry with [13].
   trace(ctx_, obs::TraceKind::kMsgSend, static_cast<std::uint8_t>(kind),
-        obs::kBroadcastDst, m.id, m.size_bytes);
+        broadcast ? obs::kBroadcastDst : static_cast<std::uint16_t>(dst),
+        m.id, m.size_bytes);
   ++ctx_.stats->msgs_sent[static_cast<int>(kind)];
   ctx_.stats->bytes_sent[static_cast<int>(kind)] += m.size_bytes;
   if (want_honest) {
@@ -165,7 +135,11 @@ void CheckpointProtocol::broadcast_system(
       ctx_.stats->energy.per_process[static_cast<std::size_t>(ctx_.self)];
   ++e.tx_sys_msgs;
   e.tx_bytes += m.size_bytes;
-  ctx_.net->broadcast(std::move(m));
+  if (broadcast) {
+    ctx_.net->broadcast(std::move(m));
+  } else {
+    ctx_.net->send(std::move(m));
+  }
 }
 
 void CheckpointProtocol::process_computation(const Message& m) {
@@ -187,6 +161,26 @@ sim::SimTime CheckpointProtocol::start_stable_transfer() {
         .bulk_bytes += ctx_.timing->ckpt_bytes;
   }
   return done + ctx_.timing->disk_delay;
+}
+
+ckpt::CkptRef CheckpointProtocol::take_tentative(ckpt::InitiationId init,
+                                                Csn csn) {
+  const ckpt::CkptRef ref =
+      ctx_.store->take(ctx_.self, ckpt::CkptKind::kTentative, csn, init,
+                       ctx_.log->cursor(ctx_.self), ctx_.sim->now());
+  ++ctx_.stats->tentative_taken;
+  ++ctx_.tracker->at(init).tentative;
+  return ref;
+}
+
+const ckpt::CheckpointRecord& CheckpointProtocol::make_permanent(
+    ckpt::CkptRef ref) {
+  ctx_.store->make_permanent(ref, ctx_.sim->now());
+  ++ctx_.stats->permanent_made;
+  const ckpt::CheckpointRecord& rec = ctx_.store->get(ref);
+  ctx_.tracker->at(rec.initiation)
+      .line_updates.emplace_back(ctx_.self, rec.event_cursor);
+  return rec;
 }
 
 void CheckpointProtocol::block() {

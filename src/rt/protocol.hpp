@@ -183,10 +183,14 @@ class CheckpointProtocol {
   // ---- helpers for subclasses ----------------------------------------
   /// Sends a system message (size from TimingConfig) to `dst`.
   void send_system(MsgKind kind, ProcessId dst,
-                   std::shared_ptr<const Payload> payload);
+                   std::shared_ptr<const Payload> payload) {
+    post_system(kind, dst, std::move(payload));
+  }
 
   /// Broadcasts a system message to all processes (including self).
-  void broadcast_system(MsgKind kind, std::shared_ptr<const Payload> payload);
+  void broadcast_system(MsgKind kind, std::shared_ptr<const Payload> payload) {
+    post_system(kind, kInvalidProcess, std::move(payload));
+  }
 
   /// Records the processing of computation message `m` (the receive event)
   /// and fires the application observer. Every algorithm must call this
@@ -201,12 +205,26 @@ class CheckpointProtocol {
   /// returns its completion time (the moment a reply may be sent).
   sim::SimTime start_stable_transfer();
 
+  /// Takes a tentative checkpoint of this process for initiation `init`
+  /// at the current event cursor and time, and counts it in the run
+  /// stats and the initiation's tracker entry.
+  ckpt::CkptRef take_tentative(ckpt::InitiationId init, Csn csn);
+
+  /// Makes tentative checkpoint `ref` permanent now and appends it to the
+  /// committed line of the initiation it was taken (or promoted) for.
+  /// This is the only writer of InitiationStats::line_updates.
+  const ckpt::CheckpointRecord& make_permanent(ckpt::CkptRef ref);
+
   void block();
   void unblock();
 
   ProcessContext ctx_;
 
  private:
+  /// Builds, traces and accounts one system message, then hands it to
+  /// the transport: to `dst`, or to everyone when dst is kInvalidProcess.
+  void post_system(MsgKind kind, ProcessId dst,
+                   std::shared_ptr<const Payload> payload);
   void dispatch_deferred();
 
   bool blocked_ = false;

@@ -109,6 +109,34 @@ TEST(Elnozahy, AllProcessesCheckpointEveryInitiation) {
   EXPECT_TRUE(sys.check_consistency().consistent);
 }
 
+// The initiator's own stable-storage transfer can finish after every reply
+// is in (here its cell is busy with a long bulk transfer). The round must
+// still commit everywhere: one line update and one permanent checkpoint
+// per process, and no process left coordinating.
+void expect_commit_after_late_initiator_transfer(Algorithm algo) {
+  SystemOptions opts = options(algo, 4);
+  opts.transport = harness::TransportKind::kCellular;
+  opts.cellular.num_mss = 4;
+  System sys(opts);
+  sys.cellular()->transfer_bulk(0, 50'000'000);
+  sys.initiate(0);
+  sys.simulator().run_until(sim::kTimeNever);
+
+  auto inits = sys.tracker().in_order();
+  ASSERT_EQ(inits.size(), 1u);
+  EXPECT_TRUE(inits[0]->committed());
+  EXPECT_EQ(inits[0]->line_updates.size(), 4u);
+  EXPECT_EQ(sys.store().count(ckpt::CkptKind::kPermanent), 4u);
+  for (ProcessId p = 0; p < sys.n(); ++p) {
+    EXPECT_FALSE(sys.proto(p).coordination_active()) << "P" << p;
+  }
+  EXPECT_TRUE(sys.check_consistency().consistent);
+}
+
+TEST(Elnozahy, CommitsWhenInitiatorTransferFinishesLast) {
+  expect_commit_after_late_initiator_transfer(Algorithm::kElnozahy);
+}
+
 TEST(Elnozahy, NonblockingNoDeferredSends) {
   System sys(options(Algorithm::kElnozahy, 4));
   run_script(sys, {
@@ -272,6 +300,10 @@ TEST(LaiYang, AllProcessFlagBasedSnapshot) {
   EXPECT_TRUE(inits[0]->committed());
   EXPECT_EQ(inits[0]->tentative, 5u);  // all-process, like [13]
   EXPECT_TRUE(sys.check_consistency().consistent);
+}
+
+TEST(LaiYang, CommitsWhenInitiatorTransferFinishesLast) {
+  expect_commit_after_late_initiator_transfer(Algorithm::kLaiYang);
 }
 
 TEST(LaiYang, WhiteMessageIntoRedProcessIsChannelState) {

@@ -91,10 +91,20 @@ INSTANTIATE_TEST_SUITE_P(
 // Lemma 1 over randomized runs
 // ---------------------------------------------------------------------
 
-TEST(Lemma1, AtMostOneStableCheckpointPerProcessPerInitiation) {
+// Every coordinated protocol: a committed initiation contributes exactly
+// one line update per tentative checkpoint, and at most one per process.
+struct Lemma1Case {
+  Algorithm algo;
+  harness::TransportKind transport;
+};
+
+class Lemma1 : public ::testing::TestWithParam<Lemma1Case> {};
+
+TEST_P(Lemma1, AtMostOneStableCheckpointPerProcessPerInitiation) {
   for (std::uint64_t seed : {3ull, 17ull, 23ull}) {
     ExperimentConfig cfg;
-    cfg.sys.algorithm = Algorithm::kCaoSinghal;
+    cfg.sys.algorithm = GetParam().algo;
+    cfg.sys.transport = GetParam().transport;
     cfg.sys.num_processes = 10;
     cfg.sys.seed = seed;
     cfg.rate = 0.5;
@@ -126,6 +136,31 @@ TEST(Lemma1, AtMostOneStableCheckpointPerProcessPerInitiation) {
     EXPECT_TRUE(sys.check_consistency().consistent);
   }
 }
+
+std::vector<Lemma1Case> lemma1_cases() {
+  std::vector<Lemma1Case> cases;
+  for (Algorithm a :
+       {Algorithm::kCaoSinghal, Algorithm::kKooToueg, Algorithm::kElnozahy,
+        Algorithm::kChandyLamport, Algorithm::kLaiYang}) {
+    for (harness::TransportKind t :
+         {harness::TransportKind::kLan, harness::TransportKind::kCellular}) {
+      cases.push_back({a, t});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Coordinated, Lemma1, ::testing::ValuesIn(lemma1_cases()),
+    [](const ::testing::TestParamInfo<Lemma1Case>& info) {
+      std::string s = harness::to_string(info.param.algo);
+      s += info.param.transport == harness::TransportKind::kLan ? "_lan"
+                                                                : "_cellular";
+      for (char& ch : s) {
+        if (ch == '-') ch = '_';
+      }
+      return s;
+    });
 
 // ---------------------------------------------------------------------
 // Theorem 3: min-process equality with Koo-Toueg
@@ -276,6 +311,7 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomRunCase{Algorithm::kCaoSinghal, 1.0, 14},
                       RandomRunCase{Algorithm::kKooToueg, 0.2, 13},
                       RandomRunCase{Algorithm::kElnozahy, 0.2, 13},
+                      RandomRunCase{Algorithm::kChandyLamport, 0.2, 13},
                       RandomRunCase{Algorithm::kLaiYang, 0.2, 13}),
     [](const ::testing::TestParamInfo<RandomRunCase>& info) {
       char buf[96];
