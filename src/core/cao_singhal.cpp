@@ -199,6 +199,35 @@ void CaoSinghalProtocol::initiate() {
 // prop_cp (Section 3.3 subroutine)
 // ---------------------------------------------------------------------
 
+SparseMr request_mr(const SparseMr& mr_in, const util::SparseCsnMap& dep_csn,
+                    const util::IntervalSet& deps) {
+  const SparseMr::Storage& mr = mr_in.slots();
+  const util::SparseCsnMap::Storage& dc = dep_csn.entries();
+  const util::IntervalSet::Storage& iv = deps.intervals();
+  constexpr std::uint64_t kEnd = ~std::uint64_t{0};
+  std::size_t a = 0, b = 0, c = 0;
+  std::uint32_t x = iv.empty() ? 0 : iv[0].lo;  // next member of deps
+  SparseMr out;
+  while (true) {
+    const std::uint64_t pa = a < mr.size() ? mr[a].pid : kEnd;
+    const std::uint64_t pb = b < dc.size() ? dc[b].pid : kEnd;
+    const std::uint64_t pc = c < iv.size() ? x : kEnd;
+    const std::uint64_t p = std::min({pa, pb, pc});
+    if (p == kEnd) break;
+    MrEntry e;
+    if (pa == p) e = mr[a++].e;
+    if (pb == p) e.csn = std::max(e.csn, dc[b++].csn);
+    if (pc == p) {
+      if (e.requested == 0) e.requested = 1;
+      if (++x == iv[c].hi && ++c < iv.size()) x = iv[c].lo;
+    }
+    // Every input slot is non-default, so every merged one is too.
+    const bool appended = out.append(static_cast<std::uint32_t>(p), e);
+    MCK_ASSERT(appended);
+  }
+  return out;
+}
+
 Weight CaoSinghalProtocol::prop_cp(const IntervalSet& deps,
                                    const SparseMr& mr_in,
                                    const Trigger& trigger, Weight weight) {
@@ -212,14 +241,23 @@ Weight CaoSinghalProtocol::prop_cp(const IntervalSet& deps,
   std::shared_ptr<const SparseMr> temp;
 
   ckpt::InitiationStats& st = init_stats(trigger);
+  const Csn own_csn = csn_.get(static_cast<std::size_t>(self()));
+  // deps is visited ascending, so MR and dep_csn are read by cursors.
+  const SparseMr::Storage& mr = mr_in.slots();
+  const util::SparseCsnMap::Storage& dc = dep_csn_.entries();
+  std::size_t mi = 0, di = 0;
   deps.for_each([&](std::size_t ks) {
     const int k = static_cast<int>(ks);
     if (k == self()) return;
-    const MrEntry in = mr_in.get(ks);
+    while (mi < mr.size() && mr[mi].pid < ks) ++mi;
+    while (di < dc.size() && dc[di].pid < ks) ++di;
+    const MrEntry in =
+        mi < mr.size() && mr[mi].pid == ks ? mr[mi].e : MrEntry{};
+    const Csn dep = di < dc.size() && dc[di].pid == ks ? dc[di].csn : 0;
     // Prose of Section 3.3.2: skip P_k iff MR records that someone already
     // sent P_k a request with req_csn >= (the csn of the interval in which
     // our dependency on P_k was created).
-    const bool covered = in.requested != 0 && in.csn >= dep_csn_.get(ks);
+    const bool covered = in.requested != 0 && in.csn >= dep;
     if (opts_.mr_filter && covered) return;
 
     if (!ctx_.net->reachable(k)) {
@@ -252,22 +290,19 @@ Weight CaoSinghalProtocol::prop_cp(const IntervalSet& deps,
                           trigger.initiation(), weight_bits(weight));
     }
     if (temp == nullptr) {
-      auto m = std::make_shared<SparseMr>(mr_in);
-      dep_csn_.for_each([&m](std::size_t j, Csn v) { m->raise_csn(j, v); });
-      deps.for_each([&m](std::size_t j) { m->mark_requested(j); });
-      temp = std::move(m);
+      temp = std::make_shared<const SparseMr>(request_mr(mr_in, dep_csn_, deps));
     }
     auto rp = util::make_pooled<RequestPayload>();
     rp->mr = temp;
-    rp->sender_csn = csn_.get(static_cast<std::size_t>(self()));
+    rp->sender_csn = own_csn;
     rp->trigger = trigger;
-    rp->req_csn = dep_csn_.get(ks);
+    rp->req_csn = dep;
     rp->weight = weight;
     send_system(rt::MsgKind::kRequest, k, std::move(rp));
     ++st.requests;
     MCK_TRACE("[t=%.3fms] P%d -> P%d request %s req_csn=%u",
               sim::to_milliseconds(ctx_.sim->now()), self(), k,
-              trigger.to_string().c_str(), dep_csn_.get(ks));
+              trigger.to_string().c_str(), dep);
   });
   return weight;
 }

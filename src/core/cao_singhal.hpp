@@ -78,6 +78,13 @@ struct CaoSinghalOptions {
   FailureMode failure_mode = FailureMode::kAbortAll;
 };
 
+/// The MR every request of one prop_cp fan-out carries: slot k is
+/// {max(mr_in[k].csn, dep_csn[k]), mr_in[k].R | deps[k]}. Built in one
+/// ascending merge of the three sparse inputs, appending only the slots
+/// that differ from the default.
+SparseMr request_mr(const SparseMr& mr_in, const util::SparseCsnMap& dep_csn,
+                    const util::IntervalSet& deps);
+
 class CaoSinghalProtocol final : public rt::CheckpointProtocol {
  public:
   explicit CaoSinghalProtocol(CaoSinghalOptions opts = {});

@@ -73,47 +73,50 @@ void GraphBuilder::issue(sim::SimTime at, std::uint64_t id,
 
 std::uint32_t GraphBuilder::enqueue(std::uint64_t chan_key) {
   Chan& c = channels_[chan_key];
-  MCK_ASSERT_MSG(c.next_send != 0xffffffffu, "channel sequence overflow");
+  MCK_ASSERT_MSG(c.next_send != kConsumed, "channel sequence overflow");
   ++enqueued_;
   return c.next_send++;
 }
 
-bool GraphBuilder::match(const TraceRecord& send, const SendRef& ref,
+bool GraphBuilder::match(const TraceRecord& send, SendRef& ref,
                          const TraceRecord& r, bool comp) {
   if (comp != (send.sub == kRawMsgComputation)) return false;
-  std::uint32_t seq = ref.seq;
+  std::uint32_t* copy = &ref.seq;
   if (send.aux == kBroadcastDst) {
     if (r.pid < 0 || r.pid >= n_ || r.pid == send.pid) return false;
-    seq = bcast_seqs_[ref.seq + static_cast<std::size_t>(r.pid)];
+    copy = &bcast_seqs_[ref.seq + static_cast<std::size_t>(r.pid)];
   } else if (r.pid != static_cast<std::int32_t>(send.aux)) {
     return false;
   }
-  const std::uint64_t key = channel_key(send.pid, r.pid, comp);
-  Chan& c = *channels_.find(key);  // the send created it
-  if (seq < c.next_deliver || overtaken_.count({key, seq}) != 0) {
-    return false;  // this copy was delivered already
-  }
+  if (*copy == kConsumed) return false;  // this copy was delivered already
+  const std::uint32_t seq = *copy;
+  *copy = kConsumed;
   ++matched_;
-  if (seq == c.next_deliver) {
+  const std::uint64_t key = channel_key(send.pid, r.pid, comp);
+  Chan* c = channels_.find(key);
+  MCK_ASSERT_MSG(c != nullptr, "a channel with a copy in flight is live");
+  if (seq == c->next_deliver) {
     // In order: also release the overtakers parked right behind it.
-    ++c.next_deliver;
-    for (auto it = overtaken_.find({key, c.next_deliver});
+    ++c->next_deliver;
+    for (auto it = overtaken_.find({key, c->next_deliver});
          it != overtaken_.end() && it->first == key &&
-         it->second == c.next_deliver;
+         it->second == c->next_deliver;
          it = overtaken_.erase(it)) {
-      ++c.next_deliver;
+      ++c->next_deliver;
     }
+    // Idle: nothing of it is in flight or parked, so it can go.
+    if (c->next_deliver == c->next_send) channels_.erase(key);
     return true;
   }
   // Ahead of the channel: every number in [next_deliver, seq) that is not
   // parked here itself is an earlier send still undelivered.
   const auto parked =
-      std::distance(overtaken_.lower_bound({key, c.next_deliver}),
+      std::distance(overtaken_.lower_bound({key, c->next_deliver}),
                     overtaken_.lower_bound({key, seq}));
   issue(r.at, r.arg0,
         fmt_issue("FIFO violation: message overtook %llu earlier "
                   "send(s) on channel P%llu -> P%llu",
-                  static_cast<unsigned long long>(seq - c.next_deliver) -
+                  static_cast<unsigned long long>(seq - c->next_deliver) -
                       static_cast<unsigned long long>(parked),
                   static_cast<unsigned long long>(
                       static_cast<std::uint32_t>(send.pid)),
@@ -123,12 +126,28 @@ bool GraphBuilder::match(const TraceRecord& send, const SendRef& ref,
   return true;
 }
 
+void GraphBuilder::reindex(std::uint32_t end) {
+  retiring_ = false;
+  for (std::uint32_t j = 0; j < end; ++j) {
+    const TraceRecord& s = records_[j];
+    if (static_cast<TraceKind>(s.kind) != TraceKind::kMsgSend) continue;
+    auto [ref, fresh] = sends_.try_emplace(s.arg0);
+    // Ids ascended so far, so a missing id is a unicast that was retired.
+    if (fresh) *ref = SendRef{j, kConsumed};
+  }
+}
+
 void GraphBuilder::add(const TraceRecord& r) {
   const std::uint32_t idx = next_rec_++;
   MCK_ASSERT_MSG(&r == records_.data() + idx,
                  "GraphBuilder::add must see the records in order");
   switch (static_cast<TraceKind>(r.kind)) {
     case TraceKind::kMsgSend: {
+      if (may_be_retired(r.arg0)) {
+        reindex(idx);
+      } else if (retiring_) {
+        last_send_id_ = r.arg0;
+      }
       auto [ref, fresh] = sends_.try_emplace(r.arg0);
       if (!fresh) {
         issue(r.at, r.arg0, "duplicate send record for one message id");
@@ -164,12 +183,18 @@ void GraphBuilder::add(const TraceRecord& r) {
       break;
     case TraceKind::kMsgDeliver: {
       ++g_.delivers;
-      const SendRef* ref = sends_.find(r.arg0);
+      SendRef* ref = sends_.find(r.arg0);
+      if (ref == nullptr && may_be_retired(r.arg0)) {
+        // Maybe a retired send delivered again: look again in full.
+        reindex(idx);
+        ref = sends_.find(r.arg0);
+      }
       if (ref == nullptr) {
         issue(r.at, r.arg0, "delivery with no matching send record");
         break;
       }
-      const TraceRecord& s = records_[ref->rec];
+      const std::uint32_t send_rec = ref->rec;
+      const TraceRecord& s = records_[send_rec];
       if (s.at > r.at) {
         issue(r.at, r.arg0, "message delivered before it was sent");
       }
@@ -188,6 +213,8 @@ void GraphBuilder::add(const TraceRecord& r) {
       const bool comp = r.sub == kRawMsgComputation;
       if (!match(s, *ref, r, comp)) {
         issue(r.at, r.arg0, "message delivered twice to one process");
+      } else if (retiring_ && s.aux != kBroadcastDst) {
+        sends_.erase(r.arg0);  // its one copy is consumed
       }
 
       const auto hop = static_cast<std::uint32_t>(g_.hops_.size());
@@ -201,7 +228,7 @@ void GraphBuilder::add(const TraceRecord& r) {
       if (r.pid >= 0 && r.pid < n_) {
         g_.delivers_by_pid[static_cast<std::size_t>(r.pid)].push_back(hop);
       }
-      g_.hops_.push_back(CausalGraph::HopRef{ref->rec, idx});
+      g_.hops_.push_back(CausalGraph::HopRef{send_rec, idx});
       break;
     }
     default:

@@ -15,10 +15,21 @@
 // is two 32-bit counters in a flat table — sends take the next sequence
 // number, an in-order delivery advances the delivery counter — and a
 // delivery that overtakes an undelivered predecessor is parked in one
-// shared ordered set, which stays empty in a clean run. The state is one
-// 16-byte slot per channel used and per message id (flat tables at most
-// 5/8 full) plus 4 B per broadcast recipient; a send is kept as the index
-// of its record, and a hop as the indices of its two records, not copied.
+// shared ordered set, which stays empty in a clean run. Only copies in
+// flight hold state: a unicast send leaves the send table when its copy
+// is consumed, a broadcast marks each recipient's copy consumed in
+// place, and an idle channel is erased (its numbers restart at its next
+// send; nothing live refers to the old ones). Entries are 16-byte slots
+// in flat tables at most 5/8 full, plus 4 B per broadcast recipient; a
+// send is kept as the index of its record, and a hop as the indices of
+// its two records, not copied.
+//
+// Retiring sends relies on ascending send ids, which the simulator's one
+// message counter guarantees. The first send id that does not ascend, or
+// a delivery of a missing id not above the latest, re-enters every
+// earlier send record (the first of each id wins; retired ones come back
+// consumed) and stops retiring for the run: every verdict is then that
+// of a matcher that forgets nothing, for one pass over a forged trace.
 //
 // Everything here is derived from TraceRecords alone — the whole point is
 // an *independent* witness that shares no code with the system under test
@@ -125,6 +136,11 @@ class GraphBuilder {
 
   void add(const TraceRecord& r);
 
+  /// Sends and channels with a copy in flight (plus every broadcast and,
+  /// after a re-index, every send): what the builder holds now.
+  std::size_t live_sends() const { return sends_.size(); }
+  std::size_t live_channels() const { return channels_.size(); }
+
   /// The graph of every record added so far; the builder is spent.
   CausalGraph finish();
 
@@ -135,31 +151,46 @@ class GraphBuilder {
   };
   /// A send: its record, and its sequence number on its channel — for a
   /// broadcast, the offset of its per-recipient numbers in bcast_seqs_.
+  /// A copy already delivered has the number kConsumed.
   struct SendRef {
     std::uint32_t rec = 0;
     std::uint32_t seq = 0;
   };
+  /// Never a channel sequence number: enqueue() stops short of it.
+  static constexpr std::uint32_t kConsumed = 0xffffffffu;
+
   std::uint32_t enqueue(std::uint64_t chan_key);
-  /// Consumes the delivery `r` of `send` on its channel. False if `r` is
-  /// not on the channel the send went to, or that copy was delivered.
-  bool match(const TraceRecord& send, const SendRef& ref,
-             const TraceRecord& r, bool comp);
+  /// Consumes the delivery `r` of `send` on its channel, marking the copy
+  /// consumed in `ref` or bcast_seqs_. False if `r` is not on the channel
+  /// the send went to, or that copy was delivered.
+  bool match(const TraceRecord& send, SendRef& ref, const TraceRecord& r,
+             bool comp);
+  /// Whether `id` may name a send retired from sends_: ids have ascended
+  /// so far and `id` is not above the latest.
+  bool may_be_retired(std::uint64_t id) const {
+    return retiring_ && g_.sends != 0 && id <= last_send_id_;
+  }
+  /// Puts every send record in [0, end) back into sends_ and stops
+  /// retiring: see the header comment.
+  void reindex(std::uint32_t end);
   void issue(sim::SimTime at, std::uint64_t id, std::string detail);
 
   const std::vector<TraceRecord>& records_;
   int n_;
   std::uint32_t next_rec_ = 0;
   CausalGraph g_;
-  util::FlatMap<SendRef> sends_;  // message id -> first send record
+  util::FlatMap<SendRef> sends_;  // message id -> first send record, live
   /// Message id -> what reroute / buffer / retry records said so far.
   util::FlatMap<CausalGraph::HopAnnot> annots_;
-  util::FlatMap<Chan> channels_;  // channel key -> counters
+  util::FlatMap<Chan> channels_;  // channel key -> counters, while busy
   std::vector<std::uint32_t> bcast_seqs_;  // n per broadcast, by recipient
   /// Deliveries that arrived ahead of an undelivered predecessor, keyed
   /// (channel key, seq); erased once the channel catches up to them.
   std::set<std::pair<std::uint64_t, std::uint32_t>> overtaken_;
   std::uint64_t enqueued_ = 0;  // expected deliveries
   std::uint64_t matched_ = 0;   // deliveries consumed on their channel
+  bool retiring_ = true;  // consumed unicasts leave sends_ (ids ascend)
+  std::uint64_t last_send_id_ = 0;  // id of the latest send while retiring
 };
 
 /// Rebuilds the causal graph of ONE run's records; the graph reads

@@ -3,10 +3,11 @@
 // One slot is the key plus the value, stored inline in a power-of-two
 // array and probed linearly from a SplitMix64-mixed home slot; the table
 // doubles when it passes 5/8 load. There is no per-entry node, so a
-// million-entry table costs one allocation instead of a million. Some
-// users (obs::GraphBuilder's channels, sends and per-message annotations)
-// only ever add keys; erase() serves ckpt::EventLog and
-// net::FifoSequencer, whose tables hold only what is still in transit.
+// million-entry table costs one allocation instead of a million.
+// obs::GraphBuilder's per-message annotations only ever add keys; erase()
+// serves ckpt::EventLog, net::FifoSequencer and GraphBuilder's sends and
+// channels, whose tables hold only what is still in transit. The slot
+// array never shrinks: it stays sized for the most keys ever present.
 #pragma once
 
 #include <cstddef>

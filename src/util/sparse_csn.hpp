@@ -83,6 +83,8 @@ class SparseCsnMap {
   }
 
   std::size_t active() const { return e_.size(); }
+  /// The non-zero entries, ascending by pid.
+  const Storage& entries() const { return e_; }
   bool operator==(const SparseCsnMap& other) const {
     return n_ == other.n_ && e_ == other.e_;
   }

@@ -484,13 +484,26 @@ std::vector<std::string> issue_lines(const Graph& g) {
 
 using Lines = std::vector<std::string>;
 
+bool same_hop(const obs::MsgHop& a, const obs::MsgHop& b) {
+  return std::tie(a.id, a.src, a.dst, a.kind, a.computation, a.sent_at,
+                  a.delivered_at, a.send_stamp, a.recv_stamp, a.buffered_at,
+                  a.retry_extra, a.forwarded) ==
+         std::tie(b.id, b.src, b.dst, b.kind, b.computation, b.sent_at,
+                  b.delivered_at, b.send_stamp, b.recv_stamp, b.buffered_at,
+                  b.retry_extra, b.forwarded);
+}
+
 /// The graph of a pinned case; the reference deque matcher must report
-/// the same issues and in-transit count, so the pins hold for both.
+/// the same issues, hops and in-transit count, so the pins hold for both.
 obs::CausalGraph pinned_graph(const std::vector<TraceRecord>& t, int n) {
   obs::CausalGraph g = obs::build_graph(t, n);
   const obs::DequeGraph ref = obs::build_graph_deque(t, n);
   EXPECT_EQ(issue_lines(g), issue_lines(ref));
   EXPECT_EQ(g.in_transit, ref.in_transit);
+  EXPECT_EQ(g.num_hops(), ref.hops.size());
+  for (std::size_t i = 0; i < std::min(g.num_hops(), ref.hops.size()); ++i) {
+    EXPECT_TRUE(same_hop(g.hop(i), ref.hops[i])) << "hop " << i;
+  }
   return g;
 }
 
@@ -610,9 +623,66 @@ TEST(AuditGraph, BroadcastDeliveredToItsSender) {
   EXPECT_EQ(g.in_transit, 2u);
 }
 
+// ---- retired sends and idle channels: the verdicts do not change ---------
+
+TEST(AuditGraph, UnicastDeliveredTwiceAfterItRetired) {
+  std::vector<TraceRecord> t = {
+      send_rec(10, 0, 1, 1), deliver_rec(20, 1, 0, 1),  // retired, idle
+      send_rec(21, 0, 1, 2),                             // channel anew
+      deliver_rec(30, 1, 0, 1),                          // again
+      deliver_rec(40, 1, 0, 2),
+  };
+  obs::CausalGraph g = pinned_graph(t, 2);
+  EXPECT_EQ(issue_lines(g),
+            (Lines{"t30 msg 1: message delivered twice to one process"}));
+  ASSERT_EQ(g.num_hops(), 3u);
+  EXPECT_EQ(g.hop(1).sent_at, 10);
+  EXPECT_EQ(g.hop(1).src, 0);
+  EXPECT_EQ(g.in_transit, 0u);
+}
+
+TEST(AuditGraph, SendReusingARetiredIdIsADuplicate) {
+  std::vector<TraceRecord> t = {
+      send_rec(10, 0, 1, 1), deliver_rec(20, 1, 0, 1),
+      send_rec(21, 1, 0, 2),
+      send_rec(30, 2, 1, 1),     // reuses the retired id 1
+      deliver_rec(40, 1, 2, 1),  // matches the first send, not this one
+      deliver_rec(41, 0, 1, 2),
+  };
+  obs::CausalGraph g = pinned_graph(t, 3);
+  EXPECT_EQ(issue_lines(g),
+            (Lines{"t30 msg 1: duplicate send record for one message id",
+                   "t40 msg 1: delivery names sender P2, send was by P0",
+                   "t40 msg 1: message delivered twice to one process"}));
+  EXPECT_EQ(g.sends, 2u);
+  ASSERT_EQ(g.num_hops(), 3u);
+  EXPECT_EQ(g.hop(1).sent_at, 10);
+  EXPECT_EQ(g.in_transit, 0u);
+}
+
+TEST(AuditGraph, BroadcastDeliveredTwiceAfterItsChannelWentIdle) {
+  std::vector<TraceRecord> t = {
+      send_rec(10, 0, obs::kBroadcastDst, 1, kReq),
+      deliver_rec(20, 1, 0, 1, kReq),  // channel P0 -> P1 idle
+      send_rec(21, 0, 1, 2, kReq),     // and in use again
+      deliver_rec(30, 1, 0, 1, kReq),  // P1's copy again
+      deliver_rec(31, 1, 0, 2, kReq),
+      deliver_rec(32, 2, 0, 1, kReq),
+  };
+  obs::CausalGraph g = pinned_graph(t, 3);
+  EXPECT_EQ(issue_lines(g),
+            (Lines{"t30 msg 1: message delivered twice to one process"}));
+  EXPECT_EQ(g.num_hops(), 4u);
+  EXPECT_EQ(g.in_transit, 0u);
+}
+
 // ---- matcher vs the reference deque matcher, on random traces ------------
 
-std::vector<TraceRecord> random_message_trace(std::mt19937_64& rng, int n) {
+/// A random message trace over n processes. Send ids come from a small
+/// pool, so some repeat, or with `ascending_ids` from a counter, as the
+/// simulator draws them; mangled deliveries may name any small id.
+std::vector<TraceRecord> random_message_trace(std::mt19937_64& rng, int n,
+                                              bool ascending_ids = false) {
   auto pick = [&](int lo, int hi) {
     return std::uniform_int_distribution<int>(lo, hi)(rng);
   };
@@ -625,12 +695,14 @@ std::vector<TraceRecord> random_message_trace(std::mt19937_64& rng, int n) {
   std::vector<TraceRecord> t;
   const int len = pick(1, 20);
   sim::SimTime now = 0;
+  std::uint64_t last_id = 0;
   for (int i = 0; i < len; ++i) {
     now += pick(0, 3);
     const int what = pick(0, 99);
     if (what < 40 || pending.empty()) {
-      // Send; ids are drawn from a small pool, so some repeat.
-      const std::uint64_t id = static_cast<std::uint64_t>(pick(1, 8));
+      const std::uint64_t id = ascending_ids
+                                   ? ++last_id
+                                   : static_cast<std::uint64_t>(pick(1, 8));
       const std::int32_t src = pick(0, n - 1);
       const std::uint8_t sub = pick(0, 2) == 0 ? kReq : kComp;
       const bool bcast = pick(0, 6) == 0;
@@ -670,23 +742,22 @@ std::vector<TraceRecord> random_message_trace(std::mt19937_64& rng, int n) {
   return t;
 }
 
-bool same_hop(const obs::MsgHop& a, const obs::MsgHop& b) {
-  return std::tie(a.id, a.src, a.dst, a.kind, a.computation, a.sent_at,
-                  a.delivered_at, a.send_stamp, a.recv_stamp, a.buffered_at,
-                  a.retry_extra, a.forwarded) ==
-         std::tie(b.id, b.src, b.dst, b.kind, b.computation, b.sent_at,
-                  b.delivered_at, b.send_stamp, b.recv_stamp, b.buffered_at,
-                  b.retry_extra, b.forwarded);
-}
-
-TEST(AuditGraph, MatchesReferenceDequeMatcherOnRandomTraces) {
+/// 20,000 random traces through the builder and the reference; counts in
+/// `retired` the trials that ended with some send retired. With pooled
+/// ids the builder re-indexes at the first repeat; with ascending ids it
+/// retires sends until a mangled delivery names a retired id, if one does.
+void expect_matches_deque_matcher(bool ascending, std::uint64_t* retired) {
   std::mt19937_64 rng(2024);
   std::uint64_t overtakes = 0;
   for (int trial = 0; trial < 20000; ++trial) {
     const int n = std::uniform_int_distribution<int>(2, 5)(rng);
-    const std::vector<TraceRecord> t = random_message_trace(rng, n);
+    const std::vector<TraceRecord> t = random_message_trace(rng, n, ascending);
     const obs::DequeGraph want = obs::build_graph_deque(t, n);
-    const obs::CausalGraph got = obs::build_graph(t, n);
+    obs::GraphBuilder b(t, n);
+    for (const TraceRecord& r : t) b.add(r);
+    const std::size_t live = b.live_sends();
+    const obs::CausalGraph got = b.finish();
+    *retired += live < got.sends ? 1 : 0;
     ASSERT_EQ(issue_lines(got), issue_lines(want)) << "trial " << trial;
     ASSERT_EQ(got.num_hops(), want.hops.size()) << "trial " << trial;
     for (std::size_t i = 0; i < got.num_hops(); ++i) {
@@ -702,6 +773,114 @@ TEST(AuditGraph, MatchesReferenceDequeMatcherOnRandomTraces) {
     }
   }
   EXPECT_GT(overtakes, 1000u);  // the generator does exercise overtakes
+}
+
+TEST(AuditGraph, MatchesReferenceDequeMatcherOnRandomTraces) {
+  std::uint64_t retired = 0;
+  expect_matches_deque_matcher(/*ascending=*/false, &retired);
+}
+
+TEST(AuditGraph, MatchesReferenceDequeMatcherOnAscendingIdTraces) {
+  // Most trials retire sends; the mangled ones switch to the re-index.
+  std::uint64_t retired = 0;
+  expect_matches_deque_matcher(/*ascending=*/true, &retired);
+  EXPECT_GT(retired, 5000u);
+}
+
+// The builder holds only what is in flight: 200k unicasts over n = 4096
+// with at most 64 in flight, and a few broadcasts fanned out in full,
+// never hold more than the copies in flight. A builder that keeps every
+// send and every channel ever used ends with ~200k of each.
+TEST(AuditGraph, LiveStateIsBoundedByCopiesInFlight) {
+  constexpr int kN = 4096;
+  constexpr std::size_t kUnicasts = 200000;
+  constexpr std::size_t kMaxInFlight = 64;
+  constexpr std::size_t kBroadcasts = 4;
+  std::mt19937_64 rng(99);
+  auto pick = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  struct Copy {
+    std::uint64_t id;
+    std::int32_t src, dst;
+  };
+  std::vector<TraceRecord> t;
+  // After each record: unicast copies in flight, and broadcasts so far;
+  // broadcast copies in flight are fanout_left.
+  std::vector<std::size_t> unicasts_in_flight, bcasts_sent, fanout_left;
+  std::vector<Copy> flight;
+  std::uint64_t next_id = 1;
+  sim::SimTime now = 0;
+  std::size_t sent = 0, bcasts = 0;
+  auto note = [&](std::size_t fanout) {
+    unicasts_in_flight.push_back(flight.size());
+    bcasts_sent.push_back(bcasts);
+    fanout_left.push_back(fanout);
+  };
+  auto deliver = [&](std::size_t k) {
+    // The oldest copy on k's channel goes first, so the trace is FIFO.
+    for (std::size_t j = 0; j < k; ++j) {
+      if (flight[j].src == flight[k].src && flight[j].dst == flight[k].dst) {
+        k = j;
+        break;
+      }
+    }
+    const Copy c = flight[k];
+    flight.erase(flight.begin() + static_cast<std::ptrdiff_t>(k));
+    t.push_back(deliver_rec(++now, c.dst, static_cast<std::uint16_t>(c.src),
+                            c.id));
+    note(0);
+  };
+  while (sent < kUnicasts) {
+    if (bcasts < kBroadcasts &&
+        sent >= (2 * bcasts + 1) * kUnicasts / (2 * kBroadcasts)) {
+      // Drain, then fan a broadcast out to everyone.
+      while (!flight.empty()) deliver(0);
+      const std::int32_t src = pick(0, kN - 1);
+      const std::uint64_t id = next_id++;
+      ++bcasts;
+      t.push_back(send_rec(++now, src, obs::kBroadcastDst, id, kReq));
+      note(kN - 1);
+      std::size_t left = kN - 1;
+      for (std::int32_t p = 0; p < kN; ++p) {
+        if (p == src) continue;
+        t.push_back(deliver_rec(++now, p, static_cast<std::uint16_t>(src),
+                                id, kReq));
+        note(--left);
+      }
+    }
+    if (flight.size() < kMaxInFlight && pick(0, 1) == 0) {
+      // A few neighbours per sender, so channels are reused after idling.
+      const std::int32_t src = pick(0, kN - 1);
+      const std::int32_t dst = (src + pick(1, 3)) % kN;
+      const std::uint64_t id = next_id++;
+      t.push_back(send_rec(++now, src, static_cast<std::uint16_t>(dst), id));
+      flight.push_back({id, src, dst});
+      ++sent;
+      note(0);
+    } else if (!flight.empty()) {
+      deliver(static_cast<std::size_t>(
+          pick(0, static_cast<int>(flight.size()) - 1)));
+    }
+  }
+  while (!flight.empty()) deliver(0);
+
+  obs::GraphBuilder b(t, kN);
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    b.add(t[i]);
+    ASSERT_LE(unicasts_in_flight[i], kMaxInFlight);
+    ASSERT_LE(b.live_sends(), unicasts_in_flight[i] + bcasts_sent[i])
+        << "record " << i;
+    ASSERT_LE(b.live_channels(), unicasts_in_flight[i] + fanout_left[i])
+        << "record " << i;
+  }
+  EXPECT_EQ(b.live_sends(), kBroadcasts);  // broadcasts stay; few of them
+  EXPECT_EQ(b.live_channels(), 0u);
+  const obs::CausalGraph g = b.finish();
+  EXPECT_EQ(issue_lines(g), Lines{});
+  EXPECT_EQ(g.sends, kUnicasts + kBroadcasts);
+  EXPECT_EQ(g.num_hops(), kUnicasts + kBroadcasts * (kN - 1));
+  EXPECT_EQ(g.in_transit, 0u);
 }
 
 // ---- Theorem 1 replay vs the per-line scan, on random committed lines ----

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bitvec.hpp"
+#include "core/cao_singhal.hpp"
 #include "core/codec.hpp"
 #include "core/payloads.hpp"
 #include "util/flat_map.hpp"
@@ -328,6 +329,35 @@ core::SparseMr random_mr(std::mt19937& rng, std::size_t n) {
                                     static_cast<std::uint8_t>(i & 1)});
   }
   return mr;
+}
+
+// The request MR prop_cp sends, built by one merge, against the raise /
+// mark loop it replaced: the copy of MR, every dep_csn entry raised in,
+// every dependency marked requested. Slot for slot the same.
+TEST(SparseProperty, RequestMrMergeMatchesRaiseMarkLoop) {
+  std::mt19937 rng(0xC5);
+  std::uniform_int_distribution<int> which(0, 2);
+  for (int iter = 0; iter < 3000; ++iter) {
+    const std::size_t n = which(rng) == 0 ? 16 : 300;
+    core::SparseMr mr = random_mr(rng, n);
+    if (which(rng) == 0) mr.put(n - 1, core::MrEntry{0, 2});  // raw R byte
+    util::SparseCsnMap dep(n);
+    std::uniform_int_distribution<std::size_t> pick(0, n - 1);
+    std::uniform_int_distribution<Csn> val(1, 1u << 20);
+    const int k = std::uniform_int_distribution<int>(0, 40)(rng);
+    for (int i = 0; i < k; ++i) dep.raise(pick(rng), val(rng));
+    const util::IntervalSet deps = random_iset(rng, n);
+
+    core::SparseMr want = mr;
+    dep.for_each([&want](std::size_t j, Csn v) { want.raise_csn(j, v); });
+    deps.for_each([&want](std::size_t j) { want.mark_requested(j); });
+    const core::SparseMr got = core::request_mr(mr, dep, deps);
+    ASSERT_EQ(got, want) << "iter " << iter;
+  }
+  // Empty inputs give the empty MR.
+  EXPECT_EQ(core::request_mr(core::SparseMr{}, util::SparseCsnMap(8),
+                             util::IntervalSet(8)),
+            core::SparseMr{});
 }
 
 TEST(SparseProperty, CodecFuzzRoundTripTruncationCorruption) {
