@@ -55,7 +55,6 @@ class KooTouegProtocol final : public rt::CheckpointProtocol {
 
   ckpt::InitiationStats& stats_of(ckpt::InitiationId init);
 
-  // On the heap, not the system arena: arena spill is never returned.
   util::IntervalSet R_;
   std::vector<Csn> csn_;  // csn_[j]: last csn seen from P_j
   Csn own_csn_ = 0;       // our stable-checkpoint count

@@ -33,15 +33,6 @@ void CaoSinghalProtocol::start() {
   R_ = IntervalSet(static_cast<std::size_t>(n));
   csn_.assign(static_cast<std::size_t>(n));
   dep_csn_.assign(static_cast<std::size_t>(n));
-  if (ctx_.arena != nullptr) {
-    // Long-lived sparse state spills into the System arena. Payload
-    // state built from these (reply deps, the request MR each fan-out
-    // shares) stays heap-backed: SmallVec copies never inherit the
-    // source arena.
-    R_.set_arena(ctx_.arena);
-    csn_.set_arena(ctx_.arena);
-    dep_csn_.set_arena(ctx_.arena);
-  }
   own_trigger_ = Trigger{self(), 0};
 }
 

@@ -24,7 +24,7 @@
 
 #include "core/payloads.hpp"
 #include "rt/wire.hpp"
-#include "util/arena.hpp"
+#include "util/small_vec.hpp"
 
 namespace mck::core {
 

@@ -7,9 +7,9 @@
 
 #include "core/trigger.hpp"
 #include "rt/message.hpp"
-#include "util/arena.hpp"
 #include "util/assert.hpp"
 #include "util/interval_set.hpp"
+#include "util/small_vec.hpp"
 #include "util/types.hpp"
 #include "util/weight.hpp"
 
@@ -47,9 +47,7 @@ class SparseMr {
   };
 
   /// A request's MR lives as long as the last request of its fan-out
-  /// (RequestPayload::mr), a lifetime that is not an arena's, so
-  /// SparseMr storage is never arena-backed: inline up to 4 slots,
-  /// global heap beyond (see util/arena.hpp ownership rules).
+  /// (RequestPayload::mr): inline up to 4 slots, heap beyond.
   using Storage = util::SmallVec<Slot, 4>;
 
   SparseMr() = default;

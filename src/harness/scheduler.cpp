@@ -17,8 +17,13 @@ void CheckpointScheduler::start(sim::SimTime horizon) {
   for (ProcessId p = 0; p < count; ++p) {
     sim::SimTime first = opts_.interval;
     if (opts_.stagger_start) {
-      first = opts_.interval / count * (p + 1) +
-              sys_.rng().exponential(opts_.interval / (4 * count));
+      // An interval shorter than 4 ns per initiator leaves no jitter.
+      const sim::SimTime jitter_mean = opts_.interval / (4 * count);
+      first = opts_.interval / count * (p + 1);
+      if (jitter_mean > 0) {
+        first =
+            sim::add_saturating(first, sys_.rng().exponential(jitter_mean));
+      }
     }
     schedule_at(p, first);
   }
@@ -35,7 +40,7 @@ void CheckpointScheduler::fire(ProcessId p) {
   // initiation), push the scheduled checkpoint out.
   sim::SimTime last = sys_.store().last_stable_taken_at(p);
   if (last > 0 && now - last < opts_.interval) {
-    schedule_at(p, last + opts_.interval);
+    schedule_at(p, sim::add_saturating(last, opts_.interval));
     return;
   }
   if (opts_.serialize) {
@@ -57,7 +62,7 @@ void CheckpointScheduler::fire(ProcessId p) {
   }
   ++fired_;
   sys_.initiate(p);
-  schedule_at(p, now + opts_.interval);
+  schedule_at(p, sim::add_saturating(now, opts_.interval));
 }
 
 }  // namespace mck::harness

@@ -12,12 +12,6 @@ namespace {
 // per-event hook would be pure overhead). Plain functions over void*
 // match obs::TimelineSampler::PullSource without giving obs a dependency
 // on harness/rt types.
-std::uint64_t pull_arena_bytes(const void* ctx) {
-  return static_cast<const util::Arena*>(ctx)->bytes_used();
-}
-std::uint64_t pull_arena_reserved(const void* ctx) {
-  return static_cast<const util::Arena*>(ctx)->bytes_reserved();
-}
 std::uint64_t pull_msgs_sent(const void* ctx) {
   const auto* s = static_cast<const rt::RunStats*>(ctx);
   std::uint64_t n = 0;
@@ -49,14 +43,11 @@ std::uint64_t pull_forwarded_total(const void* ctx) {
 }
 
 /// Registers the standard cumulative pull sources on a timeline sampler:
-/// RunStats totals, arena telemetry and (when `cell` is non-null) the
-/// cellular transport's buffered/forwarded counters.
+/// RunStats totals and (when `cell` is non-null) the cellular transport's
+/// buffered/forwarded counters.
 void register_timeline_pulls(obs::TimelineSampler& tl,
                              const rt::RunStats* stats,
-                             const util::Arena* arena,
                              const mobile::CellularTransport* cell) {
-  tl.add_pull(obs::kColArenaBytes, &pull_arena_bytes, arena);
-  tl.add_pull(obs::kColArenaReserved, &pull_arena_reserved, arena);
   tl.add_pull(obs::kColMsgsSent, &pull_msgs_sent, stats);
   tl.add_pull(obs::kColDeliveries, &pull_deliveries, stats);
   tl.add_pull(obs::kColBytesComp, &pull_bytes_comp, stats);
@@ -202,7 +193,7 @@ System::System(SystemOptions opts)
     } else {
       cell_->set_timeline(c);
     }
-    register_timeline_pulls(*tl, &stats_, &arena_, cell_.get());
+    register_timeline_pulls(*tl, &stats_, cell_.get());
   }
 
   protos_.reserve(static_cast<std::size_t>(opts_.num_processes));
@@ -222,7 +213,6 @@ System::System(SystemOptions opts)
     ctx.timing = &opts_.timing;
     ctx.codec = core::universal_codec();
     ctx.tracer = opts_.tracer;
-    ctx.arena = &arena_;
     ctx.timeline = opts_.timeline != nullptr && opts_.timeline->enabled()
                        ? opts_.timeline->counters()
                        : nullptr;

@@ -72,7 +72,7 @@ struct SystemOptions {
   /// Run-health timeline sampler (DESIGN.md 3f). When non-null *and*
   /// configured, the constructor attaches its gauge block to every owner
   /// (transport, store, tracker, protocols), registers the pull sources
-  /// (stats / arena / transport cumulatives) and arms the simulator's
+  /// (stats / transport cumulatives) and arms the simulator's
   /// sampling hook. Null or unconfigured keeps every hot-path site at a
   /// single untaken branch.
   obs::TimelineSampler* timeline = nullptr;
@@ -135,10 +135,6 @@ class System {
   ckpt::CoordinationTracker tracker_;
   ckpt::ConsistencyChecker checker_{log_, tracker_};
   rt::RunStats stats_;
-  /// Run-lifetime bump arena for the protocols' sparse-state spill
-  /// storage (rt::ProcessContext::arena). Declared before protos_ so it
-  /// outlives them during destruction.
-  util::Arena arena_;
   std::unique_ptr<net::LanTransport> lan_;
   std::unique_ptr<mobile::CellularTransport> cell_;
   std::vector<std::unique_ptr<rt::CheckpointProtocol>> protos_;

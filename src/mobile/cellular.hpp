@@ -31,7 +31,7 @@
 #include "obs/trace.hpp"
 #include "rt/transport.hpp"
 #include "sim/simulator.hpp"
-#include "util/arena.hpp"
+#include "util/small_vec.hpp"
 #include "util/types.hpp"
 
 namespace mck::mobile {

@@ -11,7 +11,7 @@ void MobilityModel::start(sim::SimTime horizon) {
 
 void MobilityModel::schedule_next(ProcessId pid) {
   sim::SimTime dwell = rng_.exponential(params_.mean_residence);
-  sim::SimTime at = sim_.now() + dwell;
+  sim::SimTime at = sim::add_saturating(sim_.now(), dwell);
   if (at > horizon_) return;
   sim_.schedule_at(at, [this, pid]() { move(pid); });
 }
@@ -24,7 +24,8 @@ void MobilityModel::move(ProcessId pid) {
   if (rng_.bernoulli(params_.disconnect_probability)) {
     if (on_disconnect) on_disconnect(pid);
     transport_.disconnect(pid);
-    sim::SimTime back = sim_.now() + rng_.exponential(params_.mean_disconnect);
+    sim::SimTime back = sim::add_saturating(
+        sim_.now(), rng_.exponential(params_.mean_disconnect));
     sim_.schedule_at(back, [this, pid]() {
       MssId cell = static_cast<MssId>(
           rng_.uniform_int(0, transport_.num_mss() - 1));

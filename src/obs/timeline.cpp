@@ -18,8 +18,6 @@ constexpr TimelineColumn kColumns[kTimelineNumColumns] = {
     {"events_executed", TimelineValue::kU64},
     {"queue_depth", TimelineValue::kU64},
     {"event_slots", TimelineValue::kU64},
-    {"arena_bytes", TimelineValue::kU64},
-    {"arena_reserved", TimelineValue::kU64},
     {"in_flight", TimelineValue::kI64},
     {"buffered_now", TimelineValue::kI64},
     {"blocked_procs", TimelineValue::kI64},

@@ -7,9 +7,9 @@
 // the sampler appends one fixed-width row of gauges — in-flight and
 // buffered messages, blocked processes, outstanding initiator weight,
 // live checkpoint counts by kind, disconnected MHs, per-MSS buffer-depth
-// aggregates, event-queue depth, cumulative traffic by class, and memory
-// telemetry. A row is O(columns) to record, independent of n, so a 1M-host
-// run produces the same few-KiB-per-sim-minute stream as a 16-host run.
+// aggregates, event-queue depth and cumulative traffic by class. A row
+// is O(columns) to record, independent of n, so a 1M-host run produces
+// the same few-KiB-per-sim-minute stream as a 16-host run.
 //
 // Determinism contract: rows are a pure function of (config, seed), so
 // timeline bytes are identical for any --jobs count. Instrumented layers
@@ -58,39 +58,38 @@ struct TimelineColumn {
   TimelineValue value;
 };
 
-// Column indices. The order is the wire order; append-only across format
-// versions (readers are schema-driven, but the instrumented layers index
-// by these constants).
+// Column indices, in wire order. A file carries its own schema and the
+// reader takes columns from it, so a column can be added or dropped
+// without breaking old files; these constants index the rows of the
+// running build only.
 enum : int {
   kColTime = 0,             // sim time of the tick, ns
   kColEventsExecuted = 1,   // cumulative events fired (engine)
   kColQueueDepth = 2,       // live pending events
   kColEventSlots = 3,       // slot-pool high-water mark (256/chunk)
-  kColArenaBytes = 4,       // arena bytes in use
-  kColArenaReserved = 5,    // arena bytes reserved
-  kColInFlight = 6,         // messages on the wire (i64 gauge)
-  kColBufferedNow = 7,      // messages parked at MSSs (i64 gauge)
-  kColBlockedProcs = 8,     // processes blocked by the protocol
-  kColActiveInits = 9,      // open checkpointing rounds
-  kColOutstandingWeight = 10,  // initiator weight not yet returned (f64)
-  kColCkptMutable = 11,     // live checkpoints by kind
-  kColCkptTentative = 12,
-  kColCkptPermanent = 13,
-  kColCkptDisconnect = 14,
-  kColDisconnectedMhs = 15,
-  kColMssBufMin = 16,       // per-MSS buffer depth aggregates
-  kColMssBufMax = 17,
-  kColMssBufSum = 18,
-  kColMssCount = 19,        // MSSs contributing to the aggregates
-  kColMsgsSent = 20,        // cumulative totals (pulled from RunStats)
-  kColDeliveries = 21,
-  kColBytesComp = 22,       // computation-message payload bytes
-  kColBytesSys = 23,        // system-message payload bytes
-  kColWireBytesComp = 24,   // honest wire bytes (0 unless recorded)
-  kColWireBytesSys = 25,
-  kColBufferedTotal = 26,   // cumulative MSS buffer arrivals
-  kColForwardedTotal = 27,  // cumulative handoff reroutes
-  kTimelineNumColumns = 28,
+  kColInFlight = 4,         // messages on the wire (i64 gauge)
+  kColBufferedNow = 5,      // messages parked at MSSs (i64 gauge)
+  kColBlockedProcs = 6,     // processes blocked by the protocol
+  kColActiveInits = 7,      // open checkpointing rounds
+  kColOutstandingWeight = 8,  // initiator weight not yet returned (f64)
+  kColCkptMutable = 9,      // live checkpoints by kind
+  kColCkptTentative = 10,
+  kColCkptPermanent = 11,
+  kColCkptDisconnect = 12,
+  kColDisconnectedMhs = 13,
+  kColMssBufMin = 14,       // per-MSS buffer depth aggregates
+  kColMssBufMax = 15,
+  kColMssBufSum = 16,
+  kColMssCount = 17,        // MSSs contributing to the aggregates
+  kColMsgsSent = 18,        // cumulative totals (pulled from RunStats)
+  kColDeliveries = 19,
+  kColBytesComp = 20,       // computation-message payload bytes
+  kColBytesSys = 21,        // system-message payload bytes
+  kColWireBytesComp = 22,   // honest wire bytes (0 unless recorded)
+  kColWireBytesSys = 23,
+  kColBufferedTotal = 24,   // cumulative MSS buffer arrivals
+  kColForwardedTotal = 25,  // cumulative handoff reroutes
+  kTimelineNumColumns = 26,
 };
 
 /// The built-in schema, indexed by the kCol* constants above.
@@ -148,7 +147,7 @@ struct TimelineRun {
 class TimelineSampler {
  public:
   /// Cumulative-counter sources sampled at each tick (RunStats totals,
-  /// arena bytes, transport counters). The function pointer + context
+  /// transport counters). The function pointer + context
   /// shape keeps this header free of harness/rt dependencies; the
   /// harness registers the accessors.
   struct PullSource {

@@ -21,7 +21,6 @@
 #include "rt/transport.hpp"
 #include "sim/simulator.hpp"
 #include "stats/energy.hpp"
-#include "util/arena.hpp"
 #include "util/types.hpp"
 
 namespace mck::rt {
@@ -117,13 +116,6 @@ struct ProcessContext {
   /// delivery and block/unblock here, so all eight algorithms get the
   /// message-path trace points for free.
   obs::Tracer* tracer = nullptr;
-  /// Run-lifetime bump arena (null = global heap). Protocols bind
-  /// their long-lived sparse state (dependency vectors, csn maps) to it
-  /// so spill storage is a pointer bump instead of a malloc. Owned by the
-  /// System, lives for the whole run, never reset
-  /// mid-run — see DESIGN.md "Hot-path memory discipline" for what may
-  /// and may not be arena-backed.
-  util::Arena* arena = nullptr;
   /// Timeline gauge block (null = off). The protocol base maintains the
   /// blocked-process gauge here; other owners (store, tracker, transport)
   /// hold their own pointer to the same block.

@@ -26,7 +26,8 @@ class Rng {
     return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
   }
 
-  /// Exponentially distributed duration with the given mean.
+  /// Exponentially distributed duration with the given mean. A draw too
+  /// long for SimTime saturates at kTimeNever.
   SimTime exponential(SimTime mean) {
     MCK_ASSERT(mean > 0);
     double u;
@@ -34,6 +35,7 @@ class Rng {
       u = uniform01();
     } while (u <= 0.0);
     double d = -static_cast<double>(mean) * std::log(u);
+    if (!(d < 0x1p63)) return kTimeNever;
     SimTime t = static_cast<SimTime>(d);
     return t > 0 ? t : 1;  // keep time strictly advancing
   }

@@ -22,6 +22,20 @@ constexpr SimTime from_seconds(double s) {
   return static_cast<SimTime>(s * 1e9 + (s >= 0 ? 0.5 : -0.5));
 }
 
+/// `s` seconds as a SimTime when it rounds to a duration in
+/// [1 ns, kTimeNever); 0 when it does not (too short, negative, or too
+/// long for an int64 of nanoseconds).
+constexpr SimTime checked_from_seconds(double s) {
+  const double ns = s * 1e9;
+  return ns >= 0.5 && ns < 0x1p63 ? from_seconds(s) : 0;
+}
+
+/// `t + d` for times and durations >= 0, saturating at kTimeNever so a
+/// long draw lands past every horizon instead of wrapping into the past.
+constexpr SimTime add_saturating(SimTime t, SimTime d) {
+  return d > kTimeNever - t ? kTimeNever : t + d;
+}
+
 constexpr double to_seconds(SimTime t) { return static_cast<double>(t) / 1e9; }
 constexpr double to_milliseconds(SimTime t) {
   return static_cast<double>(t) / 1e6;

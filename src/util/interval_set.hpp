@@ -18,8 +18,8 @@
 #include <utility>
 #include <vector>
 
-#include "util/arena.hpp"
 #include "util/assert.hpp"
+#include "util/small_vec.hpp"
 
 namespace mck::util {
 
@@ -40,10 +40,6 @@ class IntervalSet {
 
   /// Universe size (matches the dense BitVec's size()).
   std::size_t size() const { return n_; }
-
-  /// Spill storage for sets that outgrow the inline capacity comes from
-  /// `a` (see util/arena.hpp ownership rules). Call before first use.
-  void set_arena(Arena* a) { iv_.set_arena(a); }
 
   void set(std::size_t i, bool v = true) {
     MCK_ASSERT(i < n_);

@@ -12,8 +12,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/arena.hpp"
 #include "util/assert.hpp"
+#include "util/small_vec.hpp"
 #include "util/types.hpp"
 
 namespace mck::util {
@@ -33,10 +33,6 @@ class SparseCsnMap {
 
   /// Universe size (matches the dense vector's size()).
   std::size_t size() const { return n_; }
-
-  /// Spill storage beyond the inline capacity comes from `a` (see
-  /// util/arena.hpp ownership rules). Call before first use.
-  void set_arena(Arena* a) { e_.set_arena(a); }
 
   /// Dense-equivalent read: 0 when no entry exists.
   Csn get(std::size_t pid) const {

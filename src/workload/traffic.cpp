@@ -15,7 +15,8 @@ void PointToPointWorkload::start(sim::SimTime horizon) {
 }
 
 void PointToPointWorkload::schedule(ProcessId p) {
-  sim::SimTime at = sim_.now() + rng_.exponential(mean_gap_);
+  sim::SimTime at =
+      sim::add_saturating(sim_.now(), rng_.exponential(mean_gap_));
   if (at > horizon_) return;
   sim_.schedule_at(at, [this, p]() {
     ProcessId dst =
@@ -38,9 +39,10 @@ GroupWorkload::GroupWorkload(sim::Simulator& sim, sim::Rng& rng,
       rng_(rng),
       n_(num_processes),
       groups_(num_groups),
-      intra_gap_(sim::from_seconds(1.0 / intra_msgs_per_second)),
-      inter_gap_(sim::from_seconds(ratio / intra_msgs_per_second)),
+      intra_gap_(mean_gap(intra_msgs_per_second)),
+      inter_gap_(mean_gap(intra_msgs_per_second, ratio)),
       send_(std::move(send)) {
+  MCK_ASSERT(intra_gap_ > 0 && inter_gap_ > 0);
   MCK_ASSERT(num_groups >= 2);
   MCK_ASSERT(num_processes % num_groups == 0);
   MCK_ASSERT(num_processes / num_groups >= 2);
@@ -72,7 +74,8 @@ ProcessId GroupWorkload::pick_leader(ProcessId exclude) {
 }
 
 void GroupWorkload::schedule_intra(ProcessId p) {
-  sim::SimTime at = sim_.now() + rng_.exponential(intra_gap_);
+  sim::SimTime at =
+      sim::add_saturating(sim_.now(), rng_.exponential(intra_gap_));
   if (at > horizon_) return;
   sim_.schedule_at(at, [this, p]() {
     send_(p, pick_group_member(group_of(p), p));
@@ -81,7 +84,8 @@ void GroupWorkload::schedule_intra(ProcessId p) {
 }
 
 void GroupWorkload::schedule_inter(ProcessId leader) {
-  sim::SimTime at = sim_.now() + rng_.exponential(inter_gap_);
+  sim::SimTime at =
+      sim::add_saturating(sim_.now(), rng_.exponential(inter_gap_));
   if (at > horizon_) return;
   sim_.schedule_at(at, [this, leader]() {
     send_(leader, pick_leader(leader));

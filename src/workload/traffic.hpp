@@ -15,12 +15,21 @@
 
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+#include "util/assert.hpp"
 #include "util/types.hpp"
 
 namespace mck::workload {
 
 /// The harness wires this to CheckpointProtocol::send_computation.
 using SendFn = std::function<void(ProcessId src, ProcessId dst)>;
+
+/// The mean gap both generators draw exponential send gaps from: `ratio`
+/// times the mean of `msgs_per_second` sends a second. 0 when that mean
+/// does not round into [1 ns, kTimeNever), so a caller can reject the
+/// rate before it builds a generator.
+inline sim::SimTime mean_gap(double msgs_per_second, double ratio = 1.0) {
+  return sim::checked_from_seconds(ratio / msgs_per_second);
+}
 
 class PointToPointWorkload {
  public:
@@ -29,8 +38,10 @@ class PointToPointWorkload {
       : sim_(sim),
         rng_(rng),
         n_(num_processes),
-        mean_gap_(sim::from_seconds(1.0 / msgs_per_second)),
-        send_(std::move(send)) {}
+        mean_gap_(mean_gap(msgs_per_second)),
+        send_(std::move(send)) {
+    MCK_ASSERT(mean_gap_ > 0);
+  }
 
   void start(sim::SimTime horizon);
 

@@ -1,9 +1,9 @@
 // Proves the hot-path memory discipline (DESIGN.md): once warm, the
 // simulator schedules and fires events without touching the heap, a
 // tracer that is off allocates nothing, pooled message payloads recycle
-// their nodes, and the generation-counted slot
-// pool survives its edge cases (cancel-after-fire, generation wraparound,
-// pool growth and recycling).
+// their nodes, SmallVec spill storage goes back to the heap, and the
+// generation-counted slot pool survives its edge cases (cancel-after-fire,
+// generation wraparound, pool growth and recycling).
 //
 // Allocation counting uses a binary-local instrumented operator new.
 // Sanitizer builds may route allocations around it (their interceptors sit
@@ -27,10 +27,17 @@
 #include "obs/trace.hpp"
 #include "rt/message.hpp"
 #include "sim/simulator.hpp"
+#include "util/interval_set.hpp"
 #include "util/pool.hpp"
+#include "util/sparse_csn.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::uint64_t> g_free_count{0};
+
+void count_free(void* p) {
+  if (p != nullptr) g_free_count.fetch_add(1, std::memory_order_relaxed);
+}
 }  // namespace
 
 void* operator new(std::size_t n) {
@@ -39,10 +46,28 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  count_free(p);
+  std::free(p);
+}
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
+// SmallVec spills through the aligned forms.
+void* operator new(std::size_t n, std::align_val_t al) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  void* p = nullptr;
+  std::size_t a = static_cast<std::size_t>(al);
+  if (a < sizeof(void*)) a = sizeof(void*);
+  if (posix_memalign(&p, a, n ? n : 1) == 0) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p, std::align_val_t) noexcept {
+  ::operator delete(p);
+}
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  ::operator delete(p);
+}
 
 namespace mck::sim {
 
@@ -70,11 +95,15 @@ std::uint64_t allocs() {
   return g_alloc_count.load(std::memory_order_relaxed);
 }
 
+std::uint64_t frees() { return g_free_count.load(std::memory_order_relaxed); }
+
 /// True when the instrumented operator new is actually on the allocation
 /// path (false under allocator-replacing sanitizers).
 bool counter_active() {
   std::uint64_t before = allocs();
-  delete new int(0);
+  // Through a volatile pointer, so the optimizer cannot elide the pair.
+  int* volatile probe = new int(0);
+  delete probe;
   return allocs() != before;
 }
 
@@ -338,6 +367,78 @@ TEST(HotPathAllocs, LegacyStyleChurnIsVisibleToTheCounter) {
     p->csn = static_cast<Csn>(i);
   }
   EXPECT_GE(allocs() - a0, 100u) << "make_shared churn allocates per message";
+}
+
+TEST(HotPathAllocs, SmallVecSpillIsReturnedToTheHeap) {
+  if (!counter_active()) GTEST_SKIP() << "allocator interposed (sanitizer)";
+  const std::uint64_t news0 = allocs();
+  const std::uint64_t frees0 = frees();
+  std::uint64_t news_alive = 0;
+  std::uint64_t live_blocks = 0;
+  {
+    util::IntervalSet deps(100000);
+    util::SparseCsnMap csn(100000);
+    // Disjoint intervals and distinct pids, far past the inline capacity:
+    // the spill block doubles several times, then is emptied and regrown
+    // past its old high-water mark.
+    for (std::size_t i = 0; i < 200; ++i) {
+      deps.set(i * 7);
+      csn.raise(i * 11, 5);
+    }
+    deps.reset();
+    csn.assign(100000);
+    for (std::size_t i = 0; i < 800; ++i) {
+      deps.set(i * 7);
+      csn.raise(i * 11, 5);
+    }
+    news_alive = allocs() - news0;
+    live_blocks = news_alive - (frees() - frees0);
+    ASSERT_EQ(deps.count(), 800u);
+    ASSERT_EQ(csn.active(), 800u);
+  }
+  const std::uint64_t news = allocs() - news0;
+  const std::uint64_t freed = frees() - frees0;
+  EXPECT_GT(news_alive, 2u) << "both containers re-spilled as they grew";
+  EXPECT_EQ(live_blocks, 2u) << "each container keeps one spill block";
+  EXPECT_EQ(news, freed) << "destruction returns every spill block";
+}
+
+TEST(HotPathAllocs, WarmSpilledContainersRefillWithoutAllocating) {
+  if (!counter_active()) GTEST_SKIP() << "allocator interposed (sanitizer)";
+  // Cao-Singhal clears R_ and its csn maps at every checkpoint; a clear
+  // keeps the spill block, so refilling to the same size is heap-free.
+  util::SmallVec<int, 2> v;
+  util::IntervalSet deps(1000);
+  util::SparseCsnMap csn(100000);
+  for (int i = 0; i < 3; ++i) v.push_back(i);
+  for (std::size_t i = 0; i < 20; ++i) deps.set(i * 7);
+  for (std::size_t pid = 0; pid < 64; ++pid) csn.raise(pid * 11, 5);
+  std::uint64_t a0 = allocs();
+  v.clear();
+  deps.reset();
+  csn.assign(100000);
+  for (int i = 0; i < 3; ++i) v.push_back(i);
+  for (std::size_t i = 0; i < 20; ++i) deps.set(i * 7);
+  for (std::size_t pid = 0; pid < 64; ++pid) csn.raise(pid * 11, 5);
+  EXPECT_EQ(allocs(), a0) << "warm container refills must not allocate";
+  EXPECT_EQ(v.size(), 3u);
+  EXPECT_EQ(deps.count(), 20u);
+  EXPECT_EQ(csn.active(), 64u);
+
+  // A remerge that leaves the set as it is allocates nothing once the
+  // set's block covers the union (and merge's scratch fits inline).
+  util::IntervalSet s(1000);
+  util::IntervalSet other(1000);
+  for (std::size_t i = 0; i < 4; ++i) {
+    s.set(i * 7);
+    other.set(i * 7 + 1);
+  }
+  s.merge(other);
+  ASSERT_EQ(s.count(), 8u);
+  a0 = allocs();
+  s.merge(other);
+  EXPECT_EQ(allocs(), a0) << "idempotent remerge must not allocate";
+  EXPECT_EQ(s.count(), 8u);
 }
 
 TEST(SlotPoolEdge, CancelAfterFireIsANoOp) {

@@ -264,6 +264,22 @@ TEST(Rng, ExponentialHasRoughlyRightMean) {
   EXPECT_NEAR(measured, 10.0, 0.5);
 }
 
+TEST(Rng, ExponentialSaturatesInsteadOfOverflowing) {
+  // -log(u) exceeds 2 for about one draw in 7, so with a mean of 2^62 ns
+  // some draws are too long for SimTime; they read kTimeNever, never a
+  // wrapped or tiny duration.
+  Rng rng(7);
+  int saturated = 0;
+  for (int i = 0; i < 200; ++i) {
+    SimTime t = rng.exponential(SimTime{1} << 62);
+    ASSERT_GT(t, 0);
+    if (t == kTimeNever) ++saturated;
+  }
+  EXPECT_GT(saturated, 0);
+  EXPECT_EQ(add_saturating(seconds(5), kTimeNever), kTimeNever);
+  EXPECT_EQ(add_saturating(seconds(5), seconds(1)), seconds(6));
+}
+
 TEST(Rng, UniformIntCoversRangeInclusive) {
   Rng rng(5);
   bool lo = false, hi = false;
@@ -282,6 +298,18 @@ TEST(Time, ConversionsRoundTrip) {
   EXPECT_EQ(milliseconds(4), from_seconds(0.004));
   EXPECT_DOUBLE_EQ(to_seconds(seconds(900)), 900.0);
   EXPECT_DOUBLE_EQ(to_milliseconds(microseconds(2500)), 2.5);
+}
+
+TEST(Time, CheckedFromSecondsRefusesWhatSimTimeCannotHold) {
+  EXPECT_EQ(checked_from_seconds(0.004), milliseconds(4));
+  EXPECT_EQ(checked_from_seconds(1e-9), 1);
+  EXPECT_EQ(checked_from_seconds(0.6e-9), 1);
+  EXPECT_EQ(checked_from_seconds(1e-12), 0);
+  EXPECT_EQ(checked_from_seconds(0.0), 0);
+  EXPECT_EQ(checked_from_seconds(-1.0), 0);
+  EXPECT_EQ(checked_from_seconds(9.2e9), from_seconds(9.2e9));
+  EXPECT_EQ(checked_from_seconds(1e10), 0);
+  EXPECT_EQ(checked_from_seconds(1e300), 0);
 }
 
 }  // namespace

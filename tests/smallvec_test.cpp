@@ -1,14 +1,14 @@
-// SmallVec / Arena behavior pinned against std::vector references:
-// the spill-to-heap boundary, move semantics across allocation domains,
-// and arena interop (spill storage coming from a bump arena).
+// SmallVec behavior pinned against std::vector references: the
+// spill-to-heap boundary, move and copy semantics of spilled storage, and
+// the protocol containers' values across the spill.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "util/arena.hpp"
 #include "util/interval_set.hpp"
+#include "util/small_vec.hpp"
 #include "util/sparse_csn.hpp"
 
 namespace mck::util {
@@ -81,52 +81,26 @@ TEST(SmallVecTest, MoveFromSpilledStealsStorage) {
   EXPECT_EQ(a.size(), 0u);
 }
 
-TEST(SmallVecTest, MoveAssignAcrossArenaDomainsCopiesElements) {
-  Arena arena;
+TEST(SmallVecTest, MoveAssignFromSpilledStealsStorage) {
   SmallVec<int, 2> dst;
-  dst.set_arena(&arena);
-  SmallVec<int, 2> src;  // global-heap domain
+  for (int i = 0; i < 5; ++i) dst.push_back(-i);
+  SmallVec<int, 2> src;
   for (int i = 0; i < 8; ++i) src.push_back(i);
-  const int* src_storage = src.data();
+  const int* spilled = src.data();
   dst = std::move(src);
-  EXPECT_NE(dst.data(), src_storage)
-      << "storage must not change allocation domains";
-  EXPECT_EQ(dst.arena(), &arena) << "destination keeps its arena binding";
+  EXPECT_EQ(dst.data(), spilled) << "move-assign hands the spill block over";
   ASSERT_EQ(dst.size(), 8u);
   for (int i = 0; i < 8; ++i) EXPECT_EQ(dst[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(src.size(), 0u);
 }
 
-TEST(SmallVecTest, CopyKeepsDestinationArenaBinding) {
-  Arena arena;
-  SmallVec<int, 2> arena_backed;
-  arena_backed.set_arena(&arena);
-  for (int i = 0; i < 6; ++i) arena_backed.push_back(i);
-  EXPECT_GT(arena.bytes_used(), 0u);
-
-  SmallVec<int, 2> plain_copy(arena_backed);
-  EXPECT_EQ(plain_copy.arena(), nullptr)
-      << "copies never inherit the source arena (payload-copy rule)";
-  ASSERT_EQ(plain_copy.size(), 6u);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(plain_copy[static_cast<std::size_t>(i)], i);
-  }
-}
-
-TEST(SmallVecTest, ArenaSpillComesFromArena) {
-  Arena arena(4096);
-  SmallVec<int, 2> v;
-  v.set_arena(&arena);
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  v.push_back(1);
-  v.push_back(2);
-  EXPECT_EQ(arena.bytes_used(), 0u) << "inline fill must not touch the arena";
-  v.push_back(3);
-  EXPECT_GT(arena.bytes_used(), 0u) << "spill storage must come from the arena";
-  std::size_t used_after_spill = arena.bytes_used();
-  v.clear();
-  for (int i = 0; i < 3; ++i) v.push_back(i);
-  EXPECT_EQ(arena.bytes_used(), used_after_spill)
-      << "warm container refills must not grow the arena";
+TEST(SmallVecTest, CopyOfSpilledOwnsItsStorage) {
+  SmallVec<int, 2> spilled;
+  for (int i = 0; i < 6; ++i) spilled.push_back(i);
+  SmallVec<int, 2> copy(spilled);
+  EXPECT_NE(copy.data(), spilled.data());
+  ASSERT_EQ(copy.size(), 6u);
+  for (int i = 0; i < 6; ++i) EXPECT_EQ(copy[static_cast<std::size_t>(i)], i);
 }
 
 TEST(SmallVecTest, NonTrivialElementsDestructed) {
@@ -142,55 +116,25 @@ TEST(SmallVecTest, NonTrivialElementsDestructed) {
   EXPECT_TRUE(observer.expired()) << "destructor must run element dtors";
 }
 
-TEST(ArenaTest, BumpAllocationIsAlignedAndDistinct) {
-  Arena arena(1024);
-  void* a = arena.allocate(3, 1);
-  void* b = arena.allocate(8, 8);
-  void* c = arena.allocate(64, 16);
-  EXPECT_NE(a, b);
-  EXPECT_NE(b, c);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 8, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % 16, 0u);
-  // Oversized requests get their own block instead of failing.
-  void* big = arena.allocate(1 << 20, 64);
-  EXPECT_NE(big, nullptr);
-  EXPECT_GE(arena.bytes_reserved(), std::size_t{1} << 20);
-}
-
-TEST(ArenaTest, CreateConstructsInPlace) {
-  Arena arena;
-  auto* p = arena.create<std::pair<int, int>>(3, 4);
-  EXPECT_EQ(p->first, 3);
-  EXPECT_EQ(p->second, 4);
-}
-
-// The protocol containers ride on SmallVec; pin their arena interop.
-TEST(ArenaInteropTest, IntervalSetSpillsIntoArena) {
-  Arena arena;
+// The protocol containers ride on SmallVec; pin their values across the
+// spill.
+TEST(SpillInteropTest, IntervalSetSpillsToHeap) {
   IntervalSet s(1000);
-  s.set_arena(&arena);
   // Force > 3 disjoint intervals (the inline capacity).
   for (std::size_t i = 0; i < 20; ++i) s.set(i * 7);
-  EXPECT_GT(arena.bytes_used(), 0u);
   for (std::size_t i = 0; i < 20; ++i) EXPECT_TRUE(s.test(i * 7));
   EXPECT_FALSE(s.test(1));
-  // merge() into a warm set must not grow the arena further once the
-  // capacity covers the result.
   IntervalSet other(1000);
   for (std::size_t i = 0; i < 20; ++i) other.set(i * 7 + 1);
   s.merge(other);
   EXPECT_EQ(s.count(), 40u);
-  std::size_t warm = arena.bytes_used();
-  s.merge(other);  // idempotent remerge, same capacity
-  EXPECT_EQ(arena.bytes_used(), warm);
+  s.merge(other);  // idempotent remerge
+  EXPECT_EQ(s.count(), 40u);
 }
 
-TEST(ArenaInteropTest, SparseCsnMapSpillsIntoArena) {
-  Arena arena;
+TEST(SpillInteropTest, SparseCsnMapSpillsToHeap) {
   SparseCsnMap m(100000);
-  m.set_arena(&arena);
   for (std::size_t pid = 0; pid < 64; ++pid) m.raise(pid * 11, 5);
-  EXPECT_GT(arena.bytes_used(), 0u);
   for (std::size_t pid = 0; pid < 64; ++pid) {
     EXPECT_EQ(m.get(pid * 11), 5u);
   }

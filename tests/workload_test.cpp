@@ -56,6 +56,29 @@ TEST(PointToPoint, StopsAtHorizon) {
   EXPECT_GT(last_send, sim::seconds(90));
 }
 
+TEST(PointToPoint, MeanGapRefusesRatesSimTimeCannotHold) {
+  EXPECT_EQ(mean_gap(0.5), sim::seconds(2));
+  EXPECT_EQ(mean_gap(0.5, 1000.0), sim::seconds(2000));
+  EXPECT_EQ(mean_gap(1e300), 0);
+  EXPECT_EQ(mean_gap(1e-300), 0);
+  EXPECT_EQ(mean_gap(1.0, 1e300), 0);
+  EXPECT_EQ(mean_gap(1.0, 1e-300), 0);
+}
+
+TEST(PointToPoint, GapsPastEveryHorizonEndTheStreamCleanly) {
+  // A mean of 5e18 ns draws some gaps too long for SimTime. They
+  // saturate at kTimeNever, so the stream stops at the horizon instead
+  // of wrapping to a send at 1 ns.
+  sim::Simulator simu;
+  sim::Rng rng(4);
+  std::uint64_t sends = 0;
+  PointToPointWorkload wl(simu, rng, 64, 2e-10,
+                          [&](ProcessId, ProcessId) { ++sends; });
+  wl.start(sim::seconds(3600));
+  simu.run_until();
+  EXPECT_EQ(sends, 0u);
+}
+
 TEST(Group, StructureLeadersAndMembers) {
   sim::Simulator simu;
   sim::Rng rng(4);

@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "sim/time.hpp"
+
 namespace mck::cli {
 
 /// Prints `msg` (when non-null) and the tool's usage text to stderr, then
@@ -45,6 +47,23 @@ inline int parse_count(const char* flag, const char* s, int min) {
   }
   if (v > INT_MAX) usage((std::string(flag) + " is too large").c_str());
   return static_cast<int>(v);
+}
+
+/// Rejects, as a usage error, a duration that `flag` gives and
+/// sim::checked_from_seconds refused (returned 0).
+inline sim::SimTime require_duration(const char* flag, sim::SimTime t) {
+  if (t == 0) {
+    usage((std::string(flag) + " gives a duration outside [1 ns, 2^63-1 ns]")
+              .c_str());
+  }
+  return t;
+}
+
+/// `seconds` as a SimTime for a duration flag: it must round to at least
+/// 1 ns and fit SimTime. Anything else is a usage error, never a zero
+/// duration or an overflowed cast.
+inline sim::SimTime to_sim_time(const char* flag, double seconds) {
+  return require_duration(flag, sim::checked_from_seconds(seconds));
 }
 
 }  // namespace mck::cli

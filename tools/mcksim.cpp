@@ -23,6 +23,7 @@
 #include "obs/round_metrics.hpp"
 #include "obs/trace_io.hpp"
 #include "util/log.hpp"
+#include "workload/traffic.hpp"
 
 using namespace mck;
 using namespace mck::cli;
@@ -107,7 +108,6 @@ int main(int argc, char** argv) {
   double hours = 4.0;
   std::string trace_path;
   std::string timeline_path;
-  double timeline_interval_s = 1.0;
   long long trace_cap = -1;  // -1 = unset (size-based default applies)
   bool metrics = false;
   bool audit = false;
@@ -126,11 +126,10 @@ int main(int argc, char** argv) {
       cfg.rate = parse_real("--rate", next());
       if (cfg.rate <= 0) usage("--rate must be positive");
     } else if (arg == "--interval") {
-      cfg.ckpt_interval = sim::from_seconds(parse_real("--interval", next()));
-      if (cfg.ckpt_interval <= 0) usage("--interval must be positive");
+      cfg.ckpt_interval =
+          to_sim_time("--interval", parse_real("--interval", next()));
     } else if (arg == "--hours") {
       hours = parse_real("--hours", next());
-      if (hours < 0) usage("--hours must be >= 0");
     } else if (arg == "--workload") {
       std::string w = next();
       if (w == "p2p") {
@@ -188,10 +187,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--timeline") {
       timeline_path = next();
     } else if (arg == "--timeline-interval") {
-      timeline_interval_s = parse_real("--timeline-interval", next());
-      if (timeline_interval_s <= 0) {
-        usage("--timeline-interval must be positive");
-      }
+      cfg.timeline_interval = to_sim_time(
+          "--timeline-interval", parse_real("--timeline-interval", next()));
     } else if (arg == "--progress") {
       cfg.progress = true;
     } else if (arg == "--metrics") {
@@ -212,10 +209,13 @@ int main(int argc, char** argv) {
     usage("--workload group needs --n a multiple of --groups, with at least "
           "2 processes per group");
   }
-  cfg.horizon = sim::from_seconds(hours * 3600.0);
+  cfg.horizon = to_sim_time("--hours", hours * 3600.0);
+  require_duration("--rate", workload::mean_gap(cfg.rate));
+  if (cfg.workload == harness::WorkloadKind::kGroup) {
+    require_duration("--ratio", workload::mean_gap(cfg.rate, cfg.group_ratio));
+  }
   cfg.capture_trace = !trace_path.empty() || metrics || audit;
   cfg.capture_timeline = !timeline_path.empty();
-  cfg.timeline_interval = sim::from_seconds(timeline_interval_s);
   if (trace_cap >= 0) {
     cfg.trace_record_cap = static_cast<std::uint64_t>(trace_cap);
   } else if (cfg.capture_trace && cfg.sys.num_processes >= 100000) {
