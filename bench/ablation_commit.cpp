@@ -13,8 +13,11 @@
 using namespace mck;
 
 int main(int argc, char** argv) {
-  bool quick = bench::has_flag(argc, argv, "--quick");
-  int jobs = bench::jobs_arg(argc, argv);
+  const bench::Args args(argc, argv,
+                         {bench::kQuick, bench::kJobs, bench::kWireSizes,
+                          bench::kWireFidelity});
+  const bool quick = args.quick();
+  const int jobs = args.jobs();
 
   bench::banner(
       "Ablation B - commit dissemination (Section 3.3.5)\n"
@@ -43,7 +46,7 @@ int main(int argc, char** argv) {
       cfg.rate = rate;
       cfg.ckpt_interval = sim::seconds(900);
       cfg.horizon = sim::seconds(quick ? 3600 : 2 * 3600);
-      bench::apply_wire_flags(argc, argv, cfg);
+      bench::apply_wire_flags(args, cfg);
       harness::RunResult res =
           harness::run_replicated(cfg, quick ? 1 : 3, jobs);
 

@@ -96,11 +96,11 @@ int main(int argc, char** argv) {
   // Single seeded runs per configuration (no replication), so --jobs has
   // nothing to parallelize here; both flags are still accepted so every
   // bench driver shares one command line.
-  bool quick = bench::has_flag(argc, argv, "--quick");
-  (void)bench::jobs_arg(argc, argv);
-  (void)quick;
-  g_wire_sizes = bench::has_flag(argc, argv, "--wire-sizes");
-  g_wire_fidelity = bench::has_flag(argc, argv, "--wire-fidelity");
+  const bench::Args args(argc, argv,
+                         {bench::kQuick, bench::kJobs, bench::kWireSizes,
+                          bench::kWireFidelity});
+  g_wire_sizes = args.has(bench::kWireSizes.name);
+  g_wire_fidelity = args.has(bench::kWireFidelity.name);
 
   bench::banner(
       "Failure ablation (Section 3.6) - abort-all vs Kim-Park partial "

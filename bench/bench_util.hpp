@@ -1,16 +1,17 @@
 // Shared helpers for the figure/table regeneration binaries.
 //
 // Every driver takes `--quick` (shorter horizon, fewer reps) and
-// `--jobs N` (replication worker threads; default MCK_JOBS env, else 1).
-// The job count never changes the numbers, only the wall-clock time.
+// `--jobs N` (replication worker threads; default MCK_JOBS env, else 1),
+// and rejects any flag it does not know (Args). The job count never
+// changes the numbers, only the wall-clock time.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "obs/round_metrics.hpp"
@@ -19,32 +20,66 @@
 
 namespace mck::bench {
 
-/// True if `name` appears among the arguments.
-inline bool has_flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
+/// One flag a driver accepts: a switch, or an option that takes one value
+/// (`value` names it in the usage text).
+struct Flag {
+  const char* name;
+  const char* value;  // nullptr for a switch
+  const char* help;
+};
 
-/// Value of `--jobs N`, or 0 (= harness::resolve_jobs default) if absent.
-inline int jobs_arg(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0) return std::atoi(argv[i + 1]);
-  }
-  return 0;
-}
+inline constexpr Flag kQuick{"--quick", nullptr,
+                             "shorter horizon, fewer repetitions"};
+inline constexpr Flag kJobs{"--jobs", "N",
+                            "replication threads (default: MCK_JOBS, else 1)"};
+inline constexpr Flag kWireSizes{"--wire-sizes", nullptr,
+                                 "charge every message its honest codec size"};
+inline constexpr Flag kWireFidelity{"--wire-fidelity", nullptr,
+                                    "round-trip every payload through the "
+                                    "codec"};
+inline constexpr Flag kMetrics{"--metrics", nullptr,
+                               "append trace-derived columns to every row"};
+
+/// A driver's command line, parsed strictly (tools/flags.hpp): an unknown
+/// flag, a missing value or a --jobs that is not a positive integer prints
+/// the usage to stderr and exits 2; --help prints it to stdout and exits
+/// 0. Either way nothing runs.
+class Args {
+ public:
+  Args(int argc, char** argv, std::vector<Flag> flags);
+
+  /// The value of option `name` (the last one given), or `fallback`; a
+  /// given switch's value is its name.
+  const char* value(const char* name, const char* fallback = nullptr) const;
+
+  /// True if the switch or option `name` was given.
+  bool has(const char* name) const { return value(name) != nullptr; }
+
+  /// The value of option `name` as a positive count, or `fallback`; a
+  /// value that is not one is a usage error.
+  int count(const char* name, int fallback) const;
+
+  bool quick() const { return has(kQuick.name); }
+
+  /// `--jobs N`, or 0 (= harness::resolve_jobs default) if absent.
+  int jobs() const { return jobs_; }
+
+ private:
+  // Given flags in order: (name, value).
+  std::vector<std::pair<const char*, const char*>> given_;
+  int jobs_ = 0;
+};
 
 /// Applies `--wire-sizes` (honest codec byte charging + per-kind wire-byte
 /// columns) and `--wire-fidelity` (codec round-trip on every hop) to a
 /// config. Every driver accepts both; see EXPERIMENTS.md.
-inline void apply_wire_flags(int argc, char** argv,
+inline void apply_wire_flags(const Args& args,
                              harness::ExperimentConfig& cfg) {
-  if (has_flag(argc, argv, "--wire-sizes")) {
+  if (args.has(kWireSizes.name)) {
     cfg.sys.timing.use_wire_sizes = true;
     cfg.sys.timing.record_wire_bytes = true;
   }
-  if (has_flag(argc, argv, "--wire-fidelity")) cfg.sys.wire_fidelity = true;
+  if (args.has(kWireFidelity.name)) cfg.sys.wire_fidelity = true;
 }
 
 /// The cellular scale configuration: fig_scale's sweep point at population
@@ -111,9 +146,9 @@ inline std::int64_t timeline_peak(const obs::TimelineRun& run, int col) {
 /// `--metrics`: capture a flight-recorder trace per repetition and append
 /// derived columns to every table row. Off by default so the committed
 /// golden outputs are untouched. Call once per config before running.
-inline bool apply_metrics_flag(int argc, char** argv,
+inline bool apply_metrics_flag(const Args& args,
                                harness::ExperimentConfig& cfg) {
-  bool on = has_flag(argc, argv, "--metrics");
+  bool on = args.has(kMetrics.name);
   cfg.capture_trace = cfg.capture_trace || on;
   return on;
 }

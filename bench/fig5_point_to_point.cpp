@@ -18,14 +18,14 @@ using namespace mck;
 
 namespace {
 
-void panel(const char* title, bool quick, int jobs, bool realistic_radio,
-           int argc, char** argv) {
+void panel(const char* title, const bench::Args& args, bool realistic_radio) {
+  const bool quick = args.quick();
   bench::banner(title);
 
   const double rates[] = {0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1};
   const int reps = quick ? 2 : 5;
 
-  const bool metrics = bench::has_flag(argc, argv, "--metrics");
+  const bool metrics = args.has(bench::kMetrics.name);
   std::vector<std::string> header = {
       "rate (msg/s per MH)",    "initiations",
       "tentative ckpts/init",   "redundant mutable/init",
@@ -46,10 +46,10 @@ void panel(const char* title, bool quick, int jobs, bool realistic_radio,
       cfg.sys.lan.mode = net::MediumMode::kShared;
       cfg.sys.lan.loss_probability = 0.10;
     }
-    bench::apply_wire_flags(argc, argv, cfg);
-    bench::apply_metrics_flag(argc, argv, cfg);
+    bench::apply_wire_flags(args, cfg);
+    bench::apply_metrics_flag(args, cfg);
 
-    harness::RunResult res = harness::run_replicated(cfg, reps, jobs);
+    harness::RunResult res = harness::run_replicated(cfg, reps, args.jobs());
 
     double pct = res.tentative_per_init.mean() > 0
                      ? 100.0 * res.redundant_mutable_per_init.mean() /
@@ -75,17 +75,18 @@ void panel(const char* title, bool quick, int jobs, bool realistic_radio,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = bench::has_flag(argc, argv, "--quick");
-  int jobs = bench::jobs_arg(argc, argv);
+  const bench::Args args(argc, argv,
+                         {bench::kQuick, bench::kJobs, bench::kWireSizes,
+                          bench::kWireFidelity, bench::kMetrics});
 
   panel(
       "Fig. 5 - checkpoints per initiation vs message sending rate\n"
       "point-to-point communication, N = 16, interval = 900 s",
-      quick, jobs, /*realistic_radio=*/false, argc, argv);
+      args, /*realistic_radio=*/false);
   panel(
       "Fig. 5 variant - same sweep under 802.11 contention + 10% frame\n"
       "loss (wider request/message race window)",
-      quick, jobs, /*realistic_radio=*/true, argc, argv);
+      args, /*realistic_radio=*/true);
 
   std::printf(
       "\nPaper's observations to compare against:\n"

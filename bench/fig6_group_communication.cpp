@@ -13,7 +13,8 @@ using namespace mck;
 
 namespace {
 
-void panel(double ratio, bool quick, int jobs, int argc, char** argv) {
+void panel(double ratio, const bench::Args& args) {
+  const bool quick = args.quick();
   char title[128];
   std::snprintf(title, sizeof title,
                 "Fig. 6 (%s) - group communication, intragroup/intergroup "
@@ -24,7 +25,7 @@ void panel(double ratio, bool quick, int jobs, int argc, char** argv) {
   const double rates[] = {0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1};
   const int reps = quick ? 2 : 5;
 
-  const bool metrics = bench::has_flag(argc, argv, "--metrics");
+  const bool metrics = args.has(bench::kMetrics.name);
   std::vector<std::string> header = {
       "intragroup rate (msg/s)", "initiations", "tentative ckpts/init",
       "redundant mutable/init", "mutable/tentative %"};
@@ -41,10 +42,10 @@ void panel(double ratio, bool quick, int jobs, int argc, char** argv) {
     cfg.rate = rate;
     cfg.ckpt_interval = sim::seconds(900);
     cfg.horizon = sim::seconds(quick ? 2 * 3600 : 4 * 3600);
-    bench::apply_wire_flags(argc, argv, cfg);
-    bench::apply_metrics_flag(argc, argv, cfg);
+    bench::apply_wire_flags(args, cfg);
+    bench::apply_metrics_flag(args, cfg);
 
-    harness::RunResult res = harness::run_replicated(cfg, reps, jobs);
+    harness::RunResult res = harness::run_replicated(cfg, reps, args.jobs());
     double pct = res.tentative_per_init.mean() > 0
                      ? 100.0 * res.redundant_mutable_per_init.mean() /
                            res.tentative_per_init.mean()
@@ -68,10 +69,11 @@ void panel(double ratio, bool quick, int jobs, int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = bench::has_flag(argc, argv, "--quick");
-  int jobs = bench::jobs_arg(argc, argv);
-  panel(1000.0, quick, jobs, argc, argv);
-  panel(10000.0, quick, jobs, argc, argv);
+  const bench::Args args(argc, argv,
+                         {bench::kQuick, bench::kJobs, bench::kWireSizes,
+                          bench::kWireFidelity, bench::kMetrics});
+  panel(1000.0, args);
+  panel(10000.0, args);
   std::printf(
       "\nPaper's observations to compare against:\n"
       " * fewer checkpoints than point-to-point at the same rate (the\n"

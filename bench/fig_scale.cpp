@@ -23,10 +23,10 @@
 // Flags: --quick (n = 16 and 1k only), --golden (n = 16 only), --out F,
 // --trace F (flight-recorder trace of the n = 1k point, for
 // `mckaudit check`), --timeline PREFIX (run-health timeline of
-// every point, written to PREFIX_n<N>.mcktl), --jobs N, --wire-fidelity.
+// every point, written to PREFIX_n<N>.mcktl), --jobs N, --wire-sizes,
+// --wire-fidelity; --help prints them.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -52,14 +52,14 @@ struct ScalePoint {
   std::uint64_t tl_peak_queue = 0;
 };
 
-ScalePoint run_point(int n, int argc, char** argv, int jobs,
+ScalePoint run_point(int n, const bench::Args& args,
                      const std::string& trace_path,
                      const std::string& timeline_path) {
   harness::ExperimentConfig cfg = bench::scale_config(n);
   cfg.capture_trace = !trace_path.empty();
   cfg.capture_timeline = !timeline_path.empty();
   cfg.timeline_interval = sim::seconds(1);
-  bench::apply_wire_flags(argc, argv, cfg);
+  bench::apply_wire_flags(args, cfg);
 
   ScalePoint pt;
   pt.n = n;
@@ -67,7 +67,7 @@ ScalePoint run_point(int n, int argc, char** argv, int jobs,
   pt.cells_per_mss = cfg.sys.cellular.cells_per_mss;
 
   auto t0 = std::chrono::steady_clock::now();
-  pt.res = harness::run_replicated(cfg, /*reps=*/1, jobs);
+  pt.res = harness::run_replicated(cfg, /*reps=*/1, args.jobs());
   pt.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             t0)
                   .count();
@@ -113,22 +113,23 @@ double per_msg(std::uint64_t bytes, std::uint64_t msgs) {
                   : 0.0;
 }
 
-const char* scale_value(int argc, char** argv, const char* name) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = bench::has_flag(argc, argv, "--quick");
-  const bool golden = bench::has_flag(argc, argv, "--golden");
-  const int jobs = bench::jobs_arg(argc, argv);
-  const char* out_path = scale_value(argc, argv, "--out");
-  const char* trace_path = scale_value(argc, argv, "--trace");
-  const char* tl_prefix = scale_value(argc, argv, "--timeline");
+  const bench::Args args(
+      argc, argv,
+      {{"--quick", nullptr, "n = 16 and 1k only"},
+       {"--golden", nullptr, "n = 16 only, the row tests/golden pins"},
+       bench::kJobs,
+       {"--out", "FILE", "write the sweep as JSON"},
+       {"--trace", "FILE", "flight-recorder trace of the n = 1k point"},
+       {"--timeline", "PREFIX", "timeline of every point, PREFIX_n<N>.mcktl"},
+       bench::kWireSizes, bench::kWireFidelity});
+  const bool quick = args.quick();
+  const bool golden = args.has("--golden");
+  const char* out_path = args.value("--out");
+  const char* trace_path = args.value("--trace");
+  const char* tl_prefix = args.value("--timeline");
 
   std::vector<int> ns;
   if (golden) {
@@ -153,8 +154,8 @@ int main(int argc, char** argv) {
     if (tl_prefix != nullptr) {
       tl_path = std::string(tl_prefix) + "_n" + std::to_string(n) + ".mcktl";
     }
-    points.push_back(run_point(n, argc, argv, jobs,
-                               trace_this ? trace_path : "", tl_path));
+    points.push_back(
+        run_point(n, args, trace_this ? trace_path : "", tl_path));
     const ScalePoint& pt = points.back();
     const rt::RunStats& st = pt.res.stats;
     const std::uint64_t comp_msgs =

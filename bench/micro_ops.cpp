@@ -175,8 +175,8 @@ void BM_EventLogSendRecv(benchmark::State& state) {
   for (auto _ : state) {
     ckpt::EventLog log(16);
     for (int i = 0; i < 1000; ++i) {
-      MessageId id = log.record_send(i % 16, (i + 1) % 16, i);
-      log.record_recv(id, (i + 1) % 16, i + 1);
+      MessageId id = log.record_send(i % 16, (i + 1) % 16);
+      log.record_recv(id, (i + 1) % 16);
     }
     benchmark::DoNotOptimize(log.cursor(0));
   }
@@ -209,8 +209,8 @@ void BM_CheckAll(benchmark::State& state) {
   ckpt::EventLog log(kProcs);
   ckpt::CoordinationTracker tracker;
   for (int i = 0; i < kRecords; ++i) {
-    MessageId id = log.record_send(i % kProcs, (i + 5) % kProcs, i);
-    log.record_recv(id, (i + 5) % kProcs, i);
+    MessageId id = log.record_send(i % kProcs, (i + 5) % kProcs);
+    log.record_recv(id, (i + 5) % kProcs);
     if ((i + 1) % (kRecords / lines) == 0) {
       int k = (i + 1) / (kRecords / lines);
       ckpt::InitiationStats& s = tracker.open(

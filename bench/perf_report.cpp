@@ -19,14 +19,14 @@
 //  4. Trace-audit throughput (records/s) and heap growth of
 //     obs::audit_records on a fixed in-process cellular n=1024 trace.
 //
-// Usage: perf_report [--quick] [--out PATH]
+// Usage: perf_report [--quick] [--out PATH] [--history PATH] [--sha SHA]
+//                    [--stamp TS] [--pending K]; --help lists them.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <malloc.h>
 #include <memory>
 #include <new>
@@ -334,41 +334,26 @@ AuditPerf measure_audit(bool quick) {
   return out;
 }
 
-void usage() {
-  std::fprintf(stderr,
-               "usage: perf_report [--quick] [--out PATH]\n"
-               "                   [--history PATH] [--sha SHA] [--stamp TS]\n"
-               "  --history PATH  append a one-line JSONL summary of this run\n"
-               "                  (default BENCH_history.jsonl; \"\" disables)\n"
-               "  --sha SHA       git commit the run measures (history key)\n"
-               "  --stamp TS      timestamp string for the history line\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = bench::has_flag(argc, argv, "--quick");
-  const char* out_path = "BENCH_hotpath.json";
-  const char* history_path = "BENCH_history.jsonl";
-  const char* sha = "";
-  const char* stamp = "";
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0) out_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--history") == 0) history_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--sha") == 0) sha = argv[i + 1];
-    if (std::strcmp(argv[i], "--stamp") == 0) stamp = argv[i + 1];
-  }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      usage();
-      return 0;
-    }
-  }
-
-  int pending = 256;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--pending") == 0) pending = std::atoi(argv[i + 1]);
-  }
+  const bench::Args args(
+      argc, argv,
+      {{"--quick", nullptr, "shorter measurements"},
+       {"--out", "PATH", "report file (default BENCH_hotpath.json)"},
+       {"--history", "PATH",
+        "append a JSONL summary line (default BENCH_history.jsonl; \"\" "
+        "disables)"},
+       {"--sha", "SHA", "git commit the run measures (history key)"},
+       {"--stamp", "TS", "timestamp string for the history line"},
+       {"--pending", "K", "pending events in the scheduling ring (default "
+                          "256)"}});
+  const bool quick = args.quick();
+  const char* out_path = args.value("--out", "BENCH_hotpath.json");
+  const char* history_path = args.value("--history", "BENCH_history.jsonl");
+  const char* sha = args.value("--sha", "");
+  const char* stamp = args.value("--stamp", "");
+  const int pending = args.count("--pending", 256);
   const std::uint64_t warmup = quick ? 50'000 : 200'000;
   const std::uint64_t events = quick ? 500'000 : 4'000'000;
 

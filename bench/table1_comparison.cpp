@@ -32,8 +32,11 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = bench::has_flag(argc, argv, "--quick");
-  int jobs = bench::jobs_arg(argc, argv);
+  const bench::Args args(argc, argv,
+                         {bench::kQuick, bench::kJobs, bench::kWireSizes,
+                          bench::kWireFidelity, bench::kMetrics});
+  const bool quick = args.quick();
+  const int jobs = args.jobs();
 
   const Row rows[] = {
       {"Koo-Toueg [19]", harness::Algorithm::kKooToueg, "N_min",
@@ -53,7 +56,7 @@ int main(int argc, char** argv) {
                   rate);
     bench::banner(title);
 
-    const bool metrics = bench::has_flag(argc, argv, "--metrics");
+    const bool metrics = args.has(bench::kMetrics.name);
     std::vector<std::string> header = {
         "algorithm", "ckpts/init (measured | paper)",
         "blocked process-s/init (measured | paper)",
@@ -72,8 +75,8 @@ int main(int argc, char** argv) {
       cfg.rate = rate;
       cfg.ckpt_interval = sim::seconds(900);
       cfg.horizon = sim::seconds(quick ? 2 * 3600 : 4 * 3600);
-      bench::apply_wire_flags(argc, argv, cfg);
-      bench::apply_metrics_flag(argc, argv, cfg);
+      bench::apply_wire_flags(args, cfg);
+      bench::apply_metrics_flag(args, cfg);
       harness::RunResult res =
           harness::run_replicated(cfg, quick ? 2 : 4, jobs);
 
@@ -120,7 +123,7 @@ int main(int argc, char** argv) {
       cfg.ckpt_interval = sim::seconds(900);
       cfg.horizon = sim::seconds(quick ? 2 * 3600 : 4 * 3600);
       cfg.sys.timing.record_wire_bytes = true;
-      bench::apply_wire_flags(argc, argv, cfg);
+      bench::apply_wire_flags(args, cfg);
       harness::RunResult res =
           harness::run_replicated(cfg, quick ? 2 : 4, jobs);
 

@@ -18,9 +18,13 @@
 // settle() takes the lines that are final in commit order; a record whose
 // send and receive both lie below the settled line has a final verdict on
 // every line (its first covering lines are settled ones), so the checker
-// keeps that verdict and the log retires the record. check_all() sweeps
-// the live records against every committed line and merges the retained
-// verdicts, so its result is the one a never-retired log would give.
+// keeps that verdict and the log retires the record. It retires whenever
+// the log has grown by a quarter of what the last retirement left live,
+// which in a steady run is every settle, so the log peaks near two
+// checkpoint intervals of traffic: the one the settled line lags by and
+// the one since. check_all() sweeps the live records against every
+// committed line and merges the retained verdicts, so its result is the
+// one a never-retired log would give.
 #pragma once
 
 #include <string>

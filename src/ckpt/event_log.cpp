@@ -4,28 +4,25 @@
 
 namespace mck::ckpt {
 
-MessageId EventLog::record_send(ProcessId src, ProcessId dst,
-                                sim::SimTime at) {
+MessageId EventLog::record_send(ProcessId src, ProcessId dst) {
   MessageId id = next_msg_id();
   MsgRecord rec;
   rec.id = id;
   rec.src = src;
   rec.dst = dst;
   rec.send_event = cursors_[static_cast<std::size_t>(src)]++;
-  rec.sent_at = at;
   in_transit_[id] = msgs_.size();
   msgs_.push_back(rec);
   return id;
 }
 
-void EventLog::record_recv(MessageId id, ProcessId dst, sim::SimTime at) {
+void EventLog::record_recv(MessageId id, ProcessId dst) {
   const std::size_t* slot = in_transit_.find(id);
   MCK_ASSERT_MSG(slot != nullptr,
                  "record_recv: unknown or already received message id");
   MsgRecord& rec = msgs_[*slot];
   MCK_ASSERT_MSG(rec.dst == dst, "message delivered to wrong process");
   rec.recv_event = cursors_[static_cast<std::size_t>(dst)]++;
-  rec.recv_at = at;
   in_transit_.erase(id);
 }
 

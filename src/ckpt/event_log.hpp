@@ -15,6 +15,11 @@
 // retire_below() drops it after its verdict on the earlier lines is taken
 // (ConsistencyChecker::settle). A run's memory is then bounded by the
 // traffic since the last settled line, not by its horizon.
+//
+// A record is what the oracle reads and nothing more: the endpoints and
+// the two event indices, 32 bytes. Send and receive times are in the
+// flight recorder's kMsgSend/kMsgDeliver records, which a test that needs
+// them reads instead (tests/full_history.hpp).
 #pragma once
 
 #include <cstdint>
@@ -22,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/time.hpp"
 #include "util/assert.hpp"
 #include "util/flat_map.hpp"
 #include "util/types.hpp"
@@ -38,9 +42,8 @@ struct MsgRecord {
   ProcessId dst = kInvalidProcess;
   std::uint64_t send_event = kNoEvent;  // event index at src
   std::uint64_t recv_event = kNoEvent;  // event index at dst (kNoEvent: in transit)
-  sim::SimTime sent_at = 0;
-  sim::SimTime recv_at = 0;
 };
+static_assert(sizeof(MsgRecord) == 32, "a live record costs 32 bytes");
 
 /// A global checkpoint line: cursors_[p] = number of events of P_p covered.
 struct Line {
@@ -74,10 +77,10 @@ class EventLog {
   MessageId next_msg_id() { return next_id_++; }
 
   /// Records the send of a computation message; returns its id.
-  MessageId record_send(ProcessId src, ProcessId dst, sim::SimTime at);
+  MessageId record_send(ProcessId src, ProcessId dst);
 
   /// Records the receive (processing) of computation message `id` at `dst`.
-  void record_recv(MessageId id, ProcessId dst, sim::SimTime at);
+  void record_recv(MessageId id, ProcessId dst);
 
   /// Current event cursor of process p (== number of events logged at p).
   std::uint64_t cursor(ProcessId p) const {

@@ -13,11 +13,13 @@
 //  * No allocation in steady state. Records land in chunked bump-pointer
 //    buffers; a chunk allocation every kChunkRecords records is the only
 //    cold spot, and chunk addresses are stable (no reallocation).
-//  * Records are resident once. A chunk is 2^20 records (32 MiB), large
-//    enough that glibc serves it with mmap, so take_records() returns each
-//    chunk's pages to the OS as soon as it has been copied out; smaller
-//    chunks would stay resident in the heap arena beside the copy. Chunks
-//    are default-initialised: pages no record reached are never touched.
+//  * Records are resident once. A chunk is 2^16 records (2 MiB) in its own
+//    anonymous mapping, so take_records() unmaps each chunk as soon as it
+//    has been copied out and the copy outgrows the buffer by at most one
+//    chunk. Chunks come from mmap, not malloc: glibc's dynamic mmap
+//    threshold would move chunks this small into the heap, which keeps
+//    freed pages resident beside the copy. Pages no record reached are
+//    never touched.
 //
 // This header is intentionally dependency-light (sim/time.hpp and
 // util/types.hpp only, both header-only) so the simulator and the
@@ -32,9 +34,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <new>
 #include <string>
 #include <type_traits>
 #include <vector>
+
+#include <sys/mman.h>
 
 #include "sim/time.hpp"
 #include "util/types.hpp"
@@ -246,12 +251,9 @@ class Tracer {
     return 1ull << static_cast<int>(k);
   }
 
-  /// Turns recording on for the kinds in `mask`. Pre-allocates the first
-  /// chunk so the first record in the run is as cheap as the rest.
-  void enable(std::uint64_t mask = kAllKinds) {
-    mask_ = mask;
-    if (chunks_.empty()) grow();
-  }
+  /// Turns recording on for the kinds in `mask`. The first record maps
+  /// the first chunk, as every kChunkRecords-th record maps the next.
+  void enable(std::uint64_t mask = kAllKinds) { mask_ = mask; }
   void disable() { mask_ = 0; }
   bool enabled(TraceKind k) const { return (mask_ & mask_of(k)) != 0; }
   std::uint64_t mask() const { return mask_; }
@@ -299,10 +301,10 @@ class Tracer {
   sim::SimTime last_at() const { return last_at_; }
 
   /// Copies every record out, in append order, and resets the buffers;
-  /// each chunk is freed as soon as it is copied, so the records are held
-  /// about once, not twice. A capped tracer that dropped records appends
-  /// one kTruncated marker stamped with the drop count and the dropped
-  /// time range.
+  /// each chunk is unmapped as soon as it is copied, so the records are
+  /// held once plus one chunk, not twice. A capped tracer that dropped
+  /// records appends one kTruncated marker stamped with the drop count and
+  /// the dropped time range.
   std::vector<TraceRecord> take_records() {
     std::vector<TraceRecord> out;
     out.reserve(static_cast<std::size_t>(count_) + (dropped_ > 0 ? 1 : 0));
@@ -332,14 +334,20 @@ class Tracer {
   }
 
  private:
-  // 32 MiB per chunk: glibc's mmap threshold never exceeds 32 MiB on
-  // 64-bit (mallopt(3)), so a chunk is its own mapping and freeing it
-  // unmaps it.
-  static constexpr std::size_t kChunkRecords = std::size_t{1} << 20;
+  static constexpr std::size_t kChunkRecords = std::size_t{1} << 16;
+  static constexpr std::size_t kChunkBytes =
+      kChunkRecords * sizeof(TraceRecord);
+
+  struct Unmap {
+    void operator()(TraceRecord* p) const { ::munmap(p, kChunkBytes); }
+  };
+  using Chunk = std::unique_ptr<TraceRecord[], Unmap>;
 
   void grow() {
-    chunks_.push_back(
-        std::make_unique_for_overwrite<TraceRecord[]>(kChunkRecords));
+    void* p = ::mmap(nullptr, kChunkBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    chunks_.emplace_back(static_cast<TraceRecord*>(p));
     cur_ = chunks_.back().get();
     fill_ = 0;
   }
@@ -353,7 +361,7 @@ class Tracer {
   sim::SimTime first_dropped_at_ = sim::kTimeZero;
   sim::SimTime last_dropped_at_ = sim::kTimeZero;
   sim::SimTime last_at_ = sim::kTimeZero;
-  std::vector<std::unique_ptr<TraceRecord[]>> chunks_;
+  std::vector<Chunk> chunks_;
 };
 
 }  // namespace mck::obs

@@ -59,7 +59,7 @@ void CheckpointProtocol::send_computation(ProcessId dst) {
     honest += ctx_.codec->payload_bytes(*m.payload);
   }
   if (ctx_.timing->use_wire_sizes) m.size_bytes = honest;
-  m.id = ctx_.log->record_send(ctx_.self, dst, m.sent_at);
+  m.id = ctx_.log->record_send(ctx_.self, dst);
   // cursor() just advanced past this send, so it equals send_event + 1 —
   // exactly the audit stamp convention (0 is reserved for system messages).
   trace(ctx_, obs::TraceKind::kMsgSend, static_cast<std::uint8_t>(m.kind),
@@ -143,7 +143,7 @@ void CheckpointProtocol::post_system(MsgKind kind, ProcessId dst,
 }
 
 void CheckpointProtocol::process_computation(const Message& m) {
-  ctx_.log->record_recv(m.id, ctx_.self, ctx_.sim->now());
+  ctx_.log->record_recv(m.id, ctx_.self);
   if (on_app_message) on_app_message(m);
 }
 

@@ -87,36 +87,37 @@ class IntervalSet {
 
   void reset() { iv_.clear(); }
 
-  /// Union-in (paper's "R := R ∪ CP.R"); O(|this| + |other|).
+  /// Union-in (paper's "R := R ∪ CP.R"); O(|this| + |other|). Merges in
+  /// place: this set's intervals move to the tail of its own storage and
+  /// the union is written forward from the front. The write position
+  /// never passes the read position, so no scratch is needed, and a warm
+  /// set remerges without allocating.
   void merge(const IntervalSet& other) {
     MCK_ASSERT(other.size() == size());
-    if (other.iv_.empty()) return;
+    if (other.iv_.empty() || &other == this) return;
     if (iv_.empty()) {
       iv_ = other.iv_;
       return;
     }
-    // Stack scratch: the merged result is built here and element-moved
-    // into iv_, so steady-state merges allocate nothing.
-    SmallVec<Interval, 12> out;
-    out.reserve(iv_.size() + other.iv_.size());
-    std::size_t a = 0, b = 0;
-    while (a < iv_.size() || b < other.iv_.size()) {
+    const std::size_t na = iv_.size();
+    const std::size_t nb = other.iv_.size();
+    iv_.resize(na + nb);
+    for (std::size_t i = na; i-- > 0;) iv_[nb + i] = iv_[i];
+    std::size_t a = nb, b = 0, out = 0;
+    while (a < na + nb || b < nb) {
       Interval next;
-      if (b >= other.iv_.size() ||
-          (a < iv_.size() && iv_[a].lo <= other.iv_[b].lo)) {
+      if (b >= nb || (a < na + nb && iv_[a].lo <= other.iv_[b].lo)) {
         next = iv_[a++];
       } else {
         next = other.iv_[b++];
       }
-      if (!out.empty() && next.lo <= out.back().hi) {
-        if (next.hi > out.back().hi) out.back().hi = next.hi;
+      if (out > 0 && next.lo <= iv_[out - 1].hi) {
+        if (next.hi > iv_[out - 1].hi) iv_[out - 1].hi = next.hi;
       } else {
-        out.push_back(next);
+        iv_[out++] = next;
       }
     }
-    iv_.clear();
-    iv_.reserve(out.size());
-    for (Interval& v : out) iv_.push_back(v);
+    iv_.resize(out);
   }
 
   bool any() const { return !iv_.empty(); }

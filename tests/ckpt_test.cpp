@@ -20,18 +20,18 @@ namespace {
 TEST(EventLog, CursorsAdvancePerEvent) {
   EventLog log(3);
   EXPECT_EQ(log.cursor(0), 0u);
-  MessageId m = log.record_send(0, 1, 0);
+  MessageId m = log.record_send(0, 1);
   EXPECT_EQ(log.cursor(0), 1u);
   EXPECT_EQ(log.cursor(1), 0u);
-  log.record_recv(m, 1, 5);
+  log.record_recv(m, 1);
   EXPECT_EQ(log.cursor(1), 1u);
 }
 
 TEST(EventLog, OrphanDetection) {
   EventLog log(2);
   // P0 sends m after its checkpoint; P1 receives it before its checkpoint.
-  MessageId m = log.record_send(0, 1, 0);  // send_event 0 at P0
-  log.record_recv(m, 1, 1);                // recv_event 0 at P1
+  MessageId m = log.record_send(0, 1);  // send_event 0 at P0
+  log.record_recv(m, 1);                // recv_event 0 at P1
   Line line(2);
   line[0] = 0;  // P0's checkpoint excludes the send
   line[1] = 1;  // P1's checkpoint includes the receive
@@ -51,9 +51,9 @@ TEST(EventLog, OrphanDetection) {
 
 TEST(EventLog, InTransitCount) {
   EventLog log(2);
-  MessageId m1 = log.record_send(0, 1, 0);
-  log.record_send(0, 1, 1);  // m2 never received
-  log.record_recv(m1, 1, 2);
+  MessageId m1 = log.record_send(0, 1);
+  log.record_send(0, 1);  // m2 never received
+  log.record_recv(m1, 1);
   Line line(2);
   line[0] = 2;  // both sends recorded
   line[1] = 0;  // no receive recorded
@@ -64,9 +64,9 @@ TEST(EventLog, InTransitCount) {
 
 TEST(EventLog, ZeroAndFullLines) {
   EventLog log(2);
-  MessageId m1 = log.record_send(0, 1, 0);
-  log.record_recv(m1, 1, 1);
-  log.record_send(1, 0, 2);  // still in flight (recv_event == kNoEvent)
+  MessageId m1 = log.record_send(0, 1);
+  log.record_recv(m1, 1);
+  log.record_send(1, 0);  // still in flight (recv_event == kNoEvent)
 
   // The zero line covers no events: nothing can be orphaned and neither
   // send is inside it, so nothing is in transit across it either.
@@ -90,12 +90,12 @@ TEST(EventLog, IdLookupSurvivesSystemIdAllocation) {
   // records in between.
   log.next_msg_id();
   log.next_msg_id();
-  MessageId a = log.record_send(0, 1, 0);
+  MessageId a = log.record_send(0, 1);
   log.next_msg_id();
-  MessageId b = log.record_send(2, 1, 1);
+  MessageId b = log.record_send(2, 1);
   EXPECT_LT(a, b);
-  log.record_recv(b, 1, 2);
-  log.record_recv(a, 1, 3);
+  log.record_recv(b, 1);
+  log.record_recv(a, 1);
 
   ASSERT_EQ(log.messages().size(), 2u);
   const MsgRecord& ra = log.messages()[0];
@@ -110,11 +110,11 @@ TEST(EventLog, IdLookupSurvivesSystemIdAllocation) {
 
 TEST(EventLog, RetirementKeepsInTransitMessagesReceivable) {
   EventLog log(2);
-  MessageId a = log.record_send(0, 1, 0);
-  MessageId b = log.record_send(0, 1, 1);  // in transit across the line
-  MessageId c = log.record_send(1, 0, 2);
-  log.record_recv(a, 1, 3);
-  log.record_recv(c, 0, 4);
+  MessageId a = log.record_send(0, 1);
+  MessageId b = log.record_send(0, 1);  // in transit across the line
+  MessageId c = log.record_send(1, 0);
+  log.record_recv(a, 1);
+  log.record_recv(c, 0);
   Line line(2);
   line[0] = 3;
   line[1] = 2;
@@ -124,15 +124,15 @@ TEST(EventLog, RetirementKeepsInTransitMessagesReceivable) {
   EXPECT_EQ(gone, (std::vector<MessageId>{a, c}));
   EXPECT_EQ(log.retired(), 2u);
   ASSERT_EQ(log.messages().size(), 1u);
-  log.record_recv(b, 1, 5);
+  log.record_recv(b, 1);
   EXPECT_EQ(log.messages()[0].recv_event, 2u);
   EXPECT_EQ(log.count_in_transit(line), 1u);  // b's receive is past P1's entry
 }
 
 TEST(EventLogDeathTest, ScansBelowTheRetirementFrontierAbort) {
   EventLog log(2);
-  MessageId m = log.record_send(0, 1, 0);
-  log.record_recv(m, 1, 1);
+  MessageId m = log.record_send(0, 1);
+  log.record_recv(m, 1);
   Line line(2);
   line[0] = 1;
   line[1] = 1;
@@ -203,8 +203,8 @@ TEST(Checker, CommitOrderLinesChecked) {
   a.committed_at = 10;
 
   // Traffic: P0 -> P1 delivered.
-  MessageId m = log.record_send(0, 1, 20);
-  log.record_recv(m, 1, 30);
+  MessageId m = log.record_send(0, 1);
+  log.record_recv(m, 1);
 
   // Initiation B: only P1 checkpoints, *including* the receive — P0's
   // line entry stays at 0, the send is outside: orphan.
@@ -227,8 +227,8 @@ TEST(Checker, CommitOrderLinesChecked) {
 TEST(Checker, OrphanOnConsecutiveLinesReportedPerLine) {
   EventLog log(2);
   CoordinationTracker tracker;
-  MessageId m = log.record_send(0, 1, 0);
-  log.record_recv(m, 1, 1);
+  MessageId m = log.record_send(0, 1);
+  log.record_recv(m, 1);
 
   // A takes P1 past the receive; B moves nothing; C finally covers the
   // send. The orphan stands on A's and B's lines, so it is reported twice.
@@ -283,14 +283,14 @@ TEST(Checker, SweepMatchesPerLineScans) {
         if (!pending.empty() && uniform(0, 2) == 0) {
           std::size_t j = static_cast<std::size_t>(
               uniform(0, static_cast<int>(pending.size()) - 1));
-          log.record_recv(pending[j].first, pending[j].second, now);
-          full.record_recv(pending[j].first, pending[j].second, now);
+          log.record_recv(pending[j].first, pending[j].second);
+          full.record_recv(pending[j].first, pending[j].second);
           pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(j));
         } else {
           ProcessId src = uniform(0, n - 1);
           ProcessId dst = (src + uniform(1, n - 1)) % n;
-          MessageId id = log.record_send(src, dst, now);
-          ASSERT_EQ(full.record_send(src, dst, now), id);
+          MessageId id = log.record_send(src, dst);
+          ASSERT_EQ(full.record_send(src, dst), id);
           pending.emplace_back(id, dst);
         }
       } else if (action < 7) {
@@ -419,14 +419,14 @@ TEST(Recovery, CoordinatedUsesLatestCommittedLine) {
   CheckpointStore store(2);
   CoordinationTracker tracker;
 
-  MessageId m = log.record_send(0, 1, 5);
-  log.record_recv(m, 1, 6);
+  MessageId m = log.record_send(0, 1);
+  log.record_recv(m, 1);
 
   InitiationStats& a = tracker.open(make_initiation_id(0, 1), 0, 8);
   a.line_updates = {{0, 1}, {1, 1}};
   a.committed_at = 10;
 
-  log.record_send(0, 1, 20);  // lost work after the line
+  log.record_send(0, 1);  // lost work after the line
 
   RecoveryManager rm(log, store, tracker);
   RecoveryOutcome at5 = rm.recover_coordinated(5);
@@ -445,8 +445,8 @@ TEST(Recovery, UncoordinatedRollbackPropagation) {
   CoordinationTracker tracker;
 
   // P1 checkpoints after receiving m; P0 never checkpoints after sending.
-  MessageId m = log.record_send(0, 1, 5);   // P0 event 0
-  log.record_recv(m, 1, 6);                 // P1 event 0
+  MessageId m = log.record_send(0, 1);   // P0 event 0
+  log.record_recv(m, 1);                 // P1 event 0
   store.take(1, CkptKind::kTentative, 1, 0, 1, 7);  // includes receive
 
   RecoveryManager rm(log, store, tracker);
@@ -461,8 +461,8 @@ TEST(RecoveryDeathTest, UncoordinatedRefusesARetiredLog) {
   EventLog log(2);
   CheckpointStore store(2);
   CoordinationTracker tracker;
-  MessageId m = log.record_send(0, 1, 5);
-  log.record_recv(m, 1, 6);
+  MessageId m = log.record_send(0, 1);
+  log.record_recv(m, 1);
   Line line(2);
   line[0] = 1;
   line[1] = 1;
@@ -477,9 +477,9 @@ TEST(Recovery, UncoordinatedKeepsConsistentCheckpoints) {
   CheckpointStore store(2);
   CoordinationTracker tracker;
 
-  MessageId m = log.record_send(0, 1, 5);
+  MessageId m = log.record_send(0, 1);
   store.take(0, CkptKind::kTentative, 1, 0, 1, 6);  // send included
-  log.record_recv(m, 1, 7);
+  log.record_recv(m, 1);
   store.take(1, CkptKind::kTentative, 1, 0, 1, 8);  // receive included
 
   RecoveryOutcome out =

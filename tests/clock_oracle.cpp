@@ -1,19 +1,18 @@
 #include "clock_oracle.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace mck::ckpt {
 
 namespace {
 
+// One event of a process: the send or the receive of a message snapshot
+// slot.
 struct Ev {
-  sim::SimTime at;
-  bool is_recv;
-  ProcessId p;
-  std::uint64_t idx;       // event index at p
-  std::size_t msg_slot;    // index into the message snapshot
+  bool is_recv = false;
+  std::size_t msg_slot = kUnset;
+
+  static constexpr std::size_t kUnset = static_cast<std::size_t>(-1);
 };
 
 }  // namespace
@@ -24,43 +23,65 @@ ClockOracle::ClockOracle(const EventLog& log)
       clocks_(static_cast<std::size_t>(log.num_processes())) {
   const std::vector<MsgRecord>& msgs = log.messages();
 
-  std::vector<Ev> events;
-  events.reserve(msgs.size() * 2);
+  // Each process's events in index order. The log must be a full history:
+  // every index below a process's cursor is exactly one send or receive.
+  std::vector<std::vector<Ev>> events(static_cast<std::size_t>(n_));
+  for (ProcessId p = 0; p < n_; ++p) {
+    events[static_cast<std::size_t>(p)].resize(log.cursor(p));
+  }
+  auto place = [&events](ProcessId p, std::uint64_t idx, Ev ev) {
+    auto& evs = events[static_cast<std::size_t>(p)];
+    MCK_ASSERT_MSG(idx < evs.size() && evs[idx].msg_slot == Ev::kUnset,
+                   "per-process event order broken");
+    evs[idx] = ev;
+  };
   for (std::size_t i = 0; i < msgs.size(); ++i) {
     const MsgRecord& m = msgs[i];
-    events.push_back(Ev{m.sent_at, false, m.src, m.send_event, i});
-    if (m.recv_event != kNoEvent) {
-      events.push_back(Ev{m.recv_at, true, m.dst, m.recv_event, i});
-    }
+    place(m.src, m.send_event, Ev{false, i});
+    if (m.recv_event != kNoEvent) place(m.dst, m.recv_event, Ev{true, i});
   }
-  // Causal order: receives happen strictly after their sends in simulated
-  // time; ties between unrelated events are broken arbitrarily but
-  // per-process event order is preserved via the event index.
-  std::sort(events.begin(), events.end(), [](const Ev& a, const Ev& b) {
-    if (a.at != b.at) return a.at < b.at;
-    if (a.p != b.p) return a.p < b.p;
-    return a.idx < b.idx;
-  });
 
+  // Causal order without trusting any clock: run each process through its
+  // events until it reaches a receive whose send has not run yet; that
+  // send wakes it again.
   std::vector<util::VectorClock> current(
       static_cast<std::size_t>(n_),
       util::VectorClock(static_cast<std::size_t>(n_)));
   std::vector<util::VectorClock> at_send(msgs.size());
-
-  for (const Ev& ev : events) {
-    util::VectorClock& vc = current[static_cast<std::size_t>(ev.p)];
-    if (ev.is_recv) {
-      MCK_ASSERT_MSG(at_send[ev.msg_slot].size() != 0,
-                     "receive processed before its send");
-      vc.merge(at_send[ev.msg_slot]);
+  std::vector<std::size_t> next(static_cast<std::size_t>(n_), 0);
+  std::vector<ProcessId> ready;
+  for (ProcessId p = 0; p < n_; ++p) ready.push_back(p);
+  while (!ready.empty()) {
+    const ProcessId p = ready.back();
+    ready.pop_back();
+    const auto ps = static_cast<std::size_t>(p);
+    const std::vector<Ev>& evs = events[ps];
+    util::VectorClock& vc = current[ps];
+    for (; next[ps] < evs.size(); ++next[ps]) {
+      const Ev& ev = evs[next[ps]];
+      MCK_ASSERT_MSG(ev.msg_slot != Ev::kUnset,
+                     "per-process event order broken");
+      if (ev.is_recv) {
+        if (at_send[ev.msg_slot].size() == 0) break;  // woken by the send
+        vc.merge(at_send[ev.msg_slot]);
+      }
+      vc.tick(p);
+      clocks_[ps].push_back(vc);
+      if (!ev.is_recv) {
+        at_send[ev.msg_slot] = vc;
+        const auto q = static_cast<std::size_t>(msgs[ev.msg_slot].dst);
+        const std::vector<Ev>& qevs = events[q];
+        if (next[q] < qevs.size() && qevs[next[q]].is_recv &&
+            qevs[next[q]].msg_slot == ev.msg_slot) {
+          ready.push_back(static_cast<ProcessId>(q));
+        }
+      }
     }
-    vc.tick(ev.p);
-    auto& hist = clocks_[static_cast<std::size_t>(ev.p)];
-    MCK_ASSERT_MSG(hist.size() == ev.idx, "per-process event order broken");
-    hist.push_back(vc);
-    if (!ev.is_recv) {
-      at_send[ev.msg_slot] = vc;
-    }
+  }
+  for (ProcessId p = 0; p < n_; ++p) {
+    MCK_ASSERT_MSG(next[static_cast<std::size_t>(p)] ==
+                       events[static_cast<std::size_t>(p)].size(),
+                   "receive processed before its send");
   }
 }
 

@@ -1,5 +1,7 @@
 // Second, independent consistency oracle based on vector clocks: rebuilds
-// the causal history of the run from the event log and decides line
+// the causal history of the run from the event log's event indices alone
+// (no timestamps: a receive follows its send and each process's events
+// follow one another, and that is all causality is) and decides line
 // consistency by the classical condition
 //     line is consistent  <=>  forall p, q:  VC_p(line[p])[q] <= line[q],
 // where VC_p(c) is P_p's vector clock after its first c events. Tests

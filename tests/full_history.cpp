@@ -1,6 +1,7 @@
 #include "full_history.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "util/assert.hpp"
 
@@ -14,25 +15,43 @@ EventLog full_history(const std::vector<obs::TraceRecord>& records,
     const bool computation = r.sub == obs::kRawMsgComputation;
     if (kind == obs::TraceKind::kMsgSend) {
       // Every send, system messages included, took the next id.
-      const MessageId id = computation ? log.record_send(r.pid, r.aux, r.at)
+      const MessageId id = computation ? log.record_send(r.pid, r.aux)
                                        : log.next_msg_id();
       MCK_ASSERT_MSG(id == r.arg0, "trace skips a message id");
       MCK_ASSERT(!computation ||
                  log.cursor(r.pid) == obs::msg_stamp_of(r.arg1));
     } else if (kind == obs::TraceKind::kMsgDeliver && computation) {
       MCK_ASSERT(log.cursor(r.pid) + 1 == obs::msg_stamp_of(r.arg1));
-      log.record_recv(r.arg0, r.pid, r.at);
+      log.record_recv(r.arg0, r.pid);
     }
   }
   return log;
+}
+
+std::vector<MessageTimes> message_times(
+    const std::vector<obs::TraceRecord>& records) {
+  std::vector<MessageTimes> times;
+  std::unordered_map<MessageId, std::size_t> slot;  // id -> times index
+  for (const obs::TraceRecord& r : records) {
+    if (r.sub != obs::kRawMsgComputation) continue;
+    const auto kind = static_cast<obs::TraceKind>(r.kind);
+    if (kind == obs::TraceKind::kMsgSend) {
+      slot.emplace(r.arg0, times.size());
+      times.push_back(MessageTimes{r.at, 0});
+    } else if (kind == obs::TraceKind::kMsgDeliver) {
+      auto it = slot.find(r.arg0);
+      MCK_ASSERT_MSG(it != slot.end(), "delivery of a message never sent");
+      times[it->second].recv_at = r.at;
+    }
+  }
+  return times;
 }
 
 namespace {
 
 bool same_record(const MsgRecord& a, const MsgRecord& b) {
   return a.id == b.id && a.src == b.src && a.dst == b.dst &&
-         a.send_event == b.send_event && a.recv_event == b.recv_event &&
-         a.sent_at == b.sent_at && a.recv_at == b.recv_at;
+         a.send_event == b.send_event && a.recv_event == b.recv_event;
 }
 
 std::string describe(const char* what, MessageId id) {

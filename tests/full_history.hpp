@@ -5,8 +5,9 @@
 // record-by-record comparison, the per-line reference checker) rebuilds it
 // from the run's flight-recorder records. The computation kMsgSend and
 // kMsgDeliver records stamp the send and receive event + 1
-// (obs::msg_stamp_of) and carry the times, so the rebuilt log equals the
-// one a never-retiring run would have kept.
+// (obs::msg_stamp_of), so the rebuilt log equals the one a never-retiring
+// run would have kept. The same records carry the send and receive times,
+// which the log does not keep; message_times reads them.
 #pragma once
 
 #include <string>
@@ -28,6 +29,17 @@ inline constexpr std::uint64_t kFullHistoryKinds =
 /// rebuilt from its records in append order.
 EventLog full_history(const std::vector<obs::TraceRecord>& records,
                       int num_processes);
+
+/// Simulation times of one computation message's send and receive.
+struct MessageTimes {
+  sim::SimTime sent_at = 0;
+  sim::SimTime recv_at = 0;  // 0 while never received
+};
+
+/// The send and receive times of every computation message in `records`,
+/// in send order: entry i belongs to full_history(records).messages()[i].
+std::vector<MessageTimes> message_times(
+    const std::vector<obs::TraceRecord>& records);
 
 /// Empty if `live` (a log that retires) holds exactly the records of
 /// `full` that it has not retired, in order and field for field; else the

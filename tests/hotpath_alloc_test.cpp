@@ -199,10 +199,13 @@ TEST(HotPathAllocs, NeverEnabledTracerAllocatesNothing) {
     EXPECT_TRUE(t.take_records().empty());
   }
   EXPECT_EQ(allocs(), before);
-  if (counter_active()) {  // control: enabling allocates the first chunk
+  if (counter_active()) {
+    // Control: the first enabled record maps a chunk and grows the chunk
+    // list, which the counter sees.
     const std::uint64_t off = allocs();
     obs::Tracer t;
     t.enable();
+    t.record(obs::TraceKind::kMsgSend, 0, 0, 0, 1, 42, 50);
     EXPECT_GT(allocs(), off);
   }
 }
@@ -426,7 +429,7 @@ TEST(HotPathAllocs, WarmSpilledContainersRefillWithoutAllocating) {
   EXPECT_EQ(csn.active(), 64u);
 
   // A remerge that leaves the set as it is allocates nothing once the
-  // set's block covers the union (and merge's scratch fits inline).
+  // set's block holds both inputs.
   util::IntervalSet s(1000);
   util::IntervalSet other(1000);
   for (std::size_t i = 0; i < 4; ++i) {
@@ -439,6 +442,21 @@ TEST(HotPathAllocs, WarmSpilledContainersRefillWithoutAllocating) {
   s.merge(other);
   EXPECT_EQ(allocs(), a0) << "idempotent remerge must not allocate";
   EXPECT_EQ(s.count(), 8u);
+
+  // Past any inline scratch: a 40-interval set remerging a 20-interval
+  // subset builds the union in its own block, so once the first merge has
+  // grown that block to hold both inputs, remerges allocate nothing.
+  util::IntervalSet big(1000);
+  util::IntervalSet sub(1000);
+  for (std::size_t i = 0; i < 40; ++i) big.set(i * 10);
+  for (std::size_t i = 0; i < 20; ++i) sub.set(i * 20);
+  big.merge(sub);
+  ASSERT_EQ(big.intervals().size(), 40u);
+  a0 = allocs();
+  for (int r = 0; r < 100; ++r) big.merge(sub);
+  EXPECT_EQ(allocs(), a0) << "40 + 20 interval remerge must not allocate";
+  EXPECT_EQ(big.intervals().size(), 40u);
+  EXPECT_EQ(big.count(), 40u);
 }
 
 TEST(SlotPoolEdge, CancelAfterFireIsANoOp) {

@@ -3,6 +3,7 @@
 // (Case 3 of the Theorem 1 proof).
 #include <gtest/gtest.h>
 
+#include "full_history.hpp"
 #include "harness/scheduler.hpp"
 #include "harness/system.hpp"
 #include "mobile/mobility.hpp"
@@ -26,7 +27,11 @@ SystemOptions cellular_options(int n, int mss = 4) {
 }
 
 TEST(Mobility, DisconnectBuffersAndReconnectReplaysInOrder) {
-  System sys(cellular_options(3, 2));
+  obs::Tracer tracer;
+  tracer.enable(ckpt::kFullHistoryKinds);
+  SystemOptions opts = cellular_options(3, 2);
+  opts.tracer = &tracer;
+  System sys(opts);
   auto* cell = sys.cellular();
 
   std::vector<MessageId> received;
@@ -52,8 +57,11 @@ TEST(Mobility, DisconnectBuffersAndReconnectReplaysInOrder) {
     EXPECT_LT(received[i - 1], received[i]) << "FIFO violated on replay";
   }
   // All receives happened after the reconnection.
-  for (const auto& rec : sys.log().messages()) {
-    EXPECT_GE(rec.recv_at, sim::seconds(5));
+  const std::vector<ckpt::MessageTimes> times =
+      ckpt::message_times(tracer.take_records());
+  ASSERT_EQ(times.size(), sys.log().messages().size());
+  for (const ckpt::MessageTimes& t : times) {
+    EXPECT_GE(t.recv_at, sim::seconds(5));
   }
 }
 

@@ -65,8 +65,8 @@ TEST(Tracer, MaskFiltersKinds) {
   EXPECT_EQ(r[0].kind, static_cast<std::uint8_t>(TraceKind::kBlock));
 }
 
-// A chunk is 2^20 records: a run longer than one chunk round-trips in
-// order, and take_records leaves the tracer ready for the next run.
+// A run that fills many chunks round-trips in order, and take_records
+// leaves the tracer ready for the next run.
 TEST(Tracer, GrowsAcrossChunksPreservingOrder) {
   Tracer t;
   t.enable();

@@ -5,8 +5,11 @@
 // coordinated algorithms retire nearly everything they log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "full_history.hpp"
 #include "harness/scheduler.hpp"
@@ -108,6 +111,61 @@ TEST(RetirementMobile, HandoffsAndDisconnectionsMatchFullHistory) {
   EXPECT_TRUE(want.consistent);
   EXPECT_GT(want.lines_checked, 20u);
   EXPECT_GE(sys.log().retired(), full.messages().size() * 9 / 10);
+}
+
+// Steady point-to-point traffic settled once per checkpoint interval:
+// each interval sends the same number of messages, and the line settled at
+// the end of an interval covers the traffic up to the end of the interval
+// before, as in a run whose settle lags its checkpoints by one interval.
+// A few messages of each interval arrive in the next, so slightly more
+// than one interval stays live after each retirement. The log must retire
+// at every settle and so never hold much more than two intervals; the
+// rule that waited for the log to double skipped every other settle and
+// reached three.
+TEST(RetirementSteady, LogStaysNearTwoIntervalsOfTraffic) {
+  constexpr int kProcs = 16;
+  constexpr int kIntervals = 24;
+  constexpr std::size_t kSends = 2000;        // per interval
+  constexpr std::size_t kLate = kSends / 20;  // received in the next one
+  ckpt::EventLog log(kProcs);
+  ckpt::CoordinationTracker tracker;
+  ckpt::ConsistencyChecker checker(log, tracker);
+  sim::Rng rng(43);
+
+  std::vector<std::pair<MessageId, ProcessId>> late;
+  ckpt::Line prev(kProcs);  // cursors at the end of the previous interval
+  std::size_t peak = 0;
+  for (int k = 1; k <= kIntervals; ++k) {
+    for (const auto& [id, dst] : late) log.record_recv(id, dst);
+    late.clear();
+    for (std::size_t i = 0; i < kSends; ++i) {
+      const auto src = static_cast<ProcessId>(rng.uniform_int(0, kProcs - 1));
+      const auto dst = static_cast<ProcessId>(
+          (src + rng.uniform_int(1, kProcs - 1)) % kProcs);
+      const MessageId id = log.record_send(src, dst);
+      if (i + kLate >= kSends) {
+        late.emplace_back(id, dst);
+      } else {
+        log.record_recv(id, dst);
+      }
+    }
+    const sim::SimTime end = sim::seconds(k);
+    ckpt::InitiationStats& st = tracker.open(
+        ckpt::make_initiation_id(k % kProcs, static_cast<Csn>(k)), k % kProcs,
+        end - 1);
+    for (ProcessId p = 0; p < kProcs; ++p) {
+      st.line_updates.emplace_back(p, prev[p]);
+      prev[p] = log.cursor(p);
+    }
+    tracker.mark_committed(st, end - 1);
+    peak = std::max(peak, log.messages().size());
+    checker.settle(end);
+  }
+  EXPECT_LE(peak, kSends * 22 / 10)
+      << "log peaked at " << peak << " records for " << kSends
+      << " sends per interval";
+  EXPECT_GE(log.retired(), kSends * (kIntervals - 3));
+  EXPECT_TRUE(checker.check_all().consistent);
 }
 
 std::string name_of(

@@ -36,8 +36,8 @@ TEST(Fig1, NaiveNonblockingCreatesOrphan) {
 
   // P1's checkpoint is taken before any events (cursor 0).
   // m1: P1 -> P3 after P1's checkpoint.
-  MessageId m1 = log.record_send(1, 2, 100);
-  log.record_recv(m1, 2, 104);
+  MessageId m1 = log.record_send(1, 2);
+  log.record_recv(m1, 2);
   // P3 then takes its checkpoint including the receive (cursor 1);
   // P2's checkpoint at cursor 0.
   ckpt::InitiationStats& st =
@@ -101,17 +101,17 @@ TEST(Fig2, MinProcessNonblockingWithoutMutableCheckpointsBreaks) {
   ckpt::CoordinationTracker tracker;
 
   // Pre-initiation dependencies.
-  MessageId m2 = log.record_send(3, 0, 10);  // P4 -> P1
-  log.record_recv(m2, 0, 14);
-  MessageId m3 = log.record_send(4, 3, 20);  // P5 -> P4
-  log.record_recv(m3, 3, 24);
-  MessageId m4 = log.record_send(1, 4, 30);  // P2 -> P5
-  log.record_recv(m4, 4, 34);
+  MessageId m2 = log.record_send(3, 0);  // P4 -> P1
+  log.record_recv(m2, 0);
+  MessageId m3 = log.record_send(4, 3);  // P5 -> P4
+  log.record_recv(m3, 3);
+  MessageId m4 = log.record_send(1, 4);  // P2 -> P5
+  log.record_recv(m4, 4);
 
   // P1 checkpoints (cursor = its current 1 event) and then sends m5.
   std::uint64_t p1_cut = log.cursor(0);
-  MessageId m5 = log.record_send(0, 1, 100);  // P1 -> P2, after C1,1
-  log.record_recv(m5, 1, 104);                // P2 processes it blindly
+  MessageId m5 = log.record_send(0, 1);  // P1 -> P2, after C1,1
+  log.record_recv(m5, 1);                // P2 processes it blindly
   // The request reaches P2 afterwards; P2 checkpoints including m5.
   ckpt::InitiationStats& st =
       tracker.open(ckpt::make_initiation_id(0, 1), 0, 90);

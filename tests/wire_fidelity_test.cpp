@@ -22,6 +22,7 @@ using harness::SystemOptions;
 
 struct Trace {
   std::vector<ckpt::MsgRecord> messages;
+  std::vector<ckpt::MessageTimes> times;  // messages[i]'s, from the trace
   rt::RunStats stats;
   std::uint64_t initiations = 0;
   bool consistent = true;
@@ -52,11 +53,12 @@ Trace run_scenario(Algorithm algo, bool fidelity,
 
   // The record-by-record comparison covers the full history, rebuilt from
   // the trace; the live log must hold exactly its unretired records.
-  const ckpt::EventLog full =
-      ckpt::full_history(tracer.take_records(), sys.n());
+  const std::vector<obs::TraceRecord> records = tracer.take_records();
+  const ckpt::EventLog full = ckpt::full_history(records, sys.n());
   EXPECT_EQ(ckpt::live_log_mismatch(full, sys.log()), "");
   Trace t;
   t.messages = full.messages();
+  t.times = ckpt::message_times(records);
   t.stats = sys.stats();
   t.initiations = sched.initiations_fired();
   if (harness::has_committed_lines(algo)) {
@@ -86,6 +88,8 @@ void expect_identical(const Trace& plain, const Trace& wire,
 
   // ...and the exact same event history, record by record.
   ASSERT_EQ(plain.messages.size(), wire.messages.size());
+  ASSERT_EQ(plain.times.size(), plain.messages.size());
+  ASSERT_EQ(wire.times.size(), wire.messages.size());
   for (std::size_t i = 0; i < plain.messages.size(); ++i) {
     const ckpt::MsgRecord& a = plain.messages[i];
     const ckpt::MsgRecord& b = wire.messages[i];
@@ -94,8 +98,10 @@ void expect_identical(const Trace& plain, const Trace& wire,
     EXPECT_EQ(a.dst, b.dst) << "record " << i;
     EXPECT_EQ(a.send_event, b.send_event) << "record " << i;
     EXPECT_EQ(a.recv_event, b.recv_event) << "record " << i;
-    EXPECT_EQ(a.sent_at, b.sent_at) << "record " << i;
-    EXPECT_EQ(a.recv_at, b.recv_at) << "record " << i;
+    EXPECT_EQ(plain.times[i].sent_at, wire.times[i].sent_at)
+        << "record " << i;
+    EXPECT_EQ(plain.times[i].recv_at, wire.times[i].recv_at)
+        << "record " << i;
   }
 }
 
