@@ -85,7 +85,7 @@ Outcome run(core::FailureMode mode, double mtbf_s, std::uint64_t seed) {
       ++out.full_commits;
     }
   }
-  out.permanent_ckpts = sys.store().count(ckpt::CkptKind::kPermanent);
+  out.permanent_ckpts = sys.stats().permanent_made;
   out.consistent = sys.check_consistency().consistent;
   return out;
 }

@@ -92,8 +92,7 @@ int main() {
               (unsigned long long)mutables,
               (unsigned long long)sys.stats().mutable_promoted);
   std::printf("disconnect checkpoints deposited:  %zu\n",
-              sys.store().count(ckpt::CkptKind::kDisconnect) +
-                  0 /* live ones */);
+              sys.store().count(ckpt::CkptKind::kDisconnect));
 
   ckpt::CheckResult check = sys.check_consistency();
   std::printf("\nconsistency oracle: %s\n", check.describe().c_str());

@@ -58,12 +58,13 @@ int main() {
         st->mutables_discarded);
   }
 
-  std::printf("\ncheckpoints on record:\n");
-  for (const ckpt::CheckpointRecord& rec : sys.store().all()) {
-    if (rec.kind == ckpt::CkptKind::kInitial) continue;
-    std::printf("  P%d csn=%u %s%s (taken t=%.3fms)\n", rec.pid, rec.csn,
-                ckpt::to_string(rec.kind), rec.discarded ? " [discarded]" : "",
-                sim::to_milliseconds(rec.taken_at));
+  std::printf("\ncheckpoints held now (discarded ones left the store):\n");
+  for (ProcessId p = 0; p < sys.n(); ++p) {
+    sys.store().for_each_live(p, [](const ckpt::CheckpointRecord& rec) {
+      std::printf("  P%d csn=%u %s (taken t=%.3fms)\n", rec.pid, rec.csn,
+                  ckpt::to_string(rec.kind),
+                  sim::to_milliseconds(rec.taken_at));
+    });
   }
 
   ckpt::CheckResult check = sys.check_consistency();

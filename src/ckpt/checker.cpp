@@ -124,17 +124,6 @@ CheckResult ConsistencyChecker::check_all() const {
   return result;
 }
 
-Line ConsistencyChecker::line_after(InitiationId id) const {
-  Line line(static_cast<std::size_t>(log_.num_processes()));
-  for (const InitiationStats* s : tracker_.committed_in_commit_order()) {
-    for (const auto& [pid, cursor] : s->line_updates) {
-      if (cursor > line[pid]) line[pid] = cursor;
-    }
-    if (s->id == id) break;
-  }
-  return line;
-}
-
 std::string CheckResult::describe() const {
   char buf[160];
   std::snprintf(buf, sizeof buf,

@@ -25,6 +25,11 @@
 // the one since. check_all() sweeps the live records against every
 // committed line and merges the retained verdicts, so its result is the
 // one a never-retired log would give.
+//
+// The checker answers the Theorem 1 question only. The line in effect
+// after a given initiation, and recovery at a past time, replay the
+// committed initiations in tests/full_history.hpp, where they are the
+// tests' oracle; RecoveryManager reads the store's live permanent line.
 #pragma once
 
 #include <string>
@@ -62,9 +67,6 @@ class ConsistencyChecker {
   /// Checks every committed initiation's line: one sweep of the live
   /// records, merged with the verdicts of the retired ones.
   CheckResult check_all() const;
-
-  /// Line in effect after the given committed initiation (commit order).
-  Line line_after(InitiationId id) const;
 
  private:
   void retire();

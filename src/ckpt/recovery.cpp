@@ -1,20 +1,20 @@
 #include "ckpt/recovery.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "util/assert.hpp"
 
 namespace mck::ckpt {
 
-RecoveryOutcome RecoveryManager::finish(Line line,
-                                        std::uint64_t rollback_steps,
-                                        bool domino) const {
+RecoveryOutcome restart_from(const EventLog& log, Line line,
+                             std::uint64_t rollback_steps, bool domino) {
   RecoveryOutcome out;
   out.rollback_steps = rollback_steps;
   out.domino_to_start = domino;
-  out.lost_events = 0;
-  for (int p = 0; p < log_.num_processes(); ++p) {
-    std::uint64_t cur = log_.cursor(p);
+  for (int p = 0; p < log.num_processes(); ++p) {
+    std::uint64_t cur = log.cursor(p);
     MCK_ASSERT(line[p] <= cur);
     out.lost_events += cur - line[p];
   }
@@ -23,36 +23,39 @@ RecoveryOutcome RecoveryManager::finish(Line line,
 }
 
 RecoveryOutcome RecoveryManager::recover_coordinated(sim::SimTime t) const {
-  Line line(static_cast<std::size_t>(log_.num_processes()));
-  // Replay committed initiations up to time t in commit order.
-  for (const InitiationStats* s : tracker_.committed_in_commit_order()) {
-    if (s->committed_at > t) break;
-    for (const auto& [pid, cursor] : s->line_updates) {
-      if (cursor > line[pid]) line[pid] = cursor;
-    }
-  }
-  return finish(std::move(line), 0, false);
+  MCK_ASSERT_MSG(store_.auto_gc(),
+                 "recover_coordinated: the store keeps no committed line");
+  MCK_ASSERT_MSG(t >= store_.last_permanent_at(),
+                 "recover_coordinated: t is before the latest permanent "
+                 "checkpoint");
+  const int n = log_.num_processes();
+  Line line(static_cast<std::size_t>(n));
+  for (int p = 0; p < n; ++p) line[p] = store_.permanent_cursor(p);
+  return restart_from(log_, std::move(line));
 }
 
 RecoveryOutcome RecoveryManager::recover_uncoordinated(sim::SimTime t) const {
   // The rollback search may fall below any committed line, so it needs
-  // the whole history; only coordinated runs retire records.
+  // the whole history; only coordinated runs retire records or reclaim
+  // checkpoints.
   MCK_ASSERT_MSG(log_.retired() == 0,
                  "recover_uncoordinated: the event log retired records");
+  MCK_ASSERT_MSG(!store_.auto_gc(),
+                 "recover_uncoordinated: the store reclaims checkpoints");
+  // The newest checkpoint of `p` taken by `t` that covers no event at or
+  // past `limit`; the implicit initial checkpoint (cursor 0) if none does.
+  auto latest = [this, t](ProcessId p, std::uint64_t limit) {
+    std::uint64_t best = 0;
+    store_.for_each_live(p, [&](const CheckpointRecord& rec) {
+      if (rec.taken_at <= t && rec.event_cursor <= limit) {
+        best = std::max(best, rec.event_cursor);
+      }
+    });
+    return best;
+  };
   const int n = log_.num_processes();
-  // Candidate cursors per process: all checkpoints taken at or before t,
-  // sorted ascending (includes the implicit initial checkpoint at 0).
-  std::vector<std::vector<std::uint64_t>> cand(static_cast<std::size_t>(n));
-  for (const CheckpointRecord& rec : store_.all()) {
-    if (rec.discarded || rec.taken_at > t) continue;
-    cand[static_cast<std::size_t>(rec.pid)].push_back(rec.event_cursor);
-  }
   Line line(static_cast<std::size_t>(n));
-  for (int p = 0; p < n; ++p) {
-    auto& v = cand[static_cast<std::size_t>(p)];
-    std::sort(v.begin(), v.end());
-    line[p] = v.empty() ? 0 : v.back();
-  }
+  for (int p = 0; p < n; ++p) line[p] = latest(p, UINT64_MAX);
 
   // Rollback propagation: while an orphan exists, the receiver retreats to
   // its latest checkpoint that excludes the offending receive event.
@@ -64,12 +67,7 @@ RecoveryOutcome RecoveryManager::recover_uncoordinated(sim::SimTime t) const {
     std::vector<Orphan> orphans = log_.find_orphans(line);
     for (const Orphan& o : orphans) {
       if (o.recv_event >= line[o.dst]) continue;  // already resolved
-      const auto& v = cand[static_cast<std::size_t>(o.dst)];
-      // Largest candidate cursor <= recv_event (receive excluded).
-      std::uint64_t best = 0;
-      for (std::uint64_t c : v) {
-        if (c <= o.recv_event && c > best) best = c;
-      }
+      const std::uint64_t best = latest(o.dst, o.recv_event);
       MCK_ASSERT(best < line[o.dst]);
       line[o.dst] = best;
       ++steps;
@@ -78,7 +76,7 @@ RecoveryOutcome RecoveryManager::recover_uncoordinated(sim::SimTime t) const {
     }
   }
   MCK_ASSERT(log_.find_orphans(line).empty());
-  return finish(std::move(line), steps, domino);
+  return restart_from(log_, std::move(line), steps, domino);
 }
 
 }  // namespace mck::ckpt

@@ -8,16 +8,24 @@
 //   - disconnect: checkpoint left at the MSS when an MH voluntarily
 //                 disconnects (Section 2.2),
 //   - initial:    the implicit state before any event (csn 0).
+//
+// The store keeps only the checkpoints that exist now (Section 6): a
+// discarded checkpoint leaves it, and with auto-GC a new permanent erases
+// the one it supersedes. What the queries need of the past is folded into
+// per-process state as it happens. Tests that need the whole history
+// rebuild it from the trace (tests/full_history.hpp, HistoryStore).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "ckpt/event_log.hpp"
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "sim/time.hpp"
 #include "util/assert.hpp"
+#include "util/flat_map.hpp"
 #include "util/types.hpp"
 
 namespace mck::ckpt {
@@ -82,52 +90,38 @@ struct CheckpointRecord {
   std::uint64_t event_cursor = 0;  // events of pid with index < cursor are saved
   InitiationId initiation = 0;     // trigger that caused it (0: local decision)
   sim::SimTime taken_at = 0;
-  sim::SimTime finalized_at = -1;  // when made permanent
-  bool discarded = false;
-  // Garbage collection (Section 3.3.4): when this permanent checkpoint
-  // was superseded by a newer one and reclaimed from stable storage.
-  // -1 = still live. The record itself is kept for post-hoc analysis.
-  sim::SimTime gc_at = -1;
 };
 
 class CheckpointStore {
  public:
+  /// Every process starts at its implicit initial checkpoint (ref = pid,
+  /// csn 0, covering no events); refs of taken checkpoints count up from
+  /// num_processes.
   explicit CheckpointStore(int num_processes)
-      : by_process_(static_cast<std::size_t>(num_processes)) {
-    // Every process has an implicit initial (permanent) checkpoint with
-    // csn 0 covering no events.
-    for (int p = 0; p < num_processes; ++p) {
-      CheckpointRecord rec;
-      rec.pid = p;
-      rec.kind = CkptKind::kInitial;
-      intern(rec);
-    }
+      : procs_(static_cast<std::size_t>(num_processes)),
+        next_ref_(static_cast<CkptRef>(num_processes)) {
+    census_[static_cast<int>(CkptKind::kInitial)] =
+        static_cast<std::size_t>(num_processes);
   }
-
-  int num_processes() const { return static_cast<int>(by_process_.size()); }
 
   /// Attaches a flight recorder (null = off): every take / promote /
   /// make_permanent / discard is traced, which covers the checkpoint
   /// lifecycle of all eight protocols from one place.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Attaches the timeline gauge block (null = off). The store owns the
-  /// live-checkpoint census: ckpt_live[kind] counts non-discarded records
-  /// per lifecycle state (a permanent record leaves the census when the
-  /// auto-GC reclaims it). The implicit initial checkpoints are interned
-  /// before any sampler can attach and are excluded by construction.
-  void set_timeline(obs::TimelineCounters* t) { timeline_ = t; }
-
+  /// Takes a tentative, mutable or disconnect checkpoint of `pid`. A
+  /// process takes its checkpoints in time order.
   CkptRef take(ProcessId pid, CkptKind kind, Csn csn, InitiationId initiation,
                std::uint64_t event_cursor, sim::SimTime at) {
-    CheckpointRecord rec;
-    rec.pid = pid;
-    rec.kind = kind;
-    rec.csn = csn;
-    rec.initiation = initiation;
-    rec.event_cursor = event_cursor;
-    rec.taken_at = at;
-    CkptRef ref = intern(rec);
+    MCK_ASSERT(kind != CkptKind::kInitial && kind != CkptKind::kPermanent);
+    Proc& p = proc(pid);
+    MCK_ASSERT(p.newest == kNoCkpt || node(p.newest).rec.taken_at <= at);
+    const CkptRef ref = next_ref_++;
+    Node& n = live_[ref];
+    n.rec = {ref, pid, csn, kind, event_cursor, initiation, at};
+    n.older = p.newest;
+    p.newest = ref;
+    ++census_[static_cast<int>(kind)];
     if (tracer_ != nullptr) {
       tracer_->record(obs::TraceKind::kCkptTaken, at, pid,
                       static_cast<std::uint8_t>(kind), 0, initiation,
@@ -139,49 +133,52 @@ class CheckpointStore {
                       static_cast<std::uint8_t>(kind), 0,
                       static_cast<std::uint64_t>(ref), event_cursor);
     }
-    if (timeline_ != nullptr) ++timeline_->ckpt_live[static_cast<int>(kind)];
-    if (kind == CkptKind::kTentative) note_occupancy(pid, at);
+    if (kind == CkptKind::kTentative) {
+      ++p.stable;
+      note_occupancy(pid);
+    }
     return ref;
   }
 
-  const CheckpointRecord& get(CkptRef ref) const { return all_[idx(ref)]; }
+  /// A live checkpoint (taken, and not yet discarded or reclaimed).
+  const CheckpointRecord& get(CkptRef ref) const { return node(ref).rec; }
 
   /// Mutable or disconnect checkpoint is flushed to stable storage.
   void promote_to_tentative(CkptRef ref, InitiationId initiation,
                             sim::SimTime at) {
-    CheckpointRecord& rec = mut(ref);
+    CheckpointRecord& rec = node(ref).rec;
     MCK_ASSERT(rec.kind == CkptKind::kMutable ||
                rec.kind == CkptKind::kDisconnect);
-    MCK_ASSERT(!rec.discarded);
     if (tracer_ != nullptr) {
       tracer_->record(obs::TraceKind::kCkptPromoted, at, rec.pid,
                       static_cast<std::uint8_t>(rec.kind), 0, initiation, ref);
     }
-    if (timeline_ != nullptr) {
-      --timeline_->ckpt_live[static_cast<int>(rec.kind)];
-      ++timeline_->ckpt_live[static_cast<int>(CkptKind::kTentative)];
-    }
+    --census_[static_cast<int>(rec.kind)];
+    ++census_[static_cast<int>(CkptKind::kTentative)];
+    ++proc(rec.pid).stable;
     rec.kind = CkptKind::kTentative;
     rec.initiation = initiation;
-    rec.finalized_at = at;  // provisional; overwritten on make_permanent
   }
 
+  /// Tentative checkpoint `ref` becomes permanent. With auto-GC on, the
+  /// permanent it supersedes leaves the store.
   void make_permanent(CkptRef ref, sim::SimTime at) {
-    CheckpointRecord& rec = mut(ref);
+    CheckpointRecord& rec = node(ref).rec;
     MCK_ASSERT(rec.kind == CkptKind::kTentative);
-    MCK_ASSERT(!rec.discarded);
-    if (timeline_ != nullptr) {
-      --timeline_->ckpt_live[static_cast<int>(CkptKind::kTentative)];
-      ++timeline_->ckpt_live[static_cast<int>(CkptKind::kPermanent)];
-    }
+    --census_[static_cast<int>(CkptKind::kTentative)];
+    ++census_[static_cast<int>(CkptKind::kPermanent)];
     rec.kind = CkptKind::kPermanent;
-    rec.finalized_at = at;
+    Proc& p = proc(rec.pid);
+    p.permanent_cursor = std::max(p.permanent_cursor, rec.event_cursor);
+    p.permanent_taken_at = std::max(p.permanent_taken_at, rec.taken_at);
+    last_permanent_at_ = at;
     if (tracer_ != nullptr) {
       tracer_->record(obs::TraceKind::kCkptPermanent, at, rec.pid, 0, 0,
                       rec.initiation, ref);
     }
-    if (auto_gc_) garbage_collect(rec.pid, ref, at);
-    note_occupancy(rec.pid, at);
+    const ProcessId pid = rec.pid;  // `rec` may move when GC erases
+    if (auto_gc_) garbage_collect(pid, ref);
+    note_occupancy(pid);
   }
 
   /// Enables the coordinated-checkpointing storage discipline: a newly
@@ -190,36 +187,23 @@ class CheckpointStore {
   /// rollback search, which is exactly the storage overhead Section 6
   /// criticises.
   void set_auto_gc(bool on) { auto_gc_ = on; }
+  bool auto_gc() const { return auto_gc_; }
 
-  /// Stable-storage checkpoints of `pid` alive at time `t` (tentative or
-  /// permanent, not yet reclaimed). The paper's Section 6 claim: for
-  /// coordinated checkpointing this never exceeds 2 — one permanent plus
-  /// one in-flight tentative.
-  std::size_t stable_live_at(ProcessId pid, sim::SimTime t) const {
-    std::size_t n = 0;
-    for (CkptRef ref : of_process(pid)) {
-      const CheckpointRecord& rec = all_[idx(ref)];
-      if (rec.kind != CkptKind::kTentative && rec.kind != CkptKind::kPermanent)
-        continue;
-      if (rec.taken_at > t) continue;
-      if (rec.discarded) continue;  // conservatively: discarded = freed
-      if (rec.gc_at >= 0 && rec.gc_at <= t) continue;
-      ++n;
-    }
-    return n;
-  }
+  /// Stable-storage checkpoints of `pid` held now (tentative or
+  /// permanent). The paper's Section 6 claim: for coordinated
+  /// checkpointing this never exceeds 2 — one permanent plus one
+  /// in-flight tentative.
+  std::size_t stable_live(ProcessId pid) const { return proc(pid).stable; }
 
   /// Highest simultaneous stable-storage occupancy observed for any
-  /// process (updated whenever a checkpoint becomes permanent).
+  /// process (updated whenever a tentative is taken or a checkpoint
+  /// becomes permanent).
   std::size_t peak_stable_occupancy() const { return peak_occupancy_; }
 
+  /// Drops a tentative, mutable or disconnect checkpoint.
   void discard(CkptRef ref) {
-    CheckpointRecord& rec = mut(ref);
+    const CheckpointRecord& rec = node(ref).rec;
     MCK_ASSERT(rec.kind != CkptKind::kPermanent);
-    if (timeline_ != nullptr) {
-      --timeline_->ckpt_live[static_cast<int>(rec.kind)];
-    }
-    rec.discarded = true;
     if (tracer_ != nullptr) {
       // discard() has no time parameter; the tracer's last stamped time is
       // the current event's time (monotone), so the record stays ordered.
@@ -227,26 +211,26 @@ class CheckpointStore {
                       rec.pid, static_cast<std::uint8_t>(rec.kind), 0,
                       rec.initiation, ref);
     }
+    remove(ref);
   }
 
-  const std::vector<CkptRef>& of_process(ProcessId pid) const {
-    return by_process_[static_cast<std::size_t>(pid)];
-  }
-
-  const std::vector<CheckpointRecord>& all() const { return all_; }
-
-  /// Cursors of the latest permanent checkpoint of every process.
-  Line latest_permanent_line() const {
-    Line line(by_process_.size());
-    for (const CheckpointRecord& rec : all_) {
-      if (rec.kind != CkptKind::kPermanent && rec.kind != CkptKind::kInitial) {
-        continue;
-      }
-      if (rec.discarded) continue;
-      if (rec.event_cursor >= line[rec.pid]) line[rec.pid] = rec.event_cursor;
+  /// Calls fn(record) for every live checkpoint of `pid`, newest first
+  /// (the implicit initial checkpoint excluded).
+  template <typename Fn>
+  void for_each_live(ProcessId pid, Fn&& fn) const {
+    for (CkptRef r = proc(pid).newest; r != kNoCkpt; r = node(r).older) {
+      fn(node(r).rec);
     }
-    return line;
   }
+
+  /// Event cursor of the newest permanent checkpoint of `pid`: the
+  /// largest cursor ever made permanent, 0 for the initial checkpoint.
+  std::uint64_t permanent_cursor(ProcessId pid) const {
+    return proc(pid).permanent_cursor;
+  }
+
+  /// When the latest make_permanent happened (0 if none yet).
+  sim::SimTime last_permanent_at() const { return last_permanent_at_; }
 
   /// When process `pid` last took a checkpoint headed for stable storage
   /// (tentative or already permanent); 0 if never. Used by the paper's
@@ -254,71 +238,95 @@ class CheckpointStore {
   /// scheduled checkpoint time, the next checkpoint will be scheduled 900s
   /// after that time."
   sim::SimTime last_stable_taken_at(ProcessId pid) const {
-    sim::SimTime last = 0;
-    for (CkptRef ref : of_process(pid)) {
-      const CheckpointRecord& rec = all_[idx(ref)];
-      if (rec.discarded) continue;
-      if (rec.kind != CkptKind::kTentative && rec.kind != CkptKind::kPermanent)
-        continue;
-      if (rec.taken_at > last) last = rec.taken_at;
+    const Proc& p = proc(pid);
+    // Live records run newest first, so the first tentative is the newest
+    // one, and none past a record no newer than the newest permanent
+    // counts.
+    for (CkptRef r = p.newest; r != kNoCkpt;) {
+      const Node& n = node(r);
+      if (n.rec.taken_at <= p.permanent_taken_at) break;
+      if (n.rec.kind == CkptKind::kTentative) return n.rec.taken_at;
+      r = n.older;
     }
-    return last;
+    return p.permanent_taken_at;
   }
 
-  /// Number of live (non-discarded) checkpoints of `kind`.
+  /// Number of live checkpoints of `kind`; kInitial counts every process,
+  /// whose initial checkpoint is never reclaimed.
   std::size_t count(CkptKind kind) const {
-    std::size_t n = 0;
-    for (const CheckpointRecord& rec : all_) {
-      if (!rec.discarded && rec.kind == kind) ++n;
-    }
-    return n;
+    return census_[static_cast<int>(kind)];
   }
 
  private:
-  /// Slot of `ref` in all_ (refs are dense from 0).
-  std::size_t idx(CkptRef ref) const {
-    std::size_t i = static_cast<std::size_t>(ref);
-    MCK_ASSERT(i < all_.size());
-    return i;
-  }
+  struct Node {
+    CheckpointRecord rec;
+    CkptRef older = kNoCkpt;  // next live record of the same process
+  };
 
-  CheckpointRecord& mut(CkptRef ref) { return all_[idx(ref)]; }
+  struct Proc {
+    std::uint64_t permanent_cursor = 0;
+    sim::SimTime permanent_taken_at = 0;  // newest among permanents ever made
+    CkptRef newest = kNoCkpt;             // head of the live list
+    std::uint32_t stable = 0;             // live tentatives and permanents
+  };
+
+  Proc& proc(ProcessId pid) { return procs_[static_cast<std::size_t>(pid)]; }
+  const Proc& proc(ProcessId pid) const {
+    return procs_[static_cast<std::size_t>(pid)];
+  }
+  const Node& node(CkptRef ref) const {
+    const Node* n = live_.find(ref);
+    MCK_ASSERT_MSG(n != nullptr, "checkpoint is not live");
+    return *n;
+  }
+  Node& node(CkptRef ref) {
+    return const_cast<Node&>(std::as_const(*this).node(ref));
+  }
 
   /// A new permanent checkpoint supersedes older permanents of the same
   /// process: their stable storage is reclaimed (Section 3.3.4's garbage
   /// collection; Section 6: "each process needs to store only one
   /// permanent checkpoint").
-  void garbage_collect(ProcessId pid, CkptRef keep, sim::SimTime at) {
-    for (CkptRef ref : of_process(pid)) {
-      if (ref == keep) continue;
-      CheckpointRecord& rec = all_[idx(ref)];
-      if (rec.kind == CkptKind::kPermanent && rec.gc_at < 0) {
-        rec.gc_at = at;
-        if (timeline_ != nullptr) {
-          --timeline_->ckpt_live[static_cast<int>(CkptKind::kPermanent)];
-        }
-      }
+  void garbage_collect(ProcessId pid, CkptRef keep) {
+    for (CkptRef r = proc(pid).newest; r != kNoCkpt;) {
+      const Node& n = node(r);
+      const CkptRef older = n.older;  // `n` goes with remove(r)
+      if (r != keep && n.rec.kind == CkptKind::kPermanent) remove(r);
+      r = older;
     }
   }
 
-  void note_occupancy(ProcessId pid, sim::SimTime at) {
-    std::size_t live = stable_live_at(pid, at);
-    if (live > peak_occupancy_) peak_occupancy_ = live;
+  /// Unlinks `ref` from its process's live list and erases it.
+  void remove(CkptRef ref) {
+    const Node& n = node(ref);
+    Proc& p = proc(n.rec.pid);
+    --census_[static_cast<int>(n.rec.kind)];
+    if (n.rec.kind == CkptKind::kTentative ||
+        n.rec.kind == CkptKind::kPermanent) {
+      --p.stable;
+    }
+    if (p.newest == ref) {
+      p.newest = n.older;
+    } else {
+      CkptRef r = p.newest;
+      while (node(r).older != ref) r = node(r).older;
+      node(r).older = n.older;
+    }
+    live_.erase(ref);
   }
 
-  CkptRef intern(CheckpointRecord rec) {
-    rec.ref = static_cast<CkptRef>(all_.size());
-    by_process_[static_cast<std::size_t>(rec.pid)].push_back(rec.ref);
-    all_.push_back(rec);
-    return rec.ref;
+  void note_occupancy(ProcessId pid) {
+    peak_occupancy_ = std::max(peak_occupancy_, stable_live(pid));
   }
 
-  std::vector<CheckpointRecord> all_;
-  std::vector<std::vector<CkptRef>> by_process_;
+  util::FlatMap<Node> live_;  // ref -> live record
+  std::vector<Proc> procs_;
+  CkptRef next_ref_;
+  std::size_t census_[obs::kRawCkptKindCount] = {};
+  sim::SimTime last_permanent_at_ = 0;
   std::size_t peak_occupancy_ = 0;
   bool auto_gc_ = false;
   obs::Tracer* tracer_ = nullptr;
-  obs::TimelineCounters* timeline_ = nullptr;
 };
 
 }  // namespace mck::ckpt

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "ckpt/store.hpp"
+#include "obs/timeline.hpp"
 #include "sim/time.hpp"
 #include "util/assert.hpp"
 #include "util/types.hpp"
@@ -148,13 +149,6 @@ class CoordinationTracker {
       order_.push_back(id);
     }
     return s;
-  }
-
-  bool contains(InitiationId id) const { return map_.count(id) != 0; }
-
-  const InitiationStats* find(InitiationId id) const {
-    auto it = map_.find(id);
-    return it == map_.end() ? nullptr : &it->second;
   }
 
   /// Initiations in start order.

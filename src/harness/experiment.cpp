@@ -1,9 +1,12 @@
 #include "harness/experiment.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -273,12 +276,24 @@ std::uint64_t replication_seed(std::uint64_t base, int rep) {
 }
 
 int resolve_jobs(int jobs) {
-  if (jobs >= 1) return jobs;
-  if (const char* env = std::getenv("MCK_JOBS")) {
-    int n = std::atoi(env);
-    if (n >= 1) return n;
+  if (jobs < 1) {
+    jobs = 1;
+    if (const char* env = std::getenv("MCK_JOBS")) {
+      // The whole string must be a number that fits: "abc", "4x" and an
+      // overflowing value all mean serial.
+      char* end = nullptr;
+      errno = 0;
+      const long n = std::strtol(env, &end, 10);
+      if (end != env && *end == '\0' && errno == 0 && n >= 1 &&
+          n <= std::numeric_limits<int>::max()) {
+        jobs = static_cast<int>(n);
+      }
+    }
   }
-  return 1;
+  // More workers than CPUs only add threads that wait for one.
+  const int cpus = static_cast<int>(
+      std::max(1u, std::thread::hardware_concurrency()));
+  return std::min(jobs, cpus);
 }
 
 RunResult run_replicated(ExperimentConfig config, int reps, int jobs) {

@@ -103,7 +103,9 @@ std::uint64_t splitmix64(std::uint64_t x);
 std::uint64_t replication_seed(std::uint64_t base, int rep);
 
 /// Resolves a worker count: values >= 1 are used as-is; 0 (the default)
-/// reads the MCK_JOBS environment variable, falling back to 1 (serial).
+/// reads the MCK_JOBS environment variable, falling back to 1 (serial)
+/// when it is unset or not a whole positive int. The result is capped at
+/// the hardware's thread count (at least 1).
 int resolve_jobs(int jobs);
 
 /// Runs `reps` repetitions with seeds replication_seed(seed, 0..reps-1)

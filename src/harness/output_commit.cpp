@@ -39,10 +39,9 @@ void OutputCommitter::ensure_initiation(ProcessId p) {
 }
 
 void OutputCommitter::on_commit() {
-  ckpt::Line line = sys_.store().latest_permanent_line();
   for (std::size_t i = 0; i < pending_.size();) {
     Pending& pend = pending_[i];
-    if (line[pend.p] >= pend.produced_cursor) {
+    if (sys_.store().permanent_cursor(pend.p) >= pend.produced_cursor) {
       sim::SimTime now = sys_.simulator().now();
       delays_s_.add(sim::to_seconds(now - pend.produced_at));
       ++released_count_;

@@ -41,13 +41,27 @@ std::uint64_t pull_forwarded_total(const void* ctx) {
   return static_cast<const mobile::CellularTransport*>(ctx)
       ->messages_forwarded();
 }
+template <ckpt::CkptKind kKind>
+std::uint64_t pull_ckpt_live(const void* ctx) {
+  return static_cast<const ckpt::CheckpointStore*>(ctx)->count(kKind);
+}
 
-/// Registers the standard cumulative pull sources on a timeline sampler:
-/// RunStats totals and (when `cell` is non-null) the cellular transport's
-/// buffered/forwarded counters.
+/// Registers the standard pull sources on a timeline sampler: the store's
+/// live-checkpoint census, RunStats totals and (when `cell` is non-null)
+/// the cellular transport's buffered/forwarded counters.
 void register_timeline_pulls(obs::TimelineSampler& tl,
+                             const ckpt::CheckpointStore* store,
                              const rt::RunStats* stats,
                              const mobile::CellularTransport* cell) {
+  using ckpt::CkptKind;
+  tl.add_pull(obs::kColCkptMutable, &pull_ckpt_live<CkptKind::kMutable>,
+              store);
+  tl.add_pull(obs::kColCkptTentative, &pull_ckpt_live<CkptKind::kTentative>,
+              store);
+  tl.add_pull(obs::kColCkptPermanent, &pull_ckpt_live<CkptKind::kPermanent>,
+              store);
+  tl.add_pull(obs::kColCkptDisconnect,
+              &pull_ckpt_live<CkptKind::kDisconnect>, store);
   tl.add_pull(obs::kColMsgsSent, &pull_msgs_sent, stats);
   tl.add_pull(obs::kColDeliveries, &pull_deliveries, stats);
   tl.add_pull(obs::kColBytesComp, &pull_bytes_comp, stats);
@@ -186,14 +200,13 @@ System::System(SystemOptions opts)
     obs::TimelineSampler* tl = opts_.timeline;
     obs::TimelineCounters* c = tl->counters();
     sim_.set_timeline(tl);
-    store_.set_timeline(c);
     tracker_.set_timeline(c);
     if (lan_) {
       lan_->set_timeline(c);
     } else {
       cell_->set_timeline(c);
     }
-    register_timeline_pulls(*tl, &stats_, cell_.get());
+    register_timeline_pulls(*tl, &store_, &stats_, cell_.get());
   }
 
   protos_.reserve(static_cast<std::size_t>(opts_.num_processes));

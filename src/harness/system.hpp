@@ -71,8 +71,8 @@ struct SystemOptions {
 
   /// Run-health timeline sampler (DESIGN.md 3f). When non-null *and*
   /// configured, the constructor attaches its gauge block to every owner
-  /// (transport, store, tracker, protocols), registers the pull sources
-  /// (stats / transport cumulatives) and arms the simulator's
+  /// (transport, tracker, protocols), registers the pull sources
+  /// (store census, stats / transport cumulatives) and arms the simulator's
   /// sampling hook. Null or unconfigured keeps every hot-path site at a
   /// single untaken branch.
   obs::TimelineSampler* timeline = nullptr;
@@ -123,7 +123,7 @@ class System {
   ckpt::CheckResult check_consistency() const { return checker_.check_all(); }
 
   ckpt::RecoveryManager recovery() const {
-    return ckpt::RecoveryManager(log_, store_, tracker_);
+    return ckpt::RecoveryManager(log_, store_);
   }
 
  private:

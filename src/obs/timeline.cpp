@@ -87,11 +87,6 @@ void TimelineSampler::fill_row(std::uint64_t* row, sim::SimTime at,
   row[kColBlockedProcs] = timeline_bits_i64(c.blocked);
   row[kColActiveInits] = timeline_bits_i64(c.active_inits);
   row[kColOutstandingWeight] = timeline_bits_f64(c.outstanding_weight);
-  row[kColCkptMutable] = timeline_bits_i64(c.ckpt_live[kRawCkptMutable]);
-  row[kColCkptTentative] = timeline_bits_i64(c.ckpt_live[kRawCkptTentative]);
-  row[kColCkptPermanent] = timeline_bits_i64(c.ckpt_live[kRawCkptPermanent]);
-  row[kColCkptDisconnect] =
-      timeline_bits_i64(c.ckpt_live[kRawCkptDisconnect]);
   row[kColDisconnectedMhs] = timeline_bits_i64(c.disconnected);
   std::uint64_t mn = 0, mx = 0, sum = 0;
   if (!c.mss_depth.empty()) {

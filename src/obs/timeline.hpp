@@ -72,7 +72,7 @@ enum : int {
   kColBlockedProcs = 6,     // processes blocked by the protocol
   kColActiveInits = 7,      // open checkpointing rounds
   kColOutstandingWeight = 8,  // initiator weight not yet returned (f64)
-  kColCkptMutable = 9,      // live checkpoints by kind
+  kColCkptMutable = 9,      // live checkpoints by kind (store census)
   kColCkptTentative = 10,
   kColCkptPermanent = 11,
   kColCkptDisconnect = 12,
@@ -100,7 +100,7 @@ const TimelineColumn* timeline_columns();
 // ---------------------------------------------------------------------------
 
 /// Shared gauge block. Every instrumented owner (transports, protocol
-/// layer, checkpoint store, coordination tracker) holds a pointer to one
+/// layer, coordination tracker) holds a pointer to one
 /// of these — nullptr when the timeline is off — and bumps the gauge at
 /// the state transition it owns. All updates are O(1).
 struct TimelineCounters {
@@ -109,8 +109,6 @@ struct TimelineCounters {
   std::int64_t blocked = 0;        // protocol: block()/unblock()
   std::int64_t active_inits = 0;   // tracker: open rounds
   double outstanding_weight = 0;   // cao-singhal: weight in flight
-  // store: by CkptKind (kRawCkptInitial unused)
-  std::int64_t ckpt_live[kRawCkptKindCount] = {};
   std::int64_t disconnected = 0;   // cellular: MHs currently disconnected
   // Per-MSS buffer depths, indexed by MssId. LAN: empty.
   std::vector<std::int64_t> mss_depth;
@@ -167,7 +165,7 @@ class TimelineSampler {
   /// loop's check to one compare.
   sim::SimTime next_due() const { return next_due_; }
 
-  /// Registers a cumulative counter to be read at every tick.
+  /// Registers a counter or gauge to be read at every tick.
   void add_pull(int col, std::uint64_t (*fn)(const void*), const void* ctx);
 
   /// Pre-sizes the row storage (rows, not cells) so steady-state

@@ -6,7 +6,8 @@
 // million-entry table costs one allocation instead of a million.
 // obs::GraphBuilder's per-message annotations only ever add keys; erase()
 // serves ckpt::EventLog, net::FifoSequencer and GraphBuilder's sends and
-// channels, whose tables hold only what is still in transit. The slot
+// channels, whose tables hold only what is still in transit, and
+// ckpt::CheckpointStore, whose table holds only live checkpoints. The slot
 // array never shrinks: it stays sized for the most keys ever present.
 #pragma once
 
@@ -61,6 +62,9 @@ class FlatMap {
       if (s.key_plus1 == 0) return nullptr;
       i = (i + 1) & mask;
     }
+  }
+  const V* find(std::uint64_t key) const {
+    return const_cast<FlatMap*>(this)->find(key);
   }
 
   /// Removes `key`; returns whether it was present. The entries behind it

@@ -45,7 +45,7 @@ TEST(KooToueg, MinProcessTwoPhaseCommit) {
   ASSERT_EQ(inits.size(), 1u);
   EXPECT_TRUE(inits[0]->committed());
   EXPECT_EQ(inits[0]->tentative, 3u);  // P2 <- P3 <- P1
-  EXPECT_EQ(sys.store().count(ckpt::CkptKind::kPermanent), 3u);
+  EXPECT_EQ(sys.stats().permanent_made, 3u);
   EXPECT_TRUE(sys.check_consistency().consistent);
 }
 
@@ -105,7 +105,7 @@ TEST(Elnozahy, AllProcessesCheckpointEveryInitiation) {
   ASSERT_EQ(inits.size(), 1u);
   EXPECT_TRUE(inits[0]->committed());
   EXPECT_EQ(inits[0]->tentative, 6u);  // N, not N_min
-  EXPECT_EQ(sys.store().count(ckpt::CkptKind::kPermanent), 6u);
+  EXPECT_EQ(sys.stats().permanent_made, 6u);
   EXPECT_TRUE(sys.check_consistency().consistent);
 }
 
@@ -126,7 +126,7 @@ void expect_commit_after_late_initiator_transfer(Algorithm algo) {
   ASSERT_EQ(inits.size(), 1u);
   EXPECT_TRUE(inits[0]->committed());
   EXPECT_EQ(inits[0]->line_updates.size(), 4u);
-  EXPECT_EQ(sys.store().count(ckpt::CkptKind::kPermanent), 4u);
+  EXPECT_EQ(sys.stats().permanent_made, 4u);
   for (ProcessId p = 0; p < sys.n(); ++p) {
     EXPECT_FALSE(sys.proto(p).coordination_active()) << "P" << p;
   }

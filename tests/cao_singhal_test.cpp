@@ -45,7 +45,7 @@ TEST(CaoSinghal, InitiatorWithNoDependenciesCommitsAlone) {
   EXPECT_TRUE(inits[0]->committed());
   EXPECT_EQ(inits[0]->tentative, 1u);
   EXPECT_EQ(inits[0]->requests, 0u);
-  EXPECT_EQ(sys.store().count(ckpt::CkptKind::kPermanent), 1u);
+  EXPECT_EQ(sys.stats().permanent_made, 1u);
   // Output-commit delay == one checkpoint transfer (512KB @ 2Mbps = 2s).
   EXPECT_EQ(inits[0]->committed_at - inits[0]->started_at, sim::seconds(2));
   EXPECT_TRUE(sys.check_consistency().consistent);
@@ -66,9 +66,12 @@ TEST(CaoSinghal, DependencyChainForcesMinimalSet) {
   ASSERT_EQ(inits.size(), 1u);
   EXPECT_TRUE(inits[0]->committed());
   EXPECT_EQ(inits[0]->tentative, 3u);
-  EXPECT_EQ(sys.store().count(ckpt::CkptKind::kPermanent), 3u);
-  EXPECT_EQ(sys.store().of_process(0).size(), 1u);  // initial only
-  EXPECT_EQ(sys.store().of_process(4).size(), 1u);
+  EXPECT_EQ(sys.stats().permanent_made, 3u);
+  for (ProcessId p : {0, 4}) {  // the initial checkpoint only
+    sys.store().for_each_live(p, [p](const ckpt::CheckpointRecord& rec) {
+      ADD_FAILURE() << "P" << p << " holds checkpoint " << rec.ref;
+    });
+  }
   EXPECT_TRUE(sys.check_consistency().consistent);
 }
 
@@ -95,7 +98,7 @@ TEST(CaoSinghal, RedundantMutableDiscardedOnCommit) {
   EXPECT_EQ(inits[0]->mutables_promoted, 0u);
   EXPECT_EQ(inits[0]->mutables_discarded, 1u);  // redundant
   EXPECT_EQ(sys.cao(4).mutable_count(), 0u);
-  EXPECT_EQ(sys.store().count(ckpt::CkptKind::kPermanent), 2u);
+  EXPECT_EQ(sys.stats().permanent_made, 2u);
   EXPECT_EQ(sys.store().count(ckpt::CkptKind::kMutable), 0u);
   EXPECT_TRUE(sys.check_consistency().consistent);
 }
@@ -296,9 +299,11 @@ TEST(CaoSinghal, SequentialInitiationsAdvanceTheLine) {
     EXPECT_EQ(st->tentative, 3u);  // P2 <- P1 <- P3 chain each round
   }
   EXPECT_TRUE(sys.check_consistency().consistent);
-  // Each process participating keeps exactly one permanent checkpoint per
-  // committed initiation (Lemma 1: inherits at most one request).
-  EXPECT_EQ(sys.store().count(ckpt::CkptKind::kPermanent), 15u);
+  // Each process participating takes exactly one permanent checkpoint per
+  // committed initiation (Lemma 1: inherits at most one request), and
+  // keeps only the newest.
+  EXPECT_EQ(sys.stats().permanent_made, 15u);
+  EXPECT_EQ(sys.store().count(ckpt::CkptKind::kPermanent), 3u);
 }
 
 }  // namespace

@@ -149,12 +149,12 @@ TEST(Store, LifecyclePermanent) {
   CheckpointStore store(2);
   CkptRef ref = store.take(0, CkptKind::kTentative, 1, 42, 7, 100);
   EXPECT_EQ(store.get(ref).kind, CkptKind::kTentative);
+  EXPECT_EQ(ref, 2u);  // refs count up from the initial checkpoints
   store.make_permanent(ref, 200);
   EXPECT_EQ(store.get(ref).kind, CkptKind::kPermanent);
-  EXPECT_EQ(store.get(ref).finalized_at, 200);
-  Line line = store.latest_permanent_line();
-  EXPECT_EQ(line[0], 7u);
-  EXPECT_EQ(line[1], 0u);
+  EXPECT_EQ(store.last_permanent_at(), 200);
+  EXPECT_EQ(store.permanent_cursor(0), 7u);
+  EXPECT_EQ(store.permanent_cursor(1), 0u);
 }
 
 TEST(Store, MutablePromotion) {
@@ -172,8 +172,41 @@ TEST(Store, DiscardedExcludedFromLine) {
   CheckpointStore store(1);
   CkptRef ref = store.take(0, CkptKind::kTentative, 1, 0, 9, 10);
   store.discard(ref);
-  EXPECT_EQ(store.latest_permanent_line()[0], 0u);
+  EXPECT_EQ(store.permanent_cursor(0), 0u);
   EXPECT_EQ(store.count(CkptKind::kTentative), 0u);
+  EXPECT_EQ(store.stable_live(0), 0u);
+}
+
+TEST(StoreDeathTest, DiscardedCheckpointLeavesTheStore) {
+  CheckpointStore store(1);
+  CkptRef ref = store.take(0, CkptKind::kMutable, 1, 0, 9, 10);
+  store.discard(ref);
+  EXPECT_DEATH(store.get(ref), "not live");
+  EXPECT_DEATH(store.discard(ref), "not live");
+}
+
+TEST(Store, CensusFollowsTheLifecycle) {
+  CheckpointStore store(2);
+  store.set_auto_gc(true);
+  EXPECT_EQ(store.count(CkptKind::kInitial), 2u);
+  CkptRef m = store.take(0, CkptKind::kMutable, 1, 0, 1, 10);
+  CkptRef t = store.take(1, CkptKind::kTentative, 1, 5, 2, 10);
+  EXPECT_EQ(store.count(CkptKind::kMutable), 1u);
+  EXPECT_EQ(store.count(CkptKind::kTentative), 1u);
+  store.promote_to_tentative(m, 5, 20);
+  EXPECT_EQ(store.count(CkptKind::kMutable), 0u);
+  EXPECT_EQ(store.count(CkptKind::kTentative), 2u);
+  store.make_permanent(m, 30);
+  store.make_permanent(t, 30);
+  EXPECT_EQ(store.count(CkptKind::kPermanent), 2u);
+  // A newer permanent reclaims the older one: the census drops it.
+  CkptRef t2 = store.take(0, CkptKind::kTentative, 2, 6, 4, 40);
+  store.make_permanent(t2, 50);
+  EXPECT_EQ(store.count(CkptKind::kPermanent), 2u);
+  EXPECT_EQ(store.count(CkptKind::kTentative), 0u);
+  EXPECT_EQ(store.stable_live(0), 1u);
+  EXPECT_EQ(store.permanent_cursor(0), 4u);
+  EXPECT_EQ(store.count(CkptKind::kInitial), 2u);
 }
 
 TEST(Store, LastStableTakenAt) {
@@ -185,6 +218,13 @@ TEST(Store, LastStableTakenAt) {
   EXPECT_EQ(store.last_stable_taken_at(0), 70);
   store.discard(t);
   EXPECT_EQ(store.last_stable_taken_at(0), 0);
+  // A permanent counts after a newer tentative is discarded.
+  CkptRef p = store.take(0, CkptKind::kTentative, 3, 0, 3, 90);
+  store.make_permanent(p, 95);
+  CkptRef t2 = store.take(0, CkptKind::kTentative, 4, 0, 4, 120);
+  EXPECT_EQ(store.last_stable_taken_at(0), 120);
+  store.discard(t2);
+  EXPECT_EQ(store.last_stable_taken_at(0), 90);
 }
 
 TEST(InitiationId, PacksAndUnpacks) {
@@ -417,19 +457,32 @@ TEST(Tracker, CommittedInCommitOrder) {
 TEST(Recovery, CoordinatedUsesLatestCommittedLine) {
   EventLog log(2);
   CheckpointStore store(2);
+  store.set_auto_gc(true);
   CoordinationTracker tracker;
+  RecoveryManager rm(log, store);
 
   MessageId m = log.record_send(0, 1);
   log.record_recv(m, 1);
 
   InitiationStats& a = tracker.open(make_initiation_id(0, 1), 0, 8);
-  a.line_updates = {{0, 1}, {1, 1}};
-  a.committed_at = 10;
+  CkptRef c0 = store.take(0, CkptKind::kTentative, 1, a.id, 1, 8);
+  CkptRef c1 = store.take(1, CkptKind::kTentative, 1, a.id, 1, 8);
 
   log.record_send(0, 1);  // lost work after the line
 
-  RecoveryManager rm(log, store, tracker);
-  RecoveryOutcome at5 = rm.recover_coordinated(5);
+  // Before the commit the store holds the initial line, which is what the
+  // replay of the committed initiations gives at t = 5.
+  RecoveryOutcome now5 = rm.recover_coordinated(5);
+  EXPECT_EQ(now5.line[0], 0u);  // nothing committed yet
+  EXPECT_EQ(now5.lost_events, 3u);
+
+  a.line_updates = {{0, 1}, {1, 1}};
+  a.committed_at = 10;
+  store.make_permanent(c0, 10);
+  store.make_permanent(c1, 10);
+
+  // The replay answers at any time, before the commit too.
+  RecoveryOutcome at5 = recover_coordinated_at(log, tracker, 5);
   EXPECT_EQ(at5.line[0], 0u);  // nothing committed yet
   EXPECT_EQ(at5.lost_events, 3u);
 
@@ -437,19 +490,32 @@ TEST(Recovery, CoordinatedUsesLatestCommittedLine) {
   EXPECT_EQ(at15.line[0], 1u);
   EXPECT_EQ(at15.line[1], 1u);
   EXPECT_EQ(at15.lost_events, 1u);  // only the post-line send
+  RecoveryOutcome replay15 = recover_coordinated_at(log, tracker, 15);
+  EXPECT_EQ(replay15.line.cursors, at15.line.cursors);
+  EXPECT_EQ(replay15.lost_events, at15.lost_events);
+}
+
+TEST(RecoveryDeathTest, CoordinatedRecoversOnlyAtTheStoreState) {
+  EventLog log(1);
+  CheckpointStore store(1);
+  RecoveryManager rm(log, store);
+  EXPECT_DEATH(rm.recover_coordinated(0), "keeps no committed line");
+  store.set_auto_gc(true);
+  store.make_permanent(store.take(0, CkptKind::kTentative, 1, 1, 0, 5), 10);
+  EXPECT_DEATH(rm.recover_coordinated(9), "before the latest permanent");
+  EXPECT_EQ(rm.recover_coordinated(10).line[0], 0u);
 }
 
 TEST(Recovery, UncoordinatedRollbackPropagation) {
   EventLog log(2);
   CheckpointStore store(2);
-  CoordinationTracker tracker;
 
   // P1 checkpoints after receiving m; P0 never checkpoints after sending.
   MessageId m = log.record_send(0, 1);   // P0 event 0
   log.record_recv(m, 1);                 // P1 event 0
   store.take(1, CkptKind::kTentative, 1, 0, 1, 7);  // includes receive
 
-  RecoveryManager rm(log, store, tracker);
+  RecoveryManager rm(log, store);
   RecoveryOutcome out = rm.recover_uncoordinated(100);
   // P1 must roll past its checkpoint to the initial state.
   EXPECT_EQ(out.line[1], 0u);
@@ -460,7 +526,6 @@ TEST(Recovery, UncoordinatedRollbackPropagation) {
 TEST(RecoveryDeathTest, UncoordinatedRefusesARetiredLog) {
   EventLog log(2);
   CheckpointStore store(2);
-  CoordinationTracker tracker;
   MessageId m = log.record_send(0, 1);
   log.record_recv(m, 1);
   Line line(2);
@@ -468,14 +533,21 @@ TEST(RecoveryDeathTest, UncoordinatedRefusesARetiredLog) {
   line[1] = 1;
   log.retire_below([&line](ProcessId p) { return line[p]; },
                    [](const MsgRecord&) {});
-  RecoveryManager rm(log, store, tracker);
+  RecoveryManager rm(log, store);
   EXPECT_DEATH(rm.recover_uncoordinated(100), "retired records");
+}
+
+TEST(RecoveryDeathTest, UncoordinatedRefusesAReclaimingStore) {
+  EventLog log(2);
+  CheckpointStore store(2);
+  store.set_auto_gc(true);
+  EXPECT_DEATH(RecoveryManager(log, store).recover_uncoordinated(100),
+               "reclaims checkpoints");
 }
 
 TEST(Recovery, UncoordinatedKeepsConsistentCheckpoints) {
   EventLog log(2);
   CheckpointStore store(2);
-  CoordinationTracker tracker;
 
   MessageId m = log.record_send(0, 1);
   store.take(0, CkptKind::kTentative, 1, 0, 1, 6);  // send included
@@ -483,7 +555,7 @@ TEST(Recovery, UncoordinatedKeepsConsistentCheckpoints) {
   store.take(1, CkptKind::kTentative, 1, 0, 1, 8);  // receive included
 
   RecoveryOutcome out =
-      RecoveryManager(log, store, tracker).recover_uncoordinated(100);
+      RecoveryManager(log, store).recover_uncoordinated(100);
   EXPECT_EQ(out.line[0], 1u);
   EXPECT_EQ(out.line[1], 1u);
   EXPECT_EQ(out.lost_events, 0u);

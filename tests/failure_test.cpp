@@ -2,6 +2,7 @@
 // path, state restoration, and recovery from the last committed line.
 #include <gtest/gtest.h>
 
+#include "full_history.hpp"
 #include "harness/system.hpp"
 #include "workload/traffic.hpp"
 
@@ -47,7 +48,7 @@ TEST(Failure, InitiatorDetectsFailedDependencyAndAborts) {
   EXPECT_FALSE(inits[0]->committed());
   // The aborted tentative checkpoint was discarded.
   EXPECT_EQ(sys.store().count(ckpt::CkptKind::kTentative), 0u);
-  EXPECT_EQ(sys.store().count(ckpt::CkptKind::kPermanent), 0u);
+  EXPECT_EQ(sys.stats().permanent_made, 0u);
   // Dependency state was restored so a later retry still works.
   EXPECT_TRUE(sys.cao(2).dependency_vector().test(1));
   EXPECT_FALSE(sys.cao(2).cp_state());
@@ -97,7 +98,7 @@ TEST(Failure, RetryAfterRepairSucceeds) {
   // The retry checkpoints both processes: the m1 dependency survived the
   // abort thanks to the restored R vector.
   EXPECT_EQ(inits[1]->tentative, 2u);
-  EXPECT_EQ(sys.store().count(ckpt::CkptKind::kPermanent), 2u);
+  EXPECT_EQ(sys.stats().permanent_made, 2u);
   EXPECT_TRUE(sys.check_consistency().consistent);
 }
 
@@ -137,10 +138,17 @@ TEST(Failure, RecoveryFallsBackToLastCommittedLine) {
   ckpt::RecoveryOutcome out = rm.recover_coordinated(sim::seconds(20));
   EXPECT_EQ(out.lost_events, 4u);
   EXPECT_TRUE(sys.log().find_orphans(out.line).empty());
+  // The replay of the committed initiations gives the same line.
+  ckpt::RecoveryOutcome replay =
+      ckpt::recover_coordinated_at(sys.log(), sys.tracker(), sim::seconds(20));
+  EXPECT_EQ(replay.line.cursors, out.line.cursors);
+  EXPECT_EQ(replay.lost_events, out.lost_events);
 
   // A crash before the commit falls back to the initial line and loses
-  // everything.
-  ckpt::RecoveryOutcome early = rm.recover_coordinated(sim::seconds(1));
+  // everything. The store holds only the line of now; the replay answers
+  // for the past.
+  ckpt::RecoveryOutcome early =
+      ckpt::recover_coordinated_at(sys.log(), sys.tracker(), sim::seconds(1));
   EXPECT_EQ(early.lost_events, 6u);
 }
 
@@ -210,7 +218,7 @@ TEST(Failure, CommitReachesStableStorageOfFailedParticipant) {
   EXPECT_TRUE(inits[0]->committed());
   // Both line entries present despite P1 being down at commit time.
   EXPECT_EQ(inits[0]->line_updates.size(), 2u);
-  EXPECT_EQ(sys.store().count(ckpt::CkptKind::kPermanent), 2u);
+  EXPECT_EQ(sys.stats().permanent_made, 2u);
   EXPECT_TRUE(sys.check_consistency().consistent);
 }
 

@@ -137,4 +137,164 @@ std::string check_result_mismatch(const CheckResult& got,
   return "";
 }
 
+Line line_after(const CoordinationTracker& tracker, int num_processes,
+                InitiationId id) {
+  Line line(static_cast<std::size_t>(num_processes));
+  for (const InitiationStats* s : tracker.committed_in_commit_order()) {
+    for (const auto& [pid, cursor] : s->line_updates) {
+      line[pid] = std::max(line[pid], cursor);
+    }
+    if (s->id == id) break;
+  }
+  return line;
+}
+
+RecoveryOutcome recover_coordinated_at(const EventLog& log,
+                                       const CoordinationTracker& tracker,
+                                       sim::SimTime t) {
+  Line line(static_cast<std::size_t>(log.num_processes()));
+  for (const InitiationStats* s : tracker.committed_in_commit_order()) {
+    if (s->committed_at > t) break;
+    for (const auto& [pid, cursor] : s->line_updates) {
+      line[pid] = std::max(line[pid], cursor);
+    }
+  }
+  return restart_from(log, std::move(line));
+}
+
+HistoryStore::HistoryStore(int num_processes, bool auto_gc)
+    : auto_gc_(auto_gc),
+      by_process_(static_cast<std::size_t>(num_processes)) {
+  for (ProcessId p = 0; p < num_processes; ++p) {
+    Entry e;
+    e.rec.ref = static_cast<CkptRef>(p);
+    e.rec.pid = p;
+    all_.push_back(e);
+    by_process_[static_cast<std::size_t>(p)].push_back(e.rec.ref);
+  }
+}
+
+void HistoryStore::replay(const std::vector<obs::TraceRecord>& records) {
+  auto entry = [this](std::uint64_t ref) -> Entry& {
+    MCK_ASSERT_MSG(ref < all_.size(), "trace names an unknown checkpoint");
+    return all_[static_cast<std::size_t>(ref)];
+  };
+  for (const obs::TraceRecord& r : records) {
+    switch (static_cast<obs::TraceKind>(r.kind)) {
+      case obs::TraceKind::kCkptTaken: {
+        Entry e;
+        e.rec.ref = static_cast<CkptRef>(r.arg1 >> 32);
+        e.rec.pid = r.pid;
+        e.rec.csn = static_cast<Csn>(r.arg1 & 0xffffffffu);
+        e.rec.kind = static_cast<CkptKind>(r.sub);
+        e.rec.initiation = r.arg0;
+        e.rec.taken_at = r.at;
+        MCK_ASSERT_MSG(e.rec.ref == all_.size(), "checkpoint refs skip");
+        all_.push_back(e);
+        by_process_[static_cast<std::size_t>(r.pid)].push_back(e.rec.ref);
+        break;
+      }
+      case obs::TraceKind::kCkptCursor:
+        entry(r.arg0).rec.event_cursor = r.arg1;
+        break;
+      case obs::TraceKind::kCkptPromoted: {
+        Entry& e = entry(r.arg1);
+        e.rec.kind = CkptKind::kTentative;
+        e.rec.initiation = r.arg0;
+        e.promoted = true;
+        break;
+      }
+      case obs::TraceKind::kCkptPermanent: {
+        Entry& e = entry(r.arg1);
+        e.rec.kind = CkptKind::kPermanent;
+        e.finalized_at = r.at;
+        if (!auto_gc_) break;
+        for (CkptRef ref : by_process_[static_cast<std::size_t>(r.pid)]) {
+          Entry& old = all_[ref];
+          if (ref != e.rec.ref && old.rec.kind == CkptKind::kPermanent &&
+              old.gc_at < 0) {
+            old.gc_at = r.at;
+          }
+        }
+        break;
+      }
+      case obs::TraceKind::kCkptDiscarded:
+        entry(r.arg1).discarded = true;
+        break;
+      default:
+        break;
+    }
+  }
+}
+
+std::size_t HistoryStore::stable_live_at(ProcessId pid, sim::SimTime t) const {
+  std::size_t n = 0;
+  for (CkptRef ref : by_process_[static_cast<std::size_t>(pid)]) {
+    const Entry& e = all_[ref];
+    if (e.rec.kind != CkptKind::kTentative &&
+        e.rec.kind != CkptKind::kPermanent) {
+      continue;
+    }
+    if (e.rec.taken_at > t || e.discarded) continue;
+    if (e.gc_at >= 0 && e.gc_at <= t) continue;
+    ++n;
+  }
+  return n;
+}
+
+sim::SimTime HistoryStore::last_stable_taken_at(ProcessId pid) const {
+  sim::SimTime last = 0;
+  for (CkptRef ref : by_process_[static_cast<std::size_t>(pid)]) {
+    const Entry& e = all_[ref];
+    if (e.discarded) continue;
+    if (e.rec.kind != CkptKind::kTentative &&
+        e.rec.kind != CkptKind::kPermanent) {
+      continue;
+    }
+    last = std::max(last, e.rec.taken_at);
+  }
+  return last;
+}
+
+Line HistoryStore::latest_permanent_line() const {
+  Line line(by_process_.size());
+  for (const Entry& e : all_) {
+    if (e.rec.kind != CkptKind::kPermanent &&
+        e.rec.kind != CkptKind::kInitial) {
+      continue;
+    }
+    line[e.rec.pid] = std::max(line[e.rec.pid], e.rec.event_cursor);
+  }
+  return line;
+}
+
+std::size_t HistoryStore::live_count(CkptKind kind) const {
+  std::size_t n = 0;
+  for (const Entry& e : all_) {
+    if (e.rec.kind == kind && !e.discarded && e.gc_at < 0) ++n;
+  }
+  return n;
+}
+
+std::size_t HistoryStore::permanent_made() const {
+  std::size_t n = 0;
+  for (const Entry& e : all_) {
+    if (e.rec.kind == CkptKind::kPermanent) ++n;
+  }
+  return n;
+}
+
+std::vector<CkptRef> HistoryStore::live_of(ProcessId pid) const {
+  std::vector<CkptRef> refs;
+  const std::vector<CkptRef>& hist = by_process_[static_cast<std::size_t>(pid)];
+  for (auto it = hist.rbegin(); it != hist.rend(); ++it) {
+    const Entry& e = all_[*it];
+    if (e.rec.kind == CkptKind::kInitial || e.discarded || e.gc_at >= 0) {
+      continue;
+    }
+    refs.push_back(*it);
+  }
+  return refs;
+}
+
 }  // namespace mck::ckpt

@@ -4,6 +4,7 @@
 // line is advanced for those processes that committed".
 #include <gtest/gtest.h>
 
+#include "full_history.hpp"
 #include "harness/scheduler.hpp"
 #include "harness/system.hpp"
 #include "workload/traffic.hpp"
@@ -57,7 +58,7 @@ TEST(PartialCommit, IndependentBranchCommitsDespiteFailure) {
   EXPECT_EQ(inits[0]->participants_aborted, 1u);
   ASSERT_EQ(inits[0]->line_updates.size(), 1u);
   EXPECT_EQ(inits[0]->line_updates[0].first, 3);
-  EXPECT_EQ(sys.store().count(ckpt::CkptKind::kPermanent), 1u);
+  EXPECT_EQ(sys.stats().permanent_made, 1u);
   // The initiator's dependency state was restored for a retry.
   EXPECT_TRUE(sys.cao(2).dependency_vector().test(1));
   EXPECT_TRUE(sys.check_consistency().consistent);
@@ -152,7 +153,7 @@ TEST(PartialCommit, AbortAllModeSalvagesNothing) {
   auto inits = sys.tracker().in_order();
   ASSERT_EQ(inits.size(), 1u);
   EXPECT_TRUE(inits[0]->aborted());
-  EXPECT_EQ(sys.store().count(ckpt::CkptKind::kPermanent), 0u);
+  EXPECT_EQ(sys.stats().permanent_made, 0u);
   EXPECT_TRUE(sys.check_consistency().consistent);
 }
 
@@ -172,6 +173,11 @@ TEST(PartialCommit, RecoveryLineAdvancesForCommittedProcesses) {
   EXPECT_GT(out.line[3], 0u);
   EXPECT_EQ(out.line[2], 0u);
   EXPECT_TRUE(sys.log().find_orphans(out.line).empty());
+  // The partial commit's line updates replay to the same line.
+  EXPECT_EQ(ckpt::recover_coordinated_at(sys.log(), sys.tracker(),
+                                         sim::seconds(60))
+                .line.cursors,
+            out.line.cursors);
 }
 
 

@@ -4,9 +4,12 @@
 // count or thread scheduling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <set>
+#include <thread>
 
 #include "harness/experiment.hpp"
 #include "stats/welford.hpp"
@@ -46,18 +49,39 @@ TEST(ReplicationSeed, AdjacentBaseSeedsShareNoStreams) {
   }
 }
 
+// resolve_jobs only computes a count; these tests start no thread.
+int cpus() {
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
+
 TEST(ResolveJobs, ExplicitValueWins) {
-  EXPECT_EQ(harness::resolve_jobs(3), 3);
+  EXPECT_EQ(harness::resolve_jobs(3), std::min(3, cpus()));
   EXPECT_EQ(harness::resolve_jobs(1), 1);
+}
+
+TEST(ResolveJobs, CappedAtTheCpuCount) {
+  EXPECT_EQ(harness::resolve_jobs(cpus()), cpus());
+  EXPECT_EQ(harness::resolve_jobs(cpus() + 1), cpus());
+  EXPECT_EQ(harness::resolve_jobs(std::numeric_limits<int>::max()), cpus());
+  setenv("MCK_JOBS", "2147483647", 1);
+  EXPECT_EQ(harness::resolve_jobs(0), cpus());
+  unsetenv("MCK_JOBS");
 }
 
 TEST(ResolveJobs, DefaultsComeFromEnvironment) {
   unsetenv("MCK_JOBS");
   EXPECT_EQ(harness::resolve_jobs(0), 1);
   setenv("MCK_JOBS", "6", 1);
-  EXPECT_EQ(harness::resolve_jobs(0), 6);
-  setenv("MCK_JOBS", "garbage", 1);
-  EXPECT_EQ(harness::resolve_jobs(0), 1);
+  EXPECT_EQ(harness::resolve_jobs(0), std::min(6, cpus()));
+  setenv("MCK_JOBS", "2", 1);
+  EXPECT_EQ(harness::resolve_jobs(0), std::min(2, cpus()));
+  // Anything but a whole positive int is serial: garbage, a numeric
+  // prefix, a value past int or past long, zero, negative, empty.
+  for (const char* bad : {"garbage", "abc", "4x", "2147483648",
+                          "99999999999999999999", "0", "-3", ""}) {
+    setenv("MCK_JOBS", bad, 1);
+    EXPECT_EQ(harness::resolve_jobs(0), 1) << "MCK_JOBS=" << bad;
+  }
   unsetenv("MCK_JOBS");
 }
 

@@ -91,15 +91,21 @@ TEST(Store, CheckpointKindNames) {
   EXPECT_STREQ(ckpt::to_string(ckpt::CkptKind::kInitial), "initial");
 }
 
-TEST(Store, PerProcessHistoryOrder) {
+TEST(Store, PerProcessLiveOrder) {
   ckpt::CheckpointStore store(2);
   ckpt::CkptRef a = store.take(0, ckpt::CkptKind::kTentative, 1, 0, 3, 10);
   ckpt::CkptRef b = store.take(0, ckpt::CkptKind::kMutable, 2, 0, 5, 20);
-  const auto& hist = store.of_process(0);
-  ASSERT_EQ(hist.size(), 3u);  // initial + two
-  EXPECT_EQ(hist[1], a);
-  EXPECT_EQ(hist[2], b);
-  EXPECT_EQ(store.of_process(1).size(), 1u);
+  ckpt::CkptRef c = store.take(0, ckpt::CkptKind::kMutable, 3, 0, 6, 30);
+  auto live_of = [&store](ProcessId p) {
+    std::vector<ckpt::CkptRef> refs;
+    store.for_each_live(
+        p, [&refs](const ckpt::CheckpointRecord& r) { refs.push_back(r.ref); });
+    return refs;
+  };
+  EXPECT_EQ(live_of(0), (std::vector<ckpt::CkptRef>{c, b, a}));  // newest first
+  store.discard(b);  // from the middle of the list
+  EXPECT_EQ(live_of(0), (std::vector<ckpt::CkptRef>{c, a}));
+  EXPECT_TRUE(live_of(1).empty());  // the initial checkpoint only
 }
 
 // ---------------------------------------------------------------------

@@ -46,8 +46,9 @@ void cli::usage(const char* msg) {
                "  --seed S          RNG seed (default 1)\n"
                "  --reps R          repetitions merged (default 1)\n"
                "  --jobs N          replication worker threads (default:\n"
-               "                    MCK_JOBS env var, else 1; results are\n"
-               "                    identical for any N)\n"
+               "                    MCK_JOBS env var, else 1; at most the\n"
+               "                    CPU count; results are identical for\n"
+               "                    any N)\n"
                "  --transport T     lan | cellular (default lan)\n"
                "  --shared-medium   802.11-style contention for messages\n"
                "  --commit MODE     broadcast | update | hybrid\n"
