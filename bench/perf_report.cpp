@@ -17,7 +17,8 @@
 //     end-to-end number and not just the queue microcosm.
 //
 //  4. Trace-audit throughput (records/s) and heap growth of
-//     obs::audit_records on a fixed in-process cellular n=1024 trace.
+//     obs::audit_records on a fixed in-process cellular n=1024 trace, and
+//     that trace's resident bytes per record (obs::TraceRecords::bytes).
 //
 // Usage: perf_report [--quick] [--out PATH] [--history PATH] [--sha SHA]
 //                    [--stamp TS] [--pending K]; --help lists them.
@@ -281,7 +282,9 @@ ScalePathPerf measure_scale_path() {
 // ---------------------------------------------------------------------------
 // Trace audit: records/s of obs::audit_records (best of kAuditTrials) and
 // the heap it needs on top of the records, as the peak of bytes live
-// through operator new during the audit minus the bytes live before it.
+// through operator new during the audit minus the bytes live before it;
+// and what the records themselves hold, as resident encoded bytes per
+// record.
 // The trace is close to simbench's cell-mobile-audit, without mobility:
 // Cao-Singhal, cellular with 4 MSSs, n=1024, 0.1 msg/s, 1 h (10 min in
 // --quick mode).
@@ -291,6 +294,7 @@ constexpr int kAuditTrials = 3;
 
 struct AuditPerf {
   std::uint64_t records = 0;
+  double trace_bytes_per_record = 0;
   double records_per_sec = 0;  // best of kAuditTrials
   double heap_growth_mib = 0;  // largest of kAuditTrials
   bool ok = false;
@@ -312,8 +316,12 @@ AuditPerf measure_audit(bool quick) {
 
   AuditPerf out;
   if (res.traces.empty()) return out;
-  const std::vector<obs::TraceRecord>& records = res.traces.front().records;
+  const obs::TraceRecords& records = res.traces.front().records;
   out.records = records.size();
+  out.trace_bytes_per_record =
+      records.empty() ? 0.0
+                      : static_cast<double>(records.bytes()) /
+                            static_cast<double>(records.size());
   out.ok = true;
   for (int t = 0; t < kAuditTrials; ++t) {
     const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
@@ -401,9 +409,10 @@ int main(int argc, char** argv) {
 
   // After the scale path: its n=1M peak RSS is a process-wide VmHWM.
   AuditPerf au = measure_audit(quick);
-  std::printf("trace audit: %llu records, best-of-%d %.0f records/s, "
-              "heap growth %.1f MiB%s\n",
-              static_cast<unsigned long long>(au.records), kAuditTrials,
+  std::printf("trace audit: %llu records (%.2f B each), best-of-%d %.0f "
+              "records/s, heap growth %.1f MiB%s\n",
+              static_cast<unsigned long long>(au.records),
+              au.trace_bytes_per_record, kAuditTrials,
               au.records_per_sec, au.heap_growth_mib,
               au.ok ? "" : " (AUDIT FAILED)");
   if (!au.ok) {
@@ -450,6 +459,7 @@ int main(int argc, char** argv) {
                "    \"workload\": \"obs::audit_records, cao_singhal cellular "
                "n=1024 rate=0.1, horizon %.0fs, best-of-%d\",\n"
                "    \"records\": %llu,\n"
+               "    \"trace_bytes_per_record\": %.2f,\n"
                "    \"records_per_sec\": %.1f,\n"
                "    \"heap_growth_mib\": %.1f\n"
                "  }\n"
@@ -466,7 +476,8 @@ int main(int argc, char** argv) {
                static_cast<long long>(sc.n1M_peak_blocked),
                quick ? 600.0 : 3600.0, kAuditTrials,
                static_cast<unsigned long long>(au.records),
-               au.records_per_sec, au.heap_growth_mib);
+               au.trace_bytes_per_record, au.records_per_sec,
+               au.heap_growth_mib);
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
 
@@ -489,12 +500,14 @@ int main(int argc, char** argv) {
                  "\"n1M_wall_s\":%.3f,"
                  "\"n1M_peak_rss_kib\":%llu,"
                  "\"audit_records_per_sec\":%.1f,"
-                 "\"audit_heap_growth_mib\":%.1f}\n",
+                 "\"audit_heap_growth_mib\":%.1f,"
+                 "\"trace_bytes_per_record\":%.2f}\n",
                  sha, stamp, quick ? "true" : "false", cur_eps, cur_ape,
                  st.sim_seconds_per_wall_second,
                  st.events_per_sec, sc.n1k_deliveries_per_sec, sc.n1M_wall_s,
                  static_cast<unsigned long long>(sc.n1M_peak_rss_kib),
-                 au.records_per_sec, au.heap_growth_mib);
+                 au.records_per_sec, au.heap_growth_mib,
+                 au.trace_bytes_per_record);
     std::fclose(h);
     std::printf("appended %s\n", history_path);
   }

@@ -242,8 +242,7 @@ RunResult run_experiment(const ExperimentConfig& config) {
     // Digests computed here (a pure function of the records) ride to
     // write_trace_file, which then skips recomputing them — and any
     // consumer can localize a divergence before the file round-trip.
-    run.digests =
-        obs::compute_run_digests(run.records.data(), run.records.size());
+    run.digests = obs::compute_run_digests(run.records);
     result.traces.push_back(std::move(run));
   }
 

@@ -129,7 +129,7 @@ RoundAttribution attribute_round(const RoundMetrics& rd, const CausalGraph& g,
 
 }  // namespace
 
-void audit_records(const std::vector<TraceRecord>& records, int num_processes,
+void audit_records(const TraceRecords& records, int num_processes,
                    int rep, AuditReport& out) {
   auto violate = [&](AuditCheck c, sim::SimTime at, std::uint64_t initiation,
                      std::string detail) {
@@ -177,8 +177,9 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
     return rd;
   };
 
-  for (const TraceRecord& r : records) {
-    builder.add(r);
+  for (auto it = records.begin(), end = records.end(); it != end; ++it) {
+    const TraceRecord& r = *it;
+    builder.add(it.index(), r);
     fold.add(r);
     switch (static_cast<TraceKind>(r.kind)) {
       case TraceKind::kCkptTaken: {
@@ -476,7 +477,7 @@ void audit_records(const std::vector<TraceRecord>& records, int num_processes,
   steps.close(num_lines);
   std::vector<std::pair<std::size_t, std::size_t>> orphans;  // (line, hop)
   for (std::size_t i = 0; i < g.num_hops(); ++i) {
-    const MsgHop h = g.hop(i);
+    const CausalGraph::Ends h = g.ends(i);
     if (!h.computation || h.send_stamp == 0 || h.recv_stamp == 0) continue;
     if (!known(h.src) || !known(h.dst)) continue;
     out.totals.orphan_checks += num_lines;

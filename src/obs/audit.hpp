@@ -125,7 +125,7 @@ struct AuditReport {
 };
 
 /// Audits one run's records, appending into `out` (rep labels the run).
-void audit_records(const std::vector<TraceRecord>& records, int num_processes,
+void audit_records(const TraceRecords& records, int num_processes,
                    int rep, AuditReport& out);
 
 AuditReport audit_runs(const std::vector<TraceRun>& runs, int num_processes);

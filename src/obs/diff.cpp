@@ -177,8 +177,8 @@ bool rest_eq(const TraceRecord& x, const TraceRecord& y) {
 
 /// Do a[i..] and b[j..] agree for the next `count` records (bounded by
 /// the shorter stream)? Realignment evidence for missing/extra records.
-bool aligns(const std::vector<TraceRecord>& a, std::size_t i,
-            const std::vector<TraceRecord>& b, std::size_t j,
+bool aligns(const TraceRecords& a, std::size_t i,
+            const TraceRecords& b, std::size_t j,
             std::size_t count) {
   for (std::size_t k = 0; k < count; ++k) {
     if (i + k >= a.size() || j + k >= b.size()) return true;  // ran off: ok
@@ -221,12 +221,13 @@ bool backtrace_noise(std::uint8_t kind) {
 /// crossed — the matched send (and from there the sender's history), the
 /// same edges obs/graph.hpp rebuilds for the auditor. Simulator-global
 /// bookkeeping records (event firings, queue-depth samples) are skipped.
-std::vector<BacktraceEntry> causal_backtrace(
-    const std::vector<TraceRecord>& recs, std::uint64_t idx, int k) {
+std::vector<BacktraceEntry> causal_backtrace(const TraceRecords& records,
+                                             std::uint64_t idx, int k) {
   std::vector<BacktraceEntry> out;
-  if (recs.empty() || k <= 0) return out;
-  idx = std::min<std::uint64_t>(idx, recs.size() - 1);
-  const TraceRecord& div = recs[static_cast<std::size_t>(idx)];
+  if (records.empty() || k <= 0) return out;
+  idx = std::min<std::uint64_t>(idx, records.size() - 1);
+  RecordCache recs(&records);
+  const TraceRecord div = recs[static_cast<std::size_t>(idx)];
 
   std::unordered_set<std::int32_t> pids{div.pid};
   std::unordered_set<std::uint64_t> wanted_msgs;
@@ -258,8 +259,7 @@ std::vector<BacktraceEntry> causal_backtrace(
 
 /// Builds the full RunDivergence for streams known to differ first at
 /// index `i` (i == min(size) means one stream ended).
-RunDivergence classify(const std::vector<TraceRecord>& a,
-                       const std::vector<TraceRecord>& b, int rep,
+RunDivergence classify(const TraceRecords& a, const TraceRecords& b, int rep,
                        std::uint64_t i, const DiffOptions& opt) {
   RunDivergence d;
   d.rep = rep;
@@ -327,13 +327,15 @@ RunDivergence classify(const std::vector<TraceRecord>& a,
 /// min(size) when only the lengths differ, npos when truly identical.
 constexpr std::uint64_t kNoDivergence = ~0ull;
 
-std::uint64_t scan_first_diff(const std::vector<TraceRecord>& a,
-                              const std::vector<TraceRecord>& b,
+std::uint64_t scan_first_diff(const TraceRecords& a, const TraceRecords& b,
                               std::uint64_t start,
                               std::uint64_t* records_scanned) {
   const std::size_t lim = std::min(a.size(), b.size());
   std::size_t i = static_cast<std::size_t>(start);
-  while (i < lim && rec_eq(a[i], b[i])) ++i;
+  for (auto x = a.from(i), y = b.from(i); i < lim && rec_eq(*x, *y);
+       ++x, ++y) {
+    ++i;
+  }
   if (records_scanned != nullptr) *records_scanned += i - start;
   if (i < lim) return i;
   if (a.size() != b.size()) return lim;
@@ -365,8 +367,8 @@ void compare_meta(const File& a, const File& b, Note&& note,
 
 }  // namespace
 
-std::optional<RunDivergence> diff_records(const std::vector<TraceRecord>& a,
-                                          const std::vector<TraceRecord>& b,
+std::optional<RunDivergence> diff_records(const TraceRecords& a,
+                                          const TraceRecords& b,
                                           int rep, const DiffOptions& opt) {
   std::uint64_t i = scan_first_diff(a, b, 0, nullptr);
   if (i == kNoDivergence) return std::nullopt;
@@ -415,12 +417,11 @@ TraceDiff diff_traces(const TraceFile& a, const TraceFile& b,
       out.stats.chunks_skipped += c;
       if (c == common && ca == cb &&
           ra.records.size() == rb.records.size()) {
-        // Every chunk digest agrees: confirm byte identity with one flat
-        // memcmp (no record is decoded either way). A digest collision
-        // hiding a real difference falls through to the full scan.
-        if (ra.records.empty() ||
-            std::memcmp(ra.records.data(), rb.records.data(),
-                        ra.records.size() * sizeof(TraceRecord)) == 0) {
+        // Every chunk digest agrees: confirm identity by comparing the
+        // encoded bytes (canonical, so equal records give equal bytes; no
+        // record is decoded). A digest collision hiding a real difference
+        // falls through to the full scan.
+        if (ra.records == rb.records) {
           need_scan = false;
         } else {
           start = 0;  // collision: pay the linear scan

@@ -108,8 +108,8 @@ TraceDiff diff_traces(const TraceFile& a, const TraceFile& b,
 /// First divergence of one record-stream pair (the timeline_test
 /// failure path). std::nullopt when the streams are
 /// byte-identical. `rep` only labels the result.
-std::optional<RunDivergence> diff_records(const std::vector<TraceRecord>& a,
-                                          const std::vector<TraceRecord>& b,
+std::optional<RunDivergence> diff_records(const TraceRecords& a,
+                                          const TraceRecords& b,
                                           int rep = 0,
                                           const DiffOptions& opt = {});
 

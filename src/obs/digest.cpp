@@ -1,6 +1,5 @@
 #include "obs/digest.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 namespace mck::obs {
@@ -43,26 +42,24 @@ std::uint64_t digest_bytes(const void* data, std::size_t n,
   return mix(h);
 }
 
-RunDigests compute_run_digests(const TraceRecord* records, std::size_t n) {
+RunDigests compute_run_digests(const TraceRecords& records) {
   RunDigests out;
-  const std::uint64_t chunks = digest_chunk_count(n);
-  out.chunks.reserve(static_cast<std::size_t>(chunks));
-  for (std::uint64_t c = 0; c < chunks; ++c) {
-    out.chunks.push_back(compute_chunk_digest(records, n, c));
-  }
-  out.run = fold_run_digest(out.chunks, n);
+  out.chunks.reserve(
+      static_cast<std::size_t>(digest_chunk_count(records.size())));
+  for_each_chunk(records, [&out](std::uint64_t c, const TraceRecord* p,
+                                 std::size_t n) {
+    out.chunks.push_back(chunk_digest(p, n, c));
+  });
+  out.run = fold_run_digest(out.chunks, records.size());
   return out;
 }
 
-std::uint64_t compute_chunk_digest(const TraceRecord* records, std::size_t n,
-                                   std::uint64_t chunk) {
-  const std::size_t lo = static_cast<std::size_t>(chunk) * kDigestChunkRecords;
-  const std::size_t hi = std::min(n, lo + kDigestChunkRecords);
-  if (lo >= hi) return 0;
+std::uint64_t chunk_digest(const TraceRecord* records, std::size_t n,
+                           std::uint64_t chunk) {
+  if (n == 0) return 0;
   // Seed with the chunk ordinal: identical record runs in different
   // chunks digest differently, so a chunk-sized shift cannot alias.
-  return digest_bytes(records + lo, (hi - lo) * sizeof(TraceRecord),
-                      chunk + 1);
+  return digest_bytes(records, n * sizeof(TraceRecord), chunk + 1);
 }
 
 std::uint64_t fold_run_digest(const std::vector<std::uint64_t>& chunks,

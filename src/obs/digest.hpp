@@ -19,6 +19,7 @@
 // future version must digest the same records to the same values.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -52,15 +53,33 @@ inline std::uint64_t digest_chunk_count(std::uint64_t records) {
   return (records + kDigestChunkRecords - 1) / kDigestChunkRecords;
 }
 
-/// Digests `n` records: per-chunk digests plus the folded run digest.
-/// One linear pass, no per-record allocation (one reserve up front).
-RunDigests compute_run_digests(const TraceRecord* records, std::size_t n);
+/// The digest of chunk `chunk`, given its `n` records (n is
+/// kDigestChunkRecords except in a run's last chunk).
+std::uint64_t chunk_digest(const TraceRecord* records, std::size_t n,
+                           std::uint64_t chunk);
 
-/// Recomputes the digest of chunk `chunk` of `n` records (bounds-checked
-/// by the caller). Used to verify a single suspect chunk without
-/// rehashing the whole run.
-std::uint64_t compute_chunk_digest(const TraceRecord* records, std::size_t n,
-                                   std::uint64_t chunk);
+/// Calls fn(chunk, records, n) for each digest chunk of `records` in
+/// order, decoded into one reusable buffer: what every pass that needs
+/// the raw 32-byte images (digests, the file writer) walks.
+template <typename Fn>
+void for_each_chunk(const TraceRecords& records, Fn&& fn) {
+  std::vector<TraceRecord> buf(
+      std::min<std::size_t>(records.size(), kDigestChunkRecords));
+  std::uint64_t chunk = 0;
+  std::size_t n = 0;
+  for (const TraceRecord& r : records) {
+    buf[n++] = r;
+    if (n == kDigestChunkRecords) {
+      fn(chunk++, static_cast<const TraceRecord*>(buf.data()), n);
+      n = 0;
+    }
+  }
+  if (n > 0) fn(chunk, static_cast<const TraceRecord*>(buf.data()), n);
+}
+
+/// Digests a run: per-chunk digests plus the folded run digest, in one
+/// pass.
+RunDigests compute_run_digests(const TraceRecords& records);
 
 /// Folds chunk digests + the record count into the whole-run digest.
 std::uint64_t fold_run_digest(const std::vector<std::uint64_t>& chunks,

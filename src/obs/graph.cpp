@@ -34,17 +34,16 @@ MsgHop CausalGraph::hop(std::size_t i) const {
   const HopRef& ref = hops_[i];
   MCK_ASSERT_MSG(ref.deliver < records_->size(),
                  "a CausalGraph must not outlive its records");
-  const TraceRecord& s = (*records_)[ref.send];
-  const TraceRecord& r = (*records_)[ref.deliver];
+  const TraceRecord& r = deliver_cache_[ref.deliver];
   MsgHop h;
   h.id = r.arg0;
-  h.src = s.pid;
+  h.src = ref.src;
   h.dst = r.pid;
   h.kind = r.sub;
   h.computation = r.sub == kRawMsgComputation;
-  h.sent_at = s.at;
+  h.sent_at = send_cache_[ref.send].at;
   h.delivered_at = r.at;
-  h.send_stamp = msg_stamp_of(s.arg1);
+  h.send_stamp = ref.send_stamp;
   h.recv_stamp = msg_stamp_of(r.arg1);
   const auto a = std::lower_bound(
       annots_.begin(), annots_.end(), i,
@@ -57,12 +56,21 @@ MsgHop CausalGraph::hop(std::size_t i) const {
   return h;
 }
 
-GraphBuilder::GraphBuilder(const std::vector<TraceRecord>& records,
-                           int num_processes)
+CausalGraph::Ends CausalGraph::ends(std::size_t i) const {
+  MCK_ASSERT(i < hops_.size());
+  const HopRef& ref = hops_[i];
+  const TraceRecord& r = deliver_cache_[ref.deliver];
+  return Ends{ref.src, r.pid, ref.send_stamp, msg_stamp_of(r.arg1),
+              r.sub == kRawMsgComputation};
+}
+
+GraphBuilder::GraphBuilder(const TraceRecords& records, int num_processes)
     : records_(records), n_(num_processes) {
   MCK_ASSERT_MSG(records.size() <= 0xffffffffu,
                  "a run holds at most 2^32 records");
   g_.records_ = &records;
+  g_.send_cache_ = RecordCache(&records);
+  g_.deliver_cache_ = RecordCache(&records);
   g_.delivers_by_pid.resize(static_cast<std::size_t>(num_processes));
 }
 
@@ -78,13 +86,12 @@ std::uint32_t GraphBuilder::enqueue(std::uint64_t chan_key) {
   return c.next_send++;
 }
 
-bool GraphBuilder::match(const TraceRecord& send, SendRef& ref,
-                         const TraceRecord& r, bool comp) {
+bool GraphBuilder::match(SendRef& send, const TraceRecord& r, bool comp) {
   if (comp != (send.sub == kRawMsgComputation)) return false;
-  std::uint32_t* copy = &ref.seq;
+  std::uint32_t* copy = &send.seq;
   if (send.aux == kBroadcastDst) {
     if (r.pid < 0 || r.pid >= n_ || r.pid == send.pid) return false;
-    copy = &bcast_seqs_[ref.seq + static_cast<std::size_t>(r.pid)];
+    copy = &bcast_seqs_[send.seq + static_cast<std::size_t>(r.pid)];
   } else if (r.pid != static_cast<std::int32_t>(send.aux)) {
     return false;
   }
@@ -128,19 +135,22 @@ bool GraphBuilder::match(const TraceRecord& send, SendRef& ref,
 
 void GraphBuilder::reindex(std::uint32_t end) {
   retiring_ = false;
-  for (std::uint32_t j = 0; j < end; ++j) {
-    const TraceRecord& s = records_[j];
-    if (static_cast<TraceKind>(s.kind) != TraceKind::kMsgSend) continue;
-    auto [ref, fresh] = sends_.try_emplace(s.arg0);
+  for (auto it = records_.begin(); it.index() < end; ++it) {
+    if (static_cast<TraceKind>(it->kind) != TraceKind::kMsgSend) continue;
+    auto [ref, fresh] = sends_.try_emplace(it->arg0);
     // Ids ascended so far, so a missing id is a unicast that was retired.
-    if (fresh) *ref = SendRef{j, kConsumed};
+    if (fresh) {
+      *ref = send_ref(static_cast<std::uint32_t>(it.index()), *it, kConsumed);
+    }
   }
 }
 
-void GraphBuilder::add(const TraceRecord& r) {
-  const std::uint32_t idx = next_rec_++;
-  MCK_ASSERT_MSG(&r == records_.data() + idx,
+void GraphBuilder::add(std::size_t index, const TraceRecord& r) {
+  MCK_ASSERT_MSG(index == next_rec_,
                  "GraphBuilder::add must see the records in order");
+  const std::uint32_t idx = next_rec_++;
+  const sim::SimTime latest_before = max_at_;
+  max_at_ = std::max(max_at_, r.at);
   switch (static_cast<TraceKind>(r.kind)) {
     case TraceKind::kMsgSend: {
       if (may_be_retired(r.arg0)) {
@@ -154,7 +164,7 @@ void GraphBuilder::add(const TraceRecord& r) {
         break;
       }
       ++g_.sends;
-      ref->rec = idx;
+      *ref = send_ref(idx, r, 0);
       const bool comp = r.sub == kRawMsgComputation;
       if (r.aux == kBroadcastDst) {
         const std::size_t base = bcast_seqs_.size();
@@ -193,9 +203,8 @@ void GraphBuilder::add(const TraceRecord& r) {
         issue(r.at, r.arg0, "delivery with no matching send record");
         break;
       }
-      const std::uint32_t send_rec = ref->rec;
-      const TraceRecord& s = records_[send_rec];
-      if (s.at > r.at) {
+      const SendRef s = *ref;
+      if (r.at < latest_before && records_[s.rec].at > r.at) {
         issue(r.at, r.arg0, "message delivered before it was sent");
       }
       if (static_cast<std::int32_t>(r.aux) != s.pid) {
@@ -211,7 +220,7 @@ void GraphBuilder::add(const TraceRecord& r) {
       }
 
       const bool comp = r.sub == kRawMsgComputation;
-      if (!match(s, *ref, r, comp)) {
+      if (!match(*ref, r, comp)) {
         issue(r.at, r.arg0, "message delivered twice to one process");
       } else if (retiring_ && s.aux != kBroadcastDst) {
         sends_.erase(r.arg0);  // its one copy is consumed
@@ -221,14 +230,14 @@ void GraphBuilder::add(const TraceRecord& r) {
       if (const CausalGraph::HopAnnot* a = annots_.find(r.arg0)) {
         g_.annots_.push_back(CausalGraph::HopAnnotAt{hop, *a});
       }
-      if (comp && (msg_stamp_of(s.arg1) == 0 || msg_stamp_of(r.arg1) == 0)) {
+      if (comp && (s.stamp == 0 || msg_stamp_of(r.arg1) == 0)) {
         issue(r.at, r.arg0,
               "computation message is missing an event-log stamp");
       }
       if (r.pid >= 0 && r.pid < n_) {
         g_.delivers_by_pid[static_cast<std::size_t>(r.pid)].push_back(hop);
       }
-      g_.hops_.push_back(CausalGraph::HopRef{send_rec, idx});
+      g_.hops_.push_back(CausalGraph::HopRef{s.rec, idx, s.pid, s.stamp});
       break;
     }
     default:
@@ -241,10 +250,11 @@ CausalGraph GraphBuilder::finish() {
   return std::move(g_);
 }
 
-CausalGraph build_graph(const std::vector<TraceRecord>& records,
-                        int num_processes) {
+CausalGraph build_graph(const TraceRecords& records, int num_processes) {
   GraphBuilder b(records, num_processes);
-  for (const TraceRecord& r : records) b.add(r);
+  for (auto it = records.begin(), end = records.end(); it != end; ++it) {
+    b.add(it.index(), *it);
+  }
   return b.finish();
 }
 

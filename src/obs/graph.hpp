@@ -19,10 +19,12 @@
 // flight hold state: a unicast send leaves the send table when its copy
 // is consumed, a broadcast marks each recipient's copy consumed in
 // place, and an idle channel is erased (its numbers restart at its next
-// send; nothing live refers to the old ones). Entries are 16-byte slots
-// in flat tables at most 5/8 full, plus 4 B per broadcast recipient; a
-// send is kept as the index of its record, and a hop as the indices of
-// its two records, not copied.
+// send; nothing live refers to the old ones). Tables are flat and at
+// most 5/8 full: a channel slot is 16 bytes, a send slot 32 (its record
+// index and the fields its deliveries are checked against), plus 4 B
+// per broadcast recipient. A hop is 16 bytes: the indices of its two
+// records, and its sender and send stamp, which the Theorem 1 sweep
+// needs without decoding the send record again.
 //
 // Retiring sends relies on ascending send ids, which the simulator's one
 // message counter guarantees. The first send id that does not ascend, or
@@ -38,6 +40,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -75,9 +78,10 @@ struct CausalIssue {
 };
 
 /// The matched hops of one run, in delivery order. A hop is held as the
-/// indices of its send and deliver records (8 bytes), not as a copy of
-/// them, so the graph reads the records it was built from: it must not
-/// outlive them, and they must not change while it is in use.
+/// indices of its send and deliver records plus its sender and send
+/// stamp (16 bytes), not as a copy of the records, so the graph reads the
+/// records it was built from: it must not outlive them, and they must not
+/// change while it is in use.
 class CausalGraph {
  public:
   std::size_t num_hops() const { return hops_.size(); }
@@ -86,8 +90,19 @@ class CausalGraph {
   /// message had at delivery.
   MsgHop hop(std::size_t i) const;
 
+  /// The endpoints of hop `i`, what the Theorem 1 sweep tests: read from
+  /// the deliver record alone, without a lookup of the (older) send.
+  struct Ends {
+    std::int32_t src = -1;
+    std::int32_t dst = -1;
+    std::uint32_t send_stamp = 0;
+    std::uint32_t recv_stamp = 0;
+    bool computation = false;
+  };
+  Ends ends(std::size_t i) const;
+
   sim::SimTime delivered_at(std::size_t i) const {
-    return (*records_)[hops_[i].deliver].at;
+    return deliver_cache_[hops_[i].deliver].at;
   }
 
   /// Indices of the hops delivered at each process, in delivery order
@@ -111,13 +126,21 @@ class CausalGraph {
   struct HopRef {
     std::uint32_t send = 0;     // record index of the kMsgSend
     std::uint32_t deliver = 0;  // record index of the kMsgDeliver
+    std::int32_t src = -1;      // the send's pid and stamp
+    std::uint32_t send_stamp = 0;
   };
   struct HopAnnotAt {
     std::uint32_t hop = 0;
     HopAnnot annot;
   };
 
-  const std::vector<TraceRecord>* records_ = nullptr;
+  const TraceRecords* records_ = nullptr;
+  /// Lookups of send and of deliver records, each keeping its last
+  /// decoded block (hops are read mostly in delivery order, so the
+  /// deliver side decodes each block about once). They make the const
+  /// readers unsafe to call from two threads at once.
+  mutable RecordCache send_cache_;
+  mutable RecordCache deliver_cache_;
   std::vector<HopRef> hops_;
   /// The annotations of the hops whose message had any when it was
   /// delivered, by ascending hop index (rare: retries, buffering and
@@ -130,11 +153,11 @@ class CausalGraph {
 class GraphBuilder {
  public:
   /// `records` must outlive the builder and the graph it finishes, and
-  /// add() must be fed records[0], records[1], ... in order: sends and
-  /// hops are kept as indices.
-  GraphBuilder(const std::vector<TraceRecord>& records, int num_processes);
+  /// add() must be fed records[0], records[1], ... in order, each with
+  /// its index: sends and hops are kept as indices.
+  GraphBuilder(const TraceRecords& records, int num_processes);
 
-  void add(const TraceRecord& r);
+  void add(std::size_t index, const TraceRecord& r);
 
   /// Sends and channels with a copy in flight (plus every broadcast and,
   /// after a re-index, every send): what the builder holds now.
@@ -151,20 +174,30 @@ class GraphBuilder {
   };
   /// A send: its record, and its sequence number on its channel — for a
   /// broadcast, the offset of its per-recipient numbers in bcast_seqs_.
-  /// A copy already delivered has the number kConsumed.
+  /// A copy already delivered has the number kConsumed. The fields its
+  /// deliveries are checked against ride along (24 bytes in all), so a
+  /// delivery decodes the send record only to check its time, and only
+  /// when the trace's time has gone backwards (see max_at_).
   struct SendRef {
     std::uint32_t rec = 0;
     std::uint32_t seq = 0;
+    std::int32_t pid = 0;
+    std::uint32_t stamp = 0;  // msg_stamp_of(arg1)
+    std::uint16_t aux = 0;
+    std::uint8_t sub = 0;
   };
+  static SendRef send_ref(std::uint32_t idx, const TraceRecord& s,
+                          std::uint32_t seq) {
+    return SendRef{idx, seq, s.pid, msg_stamp_of(s.arg1), s.aux, s.sub};
+  }
   /// Never a channel sequence number: enqueue() stops short of it.
   static constexpr std::uint32_t kConsumed = 0xffffffffu;
 
   std::uint32_t enqueue(std::uint64_t chan_key);
   /// Consumes the delivery `r` of `send` on its channel, marking the copy
-  /// consumed in `ref` or bcast_seqs_. False if `r` is not on the channel
+  /// consumed in `send` or bcast_seqs_. False if `r` is not on the channel
   /// the send went to, or that copy was delivered.
-  bool match(const TraceRecord& send, SendRef& ref, const TraceRecord& r,
-             bool comp);
+  bool match(SendRef& send, const TraceRecord& r, bool comp);
   /// Whether `id` may name a send retired from sends_: ids have ascended
   /// so far and `id` is not above the latest.
   bool may_be_retired(std::uint64_t id) const {
@@ -175,9 +208,12 @@ class GraphBuilder {
   void reindex(std::uint32_t end);
   void issue(sim::SimTime at, std::uint64_t id, std::string detail);
 
-  const std::vector<TraceRecord>& records_;
+  const TraceRecords& records_;
   int n_;
   std::uint32_t next_rec_ = 0;
+  /// The latest time of any record added so far: a send is no later than
+  /// it, so a delivery at or after it needs no time check.
+  sim::SimTime max_at_ = std::numeric_limits<sim::SimTime>::min();
   CausalGraph g_;
   util::FlatMap<SendRef> sends_;  // message id -> first send record, live
   /// Message id -> what reroute / buffer / retry records said so far.
@@ -195,8 +231,7 @@ class GraphBuilder {
 
 /// Rebuilds the causal graph of ONE run's records; the graph reads
 /// `records`, so it must not outlive them.
-CausalGraph build_graph(const std::vector<TraceRecord>& records,
-                        int num_processes);
-CausalGraph build_graph(std::vector<TraceRecord>&&, int) = delete;
+CausalGraph build_graph(const TraceRecords& records, int num_processes);
+CausalGraph build_graph(TraceRecords&&, int) = delete;
 
 }  // namespace mck::obs

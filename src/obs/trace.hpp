@@ -10,37 +10,32 @@
 //    appended in event-execution order; each replication owns a private
 //    Tracer and the harness concatenates per-rep buffers in rep-index
 //    order, so a trace file is byte-identical for any --jobs count.
-//  * No allocation in steady state. Records land in chunked bump-pointer
-//    buffers; a chunk allocation every kChunkRecords records is the only
-//    cold spot, and chunk addresses are stable (no reallocation).
-//  * Records are resident once. A chunk is 2^16 records (2 MiB) in its own
-//    anonymous mapping, so take_records() unmaps each chunk as soon as it
-//    has been copied out and the copy outgrows the buffer by at most one
-//    chunk. Chunks come from mmap, not malloc: glibc's dynamic mmap
-//    threshold would move chunks this small into the heap, which keeps
-//    freed pages resident beside the copy. Pages no record reached are
-//    never touched.
+//  * No allocation in steady state. Records are encoded in place into a
+//    TraceRecords (trace_records.hpp), whose 2 MiB segments are the only
+//    thing an append ever maps, and never move once mapped.
+//  * Records are resident once, ~9 bytes each. take_records() moves the
+//    encoded container out without copying it; the trace file I/O
+//    (trace_io.hpp) decodes and encodes one 4096-record digest chunk at a
+//    time, so neither writing nor reading a run holds its records twice,
+//    and no reader holds them at 32 bytes. Segments come from mmap, not
+//    malloc, so a dropped run returns its pages to the OS at once.
 //
-// This header is intentionally dependency-light (sim/time.hpp and
-// util/types.hpp only, both header-only) so the simulator and the
-// checkpoint substrate can include it without a library cycle. It also
-// holds the record conventions every reader shares: the raw-byte mirrors
-// of the MsgKind/CkptKind `sub` discriminators and their names, and the
-// initiation label. File I/O, the record formatter (format_record) and
+// This header is intentionally dependency-light (sim/time.hpp,
+// util/types.hpp and obs/trace_records.hpp, all header-only) so the
+// simulator and the checkpoint substrate can include it without a library
+// cycle. It also holds the record conventions every reader shares: the
+// raw-byte mirrors of the MsgKind/CkptKind `sub` discriminators and their
+// names, and the initiation label. File I/O, the record formatter (format_record) and
 // derived metrics live in the mck_obs library (trace_io.hpp, diff.hpp,
 // round_metrics.hpp).
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <memory>
-#include <new>
 #include <string>
-#include <type_traits>
-#include <vector>
+#include <utility>
 
-#include <sys/mman.h>
-
+#include "obs/trace_records.hpp"
 #include "sim/time.hpp"
 #include "util/types.hpp"
 
@@ -102,6 +97,8 @@ enum class TraceKind : std::uint8_t {
 
 inline constexpr int kTraceKindCount = static_cast<int>(TraceKind::kCount);
 static_assert(kTraceKindCount <= 64, "kind mask is a 64-bit word");
+static_assert(kTraceKindCount <= static_cast<int>(TraceRecords::kKindContexts),
+              "every real kind has its own encoding context");
 
 /// aux value of a kMsgSend record for a broadcast (one record per
 /// broadcast, mirroring RunStats::msgs_sent accounting).
@@ -225,21 +222,8 @@ inline constexpr sim::SimTime retry_extra_of(std::uint64_t arg1) {
   return static_cast<sim::SimTime>(arg1 >> 8);
 }
 
-/// One trace record: 32 bytes, trivially copyable — written to disk raw
-/// (trace_io.hpp) and memcmp-comparable for determinism tests.
-struct TraceRecord {
-  sim::SimTime at;      // simulation time (ns)
-  std::uint64_t arg0;
-  std::uint64_t arg1;
-  std::int32_t pid;     // process, or -1 for simulator-global records
-  std::uint8_t kind;    // TraceKind
-  std::uint8_t sub;     // kind-specific discriminator (MsgKind, CkptKind)
-  std::uint16_t aux;    // kind-specific small operand (peer pid, MSS id)
-};
-static_assert(sizeof(TraceRecord) == 32, "records are written to disk raw");
-static_assert(std::is_trivially_copyable_v<TraceRecord>);
-
-/// Bump-pointer recorder. Off (the default) it records nothing; callers
+/// The recorder: encodes each record into a TraceRecords as it comes.
+/// Off (the default) it records nothing; callers
 /// additionally keep their Tracer pointer null when tracing is off, so
 /// the hot path pays one predictable branch and nothing else.
 class Tracer {
@@ -252,7 +236,7 @@ class Tracer {
   }
 
   /// Turns recording on for the kinds in `mask`. The first record maps
-  /// the first chunk, as every kChunkRecords-th record maps the next.
+  /// the first segment of the record buffer.
   void enable(std::uint64_t mask = kAllKinds) { mask_ = mask; }
   void disable() { mask_ = 0; }
   bool enabled(TraceKind k) const { return (mask_ & mask_of(k)) != 0; }
@@ -260,7 +244,7 @@ class Tracer {
 
   /// Caps the buffer at `cap` records (0 = unlimited, the default). Past
   /// the cap, records are counted and dropped instead of growing the
-  /// chunk list, and take_records() appends one final kTruncated marker
+  /// buffer, and take_records() appends one final kTruncated marker
   /// carrying the drop count — so tracing a 100k+-host run degrades to an
   /// honest, bounded prefix instead of an OOM kill. Downstream consumers
   /// (mcktrace stats, mckaudit) must surface the marker: a truncated rep
@@ -274,46 +258,30 @@ class Tracer {
               std::uint8_t sub, std::uint16_t aux, std::uint64_t arg0 = 0,
               std::uint64_t arg1 = 0) {
     if ((mask_ & mask_of(kind)) == 0) return;
-    if (cap_ != 0 && count_ >= cap_) {
+    if (cap_ != 0 && records_.size() >= cap_) {
       if (dropped_ == 0) first_dropped_at_ = at;
       last_dropped_at_ = at;
       ++dropped_;
       return;
     }
-    if (fill_ == kChunkRecords) grow();
-    TraceRecord& r = cur_[fill_++];
-    r.at = at;
-    r.arg0 = arg0;
-    r.arg1 = arg1;
-    r.pid = pid;
-    r.kind = static_cast<std::uint8_t>(kind);
-    r.sub = sub;
-    r.aux = aux;
+    records_.push_back(TraceRecord{at, arg0, arg1, pid,
+                                   static_cast<std::uint8_t>(kind), sub, aux});
     last_at_ = at;
-    ++count_;
   }
 
-  std::uint64_t size() const { return count_; }
+  std::uint64_t size() const { return records_.size(); }
 
   /// Simulation time of the most recent record (kTimeZero before any).
   /// Lets sites without a clock of their own (CheckpointStore::discard)
   /// stamp records monotonically.
   sim::SimTime last_at() const { return last_at_; }
 
-  /// Copies every record out, in append order, and resets the buffers;
-  /// each chunk is unmapped as soon as it is copied, so the records are
-  /// held once plus one chunk, not twice. A capped tracer that dropped
-  /// records appends one kTruncated marker stamped with the drop count and
-  /// the dropped time range.
-  std::vector<TraceRecord> take_records() {
-    std::vector<TraceRecord> out;
-    out.reserve(static_cast<std::size_t>(count_) + (dropped_ > 0 ? 1 : 0));
-    for (std::size_t c = 0; c < chunks_.size(); ++c) {
-      std::size_t n = c + 1 == chunks_.size() ? fill_ : kChunkRecords;
-      const TraceRecord* p = chunks_[c].get();
-      out.insert(out.end(), p, p + n);
-      chunks_[c].reset();
-    }
+  /// Moves every record out, in append order, without copying, and
+  /// resets the tracer. A capped tracer that dropped records appends one
+  /// kTruncated marker stamped with the drop count and the dropped time
+  /// range.
+  TraceRecords take_records() {
+    TraceRecords out = std::move(records_);
     if (dropped_ > 0) {
       TraceRecord r{};
       r.at = last_dropped_at_;
@@ -323,10 +291,6 @@ class Tracer {
       r.kind = static_cast<std::uint8_t>(TraceKind::kTruncated);
       out.push_back(r);
     }
-    chunks_.clear();
-    cur_ = nullptr;
-    fill_ = kChunkRecords;  // forces grow() on the next record
-    count_ = 0;
     dropped_ = 0;
     first_dropped_at_ = sim::kTimeZero;
     last_dropped_at_ = sim::kTimeZero;
@@ -334,34 +298,13 @@ class Tracer {
   }
 
  private:
-  static constexpr std::size_t kChunkRecords = std::size_t{1} << 16;
-  static constexpr std::size_t kChunkBytes =
-      kChunkRecords * sizeof(TraceRecord);
-
-  struct Unmap {
-    void operator()(TraceRecord* p) const { ::munmap(p, kChunkBytes); }
-  };
-  using Chunk = std::unique_ptr<TraceRecord[], Unmap>;
-
-  void grow() {
-    void* p = ::mmap(nullptr, kChunkBytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED) throw std::bad_alloc();
-    chunks_.emplace_back(static_cast<TraceRecord*>(p));
-    cur_ = chunks_.back().get();
-    fill_ = 0;
-  }
-
   std::uint64_t mask_ = 0;
-  TraceRecord* cur_ = nullptr;
-  std::size_t fill_ = kChunkRecords;
-  std::uint64_t count_ = 0;
   std::uint64_t cap_ = 0;  // 0 = unlimited
   std::uint64_t dropped_ = 0;
   sim::SimTime first_dropped_at_ = sim::kTimeZero;
   sim::SimTime last_dropped_at_ = sim::kTimeZero;
   sim::SimTime last_at_ = sim::kTimeZero;
-  std::vector<Chunk> chunks_;
+  TraceRecords records_;
 };
 
 }  // namespace mck::obs

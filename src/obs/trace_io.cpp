@@ -1,5 +1,6 @@
 #include "obs/trace_io.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -40,33 +41,42 @@ bool write_trace_file(const std::string& path, const TraceFileMeta& meta,
   if (!f) return false;
   bool ok = io::write_header(f.get(), kTraceFileMagic, meta.num_processes,
                              meta.algo);
-  for (const TraceRun& run : runs) {
+  // Digests the harness already computed over these exact records are
+  // trusted; the others (absent, or of another shape) are computed from
+  // the chunks as they are written.
+  std::vector<std::optional<RunDigests>> fresh(runs.size());
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    const TraceRun& run = runs[k];
+    const std::uint64_t count = run.records.size();
+    if (!run.digests.present() ||
+        run.digests.chunks.size() != digest_chunk_count(count)) {
+      fresh[k].emplace();
+    }
+    RunDigests* d = fresh[k] ? &*fresh[k] : nullptr;
     ok = ok && write_all(f.get(), kRunMagic, sizeof kRunMagic);
     ok = ok && write_pod(f.get(), static_cast<std::uint32_t>(run.rep));
     ok = ok && write_pod(f.get(), run.seed);
-    ok = ok && write_pod(f.get(),
-                         static_cast<std::uint64_t>(run.records.size()));
-    ok = ok && write_all(f.get(), run.records.data(),
-                         run.records.size() * sizeof(TraceRecord));
+    ok = ok && write_pod(f.get(), count);
+    if (!ok) break;
+    for_each_chunk(run.records, [&](std::uint64_t c, const TraceRecord* p,
+                                    std::size_t n) {
+      ok = ok && write_all(f.get(), p, n * sizeof(TraceRecord));
+      if (d != nullptr) d->chunks.push_back(chunk_digest(p, n, c));
+    });
+    if (d != nullptr) d->run = fold_run_digest(d->chunks, count);
   }
   if (ok) {
     // Footer image built in memory (a few KB even for 1M-record runs —
     // one u64 per 4096 records) so the trailing self-digest covers it.
     std::vector<unsigned char> footer;
     append_pod(footer, static_cast<std::uint32_t>(runs.size()));
-    for (const TraceRun& run : runs) {
-      // Trust digests the harness already computed over these exact
-      // records; recompute otherwise.
-      RunDigests fresh;
-      const RunDigests* d = &run.digests;
-      if (d->chunks.size() != digest_chunk_count(run.records.size())) {
-        fresh = compute_run_digests(run.records.data(), run.records.size());
-        d = &fresh;
-      }
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      const TraceRun& run = runs[k];
+      const RunDigests& d = fresh[k] ? *fresh[k] : run.digests;
       append_pod(footer, static_cast<std::uint32_t>(run.rep));
-      append_pod(footer, d->run);
-      append_pod(footer, static_cast<std::uint64_t>(d->chunks.size()));
-      for (std::uint64_t c : d->chunks) append_pod(footer, c);
+      append_pod(footer, d.run);
+      append_pod(footer, static_cast<std::uint64_t>(d.chunks.size()));
+      for (std::uint64_t c : d.chunks) append_pod(footer, c);
     }
     const std::uint64_t self =
         digest_bytes(footer.data(), footer.size(), kFooterSeed);
@@ -87,6 +97,7 @@ std::optional<TraceFile> read_trace_file(const std::string& path,
     return std::nullopt;
   }
   bool saw_footer = false;
+  std::vector<TraceRecord> chunk;
   for (;;) {
     char sect_magic[4];
     std::size_t got = std::fread(sect_magic, 1, sizeof sect_magic, f.get());
@@ -168,11 +179,19 @@ std::optional<TraceFile> read_trace_file(const std::string& path,
       set_error(error, path + ": truncated records");
       return std::nullopt;
     }
-    run.records.resize(count);
-    if (!read_all(f.get(), run.records.data(),
-                  count * sizeof(TraceRecord))) {
-      set_error(error, path + ": truncated records");
-      return std::nullopt;
+    // One digest chunk at a time through one buffer: the records are
+    // held encoded only, never as a count * 32-byte image.
+    chunk.resize(static_cast<std::size_t>(
+        std::min<std::uint64_t>(count, kDigestChunkRecords)));
+    for (std::uint64_t left = count; left > 0;) {
+      const auto n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(left, kDigestChunkRecords));
+      if (!read_all(f.get(), chunk.data(), n * sizeof(TraceRecord))) {
+        set_error(error, path + ": truncated records");
+        return std::nullopt;
+      }
+      for (std::size_t k = 0; k < n; ++k) run.records.push_back(chunk[k]);
+      left -= n;
     }
     out.runs.push_back(std::move(run));
   }
@@ -186,18 +205,17 @@ std::optional<TraceFile> read_trace_file(const std::string& path,
 std::vector<DigestMismatch> verify_trace_digests(const TraceFile& file) {
   std::vector<DigestMismatch> out;
   for (const TraceRun& run : file.runs) {
-    const std::uint64_t chunks = digest_chunk_count(run.records.size());
-    for (std::uint64_t c = 0; c < chunks && c < run.digests.chunks.size();
-         ++c) {
-      const std::uint64_t want =
-          compute_chunk_digest(run.records.data(), run.records.size(), c);
-      if (run.digests.chunks[c] != want) {
+    const std::vector<std::uint64_t>& stored = run.digests.chunks;
+    for_each_chunk(run.records, [&](std::uint64_t c, const TraceRecord* p,
+                                    std::size_t n) {
+      if (c >= stored.size()) return;
+      const std::uint64_t want = chunk_digest(p, n, c);
+      if (stored[c] != want) {
         out.push_back(DigestMismatch{run.rep, static_cast<std::int64_t>(c),
-                                     run.digests.chunks[c], want});
+                                     stored[c], want});
       }
-    }
-    const std::uint64_t want =
-        fold_run_digest(run.digests.chunks, run.records.size());
+    });
+    const std::uint64_t want = fold_run_digest(stored, run.records.size());
     if (run.digests.run != want) {
       out.push_back(DigestMismatch{run.rep, -1, run.digests.run, want});
     }

@@ -22,6 +22,15 @@
 // produces a byte-identical file regardless of --jobs. The digest footer
 // is a pure function of the records, so it preserves that guarantee.
 //
+// In memory and on disk. A TraceRun holds its records delta-encoded
+// (TraceRecords, obs/trace_records.hpp: ~9 B a record); the file holds
+// them raw, 32 B each, and the digests are over those raw images. The
+// writer, the reader and verify_trace_digests decode or encode one
+// kDigestChunkRecords-record chunk at a time through one buffer, so the
+// bytes written are those of the raw records, and no pass holds a run as
+// a count * 32-byte image. A compact on-disk layout would be a format
+// version bump.
+//
 // The footer is mandatory, so every file read back carries the digests
 // of every run. Any other magic, including the digest-less version-1
 // layout's, is rejected. A malformed footer — missing, truncated,
@@ -45,7 +54,7 @@ namespace mck::obs {
 struct TraceRun {
   int rep = 0;
   std::uint64_t seed = 0;
-  std::vector<TraceRecord> records;
+  TraceRecords records;
   RunDigests digests;
 };
 
@@ -71,8 +80,8 @@ inline constexpr char kTraceFileMagic[8] = {'M', 'C', 'K', 'T',
 
 /// Writes `runs` to `path`; returns false (and fills *error if non-null)
 /// on I/O failure. The digest footer reuses each run's precomputed
-/// digests when their chunk count matches the record count and computes
-/// them in one pass otherwise.
+/// digests when they are present and their chunk count matches the record
+/// count, and computes them while writing the records otherwise.
 bool write_trace_file(const std::string& path, const TraceFileMeta& meta,
                       const std::vector<TraceRun>& runs,
                       std::string* error = nullptr);

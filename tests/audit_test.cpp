@@ -19,6 +19,7 @@
 
 #include "ckpt/store.hpp"
 #include "deque_matcher.hpp"
+#include "record_vector.hpp"
 #include "harness/experiment.hpp"
 #include "harness/scheduler.hpp"
 #include "mobile/mobility.hpp"
@@ -170,12 +171,12 @@ TEST(AuditPositive, MobilityAndDisconnectionScenarioAuditsClean) {
 std::vector<TraceRecord> captured_records(harness::Algorithm a) {
   harness::RunResult res = harness::run_replicated(small_config(a), 1, 1);
   EXPECT_EQ(res.traces.size(), 1u);
-  return res.traces[0].records;
+  return obs::to_vector(res.traces[0].records);
 }
 
 AuditReport audit_one(const std::vector<TraceRecord>& records, int n = 8) {
   AuditReport rep;
-  obs::audit_records(records, n, 0, rep);
+  obs::audit_records(obs::to_records(records), n, 0, rep);
   return rep;
 }
 
@@ -288,7 +289,7 @@ std::vector<TraceRecord> promotion_scenario_records(obs::Tracer& tracer) {
   sys.simulator().schedule_at(sim::milliseconds(115),
                               [&sys] { sys.send(1, 2); });
   sys.simulator().run_until(sim::kTimeNever);
-  return tracer.take_records();
+  return obs::to_vector(tracer.take_records());
 }
 
 TEST(AuditNegative, ReorderedLifecycleFlagsLifecycle) {
@@ -447,7 +448,8 @@ TEST(AuditGraph, BroadcastFanOutAndInTransit) {
       rec(25, TraceKind::kMsgDeliver, 2, 1, 0, 1, 0),
       // P3 never gets it: one expected delivery left in transit.
   };
-  obs::CausalGraph g = obs::build_graph(t, 4);
+  const obs::TraceRecords recs = obs::to_records(t);
+  obs::CausalGraph g = obs::build_graph(recs, 4);
   EXPECT_TRUE(g.issues.empty());
   EXPECT_EQ(g.num_hops(), 2u);
   EXPECT_EQ(g.sends, 1u);
@@ -493,10 +495,12 @@ bool same_hop(const obs::MsgHop& a, const obs::MsgHop& b) {
                   b.retry_extra, b.forwarded);
 }
 
-/// The graph of a pinned case; the reference deque matcher must report
-/// the same issues, hops and in-transit count, so the pins hold for both.
-obs::CausalGraph pinned_graph(const std::vector<TraceRecord>& t, int n) {
-  obs::CausalGraph g = obs::build_graph(t, n);
+/// The graph of a pinned case (`recs` holds the records of `t`); the
+/// reference deque matcher must report the same issues, hops and
+/// in-transit count, so the pins hold for both.
+obs::CausalGraph pinned_graph(const obs::TraceRecords& recs,
+                              const std::vector<TraceRecord>& t, int n) {
+  obs::CausalGraph g = obs::build_graph(recs, n);
   const obs::DequeGraph ref = obs::build_graph_deque(t, n);
   EXPECT_EQ(issue_lines(g), issue_lines(ref));
   EXPECT_EQ(g.in_transit, ref.in_transit);
@@ -516,7 +520,8 @@ TEST(AuditGraph, OvertakeCountsOnlyUndeliveredPredecessors) {
       deliver_rec(22, 1, 0, 1),  // late, but nothing left to overtake
       deliver_rec(23, 1, 0, 4),
   };
-  obs::CausalGraph g = pinned_graph(t, 2);
+  const obs::TraceRecords recs = obs::to_records(t);
+  obs::CausalGraph g = pinned_graph(recs, t, 2);
   EXPECT_EQ(issue_lines(g),
             (Lines{"t20 msg 3: FIFO violation: message overtook 2 earlier "
                    "send(s) on channel P0 -> P1",
@@ -532,7 +537,8 @@ TEST(AuditGraph, OvertakenMessageDeliveredLateIsNotAViolation) {
       deliver_rec(20, 1, 0, 2), deliver_rec(30, 1, 0, 1),
       send_rec(31, 0, 1, 3), deliver_rec(40, 1, 0, 3),
   };
-  obs::CausalGraph g = pinned_graph(t, 2);
+  const obs::TraceRecords recs = obs::to_records(t);
+  obs::CausalGraph g = pinned_graph(recs, t, 2);
   EXPECT_EQ(issue_lines(g),
             (Lines{"t20 msg 2: FIFO violation: message overtook 1 earlier "
                    "send(s) on channel P0 -> P1"}));
@@ -547,7 +553,8 @@ TEST(AuditGraph, NeverDeliveredPredecessorIsOvertakenByEveryLaterSend) {
       deliver_rec(20, 1, 0, 2),
       send_rec(21, 0, 1, 3), deliver_rec(30, 1, 0, 3),
   };
-  obs::CausalGraph g = pinned_graph(t, 2);
+  const obs::TraceRecords recs = obs::to_records(t);
+  obs::CausalGraph g = pinned_graph(recs, t, 2);
   EXPECT_EQ(issue_lines(g),
             (Lines{"t20 msg 2: FIFO violation: message overtook 1 earlier "
                    "send(s) on channel P0 -> P1",
@@ -561,7 +568,8 @@ TEST(AuditGraph, DuplicateDeliveryIsFlaggedAndStillAHop) {
       send_rec(10, 0, 1, 1), deliver_rec(20, 1, 0, 1),
       deliver_rec(30, 1, 0, 1),
   };
-  obs::CausalGraph g = pinned_graph(t, 2);
+  const obs::TraceRecords recs = obs::to_records(t);
+  obs::CausalGraph g = pinned_graph(recs, t, 2);
   EXPECT_EQ(issue_lines(g),
             (Lines{"t30 msg 1: message delivered twice to one process"}));
   EXPECT_EQ(g.num_hops(), 2u);
@@ -579,7 +587,8 @@ TEST(AuditGraph, WrongKindSenderOrRecipientMissesTheChannel) {
       deliver_rec(40, 1, 2, 3),        // names the wrong sender
   };
   t.back().arg1 = obs::pack_msg_stamp(0, 64);  // and lacks its stamp
-  obs::CausalGraph g = pinned_graph(t, 3);
+  const obs::TraceRecords recs = obs::to_records(t);
+  obs::CausalGraph g = pinned_graph(recs, t, 3);
   EXPECT_EQ(issue_lines(g),
             (Lines{"t20 msg 1: message delivered twice to one process",
                    "t30 msg 2: unicast message delivered to a third party",
@@ -603,7 +612,8 @@ TEST(AuditGraph, BroadcastInterleavedWithUnicastsOnOneChannel) {
       deliver_rec(22, 1, 0, 1, kReq),
       deliver_rec(23, 1, 0, 2, kReq),
   };
-  obs::CausalGraph g = pinned_graph(t, 3);
+  const obs::TraceRecords recs = obs::to_records(t);
+  obs::CausalGraph g = pinned_graph(recs, t, 3);
   EXPECT_EQ(issue_lines(g),
             (Lines{"t20 msg 3: FIFO violation: message overtook 2 earlier "
                    "send(s) on channel P0 -> P1"}));
@@ -617,7 +627,8 @@ TEST(AuditGraph, BroadcastDeliveredToItsSender) {
       send_rec(10, 0, obs::kBroadcastDst, 1, kReq),
       deliver_rec(20, 0, 0, 1, kReq),
   };
-  obs::CausalGraph g = pinned_graph(t, 3);
+  const obs::TraceRecords recs = obs::to_records(t);
+  obs::CausalGraph g = pinned_graph(recs, t, 3);
   EXPECT_EQ(issue_lines(g),
             (Lines{"t20 msg 1: message delivered twice to one process"}));
   EXPECT_EQ(g.in_transit, 2u);
@@ -632,7 +643,8 @@ TEST(AuditGraph, UnicastDeliveredTwiceAfterItRetired) {
       deliver_rec(30, 1, 0, 1),                          // again
       deliver_rec(40, 1, 0, 2),
   };
-  obs::CausalGraph g = pinned_graph(t, 2);
+  const obs::TraceRecords recs = obs::to_records(t);
+  obs::CausalGraph g = pinned_graph(recs, t, 2);
   EXPECT_EQ(issue_lines(g),
             (Lines{"t30 msg 1: message delivered twice to one process"}));
   ASSERT_EQ(g.num_hops(), 3u);
@@ -649,7 +661,8 @@ TEST(AuditGraph, SendReusingARetiredIdIsADuplicate) {
       deliver_rec(40, 1, 2, 1),  // matches the first send, not this one
       deliver_rec(41, 0, 1, 2),
   };
-  obs::CausalGraph g = pinned_graph(t, 3);
+  const obs::TraceRecords recs = obs::to_records(t);
+  obs::CausalGraph g = pinned_graph(recs, t, 3);
   EXPECT_EQ(issue_lines(g),
             (Lines{"t30 msg 1: duplicate send record for one message id",
                    "t40 msg 1: delivery names sender P2, send was by P0",
@@ -669,7 +682,8 @@ TEST(AuditGraph, BroadcastDeliveredTwiceAfterItsChannelWentIdle) {
       deliver_rec(31, 1, 0, 2, kReq),
       deliver_rec(32, 2, 0, 1, kReq),
   };
-  obs::CausalGraph g = pinned_graph(t, 3);
+  const obs::TraceRecords recs = obs::to_records(t);
+  obs::CausalGraph g = pinned_graph(recs, t, 3);
   EXPECT_EQ(issue_lines(g),
             (Lines{"t30 msg 1: message delivered twice to one process"}));
   EXPECT_EQ(g.num_hops(), 4u);
@@ -753,8 +767,9 @@ void expect_matches_deque_matcher(bool ascending, std::uint64_t* retired) {
     const int n = std::uniform_int_distribution<int>(2, 5)(rng);
     const std::vector<TraceRecord> t = random_message_trace(rng, n, ascending);
     const obs::DequeGraph want = obs::build_graph_deque(t, n);
-    obs::GraphBuilder b(t, n);
-    for (const TraceRecord& r : t) b.add(r);
+    const obs::TraceRecords recs = obs::to_records(t);
+    obs::GraphBuilder b(recs, n);
+    for (std::size_t i = 0; i < t.size(); ++i) b.add(i, t[i]);
     const std::size_t live = b.live_sends();
     const obs::CausalGraph got = b.finish();
     *retired += live < got.sends ? 1 : 0;
@@ -865,9 +880,10 @@ TEST(AuditGraph, LiveStateIsBoundedByCopiesInFlight) {
   }
   while (!flight.empty()) deliver(0);
 
-  obs::GraphBuilder b(t, kN);
+  const obs::TraceRecords recs = obs::to_records(t);
+  obs::GraphBuilder b(recs, kN);
   for (std::size_t i = 0; i < t.size(); ++i) {
-    b.add(t[i]);
+    b.add(i, t[i]);
     ASSERT_LE(unicasts_in_flight[i], kMaxInFlight);
     ASSERT_LE(b.live_sends(), unicasts_in_flight[i] + bcasts_sent[i])
         << "record " << i;
@@ -955,7 +971,8 @@ TEST(AuditConsistency, SweepMatchesPerLineScanOnRandomLines) {
     std::uint64_t want_checks = 0;
     std::vector<std::uint64_t> line(static_cast<std::size_t>(n), 0);
     std::unordered_set<std::size_t> flagged;
-    const obs::CausalGraph g = obs::build_graph(t, n);
+    const obs::TraceRecords recs = obs::to_records(t);
+    const obs::CausalGraph g = obs::build_graph(recs, n);
     for (std::uint64_t init : commit_order) {
       for (const auto& [p, cursor] : updates[init]) {
         line[static_cast<std::size_t>(p)] =

@@ -28,6 +28,7 @@
 #include "obs/diff.hpp"
 #include "obs/digest.hpp"
 #include "obs/trace_io.hpp"
+#include "record_vector.hpp"
 #include "rt/message.hpp"
 
 namespace mck {
@@ -66,9 +67,16 @@ obs::TraceFile make_trace(harness::Algorithm a, int reps = 2,
 
 void refresh_digests(obs::TraceFile& f) {
   for (obs::TraceRun& run : f.runs) {
-    run.digests =
-        obs::compute_run_digests(run.records.data(), run.records.size());
+    run.digests = obs::compute_run_digests(run.records);
   }
+}
+
+/// Applies `fn` to run `rep`'s records as a vector, then re-encodes them.
+template <typename Fn>
+void edit_records(obs::TraceFile& f, int rep, Fn fn) {
+  std::vector<obs::TraceRecord> v = obs::to_vector(f.runs[rep].records);
+  fn(v);
+  f.runs[rep].records = obs::to_records(v);
 }
 
 std::string temp_path(const std::string& name) {
@@ -128,35 +136,37 @@ struct Mutation {
 const Mutation kMutations[] = {
     {"bit-flip-arg0", obs::DivergenceClass::kPayloadField,
      [](obs::TraceFile& f, int rep, std::size_t i) {
-       f.runs[rep].records[i].arg0 ^= 1ull << 17;
+       edit_records(f, rep, [i](auto& v) { v[i].arg0 ^= 1ull << 17; });
        return i;
      }},
     {"bit-flip-at", obs::DivergenceClass::kTimestamp,
      [](obs::TraceFile& f, int rep, std::size_t i) {
-       f.runs[rep].records[i].at ^= 1ull << 3;
+       edit_records(f, rep, [i](auto& v) { v[i].at ^= 1ull << 3; });
        return i;
      }},
     {"drop", obs::DivergenceClass::kMissingRecord,
      [](obs::TraceFile& f, int rep, std::size_t i) {
-       std::vector<obs::TraceRecord>& v = f.runs[rep].records;
-       v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
+       edit_records(f, rep, [i](auto& v) {
+         v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
+       });
        return i;
      }},
     {"insert", obs::DivergenceClass::kExtraRecord,
      [](obs::TraceFile& f, int rep, std::size_t i) {
-       std::vector<obs::TraceRecord>& v = f.runs[rep].records;
-       v.insert(v.begin() + static_cast<std::ptrdiff_t>(i),
-                foreign_record(v[i - 1].at));
+       edit_records(f, rep, [i](auto& v) {
+         v.insert(v.begin() + static_cast<std::ptrdiff_t>(i),
+                  foreign_record(v[i - 1].at));
+       });
        return i;
      }},
     {"swap-adjacent", obs::DivergenceClass::kOrdering,
      [](obs::TraceFile& f, int rep, std::size_t i) {
-       std::swap(f.runs[rep].records[i], f.runs[rep].records[i + 1]);
+       edit_records(f, rep, [i](auto& v) { std::swap(v[i], v[i + 1]); });
        return i;
      }},
     {"truncate", obs::DivergenceClass::kTruncation,
      [](obs::TraceFile& f, int rep, std::size_t i) {
-       f.runs[rep].records.resize(i);
+       edit_records(f, rep, [i](auto& v) { v.resize(i); });
        return i;
      }},
 };
@@ -308,7 +318,8 @@ TEST(DiffFuzz, EveryMutationIsLocalizedExactly) {
     refresh_digests(base);
     ASSERT_EQ(base.runs.size(), 2u);
     const int rep = 1;  // mutate rep 1: rep 0 must compare clean first
-    std::vector<std::size_t> sites = mutation_sites(base.runs[rep].records);
+    std::vector<std::size_t> sites =
+        mutation_sites(obs::to_vector(base.runs[rep].records));
     ASSERT_FALSE(sites.empty()) << harness::to_string(algo);
 
     for (const Mutation& m : kMutations) {
@@ -357,7 +368,7 @@ TEST(DiffFuzz, DigestSearchSkipsEveryChunkBeforeTheMutation) {
   ASSERT_GT(n, 2 * obs::kDigestChunkRecords)
       << "trace too short to land a mutation past chunk 0";
   std::size_t site = 0;
-  for (std::size_t i : mutation_sites(base.runs[0].records)) {
+  for (std::size_t i : mutation_sites(obs::to_vector(base.runs[0].records))) {
     if (i > obs::kDigestChunkRecords + 16) {
       site = i;
       break;
@@ -366,7 +377,7 @@ TEST(DiffFuzz, DigestSearchSkipsEveryChunkBeforeTheMutation) {
   ASSERT_GT(site, 0u);
 
   obs::TraceFile mut = base;
-  mut.runs[0].records[site].arg1 ^= 1ull << 42;
+  edit_records(mut, 0, [site](auto& v) { v[site].arg1 ^= 1ull << 42; });
   refresh_digests(mut);
 
   obs::TraceDiff d = obs::diff_traces(base, mut);

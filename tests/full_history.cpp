@@ -7,7 +7,7 @@
 
 namespace mck::ckpt {
 
-EventLog full_history(const std::vector<obs::TraceRecord>& records,
+EventLog full_history(const obs::TraceRecords& records,
                       int num_processes) {
   EventLog log(num_processes);
   for (const obs::TraceRecord& r : records) {
@@ -29,7 +29,7 @@ EventLog full_history(const std::vector<obs::TraceRecord>& records,
 }
 
 std::vector<MessageTimes> message_times(
-    const std::vector<obs::TraceRecord>& records) {
+    const obs::TraceRecords& records) {
   std::vector<MessageTimes> times;
   std::unordered_map<MessageId, std::size_t> slot;  // id -> times index
   for (const obs::TraceRecord& r : records) {
@@ -174,7 +174,7 @@ HistoryStore::HistoryStore(int num_processes, bool auto_gc)
   }
 }
 
-void HistoryStore::replay(const std::vector<obs::TraceRecord>& records) {
+void HistoryStore::replay(const obs::TraceRecords& records) {
   auto entry = [this](std::uint64_t ref) -> Entry& {
     MCK_ASSERT_MSG(ref < all_.size(), "trace names an unknown checkpoint");
     return all_[static_cast<std::size_t>(ref)];

@@ -36,7 +36,7 @@ inline constexpr std::uint64_t kFullHistoryKinds =
 
 /// The never-retired event log of one run of `num_processes` processes,
 /// rebuilt from its records in append order.
-EventLog full_history(const std::vector<obs::TraceRecord>& records,
+EventLog full_history(const obs::TraceRecords& records,
                       int num_processes);
 
 /// Simulation times of one computation message's send and receive.
@@ -48,7 +48,7 @@ struct MessageTimes {
 /// The send and receive times of every computation message in `records`,
 /// in send order: entry i belongs to full_history(records).messages()[i].
 std::vector<MessageTimes> message_times(
-    const std::vector<obs::TraceRecord>& records);
+    const obs::TraceRecords& records);
 
 /// Empty if `live` (a log that retires) holds exactly the records of
 /// `full` that it has not retired, in order and field for field; else the
@@ -99,7 +99,7 @@ class HistoryStore {
   /// `auto_gc` mirrors CheckpointStore::set_auto_gc.
   HistoryStore(int num_processes, bool auto_gc);
 
-  void replay(const std::vector<obs::TraceRecord>& records);
+  void replay(const obs::TraceRecords& records);
 
   /// Every checkpoint by ref, the initial ones (refs 0..n-1) first.
   const std::vector<Entry>& entries() const { return all_; }

@@ -210,6 +210,36 @@ TEST(HotPathAllocs, NeverEnabledTracerAllocatesNothing) {
   }
 }
 
+// An enabled tracer encodes each record in place: the only allocations
+// are growing its segment list when it maps a 2 MiB segment, so a million
+// records cost no more allocations than segments, and take_records()
+// moves the records out without allocating (or copying).
+TEST(HotPathAllocs, EnabledTracerAllocatesOnlyPerSegment) {
+  constexpr std::uint64_t kRecords = 1000000;
+  obs::Tracer t;
+  t.enable();
+  const std::uint64_t before = allocs();
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    const auto at = static_cast<sim::SimTime>(i * 997);
+    if (i % 3 == 0) {
+      t.record(obs::TraceKind::kEventFire, at, -1, 0, 0, i, i % 5000);
+    } else {
+      t.record(i % 3 == 1 ? obs::TraceKind::kMsgSend
+                          : obs::TraceKind::kMsgDeliver,
+               at, static_cast<std::int32_t>(i % 1024), 0,
+               static_cast<std::uint16_t>((i * 7) % 1024), i / 3,
+               obs::pack_msg_stamp(i / 1024 + 1, 64));
+    }
+  }
+  const std::uint64_t recording = allocs() - before;
+  const std::uint64_t taking = allocs();
+  obs::TraceRecords r = t.take_records();
+  EXPECT_EQ(allocs(), taking);
+  EXPECT_EQ(r.size(), kRecords);
+  EXPECT_GE(r.segments(), 2u) << "the run must span segments";
+  EXPECT_LE(recording, r.segments());
+}
+
 TEST(HotPathAllocs, PooledPayloadSteadyStateIsAllocationFree) {
   util::Pool<core::CompPayload> pool;
   // Warm: first acquisition allocates the node.

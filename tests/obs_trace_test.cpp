@@ -7,7 +7,12 @@
 
 #include <cstdio>
 #include <cstring>
+#include <algorithm>
 #include <limits>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ckpt/store.hpp"
 #include "harness/experiment.hpp"
@@ -16,6 +21,7 @@
 #include "obs/round_metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_io.hpp"
+#include "record_vector.hpp"
 #include "stats/table.hpp"
 
 namespace mck {
@@ -37,7 +43,7 @@ TEST(Tracer, RecordsInOrderWithFields) {
   t.enable();
   t.record(TraceKind::kMsgSend, 10, 3, 1, 7, 42, 50);
   t.record(TraceKind::kBlock, 20, 5, 0, 0);
-  std::vector<TraceRecord> r = t.take_records();
+  obs::TraceRecords r = t.take_records();
   ASSERT_EQ(r.size(), 2u);
   EXPECT_EQ(r[0].at, 10);
   EXPECT_EQ(r[0].pid, 3);
@@ -60,7 +66,7 @@ TEST(Tracer, MaskFiltersKinds) {
   EXPECT_FALSE(t.enabled(TraceKind::kMsgSend));
   t.record(TraceKind::kMsgSend, 1, 0, 0, 0);
   t.record(TraceKind::kBlock, 2, 0, 0, 0);
-  std::vector<TraceRecord> r = t.take_records();
+  obs::TraceRecords r = t.take_records();
   ASSERT_EQ(r.size(), 1u);
   EXPECT_EQ(r[0].kind, static_cast<std::uint8_t>(TraceKind::kBlock));
 }
@@ -75,7 +81,7 @@ TEST(Tracer, GrowsAcrossChunksPreservingOrder) {
     t.record(TraceKind::kEventFire, static_cast<sim::SimTime>(i), -1, 0, 0, i);
   }
   EXPECT_EQ(t.size(), n);
-  std::vector<TraceRecord> r = t.take_records();
+  obs::TraceRecords r = t.take_records();
   ASSERT_EQ(r.size(), n);
   for (std::uint64_t i = 0; i < n; ++i) {
     ASSERT_EQ(r[i].arg0, i);
@@ -101,7 +107,7 @@ TEST(Tracer, CapPastTheFirstChunkKeepsTheExactPrefix) {
   }
   EXPECT_TRUE(t.truncated());
   EXPECT_EQ(t.dropped(), 100u);
-  std::vector<TraceRecord> r = t.take_records();
+  obs::TraceRecords r = t.take_records();
   ASSERT_EQ(r.size(), cap + 1);
   for (std::uint64_t i = 0; i < cap; ++i) ASSERT_EQ(r[i].arg0, i);
   const TraceRecord& marker = r.back();
@@ -191,8 +197,10 @@ TEST(TraceIo, RoundTrip) {
   EXPECT_EQ(f->total_records(), 5u);
   for (std::size_t k = 0; k < 2; ++k) {
     ASSERT_EQ(f->runs[k].records.size(), runs[k].records.size());
-    EXPECT_EQ(std::memcmp(f->runs[k].records.data(), runs[k].records.data(),
-                          runs[k].records.size() * sizeof(TraceRecord)),
+    const std::vector<TraceRecord> got = obs::to_vector(f->runs[k].records);
+    const std::vector<TraceRecord> want = obs::to_vector(runs[k].records);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(TraceRecord)),
               0);
   }
 }
@@ -211,6 +219,50 @@ TEST(TraceIo, RejectsCorruptFile) {
 
 // The 51-byte file of a header, a run header and a forged record count
 // of 2^30 (32 GiB) is reported as truncated before anything is allocated.
+// The reader streams a run chunk by chunk; a flipped bit in a run's last,
+// short digest chunk is still pinned to that chunk's index.
+TEST(TraceIo, BitFlipInTheLastShortChunkIsReportedByIndex) {
+  obs::TraceFileMeta meta;
+  meta.num_processes = 8;
+  meta.algo = "koo-toueg";
+  std::vector<obs::TraceRun> runs(1);
+  runs[0].seed = 3;
+  const std::size_t count = 2 * obs::kDigestChunkRecords + 37;
+  for (std::size_t i = 0; i < count; ++i) {
+    runs[0].records.push_back(TraceRecord{
+        static_cast<sim::SimTime>(10 * i), i, i * 3,
+        static_cast<std::int32_t>(i % 8),
+        static_cast<std::uint8_t>(TraceKind::kMsgSend), 0, 1});
+  }
+  const std::string path = testing::TempDir() + "obs_trace_last_chunk.trc";
+  std::string err;
+  ASSERT_TRUE(obs::write_trace_file(path, meta, runs, &err)) << err;
+
+  // Flip a bit of record count - 5, inside chunk 2 (37 records long).
+  const long header = 8 + 4 + 4 + static_cast<long>(meta.algo.size());
+  const long off = header + 4 + 4 + 8 + 8 +
+                   static_cast<long>((count - 5) * sizeof(TraceRecord)) + 9;
+  std::FILE* fp = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(fp, nullptr);
+  ASSERT_EQ(std::fseek(fp, off, SEEK_SET), 0);
+  const int c = std::fgetc(fp);
+  ASSERT_NE(c, EOF);
+  ASSERT_EQ(std::fseek(fp, off, SEEK_SET), 0);
+  std::fputc(c ^ 0x01, fp);
+  std::fclose(fp);
+
+  std::optional<obs::TraceFile> back = obs::read_trace_file(path, &err);
+  ASSERT_TRUE(back) << err;
+  ASSERT_EQ(back->runs[0].records.size(), count);
+  const std::vector<obs::DigestMismatch> bad =
+      obs::verify_trace_digests(*back);
+  ASSERT_EQ(bad.size(), 1u);
+  EXPECT_EQ(bad[0].rep, 0);
+  EXPECT_EQ(bad[0].chunk, 2);
+  EXPECT_NE(bad[0].stored, bad[0].computed);
+  std::remove(path.c_str());
+}
+
 TEST(TraceIo, RejectsForgedRecordCountWithoutAllocating) {
   const std::string path = "obs_trace_forged_count.tmp";
   std::FILE* fp = std::fopen(path.c_str(), "wb");
@@ -231,6 +283,219 @@ TEST(TraceIo, RejectsForgedRecordCountWithoutAllocating) {
   EXPECT_FALSE(obs::read_trace_file(path, &err).has_value());
   EXPECT_NE(err.find("truncated records"), std::string::npos) << err;
   std::remove(path.c_str());
+}
+
+// ---- TraceRecords: the in-memory encoding is lossless ---------------------
+
+/// Records no simulator emits but a forged trace may hold: extreme and
+/// backwards times, all-ones arguments, negative and minimum pids, and
+/// kind bytes past TraceKind::kCount.
+std::vector<TraceRecord> adversarial_records() {
+  constexpr std::uint64_t kOnes = ~std::uint64_t{0};
+  const auto k = [](int kind) { return static_cast<std::uint8_t>(kind); };
+  const std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::int32_t kPidMin = std::numeric_limits<std::int32_t>::min();
+  return {
+      TraceRecord{kMin, 0, 0, -1, k(0), 0, 0},
+      TraceRecord{kMax, kOnes, kOnes, kPidMin, k(3), 0xff, 0xffff},
+      TraceRecord{kMin, kOnes, 1, std::numeric_limits<std::int32_t>::max(),
+                  k(4), 0x80, 0x8000},
+      TraceRecord{-1, 0x8000000000000000ull, 0x7fffffffffffffffull, -1,
+                  k(obs::kTraceKindCount), 7, 1},
+      TraceRecord{0, kOnes, kOnes, -1, k(0xff), 0xff, 0xffff},
+      TraceRecord{5, 1ull << 56, (1ull << 56) - 1, 0, k(31), 1, 0},
+      TraceRecord{4, 0, 0, 0, k(32), 0, 0},  // shares kind 0's context
+      TraceRecord{3, 0, 0, 0, k(63), 0, 0},
+  };
+}
+
+/// `count` records: runs of plausible ones (small forward deltas) mixed
+/// with random bit patterns and the adversarial set, with an adversarial
+/// record at every 16-record block edge.
+std::vector<TraceRecord> mixed_records(std::size_t count, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const std::vector<TraceRecord> special = adversarial_records();
+  std::vector<TraceRecord> out;
+  out.reserve(count);
+  sim::SimTime now = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t roll = rng() % 16;
+    TraceRecord r{};
+    if (i % 16 == 15 || i % 16 == 0 || roll == 0) {
+      r = special[rng() % special.size()];
+    } else if (roll < 4) {
+      r = TraceRecord{static_cast<sim::SimTime>(rng()), rng(), rng(),
+                      static_cast<std::int32_t>(rng()),
+                      static_cast<std::uint8_t>(rng()),
+                      static_cast<std::uint8_t>(rng()),
+                      static_cast<std::uint16_t>(rng())};
+    } else {
+      now += static_cast<sim::SimTime>(rng() % 5000);
+      r = TraceRecord{now, i, (rng() % 64) << 32 | 64,
+                      static_cast<std::int32_t>(rng() % 1024) - 1,
+                      static_cast<std::uint8_t>(rng() % obs::kTraceKindCount),
+                      static_cast<std::uint8_t>(rng() % 4),
+                      static_cast<std::uint16_t>(rng() % 1024)};
+    }
+    out.push_back(r);
+  }
+  return out;
+}
+
+bool same_record(const TraceRecord& a, const TraceRecord& b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(TraceRecords, EncodingIsLosslessAcrossBlocksAndSegments) {
+  const std::vector<TraceRecord> want = mixed_records(300000, 28);
+  obs::TraceRecords got;
+  for (const TraceRecord& r : want) got.push_back(r);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_GE(got.segments(), 3u) << "the records must span segments";
+  EXPECT_GT(got.bytes(), 0u);
+
+  std::size_t i = 0;
+  for (const TraceRecord& r : got) {
+    ASSERT_TRUE(same_record(r, want[i])) << "iteration, record " << i;
+    ++i;
+  }
+  EXPECT_EQ(i, want.size());
+  for (std::size_t j = 0; j < want.size(); j += 7) {
+    ASSERT_TRUE(same_record(got[j], want[j])) << "operator[], record " << j;
+  }
+  std::mt19937_64 rng(7);
+  for (int n = 0; n < 1000; ++n) {
+    const std::size_t j = rng() % want.size();
+    auto it = got.from(j);
+    for (std::size_t k = j; k < std::min(want.size(), j + 40); ++k, ++it) {
+      ASSERT_TRUE(same_record(*it, want[k])) << "from(" << j << "), " << k;
+    }
+  }
+  EXPECT_TRUE(same_record(got.back(), want.back()));
+  EXPECT_TRUE(got.from(want.size()) == got.end());
+
+  // Copies and moves keep the records, and the encoding is canonical:
+  // equal records compare equal, one appended record does not.
+  obs::TraceRecords copy = got;
+  EXPECT_TRUE(copy == got);
+  EXPECT_EQ(copy.bytes(), got.bytes());
+  copy.push_back(want.front());
+  EXPECT_FALSE(copy == got);
+  obs::TraceRecords moved = std::move(copy);
+  EXPECT_EQ(moved.size(), want.size() + 1);
+  EXPECT_TRUE(same_record(moved.back(), want.front()));
+  EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+}
+
+/// The MCKTRC02 image of `runs`, written by hand from raw records and
+/// obs::digest_bytes, following the layout documented in trace_io.hpp.
+std::string reference_trace_file(
+    const obs::TraceFileMeta& meta,
+    const std::vector<std::pair<obs::TraceRun, std::vector<TraceRecord>>>&
+        runs) {
+  std::string out;
+  const auto put = [&out](const void* p, std::size_t n) {
+    out.append(static_cast<const char*>(p), n);
+  };
+  const auto put32 = [&put](std::uint32_t v) { put(&v, 4); };
+  const auto put64 = [&put](std::uint64_t v) { put(&v, 8); };
+  put(obs::kTraceFileMagic, 8);
+  put32(static_cast<std::uint32_t>(meta.num_processes));
+  put32(static_cast<std::uint32_t>(meta.algo.size()));
+  put(meta.algo.data(), meta.algo.size());
+  for (const auto& [run, raw] : runs) {
+    put("RUN.", 4);
+    put32(static_cast<std::uint32_t>(run.rep));
+    put64(run.seed);
+    put64(raw.size());
+    put(raw.data(), raw.size() * sizeof(TraceRecord));
+  }
+  std::string footer;
+  const auto foot = [&footer](const void* p, std::size_t n) {
+    footer.append(static_cast<const char*>(p), n);
+  };
+  const std::uint32_t run_count = static_cast<std::uint32_t>(runs.size());
+  foot(&run_count, 4);
+  for (const auto& [run, raw] : runs) {
+    std::vector<std::uint64_t> chunks;
+    for (std::size_t lo = 0; lo < raw.size(); lo += obs::kDigestChunkRecords) {
+      const std::size_t n =
+          std::min(raw.size() - lo, obs::kDigestChunkRecords);
+      chunks.push_back(obs::digest_bytes(raw.data() + lo,
+                                         n * sizeof(TraceRecord),
+                                         chunks.size() + 1));
+    }
+    const std::uint64_t run_digest =
+        obs::digest_bytes(chunks.data(), chunks.size() * 8,
+                          0x6d636b64696765ull ^ raw.size());
+    const std::uint32_t rep = static_cast<std::uint32_t>(run.rep);
+    const std::uint64_t chunk_count = chunks.size();
+    foot(&rep, 4);
+    foot(&run_digest, 8);
+    foot(&chunk_count, 8);
+    foot(chunks.data(), chunks.size() * 8);
+  }
+  put("DIG.", 4);
+  out += footer;
+  put64(obs::digest_bytes(footer.data(), footer.size(), 0x666f6f746572ull));
+  return out;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::string out;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return out;
+  char buf[1 << 16];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;) {
+    out.append(buf, n);
+  }
+  std::fclose(f);
+  return out;
+}
+
+// Encoded in memory, the records still reach the file as the raw 32-byte
+// images the format specifies: a written file, and the file written again
+// from its read-back, both equal a reference built from the raw records.
+TEST(TraceRecords, WrittenFilesMatchAReferenceBuiltFromRawRecords) {
+  obs::TraceFileMeta meta;
+  meta.num_processes = 1024;
+  meta.algo = "cao-singhal";
+  std::vector<std::pair<obs::TraceRun, std::vector<TraceRecord>>> ref(3);
+  ref[0].second = mixed_records(3 * obs::kDigestChunkRecords + 123, 1);
+  ref[1].second = mixed_records(100000, 2);  // spans segments
+  // ref[2]: an empty run.
+  std::vector<obs::TraceRun> runs(3);
+  for (std::size_t k = 0; k < 3; ++k) {
+    ref[k].first.rep = static_cast<int>(k);
+    ref[k].first.seed = 1000 + k;
+    runs[k].rep = ref[k].first.rep;
+    runs[k].seed = ref[k].first.seed;
+    runs[k].records = obs::to_records(ref[k].second);
+  }
+  // Run 0 carries the digests the harness computes; the others are
+  // digested while they are written.
+  runs[0].digests = obs::compute_run_digests(runs[0].records);
+  const std::string want = reference_trace_file(meta, ref);
+
+  const std::string first = testing::TempDir() + "trace_records_a.trc";
+  const std::string second = testing::TempDir() + "trace_records_b.trc";
+  std::string err;
+  ASSERT_TRUE(obs::write_trace_file(first, meta, runs, &err)) << err;
+  EXPECT_TRUE(file_bytes(first) == want) << "first write";
+  std::optional<obs::TraceFile> back = obs::read_trace_file(first, &err);
+  ASSERT_TRUE(back) << err;
+  EXPECT_TRUE(obs::verify_trace_digests(*back).empty());
+  for (std::size_t k = 0; k < 3; ++k) {
+    EXPECT_TRUE(back->runs[k].records == runs[k].records) << "run " << k;
+  }
+  ASSERT_TRUE(obs::write_trace_file(second, back->meta, back->runs, &err))
+      << err;
+  EXPECT_TRUE(file_bytes(second) == want) << "rewrite of the read-back";
+  if (!HasFailure()) {
+    std::remove(first.c_str());
+    std::remove(second.c_str());
+  }
 }
 
 harness::ExperimentConfig small_config(harness::Algorithm a) {
@@ -416,9 +681,10 @@ TEST(TraceDeterminism, TracesByteIdenticalAcrossJobCounts) {
     EXPECT_EQ(serial.traces[i].seed, parallel.traces[i].seed);
     ASSERT_EQ(serial.traces[i].records.size(),
               parallel.traces[i].records.size());
-    EXPECT_EQ(std::memcmp(serial.traces[i].records.data(),
-                          parallel.traces[i].records.data(),
-                          serial.traces[i].records.size() * sizeof(TraceRecord)),
+    const std::vector<TraceRecord> a = obs::to_vector(serial.traces[i].records);
+    const std::vector<TraceRecord> b =
+        obs::to_vector(parallel.traces[i].records);
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(TraceRecord)),
               0);
   }
 }

@@ -346,9 +346,9 @@ TEST(TracerCap, TruncationMarkerIsStampedAndAuditRefusesToCertify) {
   cfg.trace_record_cap = 200;
   harness::RunResult res = harness::run_experiment(cfg);
   ASSERT_EQ(res.traces.size(), 1u);
-  const std::vector<obs::TraceRecord>& r = res.traces[0].records;
+  const obs::TraceRecords& r = res.traces[0].records;
   ASSERT_EQ(r.size(), 201u);  // cap + one marker
-  const obs::TraceRecord& marker = r.back();
+  const obs::TraceRecord marker = r.back();
   EXPECT_EQ(marker.kind, static_cast<std::uint8_t>(obs::TraceKind::kTruncated));
   EXPECT_EQ(marker.pid, -1);
   EXPECT_GT(marker.arg0, 0u) << "marker must carry the drop count";

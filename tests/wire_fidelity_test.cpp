@@ -53,7 +53,7 @@ Trace run_scenario(Algorithm algo, bool fidelity,
 
   // The record-by-record comparison covers the full history, rebuilt from
   // the trace; the live log must hold exactly its unretired records.
-  const std::vector<obs::TraceRecord> records = tracer.take_records();
+  const obs::TraceRecords records = tracer.take_records();
   const ckpt::EventLog full = ckpt::full_history(records, sys.n());
   EXPECT_EQ(ckpt::live_log_mismatch(full, sys.log()), "");
   Trace t;

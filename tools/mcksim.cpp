@@ -65,7 +65,10 @@ void cli::usage(const char* msg) {
                "                    records drop and a truncation marker\n"
                "                    is stamped. Default:\n"
                "                    unlimited, except 4000000 when tracing\n"
-               "                    n >= 100000 (OOM guard; pass 0 to lift)\n"
+               "                    n >= 100000 (OOM guard; pass 0 to lift).\n"
+               "                    Records are held encoded, 5-9 B each:\n"
+               "                    a capped rep holds ~20-35 MiB in memory\n"
+               "                    and writes 128 MB (32 B a record)\n"
                "  --timeline FILE   record the run-health timeline (one\n"
                "                    gauge row per --timeline-interval of\n"
                "                    sim time; inspect with mcktrace\n"
