@@ -19,6 +19,7 @@
 #include "sim/simulator.hpp"
 #include "util/interval_set.hpp"
 #include "util/pool.hpp"
+#include "util/sparse_csn.hpp"
 #include "util/weight.hpp"
 
 namespace {
@@ -62,6 +63,28 @@ void BM_IntervalSetMergeAndScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IntervalSetMergeAndScan);
+
+// The receive-side csn check of every computation message: a get and a
+// raise on the same pid. Arg(64, 64) is a LAN map holding every pid
+// (dense); Arg(100000, 200) a scale-run map holding 200 (sparse).
+void BM_CsnMapGetRaise(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto entries = static_cast<std::size_t>(state.range(1));
+  const std::size_t stride = n / entries;
+  util::SparseCsnMap m(n);
+  for (std::size_t i = 0; i < entries; ++i) m.raise(i * stride, 1);
+  std::uint64_t lcg = 1;
+  for (auto _ : state) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    const std::size_t p = (lcg >> 33) % entries * stride;
+    const Csn c = m.get(p);
+    benchmark::DoNotOptimize(c);
+    m.raise(p, c + 1);
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(m.dense() ? "dense" : "sparse");
+}
+BENCHMARK(BM_CsnMapGetRaise)->Args({64, 64})->Args({100000, 200});
 
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

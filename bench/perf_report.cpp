@@ -20,6 +20,10 @@
 //     obs::audit_records on a fixed in-process cellular n=1024 trace, and
 //     that trace's resident bytes per record (obs::TraceRecords::bytes).
 //
+//  5. ns per csn-map get+raise pair (util::SparseCsnMap) in each
+//     representation: n=64 holding every pid (dense) and n=100k holding
+//     200 (sparse).
+//
 // Usage: perf_report [--quick] [--out PATH] [--history PATH] [--sha SHA]
 //                    [--stamp TS] [--pending K]; --help lists them.
 #include <algorithm>
@@ -39,6 +43,7 @@
 #include "sim/simulator.hpp"
 #include "core/payloads.hpp"
 #include "util/pool.hpp"
+#include "util/sparse_csn.hpp"
 
 // ---------------------------------------------------------------------------
 // Allocation instrumentation (binary-local). Counts every heap block the
@@ -342,6 +347,40 @@ AuditPerf measure_audit(bool quick) {
   return out;
 }
 
+// ---------------------------------------------------------------------------
+// csn maps: the receive-side check of every computation message is a get
+// and a raise on the sender's pid. ns per pair over `ops` pairs on pids
+// drawn by a fixed LCG from the populated ones, best of kCsnTrials.
+// ---------------------------------------------------------------------------
+
+constexpr int kCsnTrials = 3;
+
+struct CsnMapPerf {
+  double ns_per_op = 0;
+  bool dense = false;
+};
+
+CsnMapPerf measure_csn_map(std::size_t n, std::size_t entries,
+                           std::uint64_t ops) {
+  const std::size_t stride = n / entries;
+  util::SparseCsnMap m(n);
+  for (std::size_t i = 0; i < entries; ++i) m.raise(i * stride, 1);
+  CsnMapPerf out;
+  out.dense = m.dense();
+  std::uint64_t lcg = 1;
+  for (int t = 0; t < kCsnTrials; ++t) {
+    Clock::time_point t0 = Clock::now();
+    for (std::uint64_t i = 0; i < ops; ++i) {
+      lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+      const std::size_t p = (lcg >> 33) % entries * stride;
+      m.raise(p, m.get(p) + 1);
+    }
+    const double ns = secs_since(t0) * 1e9 / static_cast<double>(ops);
+    if (t == 0 || ns < out.ns_per_op) out.ns_per_op = ns;
+  }
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -407,6 +446,14 @@ int main(int argc, char** argv) {
               static_cast<long long>(sc.n1M_peak_in_flight),
               static_cast<long long>(sc.n1M_peak_blocked));
 
+  const std::uint64_t csn_ops = quick ? 2'000'000 : 20'000'000;
+  const CsnMapPerf csn_dense = measure_csn_map(64, 64, csn_ops);
+  const CsnMapPerf csn_sparse = measure_csn_map(100000, 200, csn_ops);
+  std::printf("csn map get+raise: n=64 %.2f ns/op (%s), n=100k/200 "
+              "entries %.2f ns/op (%s)\n",
+              csn_dense.ns_per_op, csn_dense.dense ? "dense" : "sparse",
+              csn_sparse.ns_per_op, csn_sparse.dense ? "dense" : "sparse");
+
   // After the scale path: its n=1M peak RSS is a process-wide VmHWM.
   AuditPerf au = measure_audit(quick);
   std::printf("trace audit: %llu records (%.2f B each), best-of-%d %.0f "
@@ -462,6 +509,14 @@ int main(int argc, char** argv) {
                "    \"trace_bytes_per_record\": %.2f,\n"
                "    \"records_per_sec\": %.1f,\n"
                "    \"heap_growth_mib\": %.1f\n"
+               "  },\n"
+               "  \"csn_map\": {\n"
+               "    \"workload\": \"util::SparseCsnMap get+raise pairs, "
+               "best-of-%d\",\n"
+               "    \"n64_full_ns_per_op\": %.2f,\n"
+               "    \"n64_full_dense\": %s,\n"
+               "    \"n100k_200_ns_per_op\": %.2f,\n"
+               "    \"n100k_200_dense\": %s\n"
                "  }\n"
                "}\n",
                quick ? "true" : "false", pending,
@@ -477,7 +532,9 @@ int main(int argc, char** argv) {
                quick ? 600.0 : 3600.0, kAuditTrials,
                static_cast<unsigned long long>(au.records),
                au.trace_bytes_per_record, au.records_per_sec,
-               au.heap_growth_mib);
+               au.heap_growth_mib, kCsnTrials, csn_dense.ns_per_op,
+               csn_dense.dense ? "true" : "false", csn_sparse.ns_per_op,
+               csn_sparse.dense ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
 
@@ -501,13 +558,16 @@ int main(int argc, char** argv) {
                  "\"n1M_peak_rss_kib\":%llu,"
                  "\"audit_records_per_sec\":%.1f,"
                  "\"audit_heap_growth_mib\":%.1f,"
-                 "\"trace_bytes_per_record\":%.2f}\n",
+                 "\"trace_bytes_per_record\":%.2f,"
+                 "\"csn_dense_ns_per_op\":%.2f,"
+                 "\"csn_sparse_ns_per_op\":%.2f}\n",
                  sha, stamp, quick ? "true" : "false", cur_eps, cur_ape,
                  st.sim_seconds_per_wall_second,
                  st.events_per_sec, sc.n1k_deliveries_per_sec, sc.n1M_wall_s,
                  static_cast<unsigned long long>(sc.n1M_peak_rss_kib),
                  au.records_per_sec, au.heap_growth_mib,
-                 au.trace_bytes_per_record);
+                 au.trace_bytes_per_record, csn_dense.ns_per_op,
+                 csn_sparse.ns_per_op);
     std::fclose(h);
     std::printf("appended %s\n", history_path);
   }

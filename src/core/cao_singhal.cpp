@@ -193,29 +193,34 @@ void CaoSinghalProtocol::initiate() {
 SparseMr request_mr(const SparseMr& mr_in, const util::SparseCsnMap& dep_csn,
                     const util::IntervalSet& deps) {
   const SparseMr::Storage& mr = mr_in.slots();
-  const util::SparseCsnMap::Storage& dc = dep_csn.entries();
   const util::IntervalSet::Storage& iv = deps.intervals();
   constexpr std::uint64_t kEnd = ~std::uint64_t{0};
-  std::size_t a = 0, b = 0, c = 0;
+  std::size_t a = 0, c = 0;
   std::uint32_t x = iv.empty() ? 0 : iv[0].lo;  // next member of deps
   SparseMr out;
-  while (true) {
-    const std::uint64_t pa = a < mr.size() ? mr[a].pid : kEnd;
-    const std::uint64_t pb = b < dc.size() ? dc[b].pid : kEnd;
-    const std::uint64_t pc = c < iv.size() ? x : kEnd;
-    const std::uint64_t p = std::min({pa, pb, pc});
-    if (p == kEnd) break;
-    MrEntry e;
-    if (pa == p) e = mr[a++].e;
-    if (pb == p) e.csn = std::max(e.csn, dc[b++].csn);
-    if (pc == p) {
-      if (e.requested == 0) e.requested = 1;
-      if (++x == iv[c].hi && ++c < iv.size()) x = iv[c].lo;
+  // dep_csn drives the merge: each of its entries (pb, dep) first appends
+  // the MR slots and dependencies below pb, then pb's own slot.
+  const auto merge_through = [&](std::uint64_t pb, Csn dep) {
+    while (true) {
+      const std::uint64_t pa = a < mr.size() ? mr[a].pid : kEnd;
+      const std::uint64_t pc = c < iv.size() ? x : kEnd;
+      const std::uint64_t p = std::min({pa, pb, pc});
+      if (p == kEnd) return;
+      MrEntry e;
+      if (pa == p) e = mr[a++].e;
+      if (pb == p) e.csn = std::max(e.csn, dep);
+      if (pc == p) {
+        if (e.requested == 0) e.requested = 1;
+        if (++x == iv[c].hi && ++c < iv.size()) x = iv[c].lo;
+      }
+      // Every input slot is non-default, so every merged one is too.
+      const bool appended = out.append(static_cast<std::uint32_t>(p), e);
+      MCK_ASSERT(appended);
+      if (pb == p) return;
     }
-    // Every input slot is non-default, so every merged one is too.
-    const bool appended = out.append(static_cast<std::uint32_t>(p), e);
-    MCK_ASSERT(appended);
-  }
+  };
+  dep_csn.for_each([&](std::size_t pb, Csn dep) { merge_through(pb, dep); });
+  merge_through(kEnd, 0);
   return out;
 }
 
@@ -233,18 +238,16 @@ Weight CaoSinghalProtocol::prop_cp(const IntervalSet& deps,
 
   ckpt::InitiationStats& st = init_stats(trigger);
   const Csn own_csn = csn_.get(static_cast<std::size_t>(self()));
-  // deps is visited ascending, so MR and dep_csn are read by cursors.
+  // deps is visited ascending, so MR is read by a cursor.
   const SparseMr::Storage& mr = mr_in.slots();
-  const util::SparseCsnMap::Storage& dc = dep_csn_.entries();
-  std::size_t mi = 0, di = 0;
+  std::size_t mi = 0;
   deps.for_each([&](std::size_t ks) {
     const int k = static_cast<int>(ks);
     if (k == self()) return;
     while (mi < mr.size() && mr[mi].pid < ks) ++mi;
-    while (di < dc.size() && dc[di].pid < ks) ++di;
     const MrEntry in =
         mi < mr.size() && mr[mi].pid == ks ? mr[mi].e : MrEntry{};
-    const Csn dep = di < dc.size() && dc[di].pid == ks ? dc[di].csn : 0;
+    const Csn dep = dep_csn_.get(ks);
     // Prose of Section 3.3.2: skip P_k iff MR records that someone already
     // sent P_k a request with req_csn >= (the csn of the interval in which
     // our dependency on P_k was created).

@@ -80,8 +80,9 @@ struct CaoSinghalOptions {
 
 /// The MR every request of one prop_cp fan-out carries: slot k is
 /// {max(mr_in[k].csn, dep_csn[k]), mr_in[k].R | deps[k]}. Built in one
-/// ascending merge of the three sparse inputs, appending only the slots
-/// that differ from the default.
+/// ascending merge of the three inputs (dep_csn through for_each, so
+/// either of its representations), appending only the slots that differ
+/// from the default.
 SparseMr request_mr(const SparseMr& mr_in, const util::SparseCsnMap& dep_csn,
                     const util::IntervalSet& deps);
 
@@ -207,7 +208,10 @@ class CaoSinghalProtocol final : public rt::CheckpointProtocol {
 
   // --- paper state (Section 3.2). All three are sparse: per-message and
   // per-request work is O(active dependencies), not O(n), and per-process
-  // memory stays constant-ish as the population grows. ---
+  // memory stays constant-ish as the population grows. A csn map that
+  // comes to hold a quarter of its universe turns into the dense array
+  // (no more bytes than its sorted vector would take) and reads in O(1)
+  // from then on. ---
   util::IntervalSet R_;
   util::SparseCsnMap csn_;
   // csn actually observed on the last *computation message* from each

@@ -552,8 +552,15 @@ std::string render_report(const AuditReport& r, bool show_rounds) {
     const AuditViolation& v = r.violations[i];
     out += fmt("  [%s] rep %d t=%.6fs", to_string(v.check), v.rep,
                secs(v.at));
-    if (v.initiation != 0) out += " " + initiation_label(v.initiation);
-    out += ": " + v.detail + "\n";
+    // Appended piecewise: GCC 12 -O3 flags `" " + std::string` with a
+    // false -Wrestrict.
+    if (v.initiation != 0) {
+      out += ' ';
+      out += initiation_label(v.initiation);
+    }
+    out += ": ";
+    out += v.detail;
+    out += '\n';
   }
   if (r.violations.size() > kMaxShown) {
     out += fmt("  ... and %zu more\n", r.violations.size() - kMaxShown);

@@ -478,8 +478,15 @@ template <typename Graph>  // obs::CausalGraph or obs::DequeGraph
 std::vector<std::string> issue_lines(const Graph& g) {
   std::vector<std::string> out;
   for (const obs::CausalIssue& is : g.issues) {
-    out.push_back("t" + std::to_string(is.at) + " msg " +
-                  std::to_string(is.msg_id) + ": " + is.detail);
+    // Appended piecewise: GCC 12 -O3 flags `"t" + std::string` with a
+    // false -Wrestrict.
+    std::string line = "t";
+    line += std::to_string(is.at);
+    line += " msg ";
+    line += std::to_string(is.msg_id);
+    line += ": ";
+    line += is.detail;
+    out.push_back(std::move(line));
   }
   return out;
 }

@@ -1,9 +1,11 @@
 // Proves the hot-path memory discipline (DESIGN.md): once warm, the
 // simulator schedules and fires events without touching the heap, a
 // tracer that is off allocates nothing, pooled message payloads recycle
-// their nodes, SmallVec spill storage goes back to the heap, and the
-// generation-counted slot pool survives its edge cases (cancel-after-fire,
-// generation wraparound, pool growth and recycling).
+// their nodes, SmallVec spill storage goes back to the heap, a csn map
+// switches to its dense array in one allocation and then reads, writes
+// and refills without any, and the generation-counted slot pool survives
+// its edge cases (cancel-after-fire, generation wraparound, pool growth
+// and recycling).
 //
 // Allocation counting uses a binary-local instrumented operator new.
 // Sanitizer builds may route allocations around it (their interceptors sit
@@ -35,8 +37,11 @@ namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
 std::atomic<std::uint64_t> g_free_count{0};
 
-void count_free(void* p) {
+// Out of line, so GCC does not pair the std::free with an operator new
+// inlined at the same call site and report a false -Wmismatched-new-delete.
+[[gnu::noinline]] void count_and_free(void* p) {
   if (p != nullptr) g_free_count.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
 }
 }  // namespace
 
@@ -46,10 +51,7 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept {
-  count_free(p);
-  std::free(p);
-}
+void operator delete(void* p) noexcept { count_and_free(p); }
 void operator delete[](void* p) noexcept { ::operator delete(p); }
 void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
 void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
@@ -434,6 +436,44 @@ TEST(HotPathAllocs, SmallVecSpillIsReturnedToTheHeap) {
   EXPECT_GT(news_alive, 2u) << "both containers re-spilled as they grew";
   EXPECT_EQ(live_blocks, 2u) << "each container keeps one spill block";
   EXPECT_EQ(news, freed) << "destruction returns every spill block";
+}
+
+TEST(HotPathAllocs, CsnMapSwitchesToDenseInOneAllocation) {
+  if (!counter_active()) GTEST_SKIP() << "allocator interposed (sanitizer)";
+  const std::size_t n = 64;
+  util::SparseCsnMap csn(n);
+  for (std::size_t pid = 0; pid < n / 4; ++pid) csn.raise(pid * 2, 5);
+  ASSERT_FALSE(csn.dense());
+
+  // The entry past n/4 would grow the full sorted vector; it switches.
+  std::uint64_t a0 = allocs();
+  std::uint64_t f0 = frees();
+  csn.raise(1, 5);
+  ASSERT_TRUE(csn.dense());
+  EXPECT_EQ(allocs() - a0, 1u) << "the dense array is one allocation";
+  EXPECT_EQ(frees() - f0, 1u) << "the sparse block is freed";
+
+  // Dense reads and writes touch the array only.
+  a0 = allocs();
+  Csn sum = 0;
+  for (std::size_t pid = 0; pid < n; ++pid) {
+    csn.raise(pid, 9);
+    sum += csn.bump(pid);
+    sum += csn.get(pid);
+  }
+  EXPECT_EQ(allocs(), a0) << "get/raise/bump on a dense map must not allocate";
+  EXPECT_EQ(sum, 64u * 20);
+
+  // assign() zero-fills the array and keeps it: a refill is heap-free.
+  a0 = allocs();
+  f0 = frees();
+  csn.assign(n);
+  EXPECT_TRUE(csn.dense());
+  EXPECT_EQ(csn.active(), 0u);
+  for (std::size_t pid = 0; pid < n; ++pid) csn.raise(pid, 3);
+  EXPECT_EQ(allocs(), a0) << "a warm dense refill must not allocate";
+  EXPECT_EQ(frees(), f0);
+  EXPECT_EQ(csn.active(), n);
 }
 
 TEST(HotPathAllocs, WarmSpilledContainersRefillWithoutAllocating) {

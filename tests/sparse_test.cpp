@@ -14,6 +14,7 @@
 // (tests/bitvec.hpp) at its 64-bit word seams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <random>
@@ -25,6 +26,7 @@
 #include "core/payloads.hpp"
 #include "util/flat_map.hpp"
 #include "util/interval_set.hpp"
+#include "util/small_vec.hpp"
 #include "util/sparse_csn.hpp"
 
 namespace mck {
@@ -111,7 +113,9 @@ void expect_equivalent(const util::IntervalSet& s, const util::BitVec& d) {
   for (std::size_t k = 0; k < iv.size(); ++k) {
     ASSERT_LT(iv[k].lo, iv[k].hi);
     ASSERT_LE(iv[k].hi, s.size());
-    if (k > 0) ASSERT_GT(iv[k].lo, iv[k - 1].hi);
+    if (k > 0) {
+      ASSERT_GT(iv[k].lo, iv[k - 1].hi);
+    }
   }
 }
 
@@ -212,36 +216,133 @@ void expect_equivalent(const util::SparseCsnMap& s,
   EXPECT_EQ(visited, expected);
 }
 
+// The bytes a sorted (pid, csn) vector would hold after the same writes:
+// SmallVec<8-byte slot, 2> doubles when full and never shrinks.
+struct SortedVectorBytes {
+  std::size_t cap = 2;
+  std::size_t held = 0;
+  void insert() {
+    if (++held > cap) cap *= 2;
+  }
+  std::size_t bytes() const { return cap > 2 ? cap * 8 : 0; }
+};
+
+// Mixed raise/bump/get/assign against a dense vector, plus runs of raises
+// that fill a map past its switch to the dense array: every step the map
+// holds no more bytes than the sorted vector would.
 TEST(SparseProperty, SparseCsnMapMatchesDenseVector) {
-  for (std::size_t n : {std::size_t{1}, std::size_t{17}, std::size_t{300}}) {
+  for (std::size_t n : {std::size_t{1}, std::size_t{17}, std::size_t{300},
+                        std::size_t{4096}}) {
     std::mt19937 rng(0xBEEF ^ static_cast<std::uint32_t>(n));
     std::uniform_int_distribution<std::size_t> pick(0, n - 1);
-    std::uniform_int_distribution<int> op(0, 99);
+    std::uniform_int_distribution<int> op(0, 999);
     std::uniform_int_distribution<Csn> val(0, 12);  // 0 must be a no-op
 
     util::SparseCsnMap s(n);
     std::vector<Csn> d(n, 0);
-    for (int step = 0; step < 4000; ++step) {
+    SortedVectorBytes sorted;
+    // Writes the dense reference; a new non-zero entry is one more slot in
+    // the sorted vector.
+    const auto write = [&](std::size_t q, Csn v) {
+      if (d[q] == 0 && v != 0) sorted.insert();
+      d[q] = v;
+    };
+    int switched = 0, assigned_dense = 0;
+    const int steps = 4000 + 3 * static_cast<int>(n);
+    for (int step = 0; step < steps; ++step) {
       const int o = op(rng);
       const std::size_t p = pick(rng);
-      if (o < 55) {
+      const bool was_dense = s.dense();
+      if (o < 500) {
         const Csn v = val(rng);
         s.raise(p, v);
-        if (v > d[p]) d[p] = v;
-      } else if (o < 90) {
+        if (v > d[p]) write(p, v);
+      } else if (o < 850) {
         const Csn got = s.bump(p);
-        d[p] += 1;
+        write(p, d[p] + 1);
         EXPECT_EQ(got, d[p]);
-      } else if (o < 98) {
+      } else if (o < 930) {
         EXPECT_EQ(s.get(p), d[p]);
+      } else if (o < 998) {
+        // A run of raises, the pattern that fills a map.
+        for (std::size_t q = p; q < std::min(n, p + 16); ++q) {
+          const Csn v = val(rng);
+          s.raise(q, v);
+          if (v > d[q]) write(q, v);
+        }
       } else {
+        if (s.dense()) ++assigned_dense;
         s.assign(n);
         d.assign(n, 0);
+        sorted.held = 0;
+        EXPECT_EQ(s.dense(), was_dense) << "assign keeps the representation";
       }
+      if (s.dense() && !was_dense) ++switched;
+      ASSERT_LE(s.bytes(), sorted.bytes()) << "n " << n << " step " << step;
       if (step % 400 == 0) expect_equivalent(s, d);
     }
     expect_equivalent(s, d);
+    if (n >= 17) {
+      EXPECT_EQ(switched, 1) << "n " << n << ": the switch happens once";
+      EXPECT_GT(assigned_dense, 0) << "n " << n << ": assign after a switch";
+    }
   }
+}
+
+TEST(SparseProperty, SparseCsnMapSwitchesAtAQuarterOfAPowerOfTwo) {
+  util::SparseCsnMap m(64);
+  for (std::size_t p = 0; p < 16; ++p) m.raise(p * 4, 7);
+  EXPECT_FALSE(m.dense());
+  EXPECT_EQ(m.bytes(), 16 * 8u);
+  m.raise(1, 3);  // the 17th entry would grow the vector to 32 slots
+  EXPECT_TRUE(m.dense());
+  EXPECT_EQ(m.bytes(), 64 * sizeof(Csn));
+  EXPECT_EQ(m.active(), 17u);
+  EXPECT_EQ(m.get(1), 3u);
+  EXPECT_EQ(m.get(60), 7u);
+  EXPECT_EQ(m.get(63), 0u);
+  // The map stays as small as the plain sorted vector it replaces.
+  EXPECT_LE(sizeof(util::SparseCsnMap),
+            sizeof(std::size_t) + sizeof(util::SmallVec<std::uint64_t, 2>));
+}
+
+// Equality is by contents, across representations, and for_each visits
+// ascending pids in both.
+TEST(SparseProperty, SparseCsnMapEqualityAcrossRepresentations) {
+  const std::size_t n = 64;
+  util::SparseCsnMap dense(n);
+  for (std::size_t p = 0; p < n; ++p) dense.raise(p, 1);
+  ASSERT_TRUE(dense.dense());
+  dense.assign(n);
+  ASSERT_TRUE(dense.dense());
+  EXPECT_EQ(dense.active(), 0u);
+  EXPECT_TRUE(dense == util::SparseCsnMap(n));
+  EXPECT_FALSE(dense == util::SparseCsnMap(n + 1));
+
+  util::SparseCsnMap sparse(n);
+  for (std::size_t p : {std::size_t{63}, std::size_t{0}, std::size_t{31}}) {
+    dense.raise(p, static_cast<Csn>(p + 1));
+    sparse.raise(p, static_cast<Csn>(p + 1));
+  }
+  ASSERT_FALSE(sparse.dense());
+  EXPECT_TRUE(dense == sparse);
+  EXPECT_TRUE(sparse == dense);
+
+  std::vector<std::pair<std::size_t, Csn>> from_dense, from_sparse;
+  dense.for_each([&](std::size_t p, Csn c) { from_dense.emplace_back(p, c); });
+  sparse.for_each([&](std::size_t p, Csn c) { from_sparse.emplace_back(p, c); });
+  const std::vector<std::pair<std::size_t, Csn>> want = {
+      {0, 1}, {31, 32}, {63, 64}};
+  EXPECT_EQ(from_dense, want);
+  EXPECT_EQ(from_sparse, want);
+
+  sparse.bump(31);  // same pids, one csn differs
+  EXPECT_FALSE(dense == sparse);
+  dense.bump(31);
+  EXPECT_TRUE(dense == sparse);
+  dense.raise(5, 1);  // one entry more
+  EXPECT_FALSE(dense == sparse);
+  EXPECT_FALSE(sparse == dense);
 }
 
 // ---- SparseMr vs dense vector -----------------------------------------
@@ -334,26 +435,39 @@ core::SparseMr random_mr(std::mt19937& rng, std::size_t n) {
 // The request MR prop_cp sends, built by one merge, against the raise /
 // mark loop it replaced: the copy of MR, every dep_csn entry raised in,
 // every dependency marked requested. Slot for slot the same.
+// dep_csn is dense in some iterations (n = 16 and 64 switch within the 40
+// raises) and sparse in others; the reference reads a plain vector.
 TEST(SparseProperty, RequestMrMergeMatchesRaiseMarkLoop) {
   std::mt19937 rng(0xC5);
   std::uniform_int_distribution<int> which(0, 2);
+  int dense_runs = 0, sparse_runs = 0;
   for (int iter = 0; iter < 3000; ++iter) {
-    const std::size_t n = which(rng) == 0 ? 16 : 300;
+    const int size_class = which(rng);
+    const std::size_t n = size_class == 0 ? 16 : size_class == 1 ? 64 : 300;
     core::SparseMr mr = random_mr(rng, n);
     if (which(rng) == 0) mr.put(n - 1, core::MrEntry{0, 2});  // raw R byte
     util::SparseCsnMap dep(n);
+    std::vector<Csn> dep_ref(n, 0);
     std::uniform_int_distribution<std::size_t> pick(0, n - 1);
     std::uniform_int_distribution<Csn> val(1, 1u << 20);
     const int k = std::uniform_int_distribution<int>(0, 40)(rng);
-    for (int i = 0; i < k; ++i) dep.raise(pick(rng), val(rng));
+    for (int i = 0; i < k; ++i) {
+      const std::size_t j = pick(rng);
+      const Csn v = val(rng);
+      dep.raise(j, v);
+      dep_ref[j] = std::max(dep_ref[j], v);
+    }
+    ++(dep.dense() ? dense_runs : sparse_runs);
     const util::IntervalSet deps = random_iset(rng, n);
 
     core::SparseMr want = mr;
-    dep.for_each([&want](std::size_t j, Csn v) { want.raise_csn(j, v); });
+    for (std::size_t j = 0; j < n; ++j) want.raise_csn(j, dep_ref[j]);
     deps.for_each([&want](std::size_t j) { want.mark_requested(j); });
     const core::SparseMr got = core::request_mr(mr, dep, deps);
     ASSERT_EQ(got, want) << "iter " << iter;
   }
+  EXPECT_GT(dense_runs, 100);
+  EXPECT_GT(sparse_runs, 100);
   // Empty inputs give the empty MR.
   EXPECT_EQ(core::request_mr(core::SparseMr{}, util::SparseCsnMap(8),
                              util::IntervalSet(8)),
