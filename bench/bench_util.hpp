@@ -6,10 +6,16 @@
 // changes the numbers, only the wall-clock time.
 #pragma once
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -118,20 +124,72 @@ inline harness::ExperimentConfig scale_config(int n) {
   return cfg;
 }
 
-/// Peak resident set size (VmHWM) in KiB from /proc/self/status; 0 where
-/// procfs is unavailable. Monotone over the process lifetime, so a sweep
-/// that runs points in ascending n reads, after each point, the peak of
-/// the largest population so far.
-inline std::uint64_t peak_rss_kib() {
+/// Threads of this process, from /proc/self/status; 0 where procfs is
+/// unavailable.
+inline int thread_count() {
   std::FILE* f = std::fopen("/proc/self/status", "r");
   if (f == nullptr) return 0;
   char line[256];
-  unsigned long long kib = 0;
+  int threads = 0;
   while (std::fgets(line, sizeof line, f) != nullptr) {
-    if (std::sscanf(line, "VmHWM: %llu", &kib) == 1) break;
+    if (std::sscanf(line, "Threads: %d", &threads) == 1) break;
   }
   std::fclose(f);
-  return kib;
+  return threads;
+}
+
+/// Runs `fn` in a forked child and returns its result, and the child's
+/// own peak resident set (ru_maxrss from wait4, KiB) in *rss_kib — the
+/// peak of this one measurement, not of whatever the process ran before
+/// (VmHWM never falls). The result crosses a pipe, so it must be
+/// trivially copyable. Forks only from a single-threaded process: threads
+/// `fn` starts live and end in the child. Exits 1 if the child fails.
+template <typename Fn>
+auto run_in_child(Fn&& fn, std::uint64_t* rss_kib) {
+  using T = decltype(fn());
+  static_assert(std::is_trivially_copyable_v<T>);
+  auto die = [](const char* what) {
+    std::fprintf(stderr, "run_in_child: %s\n", what);
+    std::exit(1);
+  };
+  if (thread_count() > 1) die("the process is not single-threaded");
+  int fds[2];
+  if (pipe(fds) != 0) die("pipe failed");
+  std::fflush(nullptr);  // the child must not repeat buffered output
+  const pid_t pid = fork();
+  if (pid < 0) die("fork failed");
+  if (pid == 0) {
+    close(fds[0]);
+    const T out = fn();
+    const char* p = reinterpret_cast<const char*>(&out);
+    std::size_t left = sizeof out;
+    while (left > 0) {
+      const ssize_t w = write(fds[1], p, left);
+      if (w <= 0) _exit(1);
+      p += w;
+      left -= static_cast<std::size_t>(w);
+    }
+    std::fflush(nullptr);
+    _exit(0);
+  }
+  close(fds[1]);
+  T out{};
+  char* p = reinterpret_cast<char*>(&out);
+  std::size_t got = 0;
+  while (got < sizeof out) {
+    const ssize_t r = read(fds[0], p + got, sizeof out - got);
+    if (r <= 0) break;
+    got += static_cast<std::size_t>(r);
+  }
+  close(fds[0]);
+  int status = 0;
+  struct rusage ru {};
+  if (wait4(pid, &status, 0, &ru) != pid) die("wait4 failed");
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0 || got != sizeof out) {
+    die("the measuring child failed");
+  }
+  *rss_kib = static_cast<std::uint64_t>(ru.ru_maxrss);
+  return out;
 }
 
 /// Column-wise peak over a timeline run (signed columns compare as i64).

@@ -16,6 +16,8 @@
 //     against tests/golden/fig_scale_n16.txt (--golden prints exactly
 //     that row).
 //   * stderr — wall-clock / memory measurements (events/s, peak RSS).
+//     Each point runs in its own forked child, so its peak RSS is that
+//     point's alone, whatever ran before it.
 //   * --out FILE — the full sweep as JSON, including the wall-clock
 //     numbers, for the BENCH_hotpath.json scale trajectory and the CI
 //     artifact.
@@ -38,13 +40,22 @@ using namespace mck;
 
 namespace {
 
+// What the table, the stderr lines and the JSON report of one point need;
+// trivially copyable, since the point runs in a child and sends it back.
 struct ScalePoint {
   int n = 0;
   int num_mss = 0;
   int cells_per_mss = 0;
-  harness::RunResult res;
+  std::uint64_t committed = 0;
+  std::uint64_t system_msgs = 0;
+  std::uint64_t system_wire_bytes = 0;
+  std::uint64_t comp_msgs = 0;
+  std::uint64_t comp_bytes = 0;
+  std::uint64_t tentative = 0;
+  std::uint64_t mutable_taken = 0;
+  std::uint64_t deliveries = 0;
   double wall_s = 0.0;
-  std::uint64_t rss_kib = 0;
+  std::uint64_t rss_kib = 0;  // set by the parent from the child's rusage
   // Headline gauges from the point's timeline (0 when --timeline is off).
   std::uint64_t tl_rows = 0;
   std::int64_t tl_peak_in_flight = 0;
@@ -67,18 +78,28 @@ ScalePoint run_point(int n, const bench::Args& args,
   pt.cells_per_mss = cfg.sys.cellular.cells_per_mss;
 
   auto t0 = std::chrono::steady_clock::now();
-  pt.res = harness::run_replicated(cfg, /*reps=*/1, args.jobs());
+  const harness::RunResult res =
+      harness::run_replicated(cfg, /*reps=*/1, args.jobs());
   pt.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             t0)
                   .count();
-  pt.rss_kib = bench::peak_rss_kib();
+  const rt::RunStats& st = res.stats;
+  pt.committed = res.committed;
+  pt.system_msgs = st.system_msgs();
+  pt.system_wire_bytes = st.system_wire_bytes();
+  pt.comp_msgs = st.msgs_sent[static_cast<int>(rt::MsgKind::kComputation)];
+  pt.comp_bytes =
+      st.wire_bytes_sent[static_cast<int>(rt::MsgKind::kComputation)];
+  pt.tentative = st.tentative_taken;
+  pt.mutable_taken = st.mutable_taken;
+  pt.deliveries = st.deliveries;
 
   if (!trace_path.empty()) {
     obs::TraceFileMeta meta;
     meta.num_processes = n;
     meta.algo = harness::to_string(cfg.sys.algorithm);
     std::string err;
-    if (!obs::write_trace_file(trace_path, meta, pt.res.traces, &err)) {
+    if (!obs::write_trace_file(trace_path, meta, res.traces, &err)) {
       std::fprintf(stderr, "fig_scale: cannot write trace: %s\n",
                    err.c_str());
       std::exit(1);
@@ -90,15 +111,15 @@ ScalePoint run_point(int n, const bench::Args& args,
     meta.algo = harness::to_string(cfg.sys.algorithm);
     meta.columns = obs::builtin_timeline_schema();
     std::string err;
-    if (!obs::write_timeline_file(timeline_path, meta, pt.res.timelines,
+    if (!obs::write_timeline_file(timeline_path, meta, res.timelines,
                                   &err)) {
       std::fprintf(stderr, "fig_scale: cannot write timeline: %s\n",
                    err.c_str());
       std::exit(1);
     }
   }
-  if (!pt.res.timelines.empty()) {
-    const obs::TimelineRun& tl = pt.res.timelines.front();
+  if (!res.timelines.empty()) {
+    const obs::TimelineRun& tl = res.timelines.front();
     pt.tl_rows = tl.rows();
     pt.tl_peak_in_flight = bench::timeline_peak(tl, obs::kColInFlight);
     pt.tl_peak_blocked = bench::timeline_peak(tl, obs::kColBlockedProcs);
@@ -154,29 +175,30 @@ int main(int argc, char** argv) {
     if (tl_prefix != nullptr) {
       tl_path = std::string(tl_prefix) + "_n" + std::to_string(n) + ".mcktl";
     }
-    points.push_back(
-        run_point(n, args, trace_this ? trace_path : "", tl_path));
-    const ScalePoint& pt = points.back();
-    const rt::RunStats& st = pt.res.stats;
-    const std::uint64_t comp_msgs =
-        st.msgs_sent[static_cast<int>(rt::MsgKind::kComputation)];
-    const std::uint64_t comp_bytes =
-        st.wire_bytes_sent[static_cast<int>(rt::MsgKind::kComputation)];
+    // The parent stays single-threaded: the point's replication threads
+    // start and join in the child.
+    std::uint64_t rss_kib = 0;
+    points.push_back(bench::run_in_child(
+        [&] {
+          return run_point(n, args, trace_this ? trace_path : "", tl_path);
+        },
+        &rss_kib));
+    ScalePoint& pt = points.back();
+    pt.rss_kib = rss_kib;
     table.add_row(
         {bench::num(pt.n, "%.0f"), bench::num(pt.num_mss, "%.0f"),
          bench::num(pt.cells_per_mss, "%.0f"),
-         bench::num(static_cast<double>(pt.res.committed), "%.0f"),
-         bench::num(static_cast<double>(st.system_msgs()), "%.0f"),
-         bench::num(per_msg(st.system_wire_bytes(), st.system_msgs()),
-                    "%.1f"),
-         bench::num(per_msg(comp_bytes, comp_msgs), "%.1f"),
-         bench::num(static_cast<double>(st.tentative_taken), "%.0f"),
-         bench::num(static_cast<double>(st.mutable_taken), "%.0f")});
+         bench::num(static_cast<double>(pt.committed), "%.0f"),
+         bench::num(static_cast<double>(pt.system_msgs), "%.0f"),
+         bench::num(per_msg(pt.system_wire_bytes, pt.system_msgs), "%.1f"),
+         bench::num(per_msg(pt.comp_bytes, pt.comp_msgs), "%.1f"),
+         bench::num(static_cast<double>(pt.tentative), "%.0f"),
+         bench::num(static_cast<double>(pt.mutable_taken), "%.0f")});
     std::fprintf(stderr,
                  "fig_scale: n=%d wall=%.2fs events/s=%.0f peak_rss=%llu KiB\n",
                  pt.n, pt.wall_s,
                  pt.wall_s > 0
-                     ? static_cast<double>(st.deliveries) / pt.wall_s
+                     ? static_cast<double>(pt.deliveries) / pt.wall_s
                      : 0.0,
                  static_cast<unsigned long long>(pt.rss_kib));
     if (pt.tl_rows > 0) {
@@ -204,11 +226,6 @@ int main(int argc, char** argv) {
     std::fprintf(f, "{\n  \"points\": [\n");
     for (std::size_t i = 0; i < points.size(); ++i) {
       const ScalePoint& pt = points[i];
-      const rt::RunStats& st = pt.res.stats;
-      const std::uint64_t comp_msgs =
-          st.msgs_sent[static_cast<int>(rt::MsgKind::kComputation)];
-      const std::uint64_t comp_bytes =
-          st.wire_bytes_sent[static_cast<int>(rt::MsgKind::kComputation)];
       std::fprintf(
           f,
           "    {\"n\": %d, \"num_mss\": %d, \"cells_per_mss\": %d,\n"
@@ -221,13 +238,13 @@ int main(int argc, char** argv) {
           "     \"timeline_peak_in_flight\": %lld,\n"
           "     \"timeline_peak_blocked\": %lld}%s\n",
           pt.n, pt.num_mss, pt.cells_per_mss,
-          static_cast<unsigned long long>(pt.res.committed),
-          static_cast<unsigned long long>(st.system_msgs()),
-          per_msg(st.system_wire_bytes(), st.system_msgs()),
-          per_msg(comp_bytes, comp_msgs),
-          static_cast<unsigned long long>(st.tentative_taken),
-          static_cast<unsigned long long>(st.mutable_taken),
-          pt.wall_s > 0 ? static_cast<double>(st.deliveries) / pt.wall_s
+          static_cast<unsigned long long>(pt.committed),
+          static_cast<unsigned long long>(pt.system_msgs),
+          per_msg(pt.system_wire_bytes, pt.system_msgs),
+          per_msg(pt.comp_bytes, pt.comp_msgs),
+          static_cast<unsigned long long>(pt.tentative),
+          static_cast<unsigned long long>(pt.mutable_taken),
+          pt.wall_s > 0 ? static_cast<double>(pt.deliveries) / pt.wall_s
                         : 0.0,
           pt.wall_s, static_cast<unsigned long long>(pt.rss_kib),
           static_cast<unsigned long long>(pt.tl_rows),

@@ -130,7 +130,13 @@ void BM_EventQueueSteadyStateRing(benchmark::State& state) {
   benchmark::DoNotOptimize(fired);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EventQueueSteadyStateRing)->Arg(64)->Arg(1024);
+// 16k and 64k pending: the queue depth of a cellular request wave (simbench
+// cell-coord peaks near 41k pending events).
+BENCHMARK(BM_EventQueueSteadyStateRing)
+    ->Arg(64)
+    ->Arg(1024)
+    ->Arg(16384)
+    ->Arg(65536);
 
 void BM_EventQueueScheduleCancel(benchmark::State& state) {
   // Retry-timer churn: arm a timeout, then cancel it before it fires —

@@ -4,7 +4,9 @@
 //  1. Event-loop throughput (events/s) on a steady-state scheduling ring —
 //     K pending events, each firing reschedules itself with a Message-sized
 //     capture, with a protocol-style timer that is repeatedly scheduled and
-//     cancelled. Its trajectory across commits lives in
+//     cancelled — at K = 256 (--pending) and at K = 16,384, the queue
+//     depth of a cellular request wave (simbench cell-coord peaks near
+//     41k pending events). Its trajectory across commits lives in
 //     BENCH_history.jsonl.
 //
 //  2. Allocations per event / per message, via an instrumented global
@@ -224,29 +226,57 @@ SimThroughput measure_sim_throughput(bool quick) {
 }
 
 // ---------------------------------------------------------------------------
-// Scale path (the fig_scale workload, in-process). n = 1k is the
-// throughput point — small enough that scheduler noise swamps single
-// runs, so the best of `kScaleTrials` is reported; n = 1M is the memory
-// point — peak RSS comes from VmHWM, which is a process-wide high-water
-// mark, valid here because every stage before it stays under ~100 MB.
-// The configs mirror bench/fig_scale's run_point() exactly.
+// Scale path (the fig_scale workload). n = 1k is the throughput point —
+// small enough that scheduler noise swamps single runs, so the best of
+// `kScaleTrials` is reported; n = 1M is the memory point — it runs in a
+// forked child, whose own peak RSS (wait4's ru_maxrss) is reported, so
+// the stages before it do not count. The configs mirror bench/fig_scale's
+// run_point() exactly.
 // ---------------------------------------------------------------------------
 
 constexpr int kScaleTrials = 5;
 
+// The second ring point: a queue as deep as a cellular request wave,
+// where the heap is 7 levels deep and most slots are cold.
+constexpr int kLargeRingPending = 16384;
+
+// The n = 1M point, as measured in its child. The headline run-health
+// numbers come from its timeline (the sampler is on for that run; its
+// cost is part of wall_s, so the report measures the instrumented
+// configuration CI actually ships).
+struct MillionPoint {
+  double wall_s = 0;
+  std::uint64_t timeline_rows = 0;
+  std::uint64_t peak_queue_depth = 0;
+  std::int64_t peak_in_flight = 0;
+  std::int64_t peak_blocked = 0;
+};
+
 struct ScalePathPerf {
   double n1k_deliveries_per_sec = 0;  // best of kScaleTrials
   double n1k_wall_s = 0;              // fastest trial
-  double n1M_wall_s = 0;
+  MillionPoint n1M;
   std::uint64_t n1M_peak_rss_kib = 0;
-  // Headline run-health numbers from the n=1M point's timeline (the
-  // sampler is on for that run; its cost is part of n1M_wall_s, so the
-  // report measures the instrumented configuration CI actually ships).
-  std::uint64_t n1M_timeline_rows = 0;
-  std::uint64_t n1M_peak_queue_depth = 0;
-  std::int64_t n1M_peak_in_flight = 0;
-  std::int64_t n1M_peak_blocked = 0;
 };
+
+MillionPoint measure_million() {
+  harness::ExperimentConfig cfg = bench::scale_config(1000000);
+  cfg.capture_timeline = true;
+  cfg.timeline_interval = sim::seconds(1);
+  MillionPoint out;
+  Clock::time_point t0 = Clock::now();
+  harness::RunResult res = harness::run_experiment(cfg);
+  out.wall_s = secs_since(t0);
+  if (!res.timelines.empty()) {
+    const obs::TimelineRun& tl = res.timelines.front();
+    out.timeline_rows = tl.rows();
+    out.peak_queue_depth = static_cast<std::uint64_t>(
+        bench::timeline_peak(tl, obs::kColQueueDepth));
+    out.peak_in_flight = bench::timeline_peak(tl, obs::kColInFlight);
+    out.peak_blocked = bench::timeline_peak(tl, obs::kColBlockedProcs);
+  }
+  return out;
+}
 
 ScalePathPerf measure_scale_path() {
   ScalePathPerf out;
@@ -264,23 +294,7 @@ ScalePathPerf measure_scale_path() {
       }
     }
   }
-  {
-    harness::ExperimentConfig cfg = bench::scale_config(1000000);
-    cfg.capture_timeline = true;
-    cfg.timeline_interval = sim::seconds(1);
-    Clock::time_point t0 = Clock::now();
-    harness::RunResult res = harness::run_experiment(cfg);
-    out.n1M_wall_s = secs_since(t0);
-    out.n1M_peak_rss_kib = bench::peak_rss_kib();
-    if (!res.timelines.empty()) {
-      const obs::TimelineRun& tl = res.timelines.front();
-      out.n1M_timeline_rows = tl.rows();
-      out.n1M_peak_queue_depth = static_cast<std::uint64_t>(
-          bench::timeline_peak(tl, obs::kColQueueDepth));
-      out.n1M_peak_in_flight = bench::timeline_peak(tl, obs::kColInFlight);
-      out.n1M_peak_blocked = bench::timeline_peak(tl, obs::kColBlockedProcs);
-    }
-  }
+  out.n1M = bench::run_in_child(measure_million, &out.n1M_peak_rss_kib);
   return out;
 }
 
@@ -410,18 +424,25 @@ int main(int argc, char** argv) {
 
   // Keep the best of a few repetitions, so one-off scheduler noise does
   // not set the number.
-  double cur_eps = 0, cur_ape = 0;
-  const int reps = 3;
-  for (int r = 0; r < reps; ++r) {
-    sim::Simulator s;
-    RingRunner ring{s, {}, {}};
-    auto [eps, ape] = ring.run(pending, warmup, events);
-    if (eps > cur_eps) {
-      cur_eps = eps;
-      cur_ape = ape;
+  auto best_ring = [&](int k) {
+    double best_eps = 0, best_ape = 0;
+    const int reps = 3;
+    for (int r = 0; r < reps; ++r) {
+      sim::Simulator s;
+      RingRunner ring{s, {}, {}};
+      auto [eps, ape] = ring.run(k, warmup, events);
+      if (eps > best_eps) {
+        best_eps = eps;
+        best_ape = ape;
+      }
     }
-  }
+    return std::pair{best_eps, best_ape};
+  };
+  const auto [cur_eps, cur_ape] = best_ring(pending);
   std::printf("event loop: %.0f ev/s (%.3f allocs/ev)\n", cur_eps, cur_ape);
+  const auto [large_eps, large_ape] = best_ring(kLargeRingPending);
+  std::printf("event loop, %d pending: %.0f ev/s (%.3f allocs/ev)\n",
+              kLargeRingPending, large_eps, large_ape);
 
   auto [pooled_apm, fresh_apm] = measure_payload_churn(quick ? 200'000
                                                             : 1'000'000);
@@ -437,14 +458,14 @@ int main(int argc, char** argv) {
   std::printf("scale path: n=1k best-of-%d %.0f deliveries/s (%.2fs), "
               "n=1M %.2fs peak rss %llu KiB\n",
               kScaleTrials, sc.n1k_deliveries_per_sec, sc.n1k_wall_s,
-              sc.n1M_wall_s,
+              sc.n1M.wall_s,
               static_cast<unsigned long long>(sc.n1M_peak_rss_kib));
   std::printf("scale timeline: n=1M rows=%llu peak queue=%llu "
               "in-flight=%lld blocked=%lld\n",
-              static_cast<unsigned long long>(sc.n1M_timeline_rows),
-              static_cast<unsigned long long>(sc.n1M_peak_queue_depth),
-              static_cast<long long>(sc.n1M_peak_in_flight),
-              static_cast<long long>(sc.n1M_peak_blocked));
+              static_cast<unsigned long long>(sc.n1M.timeline_rows),
+              static_cast<unsigned long long>(sc.n1M.peak_queue_depth),
+              static_cast<long long>(sc.n1M.peak_in_flight),
+              static_cast<long long>(sc.n1M.peak_blocked));
 
   const std::uint64_t csn_ops = quick ? 2'000'000 : 20'000'000;
   const CsnMapPerf csn_dense = measure_csn_map(64, 64, csn_ops);
@@ -454,7 +475,6 @@ int main(int argc, char** argv) {
               csn_dense.ns_per_op, csn_dense.dense ? "dense" : "sparse",
               csn_sparse.ns_per_op, csn_sparse.dense ? "dense" : "sparse");
 
-  // After the scale path: its n=1M peak RSS is a process-wide VmHWM.
   AuditPerf au = measure_audit(quick);
   std::printf("trace audit: %llu records (%.2f B each), best-of-%d %.0f "
               "records/s, heap growth %.1f MiB%s\n",
@@ -478,10 +498,13 @@ int main(int argc, char** argv) {
                "  \"event_loop\": {\n"
                "    \"ring_pending\": %d,\n"
                "    \"ring_events\": %llu,\n"
-               "    \"current_events_per_sec\": %.1f\n"
+               "    \"current_events_per_sec\": %.1f,\n"
+               "    \"large_ring_pending\": %d,\n"
+               "    \"large_ring_events_per_sec\": %.1f\n"
                "  },\n"
                "  \"allocs\": {\n"
                "    \"per_event_current\": %.4f,\n"
+               "    \"per_event_large_ring\": %.4f,\n"
                "    \"per_pooled_message\": %.4f,\n"
                "    \"per_fresh_message\": %.4f\n"
                "  },\n"
@@ -491,8 +514,8 @@ int main(int argc, char** argv) {
                "    \"deliveries_per_sec\": %.1f\n"
                "  },\n"
                "  \"scale_path\": {\n"
-               "    \"workload\": \"fig_scale points, in-process (n=1k "
-               "best-of-%d, n=1M once)\",\n"
+               "    \"workload\": \"fig_scale points (n=1k best-of-%d "
+               "in-process, n=1M once in a forked child)\",\n"
                "    \"n1k_deliveries_per_sec\": %.1f,\n"
                "    \"n1k_wall_s\": %.3f,\n"
                "    \"n1M_wall_s\": %.3f,\n"
@@ -520,15 +543,15 @@ int main(int argc, char** argv) {
                "  }\n"
                "}\n",
                quick ? "true" : "false", pending,
-               static_cast<unsigned long long>(events), cur_eps, cur_ape,
-               pooled_apm, fresh_apm, st.horizon_s,
+               static_cast<unsigned long long>(events), cur_eps,
+               kLargeRingPending, large_eps, cur_ape, large_ape, pooled_apm, fresh_apm, st.horizon_s,
                st.sim_seconds_per_wall_second, st.events_per_sec, kScaleTrials, sc.n1k_deliveries_per_sec, sc.n1k_wall_s,
-               sc.n1M_wall_s,
+               sc.n1M.wall_s,
                static_cast<unsigned long long>(sc.n1M_peak_rss_kib),
-               static_cast<unsigned long long>(sc.n1M_timeline_rows),
-               static_cast<unsigned long long>(sc.n1M_peak_queue_depth),
-               static_cast<long long>(sc.n1M_peak_in_flight),
-               static_cast<long long>(sc.n1M_peak_blocked),
+               static_cast<unsigned long long>(sc.n1M.timeline_rows),
+               static_cast<unsigned long long>(sc.n1M.peak_queue_depth),
+               static_cast<long long>(sc.n1M.peak_in_flight),
+               static_cast<long long>(sc.n1M.peak_blocked),
                quick ? 600.0 : 3600.0, kAuditTrials,
                static_cast<unsigned long long>(au.records),
                au.trace_bytes_per_record, au.records_per_sec,
@@ -550,6 +573,7 @@ int main(int argc, char** argv) {
     std::fprintf(h,
                  "{\"sha\":\"%s\",\"stamp\":\"%s\",\"quick\":%s,"
                  "\"current_events_per_sec\":%.1f,"
+                 "\"large_ring_events_per_sec\":%.1f,"
                  "\"allocs_per_event_current\":%.4f,"
                  "\"sim_seconds_per_wall_second\":%.1f,"
                  "\"deliveries_per_sec\":%.1f,"
@@ -561,9 +585,10 @@ int main(int argc, char** argv) {
                  "\"trace_bytes_per_record\":%.2f,"
                  "\"csn_dense_ns_per_op\":%.2f,"
                  "\"csn_sparse_ns_per_op\":%.2f}\n",
-                 sha, stamp, quick ? "true" : "false", cur_eps, cur_ape,
+                 sha, stamp, quick ? "true" : "false", cur_eps, large_eps,
+                 cur_ape,
                  st.sim_seconds_per_wall_second,
-                 st.events_per_sec, sc.n1k_deliveries_per_sec, sc.n1M_wall_s,
+                 st.events_per_sec, sc.n1k_deliveries_per_sec, sc.n1M.wall_s,
                  static_cast<unsigned long long>(sc.n1M_peak_rss_kib),
                  au.records_per_sec, au.heap_growth_mib,
                  au.trace_bytes_per_record, csn_dense.ns_per_op,

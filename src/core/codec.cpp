@@ -24,7 +24,7 @@ Trigger get_trigger(WireReader& r) {
 
 void put_weight(WireWriter& w, const util::Weight& weight) {
   w.u64(weight.integer_part());
-  const auto& frac = weight.raw_fraction();
+  const auto frac = weight.raw_fraction();
   MCK_ASSERT(frac.size() <= UINT16_MAX);
   w.u16(static_cast<std::uint16_t>(frac.size()));
   for (std::uint64_t limb : frac) w.u64(limb);
@@ -33,7 +33,7 @@ void put_weight(WireWriter& w, const util::Weight& weight) {
 util::Weight get_weight(WireReader& r) {
   std::uint64_t integer = r.u64();
   std::uint16_t n = r.u16();
-  std::vector<std::uint64_t> frac;
+  util::Weight::Limbs frac;
   frac.reserve(n);
   for (std::uint16_t i = 0; i < n; ++i) frac.push_back(r.u64());
   return util::Weight::from_raw(integer, std::move(frac));

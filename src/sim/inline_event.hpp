@@ -4,11 +4,15 @@
 // heap-allocates for any capture larger than a couple of pointers — one
 // allocation per event, millions of times per run. InlineEvent stores the
 // closure inline: the largest hot-path capture in the tree is a transport
-// delivery closure carrying an rt::Message by value (~96 bytes including
-// the object pointer), so the buffer is sized for that with headroom. A
-// closure that does not fit is a compile error, never a silent heap
-// fallback — growing a capture past the budget is a decision, not an
-// accident.
+// delivery closure carrying an rt::Message by value (96 bytes including
+// the object pointer and an int), so the buffer is 104 bytes. A closure
+// that does not fit is a compile error, never a silent heap fallback —
+// growing a capture past the budget is a decision, not an accident.
+//
+// Layout: the buffer comes first and the ops pointer after it, so an
+// InlineEvent is 112 bytes and the simulator's slot (InlineEvent plus a
+// generation and a freelist link) fills exactly two 64-byte cache lines,
+// with the ops pointer and the generation on the same line.
 #pragma once
 
 #include <cstddef>
@@ -20,11 +24,12 @@ namespace mck::sim {
 
 class InlineEvent {
  public:
-  /// Inline capture budget. Must fit [this-pointer + rt::Message + a few
-  /// scalars] — the delivery closures in src/net and src/mobile are the
-  /// largest schedulers in the tree (see DESIGN.md "Hot-path memory
-  /// discipline" before growing either side of this constant).
-  static constexpr std::size_t kCapacity = 120;
+  /// Inline capture budget. Must fit [this-pointer + rt::Message + an
+  /// int] — the delivery closures in src/net and src/mobile are the
+  /// largest schedulers in the tree (see DESIGN.md "Inline event
+  /// callables" before growing either side of this constant: past 104
+  /// bytes a simulator slot no longer fits two cache lines).
+  static constexpr std::size_t kCapacity = 104;
   static constexpr std::size_t kAlign = alignof(std::max_align_t);
 
   InlineEvent() = default;
@@ -143,8 +148,8 @@ class InlineEvent {
     static constexpr Ops kTable{&invoke, &invoke_destroy, &relocate, &destroy};
   };
 
-  const Ops* ops_ = nullptr;
   alignas(kAlign) unsigned char buf_[kCapacity];
+  const Ops* ops_ = nullptr;
 };
 
 }  // namespace mck::sim

@@ -1,11 +1,16 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <memory>
 
 namespace mck::sim {
 
 // Cold paths only — the per-event schedule/fire functions are inline in
 // the header (see "hot path" section there).
+
+Simulator::~Simulator() {
+  for (Slot* slots : chunks_) std::destroy_n(slots, kChunkSize);
+}
 
 void Simulator::heap_rebuild() {
   if (heap_.size() < 2) return;
@@ -20,7 +25,14 @@ std::uint32_t Simulator::grow_slots() {
   // freelist so the lowest index is handed out first.
   MCK_ASSERT_MSG(num_slots_ + kChunkSize <= kNoSlot,
                  "event slot pool exhausted");
-  chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
+  auto block = std::make_unique_for_overwrite<unsigned char[]>(kChunkBytes);
+  void* at = block.get();
+  std::size_t space = kChunkBytes;
+  Slot* slots = static_cast<Slot*>(
+      std::align(alignof(Slot), kChunkSize * sizeof(Slot), at, space));
+  std::uninitialized_default_construct_n(slots, kChunkSize);
+  chunk_blocks_.push_back(std::move(block));
+  chunks_.push_back(slots);
   std::uint32_t base = num_slots_;
   num_slots_ += kChunkSize;
   for (std::uint32_t i = num_slots_; i-- > base + 1;) {

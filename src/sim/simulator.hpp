@@ -8,10 +8,10 @@
 // allocation-free. Callables live inline in a generation-counted slot
 // pool (InlineEvent — oversized captures fail to compile), the priority
 // queue is a 4-ary heap of compact 24-byte {time, seq, slot, generation}
-// records, and cancellation bumps a slot's generation instead of
-// allocating a shared flag. A handle whose generation no longer matches
-// its slot is stale — fired, cancelled, or from a recycled slot — and
-// cancel/valid on it are safe no-ops.
+// records popped bottom-up, and cancellation bumps a slot's generation
+// instead of allocating a shared flag. A handle whose generation no longer
+// matches its slot is stale — fired, cancelled, or from a recycled slot —
+// and cancel/valid on it are safe no-ops.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +55,7 @@ class EventHandle {
 class Simulator {
  public:
   Simulator() = default;
+  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -145,11 +146,17 @@ class Simulator {
   /// record or EventHandle holding the old generation is recognizably
   /// dead even after the slot is reused. next_free links the freelist and
   /// is meaningful only while the slot is free.
-  struct Slot {
+  ///
+  /// Line-aligned and exactly two cache lines: the capture starts the
+  /// first line, and the callable's ops pointer shares the second with the
+  /// generation, so the tombstone check in step() touches no third line.
+  struct alignas(64) Slot {
     InlineEvent fn;
     std::uint32_t generation = 0;
     std::uint32_t next_free = kNoSlot;
   };
+  static_assert(sizeof(Slot) == 128,
+                "a slot must stay two cache lines; see InlineEvent::kCapacity");
 
   /// Compact 24-byte heap record; the callable stays in the slot pool so
   /// heap sift operations move 24 bytes instead of a 100+-byte closure.
@@ -160,15 +167,26 @@ class Simulator {
     std::uint32_t gen;
   };
 
+  // (at, seq) as one 128-bit key, so the comparison compiles branch-free.
+  // Times are never negative (schedule_at refuses the past), so the
+  // unsigned view of `at` keeps its order.
+  static unsigned __int128 key(const HeapRec& r) {
+    return static_cast<unsigned __int128>(static_cast<std::uint64_t>(r.at))
+               << 64 |
+           r.seq;
+  }
   static bool earlier(const HeapRec& a, const HeapRec& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return a.seq < b.seq;
+    return key(a) < key(b);
   }
 
   // 4-ary min-heap over HeapRec: half the tree depth of a binary heap and
-  // 4 children per cache line of records, so sift-down touches fewer
-  // lines. Pop order is the total order (at, seq) — identical event
-  // ordering to any other heap arity.
+  // 4 children per cache line of records, so a pop touches fewer lines.
+  // Pop order is the total order (at, seq) — seqs are unique, so any heap
+  // shape pops the same sequence. heap_pop_top is bottom-up (Floyd): the
+  // hole left by the top walks the min-child path to a leaf, and the old
+  // last record sifts up from there; a record taken from the bottom
+  // almost always belongs near the bottom, so this does one comparison
+  // per level fewer than a plain sift-down. sift_down serves heap_rebuild.
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   void heap_push(HeapRec rec);
@@ -194,8 +212,14 @@ class Simulator {
   // Slots live in fixed-size chunks, so a slot's address NEVER changes:
   // growing the pool appends a chunk instead of reallocating, which lets
   // step() invoke a callable in place while it schedules new events.
+  // A chunk's slots start at the first line boundary of a plain block:
+  // new[] of the over-aligned Slot goes through glibc's memalign, and
+  // with it the set-up of a small system (simbench lan-p2p) took twice as
+  // long.
   static constexpr std::uint32_t kChunkShift = 8;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
+  static constexpr std::size_t kChunkBytes =
+      kChunkSize * sizeof(Slot) + alignof(Slot) - 1;
 
   Slot& slot_ref(std::uint32_t i) {
     return chunks_[i >> kChunkShift][i & (kChunkSize - 1)];
@@ -205,7 +229,8 @@ class Simulator {
   }
 
   std::vector<HeapRec> heap_;
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::vector<Slot*> chunks_;  // the slots of chunk_blocks_[k]
+  std::vector<std::unique_ptr<unsigned char[]>> chunk_blocks_;
   std::uint32_t num_slots_ = 0;
   std::uint32_t free_head_ = kNoSlot;
   SimTime now_ = kTimeZero;
@@ -267,10 +292,39 @@ inline void Simulator::heap_push(HeapRec rec) {
 }
 
 inline Simulator::HeapRec Simulator::heap_pop_top() {
-  HeapRec top = heap_[0];
-  heap_[0] = heap_.back();
+  const HeapRec top = heap_[0];
+  const HeapRec last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+  const std::size_t n = heap_.size();
+  if (n == 0) return top;
+  HeapRec* h = heap_.data();
+  // Walk the hole down through full groups of 4 children: the min of four
+  // in three comparisons, none of them an early exit.
+  std::size_t i = 0;
+  for (std::size_t first = 1; first + 4 <= n; first = 4 * i + 1) {
+    const std::size_t a = first + earlier(h[first + 1], h[first]);
+    const std::size_t b = first + 2 + earlier(h[first + 3], h[first + 2]);
+    i = earlier(h[b], h[a]) ? b : a;
+    h[(i - 1) / 4] = h[i];
+  }
+  // A last group with 1-3 children.
+  const std::size_t first = 4 * i + 1;
+  if (first < n) {
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < n; ++c) {
+      if (earlier(h[c], h[best])) best = c;
+    }
+    h[i] = h[best];
+    i = best;
+  }
+  // The hole is a leaf now; the old last record sifts up into place.
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!earlier(last, h[parent])) break;
+    h[i] = h[parent];
+    i = parent;
+  }
+  h[i] = last;
   return top;
 }
 
@@ -338,6 +392,15 @@ inline bool Simulator::step(SimTime until) {
         tracer_->record(obs::TraceKind::kQueueDepth, rec.at, -1, 0, 0,
                         live_pending(), heap_.size());
       }
+    }
+    // Start loading the next event's slot while this one runs: the heap
+    // record says which slot, and with tens of thousands pending that
+    // slot is rarely in cache.
+    if (!heap_.empty()) {
+      const char* next =
+          reinterpret_cast<const char*>(&slot_ref(heap_[0].slot));
+      __builtin_prefetch(next);
+      __builtin_prefetch(next + 64);
     }
     s.fn.invoke_and_reset();
     s.next_free = free_head_;

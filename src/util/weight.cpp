@@ -1,5 +1,6 @@
 #include "util/weight.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "util/assert.hpp"
@@ -27,7 +28,7 @@ Weight Weight::split_half() {
 
 void Weight::add(const Weight& other) {
   if (other.frac_.size() > frac_.size()) {
-    frac_.resize(other.frac_.size(), 0);
+    frac_.resize(other.frac_.size());
   }
   // Add fractional limbs from least significant (highest index) upward.
   std::uint64_t carry = 0;
@@ -53,7 +54,7 @@ bool Weight::try_subtract(const Weight& other) {
     frac_.clear();
     return true;
   }
-  if (other.frac_.size() > frac_.size()) frac_.resize(other.frac_.size(), 0);
+  if (other.frac_.size() > frac_.size()) frac_.resize(other.frac_.size());
   // Subtract fractional limbs from least significant (highest index)
   // upward, propagating the borrow into the integer part.
   std::uint64_t borrow = 0;
@@ -99,7 +100,7 @@ Weight Weight::from_double_bits(std::uint64_t bits) {
   if (frac == 0) return w;
   const std::size_t limbs = (s + 63) / 64;
   const unsigned pad = static_cast<unsigned>(limbs * 64 - s);  // 0..63
-  w.frac_.assign(limbs, 0);
+  w.frac_.resize(limbs);
   w.frac_[limbs - 1] = frac << pad;
   if (pad != 0 && limbs > 1) w.frac_[limbs - 2] = frac >> (64 - pad);
   w.trim();

@@ -8,16 +8,25 @@
 // arbitrary-precision non-negative binary fraction in [0, 2^64): an integer
 // part plus little-endian fractional limbs, where fractional limb i holds
 // bits 2^-(64*i+1) .. 2^-(64*(i+1)).
+//
+// The limbs live in a SmallVec with two inline: a request weight halved up
+// to 128 times copies without touching the heap, and every reply copies
+// the weight it returns.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
+
+#include "util/small_vec.hpp"
 
 namespace mck::util {
 
 class Weight {
  public:
+  /// Fractional limbs, most significant first.
+  using Limbs = SmallVec<std::uint64_t, 2>;
+
   /// Value 0.
   Weight() = default;
 
@@ -60,9 +69,10 @@ class Weight {
 
   // Raw access for wire serialization (codec round-trips exactly).
   std::uint64_t integer_part() const { return int_; }
-  const std::vector<std::uint64_t>& raw_fraction() const { return frac_; }
-  static Weight from_raw(std::uint64_t integer,
-                         std::vector<std::uint64_t> fraction) {
+  std::span<const std::uint64_t> raw_fraction() const {
+    return {frac_.data(), frac_.size()};
+  }
+  static Weight from_raw(std::uint64_t integer, Limbs fraction) {
     Weight w;
     w.int_ = integer;
     w.frac_ = std::move(fraction);
@@ -85,7 +95,7 @@ class Weight {
 
   std::uint64_t int_ = 0;
   // frac_[0] holds the most significant 64 fractional bits.
-  std::vector<std::uint64_t> frac_;
+  Limbs frac_;
 };
 
 }  // namespace mck::util

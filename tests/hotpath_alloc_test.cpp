@@ -1,9 +1,10 @@
 // Proves the hot-path memory discipline (DESIGN.md): once warm, the
 // simulator schedules and fires events without touching the heap, a
 // tracer that is off allocates nothing, pooled message payloads recycle
-// their nodes, SmallVec spill storage goes back to the heap, a csn map
-// switches to its dense array in one allocation and then reads, writes
-// and refills without any, and the generation-counted slot pool survives
+// their nodes, a request's weight rides to the reply without a heap
+// block, SmallVec spill storage goes back to the heap, a csn map switches
+// to its dense array in one allocation and then reads, writes and refills
+// without any, and the generation-counted slot pool survives
 // its edge cases (cancel-after-fire, generation wraparound, pool growth
 // and recycling).
 //
@@ -284,6 +285,58 @@ TEST(HotPathAllocs, PooledMessageThroughLanTransportIsAllocationFree) {
   EXPECT_EQ(allocs() - a0, 0u)
       << "pooled message send->deliver must not allocate once warm";
   EXPECT_EQ(delivered, warm + 1000);
+}
+
+TEST(HotPathAllocs, RequestReplyWithTwoLimbWeightIsAllocationFree) {
+  // A duplicate request is answered with the weight it carried: the reply
+  // copies the request's weight, crosses the transport, and the initiator
+  // banks it. A weight halved past 64 times (a deep request wave) has two
+  // fractional limbs; the whole exchange must still stay off the heap.
+  sim::Simulator sim;
+  net::LanTransport lan(sim, 2, net::LanParams{});
+  util::Weight banked;
+  std::uint64_t replies = 0;
+  lan.set_sink(0, [&](const rt::Message& m) {
+    banked.add(m.payload_as<core::ReplyPayload>()->weight);
+    ++replies;
+  });
+  lan.set_sink(1, [&](const rt::Message& m) {
+    const core::RequestPayload& rq = *m.payload_as<core::RequestPayload>();
+    auto rp = util::make_pooled<core::ReplyPayload>();
+    rp->trigger = rq.trigger;
+    util::Weight weight = rq.weight;  // send_reply takes it by value
+    rp->weight = std::move(weight);
+    rt::Message reply;
+    reply.src = 1;
+    reply.dst = 0;
+    reply.kind = rt::MsgKind::kReply;
+    reply.payload = std::move(rp);
+    lan.send(std::move(reply));
+  });
+  util::Weight w = util::Weight::one();
+  for (int i = 0; i < 100; ++i) w.halve();
+  ASSERT_EQ(w.fraction_limbs(), 2u);
+  auto exchange = [&] {
+    auto rq = util::make_pooled<core::RequestPayload>();
+    rq->weight = w;
+    rt::Message m;
+    m.src = 0;
+    m.dst = 1;
+    m.kind = rt::MsgKind::kRequest;
+    m.payload = std::move(rq);
+    lan.send(std::move(m));
+    sim.run_until();
+  };
+
+  for (int i = 0; i < 64; ++i) exchange();  // warm pools and slots
+  const std::uint64_t a0 = allocs();
+  for (int i = 0; i < 1000; ++i) exchange();
+  EXPECT_EQ(allocs() - a0, 0u)
+      << "a request -> reply exchange with a 2-limb weight must not allocate";
+  EXPECT_EQ(replies, 1064u);
+  util::Weight want;
+  for (int i = 0; i < 1064; ++i) want.add(w);
+  EXPECT_EQ(banked, want);
 }
 
 TEST(HotPathAllocs, CellularPointToPointSteadyStateIsAllocationFree) {

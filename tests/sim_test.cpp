@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -234,6 +238,246 @@ TEST(Simulator, SlotPoolRecyclesInsteadOfGrowing) {
   sim.run_until();
   EXPECT_EQ(remaining, 0);
   EXPECT_LE(sim.slot_count(), 256u);
+}
+
+// Random interleavings of every queue operation, checked against a model:
+// an ordered set of the (at, seq) keys still due to fire, the set of
+// tombstones the heap still holds, and the rules by which step(), the
+// auto-purge in schedule_at, purge_cancelled and cancel_all reap them.
+// Each firing must be the model's minimum; after every operation the
+// counters and a sample of handles must agree with the model.
+class QueueModel {
+ public:
+  explicit QueueModel(std::uint64_t seed) : rng_(seed) {}
+
+  void drive(int ops) {
+    for (int i = 0; i < ops && !::testing::Test::HasFailure(); ++i) {
+      const std::int64_t op = rng_.uniform_int(0, 99);
+      if (op < 40) {
+        schedule(random_time());
+      } else if (op < 42) {
+        // A request wave: past 4^6 records, the heap is 7 levels deep.
+        const std::int64_t burst = rng_.uniform_int(1000, 6000);
+        for (std::int64_t k = 0; k < burst; ++k) schedule(random_time());
+      } else if (op < 44) {
+        // Retry timers torn down together: enough tombstones to set off
+        // the auto-purge at the next schedule_at.
+        const std::int64_t wave = rng_.uniform_int(100, 3000);
+        for (std::int64_t k = 1; k <= wave; ++k) {
+          const auto n = static_cast<std::int64_t>(events_.size());
+          if (k <= n) cancel(static_cast<std::uint64_t>(n - k));
+        }
+      } else if (op < 57) {
+        cancel(random_seq());
+      } else if (op < 72) {
+        run_until(
+            add_saturating(sim_.now(), rng_.exponential(milliseconds(2))));
+      } else if (op < 76) {
+        run_until(live_.empty() ? sim_.now() : live_.begin()->first);
+      } else if (op < 80) {
+        run_until(sim_.now());
+      } else if (op < 92) {
+        step();
+      } else if (op < 98) {
+        sim_.purge_cancelled();
+        reap_all();
+      } else if (op < 99) {
+        check_handles(64);
+      } else {
+        cancel_all();
+      }
+      check_counters();
+    }
+    if (::testing::Test::HasFailure()) return;
+    run_until(kTimeNever);
+    EXPECT_TRUE(live_.empty()) << "events left after the final drain";
+    EXPECT_TRUE(sim_.empty());
+    check_counters();
+    check_handles(events_.size());
+  }
+
+  std::size_t peak_pending() const { return peak_pending_; }
+  std::uint64_t fired() const { return fired_; }
+  std::uint64_t reaped() const { return reaped_; }
+  std::uint64_t auto_purges() const { return auto_purges_; }
+
+ private:
+  using Key = std::pair<SimTime, std::uint64_t>;
+  enum class State { kPending, kFired, kCancelled };
+  struct Event {
+    SimTime at;
+    State state;
+    EventHandle handle;
+  };
+  struct Fire {
+    QueueModel* model;
+    std::uint64_t seq;
+    void operator()() { model->on_fire(seq); }
+  };
+
+  SimTime random_time() {
+    switch (rng_.uniform_int(0, 2)) {
+      case 0:
+        return sim_.now();
+      case 1:
+        return sim_.now() + rng_.uniform_int(1, 3);
+      default:
+        return add_saturating(sim_.now(), rng_.exponential(milliseconds(1)));
+    }
+  }
+
+  // Any event scheduled so far, or mostly one of the latest (which are
+  // likelier to be pending): cancels hit live events, fired and cancelled
+  // ones, and slots recycled since.
+  std::uint64_t random_seq() {
+    if (events_.empty()) return 0;
+    const auto n = static_cast<std::int64_t>(events_.size());
+    const std::int64_t lo = rng_.bernoulli(0.7) ? std::max<std::int64_t>(
+                                                      0, n - 4096)
+                                                : 0;
+    return static_cast<std::uint64_t>(rng_.uniform_int(lo, n - 1));
+  }
+
+  void schedule(SimTime at) {
+    // schedule_at compacts before it pushes once tombstones are both
+    // numerous and the majority of the queue.
+    if (tombs_.size() > 64 &&
+        tombs_.size() * 2 > live_.size() + tombs_.size()) {
+      reap_all();
+      ++auto_purges_;
+    }
+    const std::uint64_t seq = events_.size();
+    events_.push_back(Event{at, State::kPending, {}});
+    live_.insert({at, seq});
+    events_[seq].handle = sim_.schedule_at(at, Fire{this, seq});
+    peak_pending_ = std::max(peak_pending_, sim_.pending());
+  }
+
+  void cancel(std::uint64_t seq) {
+    if (seq >= events_.size()) return;
+    Event& e = events_[seq];
+    e.handle.cancel();  // a no-op unless the event is still pending
+    if (e.handle.valid()) {
+      ADD_FAILURE() << "event " << seq << " is still pending after cancel";
+      sim_.request_stop();  // its record would fire an empty callable
+    }
+    if (e.state != State::kPending) return;
+    live_.erase({e.at, seq});
+    tombs_.insert({e.at, seq});
+    e.state = State::kCancelled;
+  }
+
+  void on_fire(std::uint64_t seq) {
+    if (::testing::Test::HasFailure()) return;
+    Event& e = events_[seq];
+    const Key key{e.at, seq};
+    if (e.state != State::kPending || live_.empty() ||
+        *live_.begin() != key) {
+      ADD_FAILURE() << "fired (" << e.at << ", " << seq << ") but the model's "
+                    << "next is "
+                    << (live_.empty()
+                            ? std::string("nothing")
+                            : "(" + std::to_string(live_.begin()->first) +
+                                  ", " +
+                                  std::to_string(live_.begin()->second) + ")");
+      return;
+    }
+    // step() reaped every tombstone ahead of this record on the way here.
+    while (!tombs_.empty() && *tombs_.begin() < key) {
+      tombs_.erase(tombs_.begin());
+      ++reaped_;
+    }
+    live_.erase(live_.begin());
+    e.state = State::kFired;
+    ++fired_;
+    EXPECT_EQ(sim_.now(), e.at);
+    EXPECT_FALSE(e.handle.valid()) << "a firing event is no longer pending";
+    if (rng_.bernoulli(0.2)) {
+      const std::uint64_t before = sim_.cancelled_pending();
+      events_[seq].handle.cancel();
+      EXPECT_EQ(sim_.cancelled_pending(), before) << "self-cancel is a no-op";
+    }
+    if (rng_.bernoulli(0.3)) {
+      const std::int64_t more = rng_.uniform_int(1, 2);
+      for (std::int64_t k = 0; k < more; ++k) schedule(random_time());
+    }
+    if (rng_.bernoulli(0.1)) cancel(random_seq());
+  }
+
+  void step() {
+    const bool any_live = !live_.empty();
+    EXPECT_EQ(sim_.step(), any_live);
+    if (!any_live) reap_all();  // the loop popped every tombstone
+  }
+
+  void run_until(SimTime horizon) {
+    sim_.run_until(horizon);
+    // Every record at or before the horizon has left the heap.
+    while (!tombs_.empty() && tombs_.begin()->first <= horizon) {
+      tombs_.erase(tombs_.begin());
+      ++reaped_;
+    }
+    EXPECT_TRUE(live_.empty() || live_.begin()->first > horizon)
+        << "run_until(" << horizon << ") left a due event";
+    if (horizon != kTimeNever) {
+      EXPECT_EQ(sim_.now(), horizon);
+    }
+  }
+
+  void cancel_all() {
+    sim_.cancel_all();
+    reap_all();
+    for (const Key& k : live_) events_[k.second].state = State::kCancelled;
+    live_.clear();
+  }
+
+  void reap_all() {
+    reaped_ += tombs_.size();
+    tombs_.clear();
+  }
+
+  void check_counters() {
+    EXPECT_EQ(sim_.live_pending(), live_.size());
+    EXPECT_EQ(sim_.cancelled_pending(), tombs_.size());
+    EXPECT_EQ(sim_.pending(), live_.size() + tombs_.size());
+    EXPECT_EQ(sim_.tombstones_reaped(), reaped_);
+    EXPECT_EQ(sim_.events_executed(), fired_);
+  }
+
+  void check_handles(std::size_t samples) {
+    for (std::size_t k = 0; k < samples && k < events_.size(); ++k) {
+      const std::uint64_t seq =
+          samples >= events_.size() ? k : random_seq();
+      const Event& e = events_[seq];
+      EXPECT_EQ(e.handle.valid(), e.state == State::kPending)
+          << "handle of event " << seq;
+    }
+  }
+
+  Simulator sim_;
+  Rng rng_;
+  std::vector<Event> events_;  // indexed by seq: the schedule order
+  std::set<Key> live_;
+  std::set<Key> tombs_;
+  std::uint64_t fired_ = 0;
+  std::uint64_t reaped_ = 0;
+  std::size_t peak_pending_ = 0;
+  std::uint64_t auto_purges_ = 0;
+};
+
+TEST(SimulatorProperty, RandomInterleavingsMatchAnOrderedSetOfAtSeq) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    QueueModel model(seed);
+    model.drive(2500);
+    if (HasFailure()) {
+      ADD_FAILURE() << "seed " << seed;
+      return;
+    }
+    EXPECT_GT(model.peak_pending(), 4096u) << "the heap never got 7 deep";
+    EXPECT_GT(model.fired(), 50000u);
+    EXPECT_GT(model.reaped(), 1000u);
+    EXPECT_GT(model.auto_purges(), 0u);
+  }
 }
 
 TEST(Rng, DeterministicPerSeed) {
