@@ -91,7 +91,7 @@ int main() {
   std::printf("mutable checkpoints (memory only): %llu taken, %llu promoted\n",
               (unsigned long long)mutables,
               (unsigned long long)sys.stats().mutable_promoted);
-  std::printf("disconnect checkpoints deposited:  %zu\n",
+  std::printf("disconnect checkpoints at MSSs:    %zu\n",
               sys.store().count(ckpt::CkptKind::kDisconnect));
 
   ckpt::CheckResult check = sys.check_consistency();

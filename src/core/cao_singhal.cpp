@@ -62,7 +62,14 @@ void CaoSinghalProtocol::on_disconnect() {
   // The MH snapshots its state and ships it to the MSS as
   // disconnect_checkpoint_i before leaving (one 512 KB transfer). While
   // disconnected no events occur at the process, so this record stays a
-  // faithful image of its state for the whole disconnect interval.
+  // faithful image of its state for the whole disconnect interval. The
+  // new image supersedes the one the previous disconnect left, which
+  // nothing promotes: the MSS keeps one per process.
+  ckpt::CkptRef previous = ckpt::kNoCkpt;
+  ctx_.store->for_each_live(self(), [&](const ckpt::CheckpointRecord& rec) {
+    if (rec.kind == ckpt::CkptKind::kDisconnect) previous = rec.ref;
+  });
+  if (previous != ckpt::kNoCkpt) ctx_.store->discard(previous);
   ctx_.store->take(self(), ckpt::CkptKind::kDisconnect,
                    csn_.get(static_cast<std::size_t>(self())), 0,
                    ctx_.log->cursor(self()), ctx_.sim->now());

@@ -239,9 +239,8 @@ RunResult run_experiment(const ExperimentConfig& config) {
     run.rep = 0;  // re-stamped by run_replicated
     run.seed = sys_opts.seed;
     run.records = tracer.take_records();
-    // Digests computed here (a pure function of the records) ride to
-    // write_trace_file, which then skips recomputing them — and any
-    // consumer can localize a divergence before the file round-trip.
+    // Digests computed here (a pure function of the encoded records) let
+    // any consumer localize a divergence before the file round-trip.
     run.digests = obs::compute_run_digests(run.records);
     result.traces.push_back(std::move(run));
   }

@@ -44,22 +44,19 @@ std::uint64_t digest_bytes(const void* data, std::size_t n,
 
 RunDigests compute_run_digests(const TraceRecords& records) {
   RunDigests out;
-  out.chunks.reserve(
-      static_cast<std::size_t>(digest_chunk_count(records.size())));
-  for_each_chunk(records, [&out](std::uint64_t c, const TraceRecord* p,
-                                 std::size_t n) {
-    out.chunks.push_back(chunk_digest(p, n, c));
-  });
+  out.chunks.reserve(records.chunks());
+  for (std::size_t c = 0; c < records.chunks(); ++c) {
+    out.chunks.push_back(chunk_digest(records.chunk_bytes(c), c));
+  }
   out.run = fold_run_digest(out.chunks, records.size());
   return out;
 }
 
-std::uint64_t chunk_digest(const TraceRecord* records, std::size_t n,
+std::uint64_t chunk_digest(std::span<const unsigned char> bytes,
                            std::uint64_t chunk) {
-  if (n == 0) return 0;
   // Seed with the chunk ordinal: identical record runs in different
   // chunks digest differently, so a chunk-sized shift cannot alias.
-  return digest_bytes(records, n * sizeof(TraceRecord), chunk + 1);
+  return digest_bytes(bytes.data(), bytes.size(), chunk + 1);
 }
 
 std::uint64_t fold_run_digest(const std::vector<std::uint64_t>& chunks,

@@ -1,4 +1,4 @@
-// Binary framing shared by the two obs file formats, the MCKTRC02 trace
+// Binary framing shared by the two obs file formats, the MCKTRC03 trace
 // (trace_io.cpp) and the MCKTL02 timeline (timeline.cpp): stdio helpers
 // and the common file header. Private to the mck_obs library.
 //

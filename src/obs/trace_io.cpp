@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <span>
+#include <string>
 
 #include "obs/file_io.hpp"
 
@@ -33,6 +35,23 @@ void append_pod(std::vector<unsigned char>& buf, const T& v) {
   buf.insert(buf.end(), p, p + sizeof v);
 }
 
+// Reads one chunk of `n` records (its byte count, then its bytes) through
+// `buf` and appends it to `records`; returns what is wrong with it, or
+// null. The byte count is bounded before `buf` is sized for it.
+const char* read_chunk(std::FILE* f, std::size_t n,
+                       std::vector<unsigned char>& buf, TraceRecords& records) {
+  std::uint32_t len = 0;
+  if (!read_pod(f, len)) return "truncated records";
+  if (len > n * TraceRecords::kMaxRecordBytes) {
+    return "implausible chunk byte count";
+  }
+  if (!io::has_bytes_left(f, len)) return "truncated records";
+  buf.resize(len);
+  if (!read_all(f, buf.data(), len)) return "truncated records";
+  if (!records.append_chunk(buf, n)) return "malformed records";
+  return nullptr;
+}
+
 }  // namespace
 
 bool write_trace_file(const std::string& path, const TraceFileMeta& meta,
@@ -41,49 +60,31 @@ bool write_trace_file(const std::string& path, const TraceFileMeta& meta,
   if (!f) return false;
   bool ok = io::write_header(f.get(), kTraceFileMagic, meta.num_processes,
                              meta.algo);
-  // Digests the harness already computed over these exact records are
-  // trusted; the others (absent, or of another shape) are computed from
-  // the chunks as they are written.
-  std::vector<std::optional<RunDigests>> fresh(runs.size());
-  for (std::size_t k = 0; k < runs.size(); ++k) {
-    const TraceRun& run = runs[k];
-    const std::uint64_t count = run.records.size();
-    if (!run.digests.present() ||
-        run.digests.chunks.size() != digest_chunk_count(count)) {
-      fresh[k].emplace();
-    }
-    RunDigests* d = fresh[k] ? &*fresh[k] : nullptr;
+  // Footer image built in memory (a few KB even for 1M-record runs — one
+  // u64 per 4096 records) so the trailing self-digest covers it.
+  std::vector<unsigned char> footer;
+  append_pod(footer, static_cast<std::uint32_t>(runs.size()));
+  for (const TraceRun& run : runs) {
     ok = ok && write_all(f.get(), kRunMagic, sizeof kRunMagic);
     ok = ok && write_pod(f.get(), static_cast<std::uint32_t>(run.rep));
     ok = ok && write_pod(f.get(), run.seed);
-    ok = ok && write_pod(f.get(), count);
-    if (!ok) break;
-    for_each_chunk(run.records, [&](std::uint64_t c, const TraceRecord* p,
-                                    std::size_t n) {
-      ok = ok && write_all(f.get(), p, n * sizeof(TraceRecord));
-      if (d != nullptr) d->chunks.push_back(chunk_digest(p, n, c));
-    });
-    if (d != nullptr) d->run = fold_run_digest(d->chunks, count);
-  }
-  if (ok) {
-    // Footer image built in memory (a few KB even for 1M-record runs —
-    // one u64 per 4096 records) so the trailing self-digest covers it.
-    std::vector<unsigned char> footer;
-    append_pod(footer, static_cast<std::uint32_t>(runs.size()));
-    for (std::size_t k = 0; k < runs.size(); ++k) {
-      const TraceRun& run = runs[k];
-      const RunDigests& d = fresh[k] ? *fresh[k] : run.digests;
-      append_pod(footer, static_cast<std::uint32_t>(run.rep));
-      append_pod(footer, d.run);
-      append_pod(footer, static_cast<std::uint64_t>(d.chunks.size()));
-      for (std::uint64_t c : d.chunks) append_pod(footer, c);
+    ok = ok && write_pod(f.get(), std::uint64_t{run.records.size()});
+    for (std::size_t c = 0; ok && c < run.records.chunks(); ++c) {
+      const std::span<const unsigned char> bytes = run.records.chunk_bytes(c);
+      ok = write_pod(f.get(), static_cast<std::uint32_t>(bytes.size())) &&
+           write_all(f.get(), bytes.data(), bytes.size());
     }
-    const std::uint64_t self =
-        digest_bytes(footer.data(), footer.size(), kFooterSeed);
-    ok = ok && write_all(f.get(), kDigMagic, sizeof kDigMagic);
-    ok = ok && write_all(f.get(), footer.data(), footer.size());
-    ok = ok && write_pod(f.get(), self);
+    const RunDigests d = compute_run_digests(run.records);
+    append_pod(footer, static_cast<std::uint32_t>(run.rep));
+    append_pod(footer, d.run);
+    append_pod(footer, std::uint64_t{d.chunks.size()});
+    for (std::uint64_t c : d.chunks) append_pod(footer, c);
   }
+  const std::uint64_t self =
+      digest_bytes(footer.data(), footer.size(), kFooterSeed);
+  ok = ok && write_all(f.get(), kDigMagic, sizeof kDigMagic);
+  ok = ok && write_all(f.get(), footer.data(), footer.size());
+  ok = ok && write_pod(f.get(), self);
   return io::finish_write(f.get(), ok, path, error);
 }
 
@@ -96,108 +97,84 @@ std::optional<TraceFile> read_trace_file(const std::string& path,
                        out.meta.num_processes, out.meta.algo, error)) {
     return std::nullopt;
   }
-  bool saw_footer = false;
-  std::vector<TraceRecord> chunk;
+  const auto fail = [&](const std::string& what) {
+    set_error(error, path + ": " + what);
+    return std::nullopt;
+  };
+  std::vector<unsigned char> chunk;
   for (;;) {
-    char sect_magic[4];
-    std::size_t got = std::fread(sect_magic, 1, sizeof sect_magic, f.get());
-    if (got == 0) break;  // clean EOF
-    if (got != sizeof sect_magic) {
-      set_error(error, path + ": corrupt run section");
-      return std::nullopt;
+    char magic[4];
+    const std::size_t got = std::fread(magic, 1, sizeof magic, f.get());
+    if (got == 0) return fail("MCKTRC03 file is missing its digest footer");
+    if (got == sizeof magic &&
+        std::memcmp(magic, kDigMagic, sizeof magic) == 0) {
+      break;
     }
-    if (std::memcmp(sect_magic, kDigMagic, sizeof kDigMagic) == 0) {
-      if (saw_footer) {
-        set_error(error, path + ": unexpected digest footer");
-        return std::nullopt;
-      }
-      // Parse the footer while rebuilding its byte image, then check the
-      // trailing self-digest against it.
-      std::vector<unsigned char> image;
-      std::uint32_t run_count = 0;
-      if (!read_pod(f.get(), run_count) ||
-          run_count != static_cast<std::uint32_t>(out.runs.size())) {
-        set_error(error, path + ": corrupt digest footer (run count)");
-        return std::nullopt;
-      }
-      append_pod(image, run_count);
-      for (std::uint32_t i = 0; i < run_count; ++i) {
-        std::uint32_t rep = 0;
-        std::uint64_t run_digest = 0, chunk_count = 0;
-        if (!read_pod(f.get(), rep) || !read_pod(f.get(), run_digest) ||
-            !read_pod(f.get(), chunk_count)) {
-          set_error(error, path + ": truncated digest footer");
-          return std::nullopt;
-        }
-        TraceRun& run = out.runs[i];
-        if (rep != static_cast<std::uint32_t>(run.rep) ||
-            chunk_count != digest_chunk_count(run.records.size())) {
-          set_error(error, path + ": corrupt digest footer (chunk shape)");
-          return std::nullopt;
-        }
-        append_pod(image, rep);
-        append_pod(image, run_digest);
-        append_pod(image, chunk_count);
-        run.digests.run = run_digest;
-        run.digests.chunks.resize(static_cast<std::size_t>(chunk_count));
-        if (!read_all(f.get(), run.digests.chunks.data(),
-                      static_cast<std::size_t>(chunk_count) *
-                          sizeof(std::uint64_t))) {
-          set_error(error, path + ": truncated digest footer");
-          return std::nullopt;
-        }
-        for (std::uint64_t c : run.digests.chunks) append_pod(image, c);
-      }
-      std::uint64_t self = 0;
-      if (!read_pod(f.get(), self) ||
-          self != digest_bytes(image.data(), image.size(), kFooterSeed)) {
-        set_error(error, path + ": corrupt digest footer (self-digest)");
-        return std::nullopt;
-      }
-      saw_footer = true;
-      continue;  // only EOF may follow
-    }
-    if (std::memcmp(sect_magic, kRunMagic, sizeof kRunMagic) != 0 ||
-        saw_footer) {
-      set_error(error, path + ": corrupt run section");
-      return std::nullopt;
+    if (got != sizeof magic ||
+        std::memcmp(magic, kRunMagic, sizeof magic) != 0) {
+      return fail("corrupt run section");
     }
     TraceRun run;
     std::uint32_t rep = 0;
     std::uint64_t count = 0;
     if (!read_pod(f.get(), rep) || !read_pod(f.get(), run.seed) ||
         !read_pod(f.get(), count)) {
-      set_error(error, path + ": truncated run header");
-      return std::nullopt;
+      return fail("truncated run header");
     }
     run.rep = static_cast<int>(rep);
-    if (count > (1ull << 30)) {  // > 32 GB of records: corrupt, not huge
-      set_error(error, path + ": implausible record count");
-      return std::nullopt;
+    if (count > (1ull << 30)) {  // > 2^30 records: corrupt, not huge
+      return fail("implausible record count");
     }
-    if (!io::has_bytes_left(f.get(), count * sizeof(TraceRecord))) {
-      set_error(error, path + ": truncated records");
-      return std::nullopt;
-    }
-    // One digest chunk at a time through one buffer: the records are
-    // held encoded only, never as a count * 32-byte image.
-    chunk.resize(static_cast<std::size_t>(
-        std::min<std::uint64_t>(count, kDigestChunkRecords)));
-    for (std::uint64_t left = count; left > 0;) {
-      const auto n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(left, kDigestChunkRecords));
-      if (!read_all(f.get(), chunk.data(), n * sizeof(TraceRecord))) {
-        set_error(error, path + ": truncated records");
-        return std::nullopt;
+    // One chunk at a time: its bytes are checked, then become the
+    // chunk's bytes in memory.
+    for (std::uint64_t c = 0; c * kDigestChunkRecords < count; ++c) {
+      const auto n = static_cast<std::size_t>(std::min<std::uint64_t>(
+          count - c * kDigestChunkRecords, kDigestChunkRecords));
+      if (const char* bad = read_chunk(f.get(), n, chunk, run.records)) {
+        return fail("rep " + std::to_string(rep) + " chunk " +
+                    std::to_string(c) + ": " + bad);
       }
-      for (std::size_t k = 0; k < n; ++k) run.records.push_back(chunk[k]);
-      left -= n;
     }
     out.runs.push_back(std::move(run));
   }
-  if (!saw_footer) {
-    set_error(error, path + ": MCKTRC02 file is missing its digest footer");
-    return std::nullopt;
+  // The runs fix the footer's size: read it whole and check its
+  // self-digest before trusting any field of it.
+  std::size_t size = 4 + 8;
+  for (const TraceRun& run : out.runs) {
+    size += 4 + 8 + 8 + 8 * run.records.chunks();
+  }
+  std::vector<unsigned char> image(size);
+  if (!read_all(f.get(), image.data(), size)) {
+    return fail("truncated digest footer");
+  }
+  if (std::fgetc(f.get()) != EOF) return fail("bytes after the digest footer");
+  std::uint64_t self = 0;
+  std::memcpy(&self, image.data() + size - 8, 8);
+  if (self != digest_bytes(image.data(), size - 8, kFooterSeed)) {
+    return fail("corrupt digest footer (self-digest)");
+  }
+  const unsigned char* p = image.data();
+  const auto take = [&p](auto& v) {
+    std::memcpy(&v, p, sizeof v);
+    p += sizeof v;
+  };
+  std::uint32_t run_count = 0;
+  take(run_count);
+  if (run_count != out.runs.size()) {
+    return fail("corrupt digest footer (run count)");
+  }
+  for (TraceRun& run : out.runs) {
+    std::uint32_t rep = 0;
+    std::uint64_t chunks = 0;
+    take(rep);
+    take(run.digests.run);
+    take(chunks);
+    if (rep != static_cast<std::uint32_t>(run.rep) ||
+        chunks != run.records.chunks()) {
+      return fail("corrupt digest footer (chunk shape)");
+    }
+    run.digests.chunks.resize(run.records.chunks());
+    for (std::uint64_t& d : run.digests.chunks) take(d);
   }
   return out;
 }
@@ -206,18 +183,17 @@ std::vector<DigestMismatch> verify_trace_digests(const TraceFile& file) {
   std::vector<DigestMismatch> out;
   for (const TraceRun& run : file.runs) {
     const std::vector<std::uint64_t>& stored = run.digests.chunks;
-    for_each_chunk(run.records, [&](std::uint64_t c, const TraceRecord* p,
-                                    std::size_t n) {
-      if (c >= stored.size()) return;
-      const std::uint64_t want = chunk_digest(p, n, c);
-      if (stored[c] != want) {
+    const std::vector<std::uint64_t> want =
+        compute_run_digests(run.records).chunks;
+    for (std::size_t c = 0; c < std::min(stored.size(), want.size()); ++c) {
+      if (stored[c] != want[c]) {
         out.push_back(DigestMismatch{run.rep, static_cast<std::int64_t>(c),
-                                     stored[c], want});
+                                     stored[c], want[c]});
       }
-    });
-    const std::uint64_t want = fold_run_digest(stored, run.records.size());
-    if (run.digests.run != want) {
-      out.push_back(DigestMismatch{run.rep, -1, run.digests.run, want});
+    }
+    const std::uint64_t run_want = fold_run_digest(stored, run.records.size());
+    if (run.digests.run != run_want) {
+      out.push_back(DigestMismatch{run.rep, -1, run.digests.run, run_want});
     }
   }
   return out;

@@ -1,38 +1,40 @@
 // Binary trace-file format for the flight recorder.
 //
-// Layout (little-endian, raw 32-byte TraceRecords):
-//   file header:  magic "MCKTRC02" (8 B)
+// Layout (little-endian; records encoded as obs/trace_records.hpp holds
+// them):
+//   file header:  magic "MCKTRC03" (8 B)
 //                 u32 num_processes
 //                 u32 algo name length, followed by that many bytes
 //   per run:      magic "RUN." (4 B)   — one section per replication,
 //                 u32 rep index          in rep-index order
 //                 u64 seed
 //                 u64 record count
-//                 count * sizeof(TraceRecord) raw records
+//                 per chunk of kDigestChunkRecords records (the last one
+//                 may be short): u32 byte count, followed by the chunk's
+//                 encoded bytes (TraceRecords::chunk_bytes)
 //   footer:       magic "DIG." (4 B)
 //                 u32 run count (must equal the RUN. section count)
 //                 per run: u32 rep, u64 run digest, u64 chunk count,
-//                          chunk count * u64 chunk digests
-//                          (one digest per kDigestChunkRecords records,
-//                          obs/digest.hpp)
+//                          chunk count * u64 chunk digests, each over the
+//                          chunk's encoded bytes (obs/digest.hpp)
 //                 u64 footer digest over every footer byte after "DIG."
 //
 // The writer emits runs in the order given (the harness merges per-rep
 // buffers in rep-index order), so the same (config, seed, reps) always
-// produces a byte-identical file regardless of --jobs. The digest footer
-// is a pure function of the records, so it preserves that guarantee.
+// produces a byte-identical file regardless of --jobs. The encoding is
+// canonical and the digest footer is a pure function of the encoded
+// bytes, so both preserve that guarantee.
 //
-// In memory and on disk. A TraceRun holds its records delta-encoded
-// (TraceRecords, obs/trace_records.hpp: ~9 B a record); the file holds
-// them raw, 32 B each, and the digests are over those raw images. The
-// writer, the reader and verify_trace_digests decode or encode one
-// kDigestChunkRecords-record chunk at a time through one buffer, so the
-// bytes written are those of the raw records, and no pass holds a run as
-// a count * 32-byte image. A compact on-disk layout would be a format
-// version bump.
+// The file stores the bytes a TraceRun holds in memory, and the digests
+// hash those bytes: the writer copies each chunk out, the reader appends
+// each chunk back through TraceRecords::append_chunk, and nothing in this
+// layer decodes a record. The reader rejects a chunk whose byte count is
+// more than kMaxRecordBytes a record, runs past the end of the file, or
+// is not the canonical encoding of exactly its records; the error names
+// the rep and the chunk.
 //
 // The footer is mandatory, so every file read back carries the digests
-// of every run. Any other magic, including the digest-less version-1
+// of every run. Any other magic, including the 32-byte-record MCKTRC02
 // layout's, is rejected. A malformed footer — missing, truncated,
 // run-count mismatch, implausible chunk count, or a footer digest that
 // does not match the footer bytes — rejects the file: a corrupt
@@ -50,7 +52,7 @@ namespace mck::obs {
 
 /// Records of one replication, tagged with its rep index and seed.
 /// `digests` ride along when the harness (or the reader) computed them;
-/// write_trace_file trusts a matching set and computes a missing one.
+/// write_trace_file ignores them and digests the bytes it writes.
 struct TraceRun {
   int rep = 0;
   std::uint64_t seed = 0;
@@ -74,14 +76,13 @@ struct TraceFile {
   }
 };
 
-/// The file magic, "MCKTRC02".
+/// The file magic, "MCKTRC03".
 inline constexpr char kTraceFileMagic[8] = {'M', 'C', 'K', 'T',
-                                            'R', 'C', '0', '2'};
+                                            'R', 'C', '0', '3'};
 
 /// Writes `runs` to `path`; returns false (and fills *error if non-null)
-/// on I/O failure. The digest footer reuses each run's precomputed
-/// digests when they are present and their chunk count matches the record
-/// count, and computes them while writing the records otherwise.
+/// on I/O failure. The digest footer is computed from the chunks as they
+/// are written.
 bool write_trace_file(const std::string& path, const TraceFileMeta& meta,
                       const std::vector<TraceRun>& runs,
                       std::string* error = nullptr);

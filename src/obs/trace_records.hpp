@@ -1,12 +1,13 @@
 // The flight recorder's record type, and the container that holds a run's
-// records in memory delta-encoded.
+// records delta-encoded: in memory, in trace files and under the digests.
 //
-// A TraceRecord is 32 bytes and is what every reader sees and what trace
-// files store (MCKTRC02, trace_io.hpp). TraceRecords keeps the same
-// sequence in about 9 bytes a record:
+// A TraceRecord is 32 bytes and is what every reader sees. TraceRecords
+// keeps the same sequence in about 9 bytes a record, the bytes MCKTRC03
+// files store (trace_io.hpp) and chunk digests hash (digest.hpp). No other
+// code knows their layout:
 //
 //  * Each record is a kind byte, a field-presence mask byte, then one
-//    zigzag LEB128 varint per field that differs from its context. `at`
+//    zigzag prefix varint per field that differs from its context. `at`
 //    is coded against the previous record's time; arg0, arg1, pid, sub
 //    and aux against the previous record of the same kind (kind & 31:
 //    every real kind has its own context, forged kinds share theirs with
@@ -17,18 +18,21 @@
 //  * Contexts reset every kBlockRecords records, so a record is decoded
 //    from at most kBlockRecords - 1 predecessors, and one 4-byte offset
 //    per block makes operator[] O(kBlockRecords).
-//  * The bytes live in kSegmentBytes anonymous mappings: data grows from
-//    the front of a segment and the block offsets from its back. A block
-//    never straddles two segments. A segment is mapped when the next
-//    block might not fit; no other append allocates (the segment list
-//    itself grows only then). Mappings, not malloc: they are returned to
-//    the OS when the container is cleared or destroyed.
+//  * kDigestChunkRecords records (256 blocks) make a chunk, the unit a
+//    file stores and a digest covers; its bytes depend on its own records
+//    alone. The bytes live in kSegmentBytes anonymous mappings: data
+//    grows from the front of a segment and the block offsets from its
+//    back. A chunk never straddles two segments, so chunk_bytes(c) is one
+//    span: a segment is mapped at a chunk boundary when the next chunk
+//    might not fit, and no other append allocates. Mappings, not malloc:
+//    they are returned to the OS when the container is cleared or
+//    destroyed.
 //
 // The encoding is canonical (a function of the record sequence alone), so
 // two containers hold the same records iff their bytes are equal, which is
-// what operator== compares. Only this header writes the bytes it decodes,
-// so the decoder trusts them; untrusted input arrives as raw records
-// (read_trace_file) and is encoded here.
+// what operator== compares. The decoder trusts the bytes push_back wrote;
+// untrusted bytes (a file's chunks) enter through append_chunk, which
+// bounds-checks them and accepts only a canonical encoding.
 #pragma once
 
 #include <algorithm>
@@ -38,6 +42,7 @@
 #include <initializer_list>
 #include <iterator>
 #include <new>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -48,8 +53,8 @@
 
 namespace mck::obs {
 
-/// One trace record: 32 bytes, trivially copyable — written to disk raw
-/// (trace_io.hpp) and memcmp-comparable for determinism tests. The
+/// One trace record: 32 bytes, trivially copyable and memcmp-comparable
+/// for determinism tests; files hold it encoded (TraceRecords). The
 /// per-kind field conventions are on TraceKind (trace.hpp).
 struct TraceRecord {
   sim::SimTime at;      // simulation time (ns)
@@ -60,8 +65,13 @@ struct TraceRecord {
   std::uint8_t sub;     // kind-specific discriminator (MsgKind, CkptKind)
   std::uint16_t aux;    // kind-specific small operand (peer pid, MSS id)
 };
-static_assert(sizeof(TraceRecord) == 32, "records are written to disk raw");
+static_assert(sizeof(TraceRecord) == 32,
+              "no padding: records compare with memcmp");
 static_assert(std::is_trivially_copyable_v<TraceRecord>);
+
+/// Records per chunk: the unit a trace file stores and a digest covers
+/// (a format constant).
+inline constexpr std::size_t kDigestChunkRecords = 4096;
 
 /// An append-only sequence of TraceRecords, delta-encoded (header comment).
 class TraceRecords {
@@ -69,15 +79,24 @@ class TraceRecords {
   static constexpr std::size_t kBlockRecords = 16;
   static constexpr std::size_t kSegmentBytes = std::size_t{2} << 20;
   static constexpr std::size_t kKindContexts = 32;
+  /// kind + mask + at, arg0, arg1 (9 B each) + pid (5) + sub (2) + aux (3).
+  static constexpr std::size_t kMaxRecordBytes = 2 + 3 * 9 + 5 + 2 + 3;
 
  private:
   enum : unsigned { kAt = 1, kArg0 = 2, kArg1 = 4, kPid = 8, kSub = 16,
                     kAux = 32 };
-  /// kind + mask + at, arg0, arg1 (9 B each) + pid (5) + sub (2) + aux (3).
-  static constexpr std::size_t kMaxRecordBytes = 2 + 3 * 9 + 5 + 2 + 3;
-  static constexpr std::size_t kMaxBlockBytes = kBlockRecords * kMaxRecordBytes;
+  static constexpr std::size_t kChunkBlocks =
+      kDigestChunkRecords / kBlockRecords;
+  static_assert(kChunkBlocks * kBlockRecords == kDigestChunkRecords);
+  static constexpr std::size_t kMaxChunkBytes =
+      kDigestChunkRecords * kMaxRecordBytes;
   /// Mapped bytes kept past the data: varints move as 8-byte words.
   static constexpr std::size_t kSlack = 8;
+  /// Zero bytes append_chunk keeps past untrusted input: a forged record
+  /// that starts before the end may run past it with a 9-byte varint in
+  /// each of its six fields before the bounds check sees it, and its last
+  /// varint read may load kSlack bytes more.
+  static constexpr std::size_t kInputPad = 2 + 6 * 9 + kSlack;
 
   /// The previous record of one kind in the current block (a plain
   /// aggregate: Ctx{} is the zero context a block starts from).
@@ -261,6 +280,58 @@ class TraceRecords {
     ++size_;
   }
 
+  /// Chunks the records fill (the last one may be short).
+  std::size_t chunks() const {
+    return (size_ + kDigestChunkRecords - 1) / kDigestChunkRecords;
+  }
+
+  /// The encoded bytes of chunk `c` (< chunks()): records
+  /// [c * kDigestChunkRecords, (c + 1) * kDigestChunkRecords) clipped to
+  /// size(), as a trace file stores them and a chunk digest hashes them.
+  std::span<const unsigned char> chunk_bytes(std::size_t c) const {
+    const std::size_t b = c * kChunkBlocks;
+    const Segment& s = segment_of(b);
+    const std::size_t next = b - s.first_block + kChunkBlocks;
+    return {block_ptr(s, b),
+            next < s.blocks ? block_ptr(s, s.first_block + next)
+                            : s.base + used(s)};
+  }
+
+  /// Appends the `n` records (1 <= n <= kDigestChunkRecords) that
+  /// untrusted `bytes` encode as a new chunk; size() must be a multiple
+  /// of kDigestChunkRecords. Accepts only the canonical encoding of
+  /// exactly n records, so the chunk's bytes equal the input; anything
+  /// else returns false and leaves the container empty. `bytes` is
+  /// zero-padded while it is decoded.
+  bool append_chunk(std::vector<unsigned char>& bytes, std::size_t n) {
+    const std::size_t first = size_;
+    const std::size_t len = bytes.size();
+    bool ok = n > 0 && n <= kDigestChunkRecords &&
+              first % kDigestChunkRecords == 0;
+    bytes.resize(len + kInputPad);
+    const unsigned char* end = bytes.data() + len;
+    Decoder d;
+    d.p = bytes.data();
+    TraceRecord r;
+    for (std::size_t k = 0; ok && k < n; ++k) {
+      if (k % kBlockRecords == 0) d.start(d.p);
+      d.next(r);
+      ok = d.p <= end;
+      if (ok) push_back(r);
+    }
+    bytes.resize(len);
+    if (ok && d.p == end) {
+      const std::span<const unsigned char> got =
+          chunk_bytes(first / kDigestChunkRecords);
+      if (got.size() == len &&
+          std::memcmp(got.data(), bytes.data(), len) == 0) {
+        return true;
+      }
+    }
+    clear();
+    return false;
+  }
+
   /// Record `i` (< size()), decoded from the start of its block.
   TraceRecord operator[](std::size_t i) const { return *from(i); }
   TraceRecord back() const { return (*this)[size_ - 1]; }
@@ -327,15 +398,11 @@ class TraceRecords {
 
   /// Same records (compared on the canonical bytes, without decoding).
   bool operator==(const TraceRecords& o) const {
-    if (size_ != o.size_ || segs_.size() != o.segs_.size()) return false;
-    for (std::size_t s = 0; s < segs_.size(); ++s) {
-      const std::size_t n = used(segs_[s]);
-      if (n != o.used(o.segs_[s]) ||
-          std::memcmp(segs_[s].base, o.segs_[s].base, n) != 0) {
-        return false;
-      }
+    bool same = size_ == o.size_;
+    for (std::size_t c = 0; same && c < chunks(); ++c) {
+      same = std::ranges::equal(chunk_bytes(c), o.chunk_bytes(c));
     }
-    return true;
+    return same;
   }
 
  private:
@@ -356,22 +423,31 @@ class TraceRecords {
     return s.base + kSegmentBytes - 4 * (local + 1);
   }
 
-  const unsigned char* block_ptr(std::size_t b) const {
+  const Segment& segment_of(std::size_t b) const {
     const auto it = std::upper_bound(
         segs_.begin(), segs_.end(), b,
         [](std::size_t blk, const Segment& s) { return blk < s.first_block; });
-    const Segment& s = *(it - 1);
+    return *(it - 1);
+  }
+  /// Block `b`, which segment `s` holds.
+  static const unsigned char* block_ptr(const Segment& s, std::size_t b) {
     std::uint32_t off = 0;
     std::memcpy(&off, offset_slot(s, b - s.first_block), 4);
     return s.base + off;
   }
+  const unsigned char* block_ptr(std::size_t b) const {
+    return block_ptr(segment_of(b), b);
+  }
 
-  /// Starts the block of record size_: records its offset (in a fresh
-  /// segment if the block might not fit) and resets the contexts.
+  /// Starts the block of record size_: records its offset and resets the
+  /// contexts. A chunk starts in a fresh segment if it might not fit in
+  /// the current one, data and block offsets both.
   void start_block() {
-    if (segs_.empty() ||
-        put_ + kMaxBlockBytes + kSlack >
-            offset_slot(segs_.back(), segs_.back().blocks)) {
+    if (size_ % kDigestChunkRecords == 0 &&
+        (segs_.empty() ||
+         put_ + kMaxChunkBytes + kSlack >
+             offset_slot(segs_.back(),
+                         segs_.back().blocks + kChunkBlocks - 1))) {
       map_segment();
     }
     Segment& s = segs_.back();

@@ -1,4 +1,4 @@
-// Divergence forensics (obs/digest.hpp, obs/diff.hpp, trace_io MCKTRC02):
+// Divergence forensics (obs/digest.hpp, obs/diff.hpp, trace_io MCKTRC03):
 //
 //  * digest round-trip — write_trace_file emits a footer the reader
 //    restores bit-for-bit; verify_trace_digests passes on honest files
@@ -181,8 +181,7 @@ TEST(DigestIo, V2RoundTripRestoresDigests) {
   for (const obs::TraceRun& run : f.runs) {
     // The harness plumbed digests through run_experiment already.
     ASSERT_TRUE(run.digests.present());
-    EXPECT_EQ(run.digests.chunks.size(),
-              obs::digest_chunk_count(run.records.size()));
+    EXPECT_EQ(run.digests.chunks.size(), run.records.chunks());
   }
   const std::string path = temp_path("digest_rt.trc");
   std::string err;
@@ -207,15 +206,12 @@ TEST(DigestIo, CorruptRecordIsNamedByChunk) {
   std::string err;
   ASSERT_TRUE(obs::write_trace_file(path, f.meta, f.runs, &err)) << err;
 
-  // Flip one byte inside the records of the second chunk, on disk.
+  // Give the first record of the second chunk, on disk, a kind byte past
+  // TraceKind::kCount that shares its kind's context (kind ^ 0x20).
   ASSERT_GT(f.runs[0].records.size(), obs::kDigestChunkRecords)
       << "trace too short to exercise chunk localization";
-  const long header = 8 + 4 + 4 + static_cast<long>(f.meta.algo.size());
-  const long run_header = 4 + 4 + 8 + 8;
-  const long off = header + run_header +
-                   static_cast<long>((obs::kDigestChunkRecords + 100) *
-                                     sizeof(obs::TraceRecord)) +
-                   11;
+  const long off =
+      obs::chunk_file_offset(f.meta.algo.size(), f.runs[0].records, 1);
   std::FILE* fp = std::fopen(path.c_str(), "r+b");
   ASSERT_NE(fp, nullptr);
   ASSERT_EQ(std::fseek(fp, off, SEEK_SET), 0);
@@ -225,9 +221,10 @@ TEST(DigestIo, CorruptRecordIsNamedByChunk) {
   std::fputc(c ^ 0x20, fp);
   std::fclose(fp);
 
-  // The file still parses (records are not self-checking) but digest
-  // verification pins the corruption to chunk 1 and the run digest
-  // stays consistent with the stored chunks (only recomputation fails).
+  // The bytes are still the canonical encoding of their records, so the
+  // file parses, but digest verification pins the corruption to chunk 1
+  // and the run digest stays consistent with the stored chunks (only
+  // recomputation fails).
   std::optional<obs::TraceFile> back = obs::read_trace_file(path, &err);
   ASSERT_TRUE(back) << err;
   std::vector<obs::DigestMismatch> bad = obs::verify_trace_digests(*back);

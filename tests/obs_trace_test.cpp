@@ -5,6 +5,8 @@
 // must reach the same numbers, for every algorithm.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
 #include <algorithm>
@@ -217,10 +219,8 @@ TEST(TraceIo, RejectsCorruptFile) {
   std::remove(path.c_str());
 }
 
-// The 51-byte file of a header, a run header and a forged record count
-// of 2^30 (32 GiB) is reported as truncated before anything is allocated.
-// The reader streams a run chunk by chunk; a flipped bit in a run's last,
-// short digest chunk is still pinned to that chunk's index.
+// The reader streams a run chunk by chunk; a corrupt byte in a run's
+// last, short chunk is still pinned to that chunk's index.
 TEST(TraceIo, BitFlipInTheLastShortChunkIsReportedByIndex) {
   obs::TraceFileMeta meta;
   meta.num_processes = 8;
@@ -238,15 +238,15 @@ TEST(TraceIo, BitFlipInTheLastShortChunkIsReportedByIndex) {
   std::string err;
   ASSERT_TRUE(obs::write_trace_file(path, meta, runs, &err)) << err;
 
-  // Flip a bit of record count - 5, inside chunk 2 (37 records long).
-  const long header = 8 + 4 + 4 + static_cast<long>(meta.algo.size());
-  const long off = header + 4 + 4 + 8 + 8 +
-                   static_cast<long>((count - 5) * sizeof(TraceRecord)) + 9;
+  // Flip a bit of the kind byte of chunk 2's first record (chunk 2 is 37
+  // records long). The bytes still encode 37 records canonically, so the
+  // file reads and only the digest sees the change.
+  const long off = obs::chunk_file_offset(meta.algo.size(), runs[0].records, 2);
   std::FILE* fp = std::fopen(path.c_str(), "r+b");
   ASSERT_NE(fp, nullptr);
   ASSERT_EQ(std::fseek(fp, off, SEEK_SET), 0);
   const int c = std::fgetc(fp);
-  ASSERT_NE(c, EOF);
+  ASSERT_EQ(c, static_cast<int>(TraceKind::kMsgSend));
   ASSERT_EQ(std::fseek(fp, off, SEEK_SET), 0);
   std::fputc(c ^ 0x01, fp);
   std::fclose(fp);
@@ -263,25 +263,81 @@ TEST(TraceIo, BitFlipInTheLastShortChunkIsReportedByIndex) {
   std::remove(path.c_str());
 }
 
-TEST(TraceIo, RejectsForgedRecordCountWithoutAllocating) {
-  const std::string path = "obs_trace_forged_count.tmp";
+std::string file_bytes(const std::string& path) {
+  std::string out;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return out;
+  char buf[1 << 16];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;) {
+    out.append(buf, n);
+  }
+  std::fclose(f);
+  return out;
+}
+
+/// Writes `bytes` to `path`.
+void write_bytes(const std::string& path, const std::string& bytes) {
   std::FILE* fp = std::fopen(path.c_str(), "wb");
   ASSERT_NE(fp, nullptr);
-  const std::uint32_t n = 4, algo_len = 3, rep = 0;
-  const std::uint64_t seed = 1, count = 1ull << 30;
-  std::fwrite(obs::kTraceFileMagic, 1, sizeof obs::kTraceFileMagic, fp);
-  std::fwrite(&n, sizeof n, 1, fp);
-  std::fwrite(&algo_len, sizeof algo_len, 1, fp);
-  std::fwrite("cao", 1, algo_len, fp);
-  std::fwrite("RUN.", 1, 4, fp);
-  std::fwrite(&rep, sizeof rep, 1, fp);
-  std::fwrite(&seed, sizeof seed, 1, fp);
-  std::fwrite(&count, sizeof count, 1, fp);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), fp), bytes.size());
   std::fclose(fp);
+}
 
+/// A trace file image up to its first run's first chunk byte count.
+std::string run_prefix(const char (&magic)[8], std::uint64_t count) {
+  std::string out(magic, 8);
+  const auto put = [&out](const auto& v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  put(std::uint32_t{4});
+  put(std::uint32_t{3});
+  out += "cao";
+  out += "RUN.";
+  put(std::uint32_t{0});
+  put(std::uint64_t{1});
+  put(count);
+  return out;
+}
+
+// The 51-byte file of a header, a run header and a forged record count
+// of 2^30 is reported as truncated before anything is allocated.
+TEST(TraceIo, RejectsForgedRecordCountWithoutAllocating) {
+  const std::string path = testing::TempDir() + "obs_trace_forged_count.trc";
+  write_bytes(path, run_prefix(obs::kTraceFileMagic, 1ull << 30));
   std::string err;
   EXPECT_FALSE(obs::read_trace_file(path, &err).has_value());
-  EXPECT_NE(err.find("truncated records"), std::string::npos) << err;
+  EXPECT_NE(err.find("rep 0 chunk 0: truncated records"), std::string::npos)
+      << err;
+  std::remove(path.c_str());
+}
+
+// A chunk byte count of 2^32-1 is more than any 4096 records can take,
+// so the reader refuses it before it sizes a buffer for it.
+TEST(TraceIo, RejectsForgedChunkByteCountBeforeAllocating) {
+  const std::string path = testing::TempDir() + "obs_trace_forged_len.trc";
+  std::string image = run_prefix(obs::kTraceFileMagic, 4096);
+  const std::uint32_t len = 0xffffffffu;
+  image.append(reinterpret_cast<const char*>(&len), sizeof len);
+  image.append(64, '\0');
+  write_bytes(path, image);
+  std::string err;
+  EXPECT_FALSE(obs::read_trace_file(path, &err).has_value());
+  EXPECT_NE(err.find("rep 0 chunk 0: implausible chunk byte count"),
+            std::string::npos)
+      << err;
+  std::remove(path.c_str());
+}
+
+// The 32-byte-record layout is another format: its magic is rejected.
+TEST(TraceIo, RejectsMCKTRC02Header) {
+  const std::string path = testing::TempDir() + "obs_trace_v2.trc";
+  const char v2[8] = {'M', 'C', 'K', 'T', 'R', 'C', '0', '2'};
+  std::string image = run_prefix(v2, 1);
+  image.append(sizeof(TraceRecord), '\0');
+  write_bytes(path, image);
+  std::string err;
+  EXPECT_FALSE(obs::read_trace_file(path, &err).has_value());
+  EXPECT_NE(err.find("bad magic"), std::string::npos) << err;
   std::remove(path.c_str());
 }
 
@@ -343,6 +399,102 @@ std::vector<TraceRecord> mixed_records(std::size_t count, std::uint64_t seed) {
   return out;
 }
 
+// Every single-byte corruption and every truncation of a file of two full
+// chunks and a short one is caught, and one inside a chunk is pinned to
+// that chunk: the reader names the rep and the chunk, or the chunk's
+// bytes still decode canonically and verify_trace_digests names it.
+// Outside the chunks (header, run header, footer) a corruption is
+// rejected or changes only what no digest covers (process count, algo
+// name, seed), never a record.
+TEST(TraceIo, EveryByteFlipAndTruncationIsRejectedOrNamedByChunk) {
+  obs::TraceFileMeta meta;
+  meta.num_processes = 64;
+  meta.algo = "cs";
+  std::vector<obs::TraceRun> runs(1);
+  runs[0].rep = 0;
+  runs[0].seed = 5;
+  // Each chunk opens and closes with two blocks of records of every
+  // shape (mixed_records) around all-zero records, which take 2 bytes
+  // each: every byte of the file is tried, so the file is kept small.
+  const std::size_t count = 2 * obs::kDigestChunkRecords + 37;
+  const std::vector<TraceRecord> varied = mixed_records(count, 3);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t k = i % obs::kDigestChunkRecords;
+    const bool edge = k < 32 || k + 32 >= obs::kDigestChunkRecords ||
+                      i + 32 >= count;
+    runs[0].records.push_back(edge ? varied[i] : TraceRecord{});
+  }
+  const obs::TraceRecords& want = runs[0].records;
+  const std::string path = testing::TempDir() + "obs_trace_fuzz.trc";
+  std::string err;
+  ASSERT_TRUE(obs::write_trace_file(path, meta, runs, &err)) << err;
+  const std::string image = file_bytes(path);
+  // Chunk c spans [lo[c], lo[c + 1]) of the file: byte count and data.
+  std::vector<std::size_t> lo;
+  for (std::size_t c = 0; c < want.chunks(); ++c) {
+    lo.push_back(static_cast<std::size_t>(
+                     obs::chunk_file_offset(meta.algo.size(), want, c)) -
+                 4);
+  }
+  lo.push_back(lo.back() + 4 + want.chunk_bytes(want.chunks() - 1).size());
+  const auto chunk_of = [&lo](std::size_t pos) -> std::int64_t {
+    for (std::size_t c = 0; c + 1 < lo.size(); ++c) {
+      if (pos >= lo[c] && pos < lo[c + 1]) return static_cast<std::int64_t>(c);
+    }
+    return -1;
+  };
+  const auto names = [](const std::string& e, std::int64_t c) {
+    return e.find("rep 0 chunk " + std::to_string(c) + ": ") !=
+           std::string::npos;
+  };
+
+  std::size_t rejected = 0, verified = 0;
+  std::FILE* fp = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(fp, nullptr);
+  for (std::size_t pos = 0; pos < image.size(); ++pos) {
+    const auto flip = [&](unsigned char mask) {
+      std::fseek(fp, static_cast<long>(pos), SEEK_SET);
+      std::fputc(static_cast<unsigned char>(image[pos]) ^ mask, fp);
+      std::fflush(fp);
+    };
+    flip(static_cast<unsigned char>(1u << (pos % 8)));
+    std::optional<obs::TraceFile> back = obs::read_trace_file(path, &err);
+    flip(0);
+    const std::int64_t c = chunk_of(pos);
+    if (!back) {
+      ++rejected;
+      if (c >= 0) {
+        ASSERT_TRUE(names(err, c)) << "byte " << pos << ": " << err;
+      }
+      continue;
+    }
+    const std::vector<obs::DigestMismatch> bad =
+        obs::verify_trace_digests(*back);
+    if (c >= 0) {
+      ++verified;
+      ASSERT_EQ(bad.size(), 1u) << "byte " << pos;
+      ASSERT_EQ(bad[0].chunk, c) << "byte " << pos;
+    } else {
+      ASSERT_TRUE(bad.empty()) << "byte " << pos;
+      ASSERT_TRUE(back->runs[0].records == want) << "byte " << pos;
+    }
+  }
+  std::fclose(fp);
+  // Both outcomes occur: the test is not vacuous.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(verified, 0u);
+
+  for (std::size_t len = image.size(); len-- > 0;) {
+    ASSERT_EQ(truncate(path.c_str(), static_cast<off_t>(len)), 0);
+    EXPECT_FALSE(obs::read_trace_file(path, &err)) << "length " << len;
+    const std::int64_t c = chunk_of(len);
+    if (c >= 0) {
+      ASSERT_TRUE(names(err, c)) << "length " << len << ": " << err;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 bool same_record(const TraceRecord& a, const TraceRecord& b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
 }
@@ -388,8 +540,70 @@ TEST(TraceRecords, EncodingIsLosslessAcrossBlocksAndSegments) {
   EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
 }
 
-/// The MCKTRC02 image of `runs`, written by hand from raw records and
-/// obs::digest_bytes, following the layout documented in trace_io.hpp.
+/// The encoded bytes of one chunk of records, written from the layout in
+/// obs/trace_records.hpp independently of TraceRecords: per 16-record
+/// block every context starts at zero; per record a kind byte, a mask
+/// byte, and for each field that differs from its context the zigzag of
+/// the delta (wrapped in the field's width) as a prefix varint.
+std::string reference_chunk(const TraceRecord* r, std::size_t n) {
+  std::string out;
+  const auto varint = [&out](std::uint64_t v) {
+    if (v >> 56 != 0) {  // a zero byte, then 8 raw bytes
+      out += '\0';
+      for (int i = 0; i < 8; ++i) out += static_cast<char>(v >> (8 * i));
+      return;
+    }
+    int len = 1;  // 7 value bits a byte, the length in trailing zeros
+    while (len < 8 && v >> (7 * len) != 0) ++len;
+    const std::uint64_t w = ((v << 1) | 1) << (len - 1);
+    for (int i = 0; i < len; ++i) out += static_cast<char>(w >> (8 * i));
+  };
+  const auto zigzag = [](std::int64_t d) {
+    return (static_cast<std::uint64_t>(d) << 1) ^
+           static_cast<std::uint64_t>(d >> 63);
+  };
+  struct Ctx {
+    std::uint64_t arg0 = 0, arg1 = 0;
+    std::uint32_t pid = 0;
+    std::uint8_t sub = 0;
+    std::uint16_t aux = 0;
+  };
+  Ctx ctx[32];
+  std::uint64_t at = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 16 == 0) {
+      std::fill(std::begin(ctx), std::end(ctx), Ctx{});
+      at = 0;
+    }
+    const TraceRecord& x = r[i];
+    Ctx& c = ctx[x.kind % 32];
+    const std::size_t head = out.size();
+    out += static_cast<char>(x.kind);
+    out += '\0';
+    unsigned mask = 0;
+    const auto field = [&](unsigned bit, bool differs, std::int64_t delta) {
+      if (!differs) return;
+      mask |= bit;
+      varint(zigzag(delta));
+    };
+    const auto xat = static_cast<std::uint64_t>(x.at);
+    const auto xpid = static_cast<std::uint32_t>(x.pid);
+    field(1, xat != at, static_cast<std::int64_t>(xat - at));
+    field(2, x.arg0 != c.arg0, static_cast<std::int64_t>(x.arg0 - c.arg0));
+    field(4, x.arg1 != c.arg1, static_cast<std::int64_t>(x.arg1 - c.arg1));
+    field(8, xpid != c.pid, static_cast<std::int32_t>(xpid - c.pid));
+    field(16, x.sub != c.sub, static_cast<std::int8_t>(x.sub - c.sub));
+    field(32, x.aux != c.aux, static_cast<std::int16_t>(x.aux - c.aux));
+    out[head + 1] = static_cast<char>(mask);
+    at = xat;
+    c = Ctx{x.arg0, x.arg1, xpid, x.sub, x.aux};
+  }
+  return out;
+}
+
+/// The MCKTRC03 image of `runs`, written by hand from raw records,
+/// reference_chunk and obs::digest_bytes, following the layout documented
+/// in trace_io.hpp.
 std::string reference_trace_file(
     const obs::TraceFileMeta& meta,
     const std::vector<std::pair<obs::TraceRun, std::vector<TraceRecord>>>&
@@ -409,7 +623,12 @@ std::string reference_trace_file(
     put32(static_cast<std::uint32_t>(run.rep));
     put64(run.seed);
     put64(raw.size());
-    put(raw.data(), raw.size() * sizeof(TraceRecord));
+    for (std::size_t lo = 0; lo < raw.size(); lo += obs::kDigestChunkRecords) {
+      const std::string chunk = reference_chunk(
+          raw.data() + lo, std::min(raw.size() - lo, obs::kDigestChunkRecords));
+      put32(static_cast<std::uint32_t>(chunk.size()));
+      put(chunk.data(), chunk.size());
+    }
   }
   std::string footer;
   const auto foot = [&footer](const void* p, std::size_t n) {
@@ -420,11 +639,10 @@ std::string reference_trace_file(
   for (const auto& [run, raw] : runs) {
     std::vector<std::uint64_t> chunks;
     for (std::size_t lo = 0; lo < raw.size(); lo += obs::kDigestChunkRecords) {
-      const std::size_t n =
-          std::min(raw.size() - lo, obs::kDigestChunkRecords);
-      chunks.push_back(obs::digest_bytes(raw.data() + lo,
-                                         n * sizeof(TraceRecord),
-                                         chunks.size() + 1));
+      const std::string chunk = reference_chunk(
+          raw.data() + lo, std::min(raw.size() - lo, obs::kDigestChunkRecords));
+      chunks.push_back(
+          obs::digest_bytes(chunk.data(), chunk.size(), chunks.size() + 1));
     }
     const std::uint64_t run_digest =
         obs::digest_bytes(chunks.data(), chunks.size() * 8,
@@ -442,21 +660,10 @@ std::string reference_trace_file(
   return out;
 }
 
-std::string file_bytes(const std::string& path) {
-  std::string out;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return out;
-  char buf[1 << 16];
-  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;) {
-    out.append(buf, n);
-  }
-  std::fclose(f);
-  return out;
-}
-
-// Encoded in memory, the records still reach the file as the raw 32-byte
-// images the format specifies: a written file, and the file written again
-// from its read-back, both equal a reference built from the raw records.
+// The file holds the records in the encoding trace_records.hpp
+// specifies: a written file, and the file written again from its
+// read-back, both equal a reference built from the raw records by an
+// independent encoder.
 TEST(TraceRecords, WrittenFilesMatchAReferenceBuiltFromRawRecords) {
   obs::TraceFileMeta meta;
   meta.num_processes = 1024;
@@ -473,9 +680,10 @@ TEST(TraceRecords, WrittenFilesMatchAReferenceBuiltFromRawRecords) {
     runs[k].seed = ref[k].first.seed;
     runs[k].records = obs::to_records(ref[k].second);
   }
-  // Run 0 carries the digests the harness computes; the others are
-  // digested while they are written.
-  runs[0].digests = obs::compute_run_digests(runs[0].records);
+  // Run 0 carries wrong digests: the writer digests the bytes it writes
+  // and never reuses what a run carries.
+  runs[0].digests.run = 1;
+  runs[0].digests.chunks.assign(runs[0].records.chunks(), 2);
   const std::string want = reference_trace_file(meta, ref);
 
   const std::string first = testing::TempDir() + "trace_records_a.trc";

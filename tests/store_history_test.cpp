@@ -89,6 +89,9 @@ void run_and_compare(harness::System& sys, obs::Tracer& tracer,
     sys.simulator().run_until(t);
     hist.replay(tracer.take_records());
     expect_store_matches_history(sys, hist);
+    // A disconnect supersedes the process's previous disconnect image.
+    EXPECT_LE(sys.store().count(CkptKind::kDisconnect),
+              static_cast<std::size_t>(sys.n()));
     ++cov.pauses;
   }
   for (const ckpt::HistoryStore::Entry& e : hist.entries()) {

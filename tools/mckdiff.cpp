@@ -3,7 +3,7 @@
 //
 //   mckdiff A B [--context K] [--align-window W] [--json] [--out F]
 //
-// A and B are both MCKTRC02 traces or both MCKTL02 timelines
+// A and B are both MCKTRC03 traces or both MCKTL02 timelines
 // (autodetected by magic). The report names the first diverging
 // (rep, record index), classifies it (timestamp / ordering /
 // payload-field / missing-record / extra-record / truncation), and
@@ -34,7 +34,7 @@ void cli::usage(const char* msg) {
   if (msg) std::fprintf(stderr, "error: %s\n\n", msg);
   std::fprintf(stderr,
                "usage: mckdiff A B [options]\n"
-               "  A, B              two trace files (MCKTRC02) or\n"
+               "  A, B              two trace files (MCKTRC03) or\n"
                "                    two timeline files (MCKTL02)\n"
                "  --context K       causal-backtrace length per side "
                "(default 8)\n"
@@ -282,7 +282,7 @@ int main(int argc, char** argv) {
   FileType ta = sniff(path_a);
   FileType tb = sniff(path_b);
   if (ta == FileType::kUnknown || tb == FileType::kUnknown) {
-    std::fprintf(stderr, "mckdiff: %s is neither MCKTRC02 nor MCKTL02\n",
+    std::fprintf(stderr, "mckdiff: %s is neither MCKTRC03 nor MCKTL02\n",
                  (ta == FileType::kUnknown ? path_a : path_b).c_str());
     return 2;
   }

@@ -68,7 +68,7 @@ void cli::usage(const char* msg) {
                "                    n >= 100000 (OOM guard; pass 0 to lift).\n"
                "                    Records are held encoded, 5-9 B each:\n"
                "                    a capped rep holds ~20-35 MiB in memory\n"
-               "                    and writes 128 MB (32 B a record)\n"
+               "                    and writes as much to the file\n"
                "  --timeline FILE   record the run-health timeline (one\n"
                "                    gauge row per --timeline-interval of\n"
                "                    sim time; inspect with mcktrace\n"
